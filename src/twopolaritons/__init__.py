@@ -12,7 +12,6 @@ from .bands import (
     Gap,
     band_structure,
     branch_energy,
-    branch_point,
     branch_vector,
     incident_state,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "bound_matching_matrix",
     "bound_sweep",
     "branch_energy",
-    "branch_point",
     "branch_vector",
     "build_bound_wavefunction",
     "build_hamiltonian",

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBranchError
-from .model import PARITY, ModelParams, bloch_matrix, reflect
+from .model import PARITY, ModelParams, bloch_matrix
 
 __all__ = [
     "BRANCHES",
-    "BranchPoint",
     "Band",
     "Gap",
     "BandStructure",
@@ -33,7 +32,6 @@ __all__ = [
     "branch_energy",
     "branch_energy_derivative",
     "branch_vector",
-    "branch_point",
     "incident_state",
     "band_structure",
     "phase_fix",
@@ -180,32 +178,6 @@ def branch_vector(branch: str, q, params: ModelParams, *, check: bool = True) ->
                 f"no clean eigenvector for branch {branch} at q={q!r}"
             )
     return f
-
-
-@dataclass(frozen=True)
-class BranchPoint:
-    """One (branch, q) point with its energy, spinor, and dressed levels."""
-
-    branch: str
-    q: float
-    energy: float
-    vector: np.ndarray
-    photon_level: float
-    tls_level_1: float
-    tls_level_2: float
-
-
-def branch_point(branch: str, q: float, params: ModelParams) -> BranchPoint:
-    d0, l1, l2 = effective_levels(params, q)
-    return BranchPoint(
-        branch=branch,
-        q=float(q),
-        energy=float(branch_energy(branch, q, params)),
-        vector=branch_vector(branch, q, params),
-        photon_level=float(d0),
-        tls_level_1=float(l1),
-        tls_level_2=float(l2),
-    )
 
 
 def incident_state(branch: str, q: float, params: ModelParams, l) -> np.ndarray:

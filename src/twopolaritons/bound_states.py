@@ -3,23 +3,25 @@
 Inside a gap every channel decays (Im lam > 0), so a normalizable state
 exists only at isolated energies where the homogeneous matching system
 loses rank.  We track the smallest singular value of that system across
-the gap, refine each dip by golden section, and accept a state only when
-the materialized wavefunction independently passes the site-equation
-residual test.  Singular values rather than determinants: the system is
-rectangular, and sigma_min is real, non-negative and convention-free.
+the gap, refine each dip by Brent's method, and accept a state only when
+its wavefunction independently passes the site-equation residual test.
+Singular values rather than determinants: the system is rectangular, and
+sigma_min is real, non-negative and convention-free.  Norms, composition
+weights and the Rayleigh quotient are closed-form geometric sums over the
+three decaying channels, exact for any decay rate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .bands import Gap, phase_fix
-from .channels import TOL_EDGE_FACTOR, find_channel_roots
+from .channels import TOL_EDGE_FACTOR, channel_expansion, expansion_moment, find_channel_roots
 from .errors import DegenerateBoundStateError, ParameterError
 from .model import PARITY, ModelParams, bloch_matrices, contact_interaction, hop_blocks, site_residual
 from .scattering import _matching_system
@@ -42,8 +44,6 @@ N_EDGE = 48
 SIGMA_ACCEPT = 1e-8
 RESIDUAL_TOL = 1e-8
 L_RESIDUAL = 60
-L_TAIL = 30.0       # materialize until |z|^L ~ e^-30, tail < 1e-12
-L_CAP = 10_000
 
 
 def bound_matching_matrix(E: float, params: ModelParams) -> np.ndarray:
@@ -184,22 +184,12 @@ class BoundState:
 
     def wavefunction(self, l) -> np.ndarray:
         """Spinor(s) of the normalized state at integer site(s) l."""
-        l = np.asarray(l)
-        scalar = l.ndim == 0
-        l = np.atleast_1d(l)
-        pos = np.abs(l)
-        beta = np.zeros(l.shape + (4,), dtype=complex)
-        for root, amp in zip(self.roots, self.scaled_amplitudes):
-            beta += amp * np.power(root.z, (pos - 1)[..., None]) * root.vector
-        beta[pos == 0] = self.contact_spinor
-        neg = l < 0
-        beta[neg] = beta[neg] @ PARITY  # diagonal, so right-multiplication works
-        return beta[0] if scalar else beta
+        return channel_expansion(l, self.roots, self.scaled_amplitudes, self.contact_spinor)
 
 
 def build_bound_wavefunction(E_b: float, params: ModelParams,
                              gap_id: int = 0) -> BoundState:
-    """Materialize, normalize and certify the bound state at energy E_b.
+    """Normalize and certify the bound state at energy E_b.
 
     The coefficients come from the right singular vector of the smallest
     singular value; a second near-zero singular value means the state is
@@ -222,43 +212,21 @@ def build_bound_wavefunction(E_b: float, params: ModelParams,
         )
     x = phase_fix(np.conj(vh[-1]))
 
+    # the l = 0 spinor is the contact pair (no TLS-pair slot: the hard-core
+    # constraint kills it); sites l >= 1 follow the channel expansion
     scaled = x[:3]
-    zs = np.array([r.z for r in roots])
-    kappa = min(r.lam.imag for r in roots)
-    n_tab = int(math.ceil(L_TAIL / kappa)) if kappa > 0 else L_CAP
-    if n_tab > L_CAP:
-        warnings.warn(
-            f"decay rate {kappa:.3g} needs {n_tab} sites for a 1e-12 tail; "
-            f"truncating at {L_CAP}",
-            stacklevel=2,
-        )
-        n_tab = L_CAP
-    n_tab = max(n_tab, L_RESIDUAL + 1)
-
-    # beta_l = sum_j (b_j z_j) z_j^(l-1) F_j for l >= 1; the l = 0 spinor is
-    # the contact pair (no TLS-pair slot: the hard-core constraint kills it).
-    powers = zs[None, :] ** np.arange(n_tab)[:, None]
-    vectors = np.array([r.vector for r in roots])
-    table = (scaled[None, :] * powers) @ vectors
     contact = np.array([x[3], x[4], 0.0, 0.0])
-
-    norm_sq = float(np.vdot(contact, contact).real
-                    + 2.0 * np.sum(np.abs(table) ** 2))
+    # each site l != 0 appears twice (l and its mirror -l, same moduli)
+    comp = np.abs(contact) ** 2 + 2.0 * expansion_moment(roots, scaled, 0).diagonal().real
+    norm_sq = float(comp.sum())
+    comp = comp / norm_sq
+    weights = (float(comp[0]), float(comp[1] + comp[2]), float(comp[3]))
     factor = 1.0 / math.sqrt(norm_sq)
     scaled = scaled * factor
-    table = table * factor
     contact = contact * factor
 
-    comp = np.abs(contact) ** 2 + 2.0 * np.sum(np.abs(table) ** 2, axis=0)
-    weights = (float(comp[0]), float(comp[1] + comp[2]), float(comp[3]))
-
-    # the certificate window is much shorter than the normalization table
-    n_res = L_RESIDUAL + 1
-    mirrored = table[:n_res] @ PARITY
-    field = {0: contact}
-    for l in range(1, n_res + 1):
-        field[l] = table[l - 1]
-        field[-l] = mirrored[l - 1]
+    window = np.arange(-L_RESIDUAL - 1, L_RESIDUAL + 2)
+    field = channel_expansion(window, roots, scaled, contact)
     res = site_residual(field, E_b, (-L_RESIDUAL, L_RESIDUAL), params)
 
     return BoundState(
@@ -266,7 +234,7 @@ def build_bound_wavefunction(E_b: float, params: ModelParams,
         params=params,
         energy=E_b,
         roots=tuple(roots),
-        amplitudes=scaled / zs,
+        amplitudes=scaled / np.array([r.z for r in roots]),
         scaled_amplitudes=scaled,
         b_photon=complex(contact[0]),
         b_mix=complex(contact[1]),
@@ -282,9 +250,9 @@ def find_bound_states(params: ModelParams, gap: Gap, *,
                       residual_tol: float = RESIDUAL_TOL) -> list:
     """All certified bound states inside one open gap, sorted by energy.
 
-    Scans sigma_min on a dense grid inset from the gap edges, golden-
-    refines every local dip, and keeps a candidate only if the refined
-    sigma_min collapses and the materialized state passes the residual
+    Scans sigma_min on a dense grid inset from the gap edges, refines
+    every local dip by Brent's method, and keeps a candidate only if the
+    refined sigma_min collapses and the state passes the residual
     certificate.  An empty list is a valid outcome.
     """
     g = params.g
@@ -297,9 +265,14 @@ def find_bound_states(params: ModelParams, gap: Gap, *,
         )
     grid = _scan_grid(gap.lo + tol_edge, gap.hi - tol_edge, tol_edge)
 
+    # each energy costs a root-find and an SVD; the dip pre-check, Brent's
+    # bracket set-up and the acceptance test revisit the same energies
+    @functools.cache
+    def profile(E: float):
+        return _sigma_profile(E, params)
+
     def sigma(E: float) -> float:
-        svals, _ = _sigma_profile(E, params)
-        return float(svals[-1])
+        return float(profile(E)[0][-1])
 
     if np.sin(0.5 * params.K) == 0.0:
         values = _scan_sigma_k0(grid, params)
@@ -311,7 +284,7 @@ def find_bound_states(params: ModelParams, gap: Gap, *,
         if not (values[i] <= values[i - 1] and values[i] <= values[i + 1]):
             continue
         E_b = _refine_dip(sigma, grid[i - 1], grid[i], grid[i + 1])
-        svals, scale = _sigma_profile(E_b, params)
+        svals, scale = profile(E_b)
         if svals[-1] >= sigma_accept * scale:
             continue
         if any(abs(E_b - s.energy) < 1e-8 * g for s in states):
@@ -324,23 +297,24 @@ def find_bound_states(params: ModelParams, gap: Gap, *,
 
 
 def rayleigh_quotient(state: BoundState) -> float:
-    """Energy expectation of the materialized wavefunction.
+    """Energy expectation of the wavefunction over the whole chain.
 
-    Independent of how the state was found: applies the site operator to
-    the stored amplitudes and contracts.  Equals the located energy to
-    solver precision for a genuine eigenstate.
+    Independent of how the state was found: applies the onsite, hopping
+    and contact blocks to the stored amplitudes and contracts.  With
+    beta_{-l} = PARITY beta_l, the chain sums of beta_l beta_l^H and
+    beta_{l+1} beta_l^H reduce to the lag-0 and lag-1 expansion moments
+    plus sites 0 and 1, so the quotient is exact for every decay rate.
+    Equals the located energy to solver precision for a genuine eigenstate.
     """
     params = state.params
-    n = max(int(math.ceil(L_TAIL / state.decay_rate)), L_RESIDUAL) \
-        if state.decay_rate > 0 else L_CAP
-    n = min(n, L_CAP)
-    ls = np.arange(-n - 1, n + 2)
-    field = state.wavefunction(ls)
-    mats = bloch_matrices(params)
+    b0, b1 = state.wavefunction(np.array([0, 1]))
+    m0 = expansion_moment(state.roots, state.scaled_amplitudes, 0)
+    m1 = expansion_moment(state.roots, state.scaled_amplitudes, 1)
+    g0 = np.outer(b0, np.conj(b0)) + m0 + PARITY @ m0 @ PARITY
+    g1 = (m1 + np.outer(b1, np.conj(b0)) + np.outer(b0, np.conj(b1)) @ PARITY
+          + PARITY @ np.conj(m1).T @ PARITY)
     hp, hm = hop_blocks(params)
-    mid = field[1:-1]
-    image = mid @ mats.onsite.T + field[:-2] @ hp.T + field[2:] @ hm.T
-    image[n] += contact_interaction(params) @ field[n + 1]
-    num = np.sum(np.conj(mid) * image).real
-    den = np.sum(np.abs(mid) ** 2)
-    return float(num / den)
+    num = (np.trace(bloch_matrices(params).onsite @ g0)
+           + np.trace(hp @ np.conj(g1).T) + np.trace(hm @ g1)
+           + np.conj(b0) @ contact_interaction(params) @ b0)
+    return float(num.real / np.trace(g0).real)

@@ -11,6 +11,10 @@ At K = 0 the sin-block C vanishes and the cubic factors in closed form:
 the mixed-branch root is a structural double root (the AB and BA waves
 share one momentum there), which is why roots carry a multiplicity and the
 closed-channel null spaces are extracted multiplicity-aware.
+
+Bound and scattering states are expansions sum_j s_j z_j^(l-1) F_j over
+the three channels; channel_expansion evaluates them site by site and
+expansion_moment sums them over the chain as geometric series.
 """
 
 from dataclasses import dataclass
@@ -25,13 +29,14 @@ from .errors import (
     DegenerateParametersError,
     LabelingError,
 )
-from .model import ModelParams, bloch_matrices, bloch_matrix
+from .model import PARITY, ModelParams, bloch_matrices, bloch_matrix
 
 __all__ = [
     "TOL_OPEN",
     "TOL_EDGE_FACTOR",
     "ChannelRoot",
-    "channel_polynomial",
+    "channel_expansion",
+    "expansion_moment",
     "polynomial_degree",
     "polynomial_roots",
     "find_channel_roots",
@@ -79,27 +84,38 @@ class ChannelRoot:
     group_velocity: float
 
 
-def channel_polynomial(E: float, params: ModelParams) -> np.ndarray:
-    """Coefficients (ascending, length 7) of z^3 det(M(z) - E) in z = e^{i lam}.
+def channel_expansion(l, roots, scaled, contact) -> np.ndarray:
+    """Spinor(s) of a channel expansion at integer site(s) l.
 
-    The hopping rows of B and C are three, so the trigonometric degree of
-    the determinant is at most 3 and the polynomial degree at most 6.  The
-    coefficient list is palindromic up to roundoff because the root set is
-    invariant under z -> 1/z.
+    Sites l >= 1 carry sum_j s_j z_j^(l-1) F_j, with s_j the l = 1 channel
+    amplitudes ("scaled") and F_j the channel spinors; site 0 carries the
+    contact spinor and l < 0 the exchange mirror PARITY @ beta_{|l|}.
     """
-    a, b, c = _blocks_minus_e(E, params)
-    nodes = np.exp(2j * np.pi * np.arange(7) / 7.0)
-    vals = np.empty(7, dtype=complex)
-    for j, z in enumerate(nodes):
-        m = a + 0.5 * (z + 1.0 / z) * b + (z - 1.0 / z) / 2j * c
-        vals[j] = np.linalg.det(m) * z**3
-    coeffs = np.fft.fft(vals) / 7.0
-    scale = np.abs(vals).max()
-    if scale < 1e-13 * _det_scale(a, b, c):
-        raise DegenerateParametersError(
-            "channel polynomial vanishes identically; no propagation structure"
-        )
-    return coeffs
+    l = np.asarray(l)
+    scalar = l.ndim == 0
+    l = np.atleast_1d(l)
+    pos = np.abs(l)
+    beta = np.zeros(l.shape + (4,), dtype=complex)
+    for root, amp in zip(roots, scaled):
+        beta += amp * np.power(root.z, (pos - 1)[..., None]) * root.vector
+    beta[pos == 0] = contact
+    neg = l < 0
+    beta[neg] = beta[neg] @ PARITY  # diagonal, so right-multiplication works
+    return beta[0] if scalar else beta
+
+
+def expansion_moment(roots, scaled, lag: int) -> np.ndarray:
+    """sum_{l >= 1} beta_{l+lag} beta_l^H of the channel expansion, in closed form.
+
+    Each term pairs two geometric series in z_j and conj(z_i), so the sum
+    is F^T [s_j z_j^lag conj(s_i) / (1 - z_j conj(z_i))] conj(F): a 3x3 core
+    between the channel spinors, exact for any set of decaying channels.
+    """
+    z = np.array([r.z for r in roots])
+    f = np.array([r.vector for r in roots])
+    s = np.asarray(scaled)
+    core = np.outer(s * z**lag, np.conj(s)) / (1.0 - np.outer(z, np.conj(z)))
+    return f.T @ core @ np.conj(f)
 
 
 def polynomial_degree(coeffs: np.ndarray, rtol: float = 1e-12) -> int:

@@ -21,7 +21,6 @@ in units of the photon-TLS coupling g (g = 1 by default); xi is the photon
 hopping between neighbouring cavities and delta the TLS-photon detuning.
 """
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "bloch_matrix",
     "hop_blocks",
     "contact_interaction",
-    "reflect",
     "site_residual",
     "single_polariton_energy",
     "single_polariton_mode",
@@ -155,51 +153,28 @@ def contact_interaction(params: ModelParams) -> np.ndarray:
     return v
 
 
-def reflect(spinor: np.ndarray) -> np.ndarray:
-    """Exchange image of a spinor: the value at -l for a symmetric state."""
-    out = np.array(spinor, copy=True)
-    out[..., MIX_ASYM] = -out[..., MIX_ASYM]
-    return out
-
-
-def _gather(wavefunction, lo: int, hi: int) -> np.ndarray:
-    if isinstance(wavefunction, Mapping):
-        def get(l):
-            try:
-                return wavefunction[l]
-            except KeyError as exc:
-                raise ValueError(
-                    f"wavefunction does not cover site {l}; the residual on "
-                    f"[{lo + 1}, {hi - 1}] needs one extra site at each end"
-                ) from exc
-    else:
-        get = wavefunction
-    rows = [np.asarray(get(l), dtype=complex) for l in range(lo, hi + 1)]
-    field = np.array(rows)
-    if field.shape != (hi - lo + 1, 4):
-        raise ValueError(f"expected 4-component spinors, got shape {field.shape}")
-    return field
-
-
-def site_residual(wavefunction, energy: float, l_range, params: ModelParams) -> np.ndarray:
+def site_residual(field, energy: float, l_range, params: ModelParams) -> np.ndarray:
     """Norm of the site-equation defect at each l in the inclusive range.
 
     This is the ground-truth check used by every solver in the package: a
     candidate wavefunction is accepted only if these norms stay below the
-    advertised tolerance.  ``wavefunction`` maps integer separations to
-    4-component amplitudes (a mapping or a callable) and must supply one
-    extra site beyond each end of ``l_range``.
+    advertised tolerance.  ``field`` holds the 4-component spinors at sites
+    lo - 1 .. hi + 1 in order: one extra site beyond each end of
+    ``l_range`` = (lo, hi).
     """
     lo, hi = int(l_range[0]), int(l_range[1])
     if hi < lo:
         raise ValueError(f"empty site range {l_range!r}")
-    field = _gather(wavefunction, lo - 1, hi + 1)
-    m = bloch_matrices(params)
-    hp = 0.5 * (m.hop_cos + 1j * m.hop_sin)
-    hm = 0.5 * (m.hop_cos - 1j * m.hop_sin)
+    field = np.asarray(field, dtype=complex)
+    if field.shape != (hi - lo + 3, 4):
+        raise ValueError(
+            f"sites {lo - 1}..{hi + 1} need {hi - lo + 3} spinors of 4 "
+            f"components, got shape {field.shape}"
+        )
+    hp, hm = hop_blocks(params)
     mid = field[1:-1]
     defect = (
-        mid @ m.onsite.T
+        mid @ bloch_matrices(params).onsite.T
         + field[:-2] @ hp.T
         + field[2:] @ hm.T
         - energy * mid

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import branch_energy, incident_state
-from .channels import find_channel_roots
+from .channels import channel_expansion, find_channel_roots
 from .errors import MatchingError, ParameterError
 from .model import (
     MIX_SYM,
@@ -89,16 +89,8 @@ def _solve_matching(sys, rhs):
 def _assemble(l, branch, q, params, roots, scaled, contact):
     """Spinors of (incident + outgoing + contact) at integer site(s) l."""
     l = np.asarray(l)
-    scalar = l.ndim == 0
-    l = np.atleast_1d(l)
-    pos = np.abs(l)
-    beta = incident_state(branch, q, params, pos).astype(complex)
-    for root, amp in zip(roots, scaled):
-        beta += amp * np.power(root.z, (pos - 1)[..., None]) * root.vector
-    beta[pos == 0] = contact
-    neg = l < 0
-    beta[neg] = beta[neg] @ PARITY  # diagonal, so right-multiplication works
-    return beta[0] if scalar else beta
+    incident = np.where((l != 0)[..., None], incident_state(branch, q, params, l), 0.0)
+    return channel_expansion(l, roots, scaled, contact) + incident
 
 
 @dataclass(frozen=True)
@@ -190,9 +182,9 @@ def solve_scattering(branch: str, q: float, params: ModelParams,
 
     span = np.arange(-l_check - 1, l_check + 2)
     wav = _assemble(span, branch, q, params, roots, scaled, contact)
-    table = {int(j): wav[k] for k, j in enumerate(span)}
-    res = site_residual(table, E, (-l_check, l_check), params)
-    cur = max(abs(probability_current(table, j, params)) for j in range(0, l_check + 1))
+    res = site_residual(wav, E, (-l_check, l_check), params)
+    right = wav[l_check + 1:]       # sites 0 .. l_check + 1
+    cur = max(abs(probability_current(right, j, params)) for j in range(0, l_check + 1))
 
     return ScatteringSolution(
         branch=branch, q=q, params=params, energy=E, roots=tuple(roots),

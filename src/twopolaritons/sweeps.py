@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import warnings
 from dataclasses import dataclass
 
 from .bands import band_structure
@@ -57,18 +56,13 @@ class ScatterSweepPoint:
 def _bound_point(args) -> BoundSweepPoint:
     params, overrides = args
     gaps, states = [], []
-    # Tail-cap notices from edge-hugging states would repeat thousands of
-    # times across a sweep; the kappa value they report is in the output
-    # rows anyway.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        for gap in sorted(band_structure(params).gaps, key=lambda g: g.index):
-            try:
-                found = find_bound_states(params, gap, **overrides)
-            except ParameterError:
-                continue        # open but narrower than the edge inset
-            gaps.append(gap)
-            states.append(tuple(found))
+    for gap in sorted(band_structure(params).gaps, key=lambda g: g.index):
+        try:
+            found = find_bound_states(params, gap, **overrides)
+        except ParameterError:
+            continue        # open but narrower than the edge inset
+        gaps.append(gap)
+        states.append(tuple(found))
     return BoundSweepPoint(params=params, gaps=tuple(gaps),
                            states=tuple(states))
 

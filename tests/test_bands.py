@@ -9,7 +9,6 @@ from twopolaritons.bands import (
     band_structure,
     branch_energy,
     branch_energy_derivative,
-    branch_point,
     branch_vector,
     incident_state,
 )
@@ -115,14 +114,6 @@ def test_branch_energy_derivative_matches_finite_difference():
             num = (branch_energy(branch, q + h, p)
                    - branch_energy(branch, q - h, p)) / (2.0 * h)
             assert abs(branch_energy_derivative(branch, q, p) - num) < 1e-6
-
-
-def test_branch_point_bundle():
-    p = ModelParams(xi=-0.2, delta=0.3)
-    pt = branch_point("AB", 0.7, p)
-    assert pt.branch == "AB"
-    assert abs(pt.energy - branch_energy("AB", 0.7, p)) < 1e-15
-    assert np.array_equal(pt.vector, branch_vector("AB", 0.7, p))
 
 
 def test_band_edges_frozen():

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from twopolaritons import bound_states
 from twopolaritons.bands import band_structure
 from twopolaritons.bound_states import (
     bound_matching_matrix,
@@ -95,19 +96,58 @@ def test_certificates():
         assert abs(rayleigh_quotient(st) - st.energy) < 1e-8
 
 
+def assert_chain_sums(st):
+    # stored weights and Rayleigh quotient against explicit site sums over
+    # |l| <= 40/kappa; exchange double counting: l = 0 enters once, |l| > 0
+    # twice, and the stored normalization makes the total weight unity
+    n = int(np.ceil(40.0 / st.decay_rate))
+    psi = st.wavefunction(np.arange(-n, n + 1))
+    comp = np.sum(np.abs(psi) ** 2, axis=0)
+    summed = (comp[0], comp[1] + comp[2], comp[3])
+    assert np.abs(np.array(st.weights) - summed).max() < 1e-10
+    assert abs(comp.sum() - 1.0) < 1e-10
+    assert abs(sum(st.weights) - 1.0) < 1e-10
+    assert all(w >= 0.0 for w in st.weights)
+    assert abs(rayleigh_quotient(st) - st.energy) < 1e-10
+
+
 def test_normalization_and_weights():
+    # two deep states at delta = -2, plus the gap-1 edge states at
+    # delta = -10 (kappa 2.7e-3 and 1.0e-3) whose tails reach 10^4 sites
     p = ModelParams(xi=-0.2, delta=-2.0)
-    bs = both_gaps(p)
-    for gap in bs.gaps:
-        st = find_bound_states(p, gap)[0]
-        ls = np.arange(-4000, 4001)
-        psi = st.wavefunction(ls)
-        # exchange double counting: l = 0 enters once, |l| > 0 twice, and
-        # the stored normalization makes the total weight unity
-        total = np.sum(np.abs(psi) ** 2)
-        assert abs(total - 1.0) < 1e-10
-        assert abs(sum(st.weights) - 1.0) < 1e-10
-        assert all(w >= 0.0 for w in st.weights)
+    states = [find_bound_states(p, gap)[0] for gap in both_gaps(p).gaps]
+    for xi in (-0.2, -0.75):
+        p = ModelParams(xi=xi, delta=-10.0)
+        states.append(find_bound_states(p, both_gaps(p).gaps[0])[0])
+    assert min(st.decay_rate for st in states) < 1.1e-3
+    for st in states:
+        assert_chain_sums(st)
+
+
+def test_chain_sums_at_nonzero_momentum():
+    # off K = 0 the hopping blocks differ (hp != hm) and the closed-channel
+    # spinors are complex, which the K = 0 states above cannot probe
+    p = ModelParams(xi=-0.3, delta=-1.0, K=0.7)
+    st = find_bound_states(p, band_structure(p).gaps[0])[0]
+    assert st.residual_max < 1e-8
+    assert_chain_sums(st)
+
+
+def test_refinement_evaluates_each_energy_once(monkeypatch):
+    # a sigma evaluation is a full root-find plus an SVD; the dip pre-check,
+    # Brent's bracket and the acceptance test must not repeat one
+    seen = []
+    profile = bound_states._sigma_profile
+
+    def counting(E, params):
+        seen.append(float(E))
+        return profile(E, params)
+
+    monkeypatch.setattr(bound_states, "_sigma_profile", counting)
+    p = ModelParams(xi=-0.2, delta=-2.0)
+    for gap in both_gaps(p).gaps:
+        assert len(find_bound_states(p, gap)) == 1
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_wavefunction_parity_and_decay():

@@ -6,13 +6,12 @@ import pytest
 from twopolaritons.bands import band_structure, branch_energy
 from twopolaritons.channels import (
     ChannelRoot,
-    channel_polynomial,
+    channel_expansion,
+    expansion_moment,
     find_channel_roots,
-    polynomial_degree,
-    polynomial_roots,
 )
 from twopolaritons.errors import ChannelCountError
-from twopolaritons.model import ModelParams, bloch_matrix
+from twopolaritons.model import PARITY, ModelParams, bloch_matrix
 
 RNG = np.random.default_rng(37)
 
@@ -27,26 +26,48 @@ def random_params(rng):
 
 def test_polynomial_is_palindromic():
     # det(M(lam) - E) in the variable z = e^{i lam} has reflection-symmetric
-    # coefficients: roots come in (z, 1/z) pairs.
+    # coefficients, i.e. the determinant is even in lam for complex lam too:
+    # roots come in (z, 1/z) pairs.
+    rng = np.random.default_rng(11)
     for _ in range(50):
         p = random_params(RNG)
         e = RNG.uniform(2 * p.delta - 6.0, 2 * p.delta + 6.0)
-        coeffs = channel_polynomial(e, p)
-        assert np.allclose(coeffs, coeffs[::-1], rtol=0, atol=1e-9 * np.abs(coeffs).max())
+        for lam in rng.uniform(-np.pi, np.pi, 4) + 1j * rng.uniform(-1.0, 1.0, 4):
+            plus = bloch_matrix(p, lam) - e * np.eye(4)
+            minus = bloch_matrix(p, -lam) - e * np.eye(4)
+            scale = float(np.prod(np.linalg.norm(plus, axis=1)))
+            assert abs(np.linalg.det(plus) - np.linalg.det(minus)) < 1e-9 * max(1.0, scale)
 
 
 def test_polynomial_degree_and_root_pairing():
+    # the three channels, counted with multiplicity, and their inverses are
+    # all six roots of the degree-6 polynomial z^3 det(M(z) - E): dividing
+    # it by prod_k (z - z_k) leaves a constant
+    rng = np.random.default_rng(13)
+    count = 0
     for _ in range(30):
         p = random_params(RNG)
         e = RNG.uniform(2 * p.delta - 6.0, 2 * p.delta + 6.0)
-        coeffs = channel_polynomial(e, p)
-        deg = polynomial_degree(coeffs)
-        assert deg % 2 == 0
-        roots = polynomial_roots(coeffs)
-        assert len(roots) == deg
-        # each root's inverse is also a root
-        for z in roots:
-            assert np.min(np.abs(roots - 1.0 / z)) < 1e-6 * max(1.0, abs(1.0 / z))
+        try:
+            channels = find_channel_roots(e, p)
+        except ChannelCountError:
+            continue
+        count += 1
+        assert len(channels) == 3
+        ws = np.cos(np.array([r.lam for r in channels]))
+        for root, w in zip(channels, ws):
+            shared = np.abs(ws - w) <= 1e-6 * max(1.0, abs(w))
+            assert shared.sum() == root.multiplicity
+        zk = np.exp(1j * np.array([s * r.lam for r in channels for s in (1, -1)]))
+        lams = rng.uniform(-np.pi, np.pi, 5) + 1j * rng.uniform(-0.5, 0.5, 5)
+        ratios = [
+            np.linalg.det(bloch_matrix(p, lam) - e * np.eye(4))
+            * np.exp(3j * lam)
+            / np.prod(np.exp(1j * lam) - zk)
+            for lam in lams
+        ]
+        assert np.abs(np.array(ratios) - ratios[0]).max() < 1e-6 * abs(ratios[0])
+    assert count > 20
 
 
 def test_roots_satisfy_determinant():
@@ -179,3 +200,26 @@ def test_multiplicity_recorded():
     mixed = [r for r in channels if r.branch in ("AB", "BA")]
     assert len(mixed) == 2
     assert all(r.multiplicity >= 1 for r in channels)
+
+
+def test_expansion_moments_are_chain_sums():
+    # the closed-form lag-0 and lag-1 moments equal the site-by-site sums of
+    # the expansion, with the K = 0 double root and without it
+    rng = np.random.default_rng(5)
+    for K in (0.0, 0.9):
+        p = ModelParams(xi=-0.3, delta=-1.0, K=K)
+        gap = band_structure(p).gaps[0]
+        roots = find_channel_roots(0.5 * (gap.lo + gap.hi), p)
+        assert not any(r.is_open for r in roots)
+        scaled = rng.normal(size=3) + 1j * rng.normal(size=3)
+        contact = np.array([rng.normal(), rng.normal(), 0.0, 0.0])
+        n = int(np.ceil(40.0 / min(r.lam.imag for r in roots)))
+        beta = channel_expansion(np.arange(1, n + 2), roots, scaled, contact)
+        for lag in (0, 1):
+            direct = beta[lag:n + lag].T @ np.conj(beta[:n])
+            moment = expansion_moment(roots, scaled, lag)
+            assert np.abs(moment - direct).max() < 1e-12 * np.abs(direct).max()
+        # site 0 carries the contact spinor, l < 0 the exchange mirror
+        assert np.array_equal(channel_expansion(0, roots, scaled, contact), contact)
+        mirror = channel_expansion(-np.arange(1, 6), roots, scaled, contact)
+        assert np.array_equal(mirror, beta[:5] @ PARITY)

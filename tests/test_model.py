@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from twopolaritons.bands import branch_energy, incident_state
 from twopolaritons.errors import ParameterError
 from twopolaritons.model import (
     PARITY,
@@ -12,9 +13,9 @@ from twopolaritons.model import (
     bloch_matrix,
     contact_interaction,
     hop_blocks,
-    reflect,
     single_polariton_energy,
     single_polariton_mode,
+    site_residual,
 )
 
 RNG = np.random.default_rng(11)
@@ -145,7 +146,13 @@ def test_single_polariton_mode_eigenpair():
             assert np.linalg.norm(h @ vec - mode.energy * vec) < 1e-12
 
 
-def test_reflect_matches_parity():
-    for _ in range(10):
-        spinor = RNG.normal(size=4) + 1j * RNG.normal(size=4)
-        assert np.array_equal(reflect(spinor), PARITY @ spinor)
+def test_site_residual_window():
+    # a free wave solves every site equation away from the contact, and the
+    # field must cover exactly one extra site beyond each end of the range
+    p = ModelParams(xi=-0.3, delta=0.4, K=0.8)
+    field = incident_state("AB", 1.1, p, np.arange(2, 13))
+    e = branch_energy("AB", 1.1, p)
+    assert site_residual(field, e, (3, 11), p).max() < 1e-12
+    assert site_residual(field, e + 0.1, (3, 11), p).min() > 1e-3
+    with pytest.raises(ValueError):
+        site_residual(field[:-1], e, (3, 11), p)
