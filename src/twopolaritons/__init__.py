@@ -17,7 +17,6 @@ from .bands import (
 )
 from .bound_states import (
     BoundState,
-    bound_matching_matrix,
     build_bound_wavefunction,
     find_bound_states,
     rayleigh_quotient,
@@ -95,7 +94,6 @@ __all__ = [
     "band_structure",
     "bloch_matrices",
     "bloch_matrix",
-    "bound_matching_matrix",
     "bound_sweep",
     "branch_energy",
     "branch_vector",

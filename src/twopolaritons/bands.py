@@ -249,7 +249,7 @@ class BandStructure:
 
 
 def _refine_extremum(func, qs, idx, sign):
-    """Golden-section polish of a sampled extremum (sign=+1 max, -1 min)."""
+    """Brent polish of a sampled extremum (sign=+1 max, -1 min)."""
     from scipy.optimize import minimize_scalar
 
     n = len(qs)
@@ -269,8 +269,8 @@ def _refine_extremum(func, qs, idx, sign):
 def band_structure(params: ModelParams, n_samples: int = 256) -> BandStructure:
     """Sampled branch ranges, merged bands, and the gaps between them.
 
-    Edges are sampled on a uniform q grid and polished by golden-section
-    refinement, so they are accurate far beyond the grid spacing.
+    Edges are sampled on a uniform q grid and polished by Brent's method,
+    so they are accurate far beyond the grid spacing.
     """
     if n_samples < 64:
         raise ValueError("n_samples must be at least 64 for reliable edges")

@@ -1,14 +1,15 @@
 """Bound states of two polaritons inside spectral gaps.
 
-Inside a gap every channel decays (Im lam > 0), so a normalizable state
-exists only at isolated energies where the homogeneous matching system
-loses rank.  We track the smallest singular value of that system across
-the gap, refine each dip by Brent's method, and accept a state only when
-its wavefunction independently passes the site-equation residual test.
-Singular values rather than determinants: the system is rectangular, and
-sigma_min is real, non-negative and convention-free.  Norms, composition
-weights and the Rayleigh quotient are closed-form geometric sums over the
-three decaying channels, exact for any decay rate.
+Inside a gap every channel decays (Im lam > 0).  Eliminating the sites
+l != 0 through the three decaying channels leaves the l = 0 site equation
+on the contact slots (photon pair, symmetric mix): a 2x2 Hermitian matrix
+S(E) whose eigenvalues fall strictly across a gap.  A bound state is a zero
+of one eigenvalue, so the change in the number of negative eigenvalues (the
+inertia) between the inset gap ends counts the states, and Brent's method
+finds each.  A state is accepted only when the smallest singular value of
+the full matching system collapses there and its wavefunction passes the
+site-equation residual test.  Norms, composition weights and the Rayleigh
+quotient are closed-form geometric sums, exact for any decay rate.
 """
 
 from __future__ import annotations
@@ -18,143 +19,51 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 
 from .bands import Gap, phase_fix
 from .channels import TOL_EDGE_FACTOR, channel_expansion, expansion_moment, find_channel_roots
-from .errors import DegenerateBoundStateError, ParameterError
+from .errors import ConditioningError, DegenerateBoundStateError, ParameterError
 from .model import PARITY, ModelParams, bloch_matrices, contact_interaction, hop_blocks, site_residual
 from .scattering import _matching_system
 
 __all__ = [
     "BoundState",
-    "bound_matching_matrix",
     "build_bound_wavefunction",
     "find_bound_states",
     "rayleigh_quotient",
 ]
 
-# Scan resolution across a gap.  400 uniform points resolve any state
-# deeper than ~width/400; the extra geometric points near each edge catch
-# states that hug a band edge, which is exactly where the strong-detuning
-# states sit (binding can drop below 1e-5 g while staying certifiable).
-N_SCAN = 400
-N_EDGE = 48
-
 SIGMA_ACCEPT = 1e-8
 RESIDUAL_TOL = 1e-8
 L_RESIDUAL = 60
+#: A bracketed eigenvalue "zero" above this fraction of |S| is a pole of S.
+POLE_TOL = 1e-6
 
 
-def bound_matching_matrix(E: float, params: ModelParams) -> np.ndarray:
-    """Homogeneous 8x5 system for the channel and contact amplitudes.
-
-    Columns order: three decaying-channel amplitudes in the l = 1 gauge,
-    then the photon-pair and symmetric-mix contact amplitudes.
-    """
-    roots = find_channel_roots(float(E), params)
+def _gap_roots(E: float, params: ModelParams) -> list:
+    """The three channels at E, all decaying, or ParameterError."""
+    roots = find_channel_roots(E, params)
     if any(r.is_open for r in roots):
-        raise ParameterError(
-            f"E = {E} lies inside a band; bound states live in open gaps"
-        )
-    zero = np.zeros(4)
-    sys, _ = _matching_system(float(E), zero, zero, roots, params)
-    return sys
+        raise ParameterError(f"E = {E} lies inside a band; bound states live in open gaps")
+    return roots
 
 
-def _sigma_profile(E: float, params: ModelParams):
-    """(singular values, row-norm scale) of the matching matrix at E."""
-    sys = bound_matching_matrix(E, params)
-    svals = np.linalg.svd(sys, compute_uv=False)
-    scale = max(float(np.linalg.norm(sys, axis=1).max()), 1e-300)
-    return svals, scale
+def _contact_matrix(E: float, roots, params: ModelParams) -> np.ndarray:
+    """S(E) on the contact slots (p, d_+), spinor components 0 and 1.
 
-
-def _scan_grid(lo: float, hi: float, tol_edge: float) -> np.ndarray:
-    grid = np.linspace(lo, hi, N_SCAN)
-    reach = 0.25 * (hi - lo)
-    start = 0.2 * tol_edge
-    if reach > 2.0 * start:
-        # geometric offsets from each inset end, starting a fraction of the
-        # inset inside it, so a dip within ~tol_edge of the searchable
-        # boundary still shows up as an interior minimum
-        offsets = np.geomspace(start, reach, N_EDGE)
-        grid = np.concatenate([grid, lo + offsets, hi - offsets])
-        grid = np.unique(grid)
-    return grid
-
-
-def _refine_dip(fn, a: float, b: float, c: float) -> float:
-    if not (fn(b) < fn(a) and fn(b) < fn(c)):
-        return float(b)
-    # sigma is V-shaped at a root, so sigma^2 is locally parabolic and
-    # Brent's parabolic steps converge superlinearly where golden crawls
-    res = minimize_scalar(lambda e: fn(e) ** 2, bracket=(a, b, c),
-                          method="brent", options={"xtol": 1e-12})
-    return float(res.x)
-
-
-def _scan_sigma_k0(es: np.ndarray, params: ModelParams) -> np.ndarray:
-    """sigma_min of the matching matrix at every energy in one sweep.
-
-    Valid only when the sin-block vanishes: then M(lam) = A + B cos(lam),
-    the root pair is closed-form, and the whole grid reduces to stacked
-    small eigenproblems.  Detection-only fast path; every candidate is
-    re-certified through the scalar machinery afterwards.  Points where a
-    root degenerates come back as nan and are simply never minima.
+    Rows 0-2 of the l = 1 equation, in the l = 1 gauge, fix the channel
+    amplitudes from the contact spinor, b_1 = T b_0 with T = -Phi M_1^-1 hp
+    (row 3 holds for every channel, and M_1 stays regular as z -> 0).  With
+    b_-1 = PARITY b_1 the l = 0 equation becomes (A + V - E + (hp PARITY
+    + hm) T) b_0 = 0, whose rows outside the contact slots vanish.
     """
-    es = np.asarray(es, dtype=float)
-    mats = bloch_matrices(params)
-    a, b = mats.onsite, mats.hop_cos
-    hop = 2.0 * params.xi * np.cos(0.5 * params.K)
-    d, g = params.delta, params.g
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w_mixed = (es - d) / hop
-        w_like = (4.0 * g * g + 2.0 * es * d - es * es) \
-            / (2.0 * (2.0 * d - es)) / hop
-        ws = np.stack([w_mixed, w_like], axis=1)
-        # |z| < 1 branch of z^2 - 2wz + 1 = 0, written to avoid cancellation
-        zs = np.sign(ws) / (np.abs(ws) + np.sqrt(ws * ws - 1.0))
-
-    # grid points where a root degenerates (E at 2*Delta, or drifting onto
-    # a band edge) get placeholder roots now and nan sigma at the end
-    bad = ~(np.isfinite(ws) & np.isfinite(zs)).all(axis=1)
-    if bad.any():
-        ws[bad] = 2.0
-        zs[bad] = 0.5
-
-    m = a + ws[..., None, None] * b
-    vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(np.abs(vals - es[:, None, None]), axis=2)
-    near = np.take_along_axis(vecs, order[:, :, None, :], axis=3)
-
-    n = len(es)
-    f = np.stack([near[:, 0, :, 0],   # double root, 2D eigenspace
-                  near[:, 0, :, 1],
-                  near[:, 1, :, 0]], axis=1)
-    z3 = np.stack([zs[:, 0], zs[:, 0], zs[:, 1]], axis=1)
-
+    a_e = bloch_matrices(params).onsite - E * np.eye(4)
     hp, hm = hop_blocks(params)
-    mirror_hop = (hp @ PARITY + hm).real
-    v = contact_interaction(params)
-
-    sys = np.zeros((n, 8, 5), dtype=complex)
-    sys[:, :4, :3] = np.einsum("rs,njs->nrj", mirror_hop, f)
-    af = np.einsum("rs,njs->njr", a, f)
-    sys[:, 4:, :3] = np.transpose(
-        af - es[:, None, None] * f
-        + z3[..., None] * np.einsum("rs,njs->njr", hm, f),
-        (0, 2, 1),
-    )
-    av = a + v
-    for k, comp in enumerate((0, 1)):
-        sys[:, :4, 3 + k] = av[:, comp]
-        sys[:, comp, 3 + k] -= es
-        sys[:, 4:, 3 + k] = hp[:, comp]
-    sigma = np.linalg.svd(sys, compute_uv=False)[:, -1]
-    sigma[bad] = np.nan
-    return sigma
+    phi = np.array([r.vector for r in roots]).T
+    z = np.array([r.z for r in roots])
+    t = -phi @ np.linalg.solve((a_e @ phi + hm @ phi * z)[:3], hp[:3])
+    return (a_e + contact_interaction(params) + (hp @ PARITY + hm) @ t)[:2, :2]
 
 
 @dataclass(frozen=True)
@@ -192,15 +101,16 @@ def build_bound_wavefunction(E_b: float, params: ModelParams,
     """Normalize and certify the bound state at energy E_b.
 
     The coefficients come from the right singular vector of the smallest
-    singular value; a second near-zero singular value means the state is
-    not unique and is reported as an error rather than resolved by fiat.
+    singular value of the 8x5 matching system; a second near-zero singular
+    value means the state is not unique and is reported as an error rather
+    than resolved by fiat.
     """
     E_b = float(E_b)
-    roots = find_channel_roots(E_b, params)
-    if any(r.is_open for r in roots):
-        raise ParameterError(
-            f"E_b = {E_b} lies inside a band; bound states live in open gaps"
-        )
+    return _certify(E_b, _gap_roots(E_b, params), params, gap_id)[0]
+
+
+def _certify(E_b: float, roots, params: ModelParams, gap_id: int):
+    """(state, row-norm scale of the matching system) at E_b from its roots."""
     zero = np.zeros(4)
     sys, _ = _matching_system(E_b, zero, zero, roots, params)
     _, svals, vh = np.linalg.svd(sys)
@@ -229,7 +139,7 @@ def build_bound_wavefunction(E_b: float, params: ModelParams,
     field = channel_expansion(window, roots, scaled, contact)
     res = site_residual(field, E_b, (-L_RESIDUAL, L_RESIDUAL), params)
 
-    return BoundState(
+    state = BoundState(
         gap_id=int(gap_id),
         params=params,
         energy=E_b,
@@ -242,6 +152,7 @@ def build_bound_wavefunction(E_b: float, params: ModelParams,
         sigma_min=float(svals[-1]),
         residual_max=float(res.max()),
     )
+    return state, scale
 
 
 def find_bound_states(params: ModelParams, gap: Gap, *,
@@ -250,10 +161,11 @@ def find_bound_states(params: ModelParams, gap: Gap, *,
                       residual_tol: float = RESIDUAL_TOL) -> list:
     """All certified bound states inside one open gap, sorted by energy.
 
-    Scans sigma_min on a dense grid inset from the gap edges, refines
-    every local dip by Brent's method, and keeps a candidate only if the
-    refined sigma_min collapses and the state passes the residual
-    certificate.  An empty list is a valid outcome.
+    Each eigenvalue of S(E) that changes sign between the inset gap ends
+    holds one state, located by Brent's method and kept only if sigma_min
+    collapses there and the state passes the residual certificate.  An
+    empty list is a valid outcome.  A pole of S (a surface state of the
+    half chain) would spoil the count and raises ConditioningError.
     """
     g = params.g
     if tol_edge is None:
@@ -263,34 +175,29 @@ def find_bound_states(params: ModelParams, gap: Gap, *,
             f"gap [{gap.lo}, {gap.hi}] is narrower than twice the edge "
             f"inset {tol_edge}"
         )
-    grid = _scan_grid(gap.lo + tol_edge, gap.hi - tol_edge, tol_edge)
+    lo, hi = gap.lo + tol_edge, gap.hi - tol_edge
 
-    # each energy costs a root-find and an SVD; the dip pre-check, Brent's
-    # bracket set-up and the acceptance test revisit the same energies
+    # each energy costs a root-find; Brent returns an energy it has
+    # evaluated, so the certificate reuses that energy's roots
     @functools.cache
-    def profile(E: float):
-        return _sigma_profile(E, params)
+    def spectrum(E: float):
+        roots = _gap_roots(E, params)
+        return roots, np.linalg.eigvalsh(_contact_matrix(E, roots, params))
 
-    def sigma(E: float) -> float:
-        return float(profile(E)[0][-1])
-
-    if np.sin(0.5 * params.K) == 0.0:
-        values = _scan_sigma_k0(grid, params)
-    else:
-        values = np.array([sigma(E) for E in grid])
-
+    n_lo = int((spectrum(lo)[1] < 0.0).sum())
+    n_hi = int((spectrum(hi)[1] < 0.0).sum())
+    if n_hi < n_lo:
+        raise ConditioningError(f"S(E) has {n_lo} negative eigenvalues at {lo} but "
+                                f"{n_hi} at {hi}: a pole inside the gap spoils the count")
     states = []
-    for i in range(1, len(grid) - 1):
-        if not (values[i] <= values[i - 1] and values[i] <= values[i + 1]):
-            continue
-        E_b = _refine_dip(sigma, grid[i - 1], grid[i], grid[i + 1])
-        svals, scale = profile(E_b)
-        if svals[-1] >= sigma_accept * scale:
-            continue
-        if any(abs(E_b - s.energy) < 1e-8 * g for s in states):
-            continue
-        state = build_bound_wavefunction(E_b, params, gap_id=gap.index)
-        if state.residual_max < residual_tol * g:
+    for k in range(n_lo, n_hi):
+        E_b = brentq(lambda E: spectrum(E)[1][k], lo, hi, xtol=1e-13)
+        roots, eigs = spectrum(E_b)
+        if abs(eigs[k]) > POLE_TOL * max(np.abs(eigs).max(), g):
+            raise ConditioningError(f"eigenvalue {k} of S(E) jumps sign at E = {E_b} "
+                                    f"(|S| = {np.abs(eigs).max():.3g}): a pole, not a state")
+        state, scale = _certify(E_b, roots, params, gap.index)
+        if state.sigma_min < sigma_accept * scale and state.residual_max < residual_tol * g:
             states.append(state)
     states.sort(key=lambda s: s.energy)
     return states

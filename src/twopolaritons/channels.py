@@ -137,9 +137,15 @@ def _blocks_minus_e(E, params):
     return mats.onsite - E * np.eye(4), mats.hop_cos, mats.hop_sin
 
 
-def _det_scale(a, b, c):
-    """Hadamard-style magnitude of the determinant: product of row norms."""
-    rows = np.linalg.norm(a, axis=1) + np.linalg.norm(b, axis=1) + np.linalg.norm(c, axis=1)
+def _det_scale(a, b, c, lam=0.0):
+    """Hadamard-style magnitude of det(a + b cos(lam) + c sin(lam)).
+
+    Product of row norms, the b and c rows weighted by max(1, |cos lam|)
+    and max(1, |sin lam|), which follow a closed channel's growing decay.
+    """
+    rows = (np.linalg.norm(a, axis=1)
+            + max(1.0, abs(np.cos(lam))) * np.linalg.norm(b, axis=1)
+            + max(1.0, abs(np.sin(lam))) * np.linalg.norm(c, axis=1))
     return float(np.prod(rows))
 
 
@@ -353,7 +359,8 @@ def find_channel_roots(E: float, params: ModelParams) -> list:
 
     Raises a band-edge or channel-count error instead of returning a
     malformed set; every returned root satisfies the determinant condition
-    to 1e-9 relative to the Hadamard scale of the matrix.
+    to 1e-9 relative to the Hadamard scale of M(lam) - E at that root,
+    which follows |cos lam| and |sin lam| as |z| -> 0.
     """
     if np.sin(0.5 * params.K) == 0.0:
         w_roots = _w_roots_k0(E, params)
@@ -369,9 +376,9 @@ def find_channel_roots(E: float, params: ModelParams) -> list:
     if len(channels) != 3:
         raise ChannelCountError(f"found {len(channels)} channels, expected 3")
     a, b, c = _blocks_minus_e(E, params)
-    scale = _det_scale(a, b, c)
     for root in channels:
         val, _ = _det_at(root.lam, E, params)
+        scale = _det_scale(a, b, c, root.lam)
         if abs(val) > 1e-9 * scale:
             raise ConditioningError(
                 f"channel root lam={root.lam:.6g} fails the determinant "

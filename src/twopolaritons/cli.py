@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated ring sizes")
         if tol_flags:
             p.add_argument("--tol-edge", type=float, default=None,
-                           help="band-edge inset for the energy scan")
+                           help="band-edge inset of the bound-state search")
             p.add_argument("--tol-sigma", type=float, default=None,
                            help="singular-value acceptance threshold")
             p.add_argument("--tol-residual", type=float, default=None,

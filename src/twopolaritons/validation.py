@@ -191,8 +191,8 @@ def _check_scattering_free_chain(rng):
 def _check_bound_certificates(rng):
     worst_sig, worst_res, worst_ray = 0.0, 0.0, 0.0
     n_states = 0
-    for delta in (0.0, -2.0):
-        p = ModelParams(xi=-0.2, delta=delta, K=0.0)
+    for xi, delta, k in ((-0.2, 0.0, 0.0), (-0.2, -2.0, 0.0), (-0.3, -1.0, 0.7)):
+        p = ModelParams(xi=xi, delta=delta, K=k)
         for gap in band_structure(p).gaps:
             for st in find_bound_states(p, gap):
                 n_states += 1
@@ -200,7 +200,7 @@ def _check_bound_certificates(rng):
                 worst_res = max(worst_res, st.residual_max)
                 worst_ray = max(worst_ray,
                                 abs(rayleigh_quotient(st) - st.energy))
-    ok = n_states == 4 and worst_sig < 1e-8 and worst_res < 1e-8 \
+    ok = n_states == 6 and worst_sig < 1e-8 and worst_res < 1e-8 \
         and worst_ray < 1e-8
     return ok, (f"{n_states} states; max sigma {worst_sig:.3g}, residual "
                 f"{worst_res:.3g}, Rayleigh drift {worst_ray:.3g}")

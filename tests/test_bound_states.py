@@ -8,21 +8,30 @@ import pytest
 from twopolaritons import bound_states
 from twopolaritons.bands import band_structure
 from twopolaritons.bound_states import (
-    bound_matching_matrix,
     build_bound_wavefunction,
     find_bound_states,
     rayleigh_quotient,
 )
+from twopolaritons.channels import find_channel_roots
 from twopolaritons.errors import ParameterError
 from twopolaritons.model import PARITY, ModelParams
 
-# Frozen regression energies (K=0, g=1), found by the sigma-minimum scan and
-# confirmed against ring diagonalization elsewhere in the suite.
+# Frozen regression energies (g=1), found independently of the contact
+# matrix by a sigma_min scan of the full 8x5 matching system; the K = 0
+# ones are confirmed against ring diagonalization elsewhere in the suite,
+# and off K = 0 the hopping blocks differ (hp != hm).
 E_BOUND = {
-    # (xi, delta) -> {gap_id: energy}
-    (-0.2, 0.0): {1: 1.3034485514726306, 2: -1.3034485514726306},
-    (-0.2, -2.0): {1: 0.1494265111264354, 2: -2.8414213090844107},
+    # (xi, delta, K) -> {gap_id: energy}
+    (-0.2, 0.0, 0.0): {1: 1.3034485514726306, 2: -1.3034485514726306},
+    (-0.2, -2.0, 0.0): {1: 0.1494265111264354, 2: -2.8414213090844107},
+    (-0.3, -1.0, 0.7): {1: 0.42399875959932576, 2: -2.1055541240263946},
+    (-0.2, -2.0, np.pi / 2): {1: 0.33965706552242436, 2: -2.8262807084705353},
 }
+
+# Points of the contact-matrix checks: both signs of the detuning, K = 0
+# and three momenta where the closed-channel spinors are complex.
+METHOD_POINTS = ((-0.2, -2.0, 0.0), (-0.3, -1.0, 0.7),
+                 (-0.2, -2.0, np.pi / 2), (-0.5, 3.0, 2.0))
 
 # Deep-detuning compositions (xi=-0.2, delta=-10): the upper-gap state is
 # photon-pair dominated, the lower-gap state is dominated by the mixed slot.
@@ -38,11 +47,20 @@ def both_gaps(params):
     return bs
 
 
+def contact(E, p):
+    """The contact matrix S(E) of the bound-state finder."""
+    return bound_states._contact_matrix(E, find_channel_roots(E, p), p)
+
+
 def test_matching_matrix_shape():
+    # the matching system reduces to a 2x2 matrix on the contact slots
     p = ModelParams(xi=-0.2)
-    m = bound_matching_matrix(1.0, p)
-    assert m.shape == (8, 5)
-    assert m.dtype == complex
+    state = find_bound_states(p, both_gaps(p).gaps[0])[0]
+    for E in (1.0, state.energy):
+        s = contact(E, p)
+        assert s.shape == (2, 2)
+        assert s.dtype == complex
+    assert 0.0 <= state.sigma_min < 1e-9
 
 
 def test_in_band_energy_rejected():
@@ -54,8 +72,8 @@ def test_in_band_energy_rejected():
 
 
 def test_frozen_energies():
-    for (xi, delta), expect in E_BOUND.items():
-        p = ModelParams(xi=xi, delta=delta)
+    for (xi, delta, K), expect in E_BOUND.items():
+        p = ModelParams(xi=xi, delta=delta, K=K)
         bs = both_gaps(p)
         for gap in bs.gaps:
             states = find_bound_states(p, gap)
@@ -64,26 +82,68 @@ def test_frozen_energies():
 
 
 def test_sigma_contrast():
-    # sigma_min is tiny at the bound energy and order unity away from it
+    # one eigenvalue of S vanishes at the bound energy and is order unity
+    # away from it; sigma_min of the full matching system collapses there
     p = ModelParams(xi=-0.2)
     bs = both_gaps(p)
     state = find_bound_states(p, bs.gaps[0])[0]
     assert state.sigma_min < 1e-9
-
-    m = bound_matching_matrix(state.energy + 0.2, p)
-    svals = np.linalg.svd(m, compute_uv=False)
-    assert svals[-1] / svals[0] > 1e-2
+    at = np.abs(np.linalg.eigvalsh(contact(state.energy, p)))
+    assert at.min() / at.max() < 1e-9
+    away = np.abs(np.linalg.eigvalsh(contact(state.energy + 0.2, p)))
+    assert away.min() / away.max() > 1e-2
+    assert away.min() > 1e-2 * p.g
 
 
 def test_matching_matrix_nondegenerate_nullspace():
-    # exactly one flat direction at the bound energy
+    # exactly one eigenvalue of S vanishes at the bound energy
     p = ModelParams(xi=-0.2)
     bs = both_gaps(p)
     state = find_bound_states(p, bs.gaps[0])[0]
-    m = bound_matching_matrix(state.energy, p)
-    svals = np.linalg.svd(m, compute_uv=False)
-    assert svals[-1] / svals[0] < 1e-9
-    assert svals[-2] / svals[0] > 1e-2
+    eigs = np.sort(np.abs(np.linalg.eigvalsh(contact(state.energy, p))))
+    assert eigs[0] < 1e-9 * eigs[1]
+    assert eigs[1] > 1e-2 * p.g
+
+
+@pytest.mark.parametrize("xi, delta, K", METHOD_POINTS)
+def test_contact_matrix_inertia(xi, delta, K):
+    # S is Hermitian and its eigenvalues fall strictly across each gap, so
+    # the change in its negative count between the gap ends is the number
+    # of states, and the finder certifies exactly that many
+    p = ModelParams(xi=xi, delta=delta, K=K)
+    for gap in both_gaps(p).gaps:
+        mats = [contact(E, p)
+                for E in np.linspace(gap.lo + 1e-6, gap.hi - 1e-6, 40)]
+        for s in mats:
+            assert np.abs(s - s.conj().T).max() < 1e-12
+        eigs = np.array([np.linalg.eigvalsh(s) for s in mats])
+        assert (np.diff(eigs, axis=0) < 0.0).all()
+        count = int((eigs[-1] < 0.0).sum() - (eigs[0] < 0.0).sum())
+        assert count == len(find_bound_states(p, gap)) == 1
+
+
+def test_gap_edge_at_twice_detuning():
+    # at (xi, delta) = (-0.5, -1) the upper edge of gap 1 is the mixed-band
+    # edge delta + 2 xi = 2 delta, where the third channel's decay rate
+    # diverges; the finder evaluates S at 2 delta - 1e-6
+    p = ModelParams(xi=-0.5, delta=-1.0)
+    gap = band_structure(p).gaps[0]
+    assert gap.index == 1
+    assert abs(gap.hi - 2.0 * p.delta) < 1e-12
+    states = find_bound_states(p, gap)
+    assert len(states) == 1
+    assert abs(states[0].energy - -2.260754843836) < 1e-10
+
+
+@pytest.mark.parametrize("xi, delta", [(-0.2, -1.042), (-0.5, -1.273)])
+def test_near_twice_detuning_certifies(xi, delta):
+    # 2 delta lies in gap 2, and energies near it, where the third channel
+    # decays almost at once, must pass the channel-root certificate
+    p = ModelParams(xi=xi, delta=delta)
+    for gap in both_gaps(p).gaps:
+        states = find_bound_states(p, gap)
+        assert len(states) == 1
+        assert states[0].residual_max < 1e-8
 
 
 def test_certificates():
@@ -134,16 +194,16 @@ def test_chain_sums_at_nonzero_momentum():
 
 
 def test_refinement_evaluates_each_energy_once(monkeypatch):
-    # a sigma evaluation is a full root-find plus an SVD; the dip pre-check,
-    # Brent's bracket and the acceptance test must not repeat one
+    # every energy costs a root-find; the inertia count, Brent's iterations
+    # and the certificate of the accepted energy must not repeat one
     seen = []
-    profile = bound_states._sigma_profile
+    roots = bound_states.find_channel_roots
 
     def counting(E, params):
         seen.append(float(E))
-        return profile(E, params)
+        return roots(E, params)
 
-    monkeypatch.setattr(bound_states, "_sigma_profile", counting)
+    monkeypatch.setattr(bound_states, "find_channel_roots", counting)
     p = ModelParams(xi=-0.2, delta=-2.0)
     for gap in both_gaps(p).gaps:
         assert len(find_bound_states(p, gap)) == 1

@@ -179,6 +179,22 @@ def test_channel_count_error_at_degenerate_energy():
         find_channel_roots(0.8, p)
 
 
+@pytest.mark.parametrize("xi, delta", [(-0.5, -1.0), (-0.75, -1.5)])
+def test_roots_certified_next_to_twice_detuning(xi, delta):
+    # a gap edge sits exactly at 2 delta here; 1e-6 inside it the third
+    # channel decays almost at once (|z| ~ 1e-6, |cos lam| ~ 1e6), and its
+    # exact root must still pass the determinant certificate
+    p = ModelParams(xi=xi, delta=delta)
+    e = 2.0 * delta - 1e-6
+    roots = find_channel_roots(e, p)
+    assert len(roots) == 3
+    assert min(abs(r.z) for r in roots) < 1e-5
+    for r in roots:
+        m = bloch_matrix(p, r.lam) - e * np.eye(4)
+        backward = np.linalg.norm(m @ r.vector) / np.linalg.norm(m)
+        assert backward < 1e-12
+
+
 def test_continuity_across_band_edge():
     # approaching a band edge from the gap side, |Im lam| -> 0 continuously
     p = ModelParams(xi=-0.2)
