@@ -1,16 +1,12 @@
 """Propagation channels of the relative motion at a fixed real energy.
 
-A wave e^{i lam l} F solves the free chain at energy E when
-det(A + B cos(lam) + C sin(lam) - E) = 0.  Conjugating by the exchange
-matrix flips the sign of C, so the determinant is even in lam and reduces
-to a cubic in w = cos(lam): three w values, hence three channels counting
-multiplicity.  Channels with real lam and positive group velocity are open
-(outgoing waves); the rest decay as e^{-Im(lam) l} and are closed.
-
-At K = 0 the sin-block C vanishes and the cubic factors in closed form:
-the mixed-branch root is a structural double root (the AB and BA waves
-share one momentum there), which is why roots carry a multiplicity and the
-closed-channel null spaces are extracted multiplicity-aware.
+A wave b_l = z^l F with z = e^{i lam} solves the free chain at energy E
+when (hp + (A - E) z + hm z^2) F = 0.  This quadratic eigenproblem is
+solved as one 8x8 companion pencil for every K.  Because the determinant
+is even in lam, its roots come in z <-> 1/z pairs, which leaves three
+channels.  Channels on the unit circle with positive group velocity are
+open (outgoing waves).  The rest decay as |z|^l = e^{-Im(lam) l} and are
+closed.
 
 Bound and scattering states are expansions sum_j s_j z_j^(l-1) F_j over
 the three channels; channel_expansion evaluates them site by site and
@@ -20,6 +16,7 @@ expansion_moment sums them over the chain as geometric series.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .bands import BRANCHES, branch_energy, branch_energy_derivative, branch_vector, phase_fix
 from .errors import (
@@ -27,9 +24,8 @@ from .errors import (
     ChannelCountError,
     ConditioningError,
     DegenerateParametersError,
-    LabelingError,
 )
-from .model import PARITY, ModelParams, bloch_matrices, bloch_matrix
+from .model import PARITY, ModelParams, bloch_matrices, bloch_matrix, hop_blocks
 
 __all__ = [
     "TOL_OPEN",
@@ -37,11 +33,7 @@ __all__ = [
     "ChannelRoot",
     "channel_expansion",
     "expansion_moment",
-    "polynomial_degree",
-    "polynomial_roots",
     "find_channel_roots",
-    "group_velocity",
-    "label_branch",
 ]
 
 #: |.|z| - 1| below this counts as on the unit circle (open channel).
@@ -54,32 +46,25 @@ TOL_EDGE_FACTOR = 1e-6
 #: Group velocities below this scale-relative floor mean a band edge.
 _VELOCITY_FLOOR = 1e-10
 
-#: w roots closer than this (relative) collapse into one root with
-#: multiplicity; the cluster mean is then accurate to roundoff even though
-#: the individual companion-matrix roots split by the square root of it.
+#: Open eigenvalues whose |lam| agree to this share one momentum (the AB/BA
+#: pair at K = 0); the pencil splits such a double root only by roundoff.
 _CLUSTER_TOL = 1e-5
-
-#: Chebyshev nodes for the exact cubic interpolation of det(M(w) - E).
-_NODES = np.cos((2.0 * np.arange(4) + 1.0) * np.pi / 8.0)
-_VANDER_INV = np.linalg.inv(np.vander(_NODES, 4, increasing=True))
 
 
 @dataclass(frozen=True)
 class ChannelRoot:
     """One outgoing channel: momentum, Bloch factor, spinor, bookkeeping.
 
-    multiplicity counts how many channels share this lam (the structural
-    double root at K = 0 gives two); each of them is its own ChannelRoot.
-    Closed-channel branch labels are advisory: downstream math uses only
-    (lam, vector).
+    z = e^{i lam}.  A closed channel has Im lam > 0 and Re lam in
+    (-pi/2, 3pi/2], so a real z of either sign sits away from the branch
+    cut of the logarithm; its branch label is "".  An open channel carries
+    its branch label, the branch spinor and its (positive) group velocity.
     """
 
     lam: complex
     z: complex
     is_open: bool
     branch: str
-    conventional: bool
-    multiplicity: int
     vector: np.ndarray
     group_velocity: float
 
@@ -118,20 +103,6 @@ def expansion_moment(roots, scaled, lag: int) -> np.ndarray:
     return f.T @ core @ np.conj(f)
 
 
-def polynomial_degree(coeffs: np.ndarray, rtol: float = 1e-12) -> int:
-    """Effective degree after trimming trailing coefficients below rtol*max."""
-    mags = np.abs(coeffs)
-    keep = np.nonzero(mags > rtol * mags.max())[0]
-    return int(keep.max()) if keep.size else -1
-
-def polynomial_roots(coeffs: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Roots of a coefficient list (ascending), ignoring negligible leading terms."""
-    deg = polynomial_degree(coeffs, rtol)
-    if deg < 1:
-        return np.array([], dtype=complex)
-    return np.roots(coeffs[deg::-1])
-
-
 def _blocks_minus_e(E, params):
     mats = bloch_matrices(params)
     return mats.onsite - E * np.eye(4), mats.hop_cos, mats.hop_sin
@@ -149,176 +120,38 @@ def _det_scale(a, b, c, lam=0.0):
     return float(np.prod(rows))
 
 
-def _cubic_in_w(E, params):
-    """Coefficients (ascending, length 4) of det(M - E) as a cubic in w = cos lam."""
-    a, b, c = _blocks_minus_e(E, params)
-    dets = np.empty(4)
-    for j, w in enumerate(_NODES):
-        m = a + w * b + np.sqrt(1.0 - w * w) * c
-        dets[j] = np.linalg.det(m)
-    return _VANDER_INV @ dets
-
-
-def _w_roots_general(E, params):
-    """(w, multiplicity) pairs of the channel cubic, clustered."""
-    coeffs = _cubic_in_w(E, params)
-    scale = np.abs(coeffs).max()
-    if scale == 0.0 or np.abs(coeffs[1:]).max() < 1e-13 * max(scale, _det_scale(*_blocks_minus_e(E, params))):
-        raise DegenerateParametersError(
-            "channel condition has no momentum dependence (xi = 0 or equivalent)"
-        )
-    roots = polynomial_roots(coeffs, rtol=1e-13)
-    if roots.size == 0:
-        raise ChannelCountError("channel cubic lost all roots; degenerate parameters")
-    # Real-coefficient cubic: real parts are genuine, tiny imaginary parts
-    # are companion-matrix noise on real roots. Genuine complex w (conjugate
-    # pair) would put lam off both the real and imaginary axes; the chain
-    # supports those only as closed channels and they are kept as-is.
-    roots = np.where(np.abs(roots.imag) < 1e-9 * np.maximum(1.0, np.abs(roots)), roots.real, roots)
-    order = np.argsort(roots.real + 1e-3 * np.abs(roots.imag))
-    roots = roots[order]
-    clustered = []
-    for r in roots:
-        if clustered and abs(r - clustered[-1][0]) <= _CLUSTER_TOL * max(1.0, abs(r)):
-            w0, m = clustered[-1]
-            clustered[-1] = ((w0 * m + r) / (m + 1), m + 1)
-        else:
-            clustered.append((r, 1))
-    return clustered
-
-
-def _w_roots_k0(E, params):
-    """Closed-form w roots when the sin-block vanishes (K = 0 geometry).
-
-    The mixed root is structural and double; the remaining linear factor
-    gives the like-polariton root.  Degenerates when E = 2 Delta, where the
-    cubic drops degree and the third channel escapes to infinite decay.
-    """
-    d, g = params.delta, params.g
-    hop = 2.0 * params.xi * np.cos(0.5 * params.K)
-    denom = 2.0 * (2.0 * d - E)
-    scale = max(1.0, abs(E), abs(d), g)
-    if abs(denom) < 1e-12 * scale:
-        raise ChannelCountError(
-            "energy hits twice the detuning; the third channel degenerates"
-        )
-    w_mixed = (E - d) / hop
-    w_like = (4.0 * g * g + 2.0 * E * d - E * E) / denom / hop
-    return [(w_mixed, 2), (w_like, 1)]
-
-
-def _lam_from_w(w):
-    """lam with Im lam >= 0 and |z| <= 1 from w = cos lam, stably.
-
-    z solves z^2 - 2wz + 1 = 0; the small root is computed as the inverse
-    of the larger one to dodge cancellation at large |w|.
-    """
-    w = complex(w)
-    s = np.sqrt(w * w - 1.0)
-    big = w + s if abs(w + s) >= abs(w - s) else w - s
-    if abs(big) < 1.0:  # |w| <= 1: both on the unit circle
-        z = big if big.imag >= 0 else np.conj(big)
-    else:
-        z = 1.0 / big
-        if abs(abs(z) - 1.0) <= TOL_OPEN and z.imag < 0:
-            z = np.conj(z)
-    if z.imag == 0.0:
-        z = complex(z.real, 0.0)  # scrub -0j so the log lands on Re lam = +pi
-    lam = -1j * np.log(z)
-    return lam, z
-
-
 def _det_at(lam, E, params):
     m = bloch_matrix(params, lam) - E * np.eye(4)
     return np.linalg.det(m), m
 
 
-def _newton_polish(lam, E, params):
-    """One Newton step on det(M(lam) - E); derivative via row-replaced dets."""
-    mats = bloch_matrices(params)
-    for _ in range(2):
-        val, m = _det_at(lam, E, params)
-        dm = -mats.hop_cos * np.sin(lam) + mats.hop_sin * np.cos(lam)
-        dval = 0.0
-        for row in range(4):
-            mr = m.copy()
-            mr[row] = dm[row]
-            dval += np.linalg.det(mr)
-        if abs(dval) < 1e-10 * max(1.0, abs(val)):
-            break
-        step = val / dval
-        lam = lam - step
-        if abs(step) < 1e-14:
-            break
-    return lam
+def _pencil_eigs(a, params):
+    """The six channel eigenpairs (z, F) of the companion pencil, by |z|.
 
-
-def label_branch(lam: complex, E: float, params: ModelParams, tol: float = 1e-8):
-    """Branch label whose closed-form energy at lam reproduces E.
-
-    The four branch energies enumerate the eigenvalues of the Bloch matrix
-    for any complex lam: flipping the sheet of either inner square root
-    permutes the four labels among themselves, so the principal sheet
-    already covers both sheets' value sets.  Returns (branch, distance).
+    With x = (F, z F) the quadratic (hp + a z + hm z^2) F = 0 reads
+    [[0, I], [-hp, -a]] x = z [[I, 0], [0, hm]] x.  The TLS pair does not
+    hop, so hp and hm share a zero row and column: the pencil always has
+    one structural z = 0 and one structural z = inf, dropped here.  The
+    homogeneous form (alpha, beta) orders them without forming inf.
     """
-    dists = [abs(branch_energy(br, lam, params) - E) for br in BRANCHES]
-    best = int(np.argmin(dists))
-    if dists[best] > tol * max(1.0, abs(E)):
-        raise LabelingError(
-            f"no branch energy matches E={E:.6g} at lam={lam:.6g} "
-            f"(best {BRANCHES[best]} off by {dists[best]:.3g})"
+    hp, hm = hop_blocks(params)
+    if np.linalg.matrix_rank(hm[:3, :3]) < 3:
+        raise DegenerateParametersError(
+            "photon pair does not hop: 2 xi cos(K/2) = 0 on the Brillouin "
+            "zone boundary K = pi (or at xi = 0), so the hopping block loses rank"
         )
-    return BRANCHES[best], dists[best]
-
-
-def group_velocity(root: ChannelRoot, params: ModelParams) -> float:
-    """dE/dlam of an open channel via the Hellmann-Feynman form.
-
-    Cross-checked against a central finite difference of the branch energy;
-    disagreement means the root or its label is inconsistent.
-    """
-    if not root.is_open:
-        raise ValueError("group velocity is defined for open channels only")
-    mats = bloch_matrices(params)
-    lam = root.lam.real
-    f = root.vector
-    dm = -mats.hop_cos * np.sin(lam) + mats.hop_sin * np.cos(lam)
-    v = float(np.real(np.conj(f) @ dm @ f) / np.real(np.conj(f) @ f))
-    h = 1e-6
-    fd = (branch_energy(root.branch, lam + h, params)
-          - branch_energy(root.branch, lam - h, params)) / (2.0 * h)
-    scale = max(1.0, abs(v), abs(fd))
-    if abs(v - fd) > 1e-6 * scale:
-        raise ConditioningError(
-            f"velocity mismatch for {root.branch}: Hellmann-Feynman {v:.9g} "
-            f"vs finite difference {fd:.9g}"
+    lhs = np.zeros((8, 8), dtype=complex)
+    rhs = np.zeros((8, 8), dtype=complex)
+    lhs[:4, 4:] = rhs[:4, :4] = np.eye(4)
+    lhs[4:, :4], lhs[4:, 4:], rhs[4:, 4:] = -hp, -a, hm
+    (alpha, beta), vecs = scipy.linalg.eig(lhs, rhs, homogeneous_eigvals=True)
+    order = np.argsort(np.arctan2(np.abs(alpha), np.abs(beta)))[1:-1]
+    alpha, beta = alpha[order], beta[order]
+    if abs(alpha[0]) <= np.finfo(float).eps * abs(beta[0]):
+        raise ChannelCountError(
+            "energy hits twice the detuning; the third channel degenerates"
         )
-    return v
-
-
-def _closed_channels(lam, mult, E, params):
-    """Closed-channel roots sharing lam: null vectors plus advisory label."""
-    lam = _newton_polish(lam, E, params) if mult == 1 else lam
-    if lam.imag < 0:
-        lam = -np.conj(lam)  # keep the decaying representative
-    z = np.exp(1j * lam)
-    _, m = _det_at(lam, E, params)
-    _, sv, vh = np.linalg.svd(m)
-    try:
-        branch, _ = label_branch(lam, E, params)
-    except LabelingError:
-        branch = ""
-    out = []
-    for k in range(mult):
-        vec = phase_fix(np.conj(vh[3 - k]))
-        out.append(
-            ChannelRoot(
-                lam=complex(lam), z=complex(z), is_open=False, branch=branch,
-                conventional=True, multiplicity=mult, vector=vec,
-                group_velocity=0.0,
-            )
-        )
-    return out
+    return alpha / beta, vecs[:4, order]
 
 
 def _open_channels(lam_abs, mult, E, params):
@@ -347,8 +180,8 @@ def _open_channels(lam_abs, mult, E, params):
         out.append(
             ChannelRoot(
                 lam=complex(lam), z=complex(np.exp(1j * lam)), is_open=True,
-                branch=br, conventional=False, multiplicity=mult,
-                vector=branch_vector(br, lam, params), group_velocity=v,
+                branch=br, vector=branch_vector(br, lam, params),
+                group_velocity=v,
             )
         )
     return out
@@ -357,25 +190,38 @@ def _open_channels(lam_abs, mult, E, params):
 def find_channel_roots(E: float, params: ModelParams) -> list:
     """The three outgoing channels at energy E, open first.
 
-    Raises a band-edge or channel-count error instead of returning a
-    malformed set; every returned root satisfies the determinant condition
-    to 1e-9 relative to the Hadamard scale of M(lam) - E at that root,
-    which follows |cos lam| and |sin lam| as |z| -> 0.
+    The channels are the eigenvalues z of the companion pencil with
+    |z| <= 1.  A closed channel takes its spinor from its own eigenvector.
+    Open channels (|z| = 1) are grouped by |lam|: each group of 2m
+    eigenvalues holds m outgoing waves, labelled by branch.
+
+    Raises a degenerate-parameter, band-edge or channel-count error instead
+    of returning a malformed set; every returned root satisfies the
+    determinant condition to 1e-9 relative to the Hadamard scale of
+    M(lam) - E at that root, which follows |cos lam| and |sin lam| as
+    |z| -> 0.
     """
-    if np.sin(0.5 * params.K) == 0.0:
-        w_roots = _w_roots_k0(E, params)
-    else:
-        w_roots = _w_roots_general(E, params)
+    a, b, c = _blocks_minus_e(E, params)
+    z, vecs = _pencil_eigs(a, params)
+    on_circle = np.abs(np.abs(z) - 1.0) <= TOL_OPEN
+    decaying = (np.abs(z) < 1.0) & ~on_circle
     channels = []
-    for w, mult in w_roots:
-        lam, z = _lam_from_w(w)
-        if abs(abs(z) - 1.0) <= TOL_OPEN:
-            channels.extend(_open_channels(abs(lam.real), mult, E, params))
-        else:
-            channels.extend(_closed_channels(lam, mult, E, params))
+    lam_open = np.sort(np.abs(np.angle(z[on_circle])))
+    breaks = np.flatnonzero(np.diff(lam_open) > _CLUSTER_TOL) + 1
+    for group in np.split(lam_open, breaks):
+        if group.size:
+            channels.extend(_open_channels(group.mean(), group.size // 2, E, params))
+    for zj, vec in zip(z[decaying], vecs.T[decaying]):
+        # cut on the negative imaginary z axis: Re lam in (-pi/2, 3pi/2]
+        lam = 0.5 * np.pi - 1j * np.log(-1j * zj)
+        channels.append(
+            ChannelRoot(
+                lam=complex(lam), z=complex(zj), is_open=False, branch="",
+                vector=phase_fix(vec), group_velocity=0.0,
+            )
+        )
     if len(channels) != 3:
         raise ChannelCountError(f"found {len(channels)} channels, expected 3")
-    a, b, c = _blocks_minus_e(E, params)
     for root in channels:
         val, _ = _det_at(root.lam, E, params)
         scale = _det_scale(a, b, c, root.lam)

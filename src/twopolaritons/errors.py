@@ -22,11 +22,7 @@ class ChannelCountError(TwoPolaritonError):
 
 
 class DegenerateParametersError(TwoPolaritonError):
-    """Characteristic polynomial degenerated (e.g. zero hopping)."""
-
-
-class LabelingError(TwoPolaritonError):
-    """No analytic branch energy matches a channel root."""
+    """Channel problem degenerated: the photon pair does not hop (xi = 0, K = pi)."""
 
 
 class ConditioningError(TwoPolaritonError):

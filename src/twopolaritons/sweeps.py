@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 from .bands import band_structure
 from .bound_states import find_bound_states
-from .errors import ChannelCountError, MatchingError, ParameterError
+from .errors import (
+    ChannelCountError,
+    DegenerateParametersError,
+    MatchingError,
+    ParameterError,
+)
 from .model import ModelParams
 from .scattering import solve_scattering
 
@@ -73,7 +78,8 @@ def _scatter_point(args) -> ScatterSweepPoint:
         sol = solve_scattering(branch, q, params)
         return ScatterSweepPoint(params=params, branch=branch, q=q,
                                  solution=sol, note="")
-    except (ChannelCountError, MatchingError, ParameterError) as exc:
+    except (ChannelCountError, DegenerateParametersError, MatchingError,
+            ParameterError) as exc:
         return ScatterSweepPoint(params=params, branch=branch, q=q,
                                  solution=None, note=str(exc))
 

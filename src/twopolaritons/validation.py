@@ -18,7 +18,7 @@ from . import model
 from .bands import band_structure, branch_energy, branch_vector, incident_state
 from .bound_states import find_bound_states, rayleigh_quotient
 from .channels import find_channel_roots
-from .errors import ChannelCountError
+from .errors import ChannelCountError, DegenerateParametersError
 from .model import PARITY, ModelParams, single_polariton_energy
 from .ring_ed import (
     TwoExcitationBasis,
@@ -122,13 +122,14 @@ def _check_branch_symmetries(rng):
 
 def _check_channel_roots(rng):
     counted, skipped, worst = 0, 0, 0.0
+    sigma = np.inf
     for _ in range(200):
         p = _draw_params(rng)
         e = rng.uniform(2.0 * p.delta - 6.0, 2.0 * p.delta + 6.0)
         try:
             roots = find_channel_roots(e, p)
-        except ChannelCountError:
-            skipped += 1        # drew a band edge or the 2*delta pole
+        except (ChannelCountError, DegenerateParametersError):
+            skipped += 1        # drew a band edge, the 2*delta pole or K = pi
             continue
         counted += 1
         if len(roots) != 3:
@@ -138,9 +139,12 @@ def _check_channel_roots(rng):
             worst = max(worst, np.linalg.norm(m @ r.vector - e * r.vector))
             if not r.is_open and not abs(r.z) < 1.0:
                 return False, f"closed root with |z| = {abs(r.z)} >= 1"
-    ok = counted > 0 and worst < 1e-8
-    return ok, (f"max root residual {worst:.3g} over {counted} draws "
-                f"({skipped} edge draws skipped)")
+        phi = np.array([r.vector for r in roots]).T
+        sigma = min(sigma, np.linalg.svd(phi, compute_uv=False)[-1])
+    ok = counted > 0 and worst < 1e-8 and sigma > 1e-3
+    return ok, (f"max root residual {worst:.3g}, min spinor sigma "
+                f"{sigma:.3g} over {counted} draws ({skipped} degenerate "
+                f"draws skipped)")
 
 
 def _check_scattering_unitarity(rng):

@@ -17,13 +17,15 @@ from twopolaritons.errors import ParameterError
 from twopolaritons.model import PARITY, ModelParams
 
 # Frozen regression energies (g=1), found independently of the contact
-# matrix by a sigma_min scan of the full 8x5 matching system; the K = 0
-# ones are confirmed against ring diagonalization elsewhere in the suite,
-# and off K = 0 the hopping blocks differ (hp != hm).
+# matrix by a sigma_min scan of the full 8x5 matching system, except the
+# (-0.2, -2) pair: the certified states of the README sample (sigma_min
+# 3e-16, Rayleigh quotient equal to 1e-12).  The K = 0 ones are confirmed
+# against ring diagonalization elsewhere in the suite, and off K = 0 the
+# hopping blocks differ (hp != hm).
 E_BOUND = {
     # (xi, delta, K) -> {gap_id: energy}
     (-0.2, 0.0, 0.0): {1: 1.3034485514726306, 2: -1.3034485514726306},
-    (-0.2, -2.0, 0.0): {1: 0.1494265111264354, 2: -2.8414213090844107},
+    (-0.2, -2.0, 0.0): {1: 0.14942651106312296, 2: -2.8414213090007334},
     (-0.3, -1.0, 0.7): {1: 0.42399875959932576, 2: -2.1055541240263946},
     (-0.2, -2.0, np.pi / 2): {1: 0.33965706552242436, 2: -2.8262807084705353},
 }

@@ -10,7 +10,7 @@ from twopolaritons.channels import (
     expansion_moment,
     find_channel_roots,
 )
-from twopolaritons.errors import ChannelCountError
+from twopolaritons.errors import ChannelCountError, DegenerateParametersError
 from twopolaritons.model import PARITY, ModelParams, bloch_matrix
 
 RNG = np.random.default_rng(37)
@@ -39,10 +39,16 @@ def test_polynomial_is_palindromic():
             assert abs(np.linalg.det(plus) - np.linalg.det(minus)) < 1e-9 * max(1.0, scale)
 
 
+def spinor_sigma_min(channels):
+    # smallest singular value of the 4x3 matrix of the unit channel spinors
+    phi = np.array([r.vector for r in channels]).T
+    return np.linalg.svd(phi, compute_uv=False)[-1]
+
+
 def test_polynomial_degree_and_root_pairing():
-    # the three channels, counted with multiplicity, and their inverses are
-    # all six roots of the degree-6 polynomial z^3 det(M(z) - E): dividing
-    # it by prod_k (z - z_k) leaves a constant
+    # the three channels and their inverses are all six roots of the
+    # degree-6 polynomial z^3 det(M(z) - E): dividing it by prod_k (z - z_k)
+    # leaves a constant; the three channel spinors are linearly independent
     rng = np.random.default_rng(13)
     count = 0
     for _ in range(30):
@@ -54,10 +60,7 @@ def test_polynomial_degree_and_root_pairing():
             continue
         count += 1
         assert len(channels) == 3
-        ws = np.cos(np.array([r.lam for r in channels]))
-        for root, w in zip(channels, ws):
-            shared = np.abs(ws - w) <= 1e-6 * max(1.0, abs(w))
-            assert shared.sum() == root.multiplicity
+        assert spinor_sigma_min(channels) > 1e-3
         zk = np.exp(1j * np.array([s * r.lam for r in channels for s in (1, -1)]))
         lams = rng.uniform(-np.pi, np.pi, 5) + 1j * rng.uniform(-0.5, 0.5, 5)
         ratios = [
@@ -71,20 +74,17 @@ def test_polynomial_degree_and_root_pairing():
 
 
 def test_roots_satisfy_determinant():
-    count = 0
+    # every draw succeeds; each closed root's spinor is a null vector of
+    # M(lam) - E to roundoff (relative backward error)
     for _ in range(200):
         p = random_params(RNG)
         e = RNG.uniform(2 * p.delta - 6.0, 2 * p.delta + 6.0)
-        try:
-            channels = find_channel_roots(e, p)
-        except (ChannelCountError, Exception):
-            continue
-        count += 1
-        for root in channels:
+        for root in find_channel_roots(e, p):
             m = bloch_matrix(p, root.lam) - e * np.eye(4)
             scale = float(np.prod(np.linalg.norm(m, axis=1)))
             assert abs(np.linalg.det(m)) < 1e-8 * max(1.0, scale)
-    assert count > 150
+            if not root.is_open:
+                assert np.linalg.norm(m @ root.vector) < 1e-12 * np.linalg.norm(m)
 
 
 def test_always_three_channels():
@@ -101,8 +101,8 @@ def test_always_three_channels():
 
 
 def test_k0_closed_form_matches_general_solver():
-    # At K=0 the cubic factorizes; slightly off K=0 the general path must
-    # approach the same roots.
+    # At K=0 the mixed channels share a structural double root; slightly
+    # off K=0 the split roots must approach it continuously.
     p0 = ModelParams(xi=-0.2, delta=0.4, K=0.0)
     p1 = ModelParams(xi=-0.2, delta=0.4, K=1e-7)
     for e in (1.1, -1.3, 2.6):
@@ -179,6 +179,14 @@ def test_channel_count_error_at_degenerate_energy():
         find_channel_roots(0.8, p)
 
 
+def test_zone_boundary_is_refused():
+    # at K = pi, 2 xi cos(K/2) = 0: the photon pair does not hop, the
+    # hopping block loses rank and the channel problem is refused
+    p = ModelParams(xi=-0.2, delta=-2.0, K=np.pi)
+    with pytest.raises(DegenerateParametersError, match="zone boundary"):
+        find_channel_roots(-1.0, p)
+
+
 @pytest.mark.parametrize("xi, delta", [(-0.5, -1.0), (-0.75, -1.5)])
 def test_roots_certified_next_to_twice_detuning(xi, delta):
     # a gap edge sits exactly at 2 delta here; 1e-6 inside it the third
@@ -209,13 +217,20 @@ def test_continuity_across_band_edge():
 
 
 def test_multiplicity_recorded():
-    # K=0 mixed factor is a double root in w; the two unfolded channels
-    # must carry multiplicity consistent with the factorization
+    # at K=0 the AB and BA waves share one momentum (a double root); both
+    # unfold into their own channel, open in band and closed in a gap, and
+    # the three channel spinors stay linearly independent
     p = ModelParams(xi=-0.2)
     channels = find_channel_roots(0.1, p)
     mixed = [r for r in channels if r.branch in ("AB", "BA")]
     assert len(mixed) == 2
-    assert all(r.multiplicity >= 1 for r in channels)
+    assert abs(mixed[0].lam - mixed[1].lam) < 1e-12
+    assert spinor_sigma_min(channels) > 1e-3
+    gap = band_structure(p).gaps[0]
+    channels = find_channel_roots(0.5 * (gap.lo + gap.hi), p)
+    assert not any(r.is_open for r in channels)
+    assert min(abs(channels[i].z - channels[j].z) for i in range(3) for j in range(i)) < 1e-10
+    assert spinor_sigma_min(channels) > 1e-3
 
 
 def test_expansion_moments_are_chain_sums():

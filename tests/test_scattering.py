@@ -10,6 +10,7 @@ from twopolaritons.scattering import (
     scattering_wavefunction,
     solve_scattering,
 )
+from twopolaritons.sweeps import scatter_sweep
 
 RNG = np.random.default_rng(41)
 
@@ -178,3 +179,12 @@ def test_tls_pair_amplitude_vanishes_at_contact():
     assert abs(beta0[3]) < 1e-12
     # and the antisymmetric slot vanishes at l = 0 by exchange symmetry
     assert abs(beta0[2]) < 1e-12
+
+
+def test_zone_boundary_sweep_points_are_skipped():
+    # at K = pi the channel problem is refused; a sweep records the reason
+    points = scatter_sweep("AB", [0.5, 1.5], [-2.0], -0.2, K=np.pi, jobs=1)
+    assert len(points) == 2
+    for pt in points:
+        assert pt.solution is None
+        assert "zone boundary K = pi" in pt.note
