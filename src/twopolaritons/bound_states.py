@@ -6,10 +6,11 @@ on the contact slots (photon pair, symmetric mix): a 2x2 Hermitian matrix
 S(E) whose eigenvalues fall strictly across a gap.  A bound state is a zero
 of one eigenvalue, so the change in the number of negative eigenvalues (the
 inertia) between the inset gap ends counts the states, and Brent's method
-finds each.  A state is accepted only when the smallest singular value of
-the full matching system collapses there and its wavefunction passes the
-site-equation residual test.  Norms, composition weights and the Rayleigh
-quotient are closed-form geometric sums, exact for any decay rate.
+finds each; its contact spinor is the eigenvector of that eigenvalue.  A
+state is accepted only when the smallest |eigenvalue| of S collapses there
+and its wavefunction passes the site-equation residual test.  Norms,
+composition weights and the Rayleigh quotient are closed-form geometric
+sums, exact for any decay rate.
 """
 
 from __future__ import annotations
@@ -22,10 +23,15 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .bands import Gap, phase_fix
-from .channels import TOL_EDGE_FACTOR, channel_expansion, expansion_moment, find_channel_roots
+from .channels import (
+    TOL_EDGE_FACTOR,
+    channel_expansion,
+    contact_elimination,
+    expansion_moment,
+    find_channel_roots,
+)
 from .errors import ConditioningError, DegenerateBoundStateError, ParameterError
 from .model import PARITY, ModelParams, bloch_matrices, contact_interaction, hop_blocks, site_residual
-from .scattering import _matching_system
 
 __all__ = [
     "BoundState",
@@ -49,26 +55,26 @@ def _gap_roots(E: float, params: ModelParams) -> list:
     return roots
 
 
-def _contact_matrix(E: float, roots, params: ModelParams) -> np.ndarray:
-    """S(E) on the contact slots (p, d_+), spinor components 0 and 1.
+def _contact_spectrum(E: float, roots, params: ModelParams):
+    """(W, eigenvalues, eigenvectors) of S(E) on the contact slots (p, d_+).
 
-    Rows 0-2 of the l = 1 equation, in the l = 1 gauge, fix the channel
-    amplitudes from the contact spinor, b_1 = T b_0 with T = -Phi M_1^-1 hp
-    (row 3 holds for every channel, and M_1 stays regular as z -> 0).  With
-    b_-1 = PARITY b_1 the l = 0 equation becomes (A + V - E + (hp PARITY
-    + hm) T) b_0 = 0, whose rows outside the contact slots vanish.
+    S is the (p, d_+) block of the contact matrix C of
+    channels.contact_elimination without an incident wave; its other rows
+    vanish, and W maps the contact spinor to the l = 1 channel amplitudes.
     """
-    a_e = bloch_matrices(params).onsite - E * np.eye(4)
-    hp, hm = hop_blocks(params)
-    phi = np.array([r.vector for r in roots]).T
-    z = np.array([r.z for r in roots])
-    t = -phi @ np.linalg.solve((a_e @ phi + hm @ phi * z)[:3], hp[:3])
-    return (a_e + contact_interaction(params) + (hp @ PARITY + hm) @ t)[:2, :2]
+    w, c, _ = contact_elimination(E, roots, params)
+    eigs, vecs = np.linalg.eigh(c[:2, :2])
+    return w, eigs, vecs
 
 
 @dataclass(frozen=True)
 class BoundState:
-    """Certified in-gap eigenstate with its composition weights."""
+    """Certified in-gap eigenstate with its composition weights.
+
+    sigma_min is the smallest |eigenvalue| of the Hermitian contact matrix
+    S(E_b), hence its smallest singular value; residual_max is the largest
+    site-equation defect over |l| <= L_RESIDUAL.
+    """
 
     gap_id: int
     params: ModelParams
@@ -100,32 +106,33 @@ def build_bound_wavefunction(E_b: float, params: ModelParams,
                              gap_id: int = 0) -> BoundState:
     """Normalize and certify the bound state at energy E_b.
 
-    The coefficients come from the right singular vector of the smallest
-    singular value of the 8x5 matching system; a second near-zero singular
-    value means the state is not unique and is reported as an error rather
-    than resolved by fiat.
+    The contact spinor is the eigenvector of S(E_b) whose eigenvalue is
+    smallest in magnitude, and the channel amplitudes follow from it.  A
+    second near-zero eigenvalue means the state is not unique and is
+    reported as an error rather than resolved by fiat.
     """
     E_b = float(E_b)
-    return _certify(E_b, _gap_roots(E_b, params), params, gap_id)[0]
+    roots = _gap_roots(E_b, params)
+    return _certify(E_b, roots, _contact_spectrum(E_b, roots, params), params, gap_id)
 
 
-def _certify(E_b: float, roots, params: ModelParams, gap_id: int):
-    """(state, row-norm scale of the matching system) at E_b from its roots."""
-    zero = np.zeros(4)
-    sys, _ = _matching_system(E_b, zero, zero, roots, params)
-    _, svals, vh = np.linalg.svd(sys)
-    scale = max(float(np.linalg.norm(sys, axis=1).max()), 1e-300)
-    if svals[-2] < SIGMA_ACCEPT * scale:
+def _certify(E_b: float, roots, spectrum, params: ModelParams, gap_id: int) -> BoundState:
+    """The normalized state at E_b from its roots and contact spectrum."""
+    w, eigs, vecs = spectrum
+    mags = np.abs(eigs)
+    k = int(np.argmin(mags))
+    if mags[1 - k] < SIGMA_ACCEPT * max(mags.max(), params.g):
         raise DegenerateBoundStateError(
             f"null space at E_b = {E_b} has dimension > 1 "
-            f"(sigma = {svals[-2]:.3g}, {svals[-1]:.3g}); refusing to pick"
+            f"(|eig S| = {mags[1 - k]:.3g}, {mags[k]:.3g}); refusing to pick"
         )
-    x = phase_fix(np.conj(vh[-1]))
-
     # the l = 0 spinor is the contact pair (no TLS-pair slot: the hard-core
     # constraint kills it); sites l >= 1 follow the channel expansion
+    contact = np.zeros(4, dtype=complex)
+    contact[:2] = vecs[:, k]
+    x = phase_fix(np.concatenate([w @ contact, contact[:2]]))
     scaled = x[:3]
-    contact = np.array([x[3], x[4], 0.0, 0.0])
+    contact[:2] = x[3:]
     # each site l != 0 appears twice (l and its mirror -l, same moduli)
     comp = np.abs(contact) ** 2 + 2.0 * expansion_moment(roots, scaled, 0).diagonal().real
     norm_sq = float(comp.sum())
@@ -139,7 +146,7 @@ def _certify(E_b: float, roots, params: ModelParams, gap_id: int):
     field = channel_expansion(window, roots, scaled, contact)
     res = site_residual(field, E_b, (-L_RESIDUAL, L_RESIDUAL), params)
 
-    state = BoundState(
+    return BoundState(
         gap_id=int(gap_id),
         params=params,
         energy=E_b,
@@ -149,10 +156,9 @@ def _certify(E_b: float, roots, params: ModelParams, gap_id: int):
         b_photon=complex(contact[0]),
         b_mix=complex(contact[1]),
         weights=weights,
-        sigma_min=float(svals[-1]),
+        sigma_min=float(mags[k]),
         residual_max=float(res.max()),
     )
-    return state, scale
 
 
 def find_bound_states(params: ModelParams, gap: Gap, *,
@@ -163,9 +169,10 @@ def find_bound_states(params: ModelParams, gap: Gap, *,
 
     Each eigenvalue of S(E) that changes sign between the inset gap ends
     holds one state, located by Brent's method and kept only if sigma_min
-    collapses there and the state passes the residual certificate.  An
-    empty list is a valid outcome.  A pole of S (a surface state of the
-    half chain) would spoil the count and raises ConditioningError.
+    (its smallest |eigenvalue|) falls below sigma_accept * max(|S|, g)
+    there and the state passes the residual certificate.  An empty list is
+    a valid outcome.  A pole of S (a surface state of the half chain) would
+    spoil the count and raises ConditioningError.
     """
     g = params.g
     if tol_edge is None:
@@ -178,25 +185,29 @@ def find_bound_states(params: ModelParams, gap: Gap, *,
     lo, hi = gap.lo + tol_edge, gap.hi - tol_edge
 
     # each energy costs a root-find; Brent returns an energy it has
-    # evaluated, so the certificate reuses that energy's roots
+    # evaluated, so the certificate reuses that energy's roots and spectrum
     @functools.cache
     def spectrum(E: float):
         roots = _gap_roots(E, params)
-        return roots, np.linalg.eigvalsh(_contact_matrix(E, roots, params))
+        return roots, _contact_spectrum(E, roots, params)
 
-    n_lo = int((spectrum(lo)[1] < 0.0).sum())
-    n_hi = int((spectrum(hi)[1] < 0.0).sum())
+    def eigs(E: float):
+        return spectrum(E)[1][1]
+
+    n_lo = int((eigs(lo) < 0.0).sum())
+    n_hi = int((eigs(hi) < 0.0).sum())
     if n_hi < n_lo:
         raise ConditioningError(f"S(E) has {n_lo} negative eigenvalues at {lo} but "
                                 f"{n_hi} at {hi}: a pole inside the gap spoils the count")
     states = []
     for k in range(n_lo, n_hi):
-        E_b = brentq(lambda E: spectrum(E)[1][k], lo, hi, xtol=1e-13)
-        roots, eigs = spectrum(E_b)
-        if abs(eigs[k]) > POLE_TOL * max(np.abs(eigs).max(), g):
+        E_b = brentq(lambda E: eigs(E)[k], lo, hi, xtol=1e-13)
+        at = eigs(E_b)
+        scale = max(np.abs(at).max(), g)
+        if abs(at[k]) > POLE_TOL * scale:
             raise ConditioningError(f"eigenvalue {k} of S(E) jumps sign at E = {E_b} "
-                                    f"(|S| = {np.abs(eigs).max():.3g}): a pole, not a state")
-        state, scale = _certify(E_b, roots, params, gap.index)
+                                    f"(|S| = {np.abs(at).max():.3g}): a pole, not a state")
+        state = _certify(E_b, *spectrum(E_b), params, gap.index)
         if state.sigma_min < sigma_accept * scale and state.residual_max < residual_tol * g:
             states.append(state)
     states.sort(key=lambda s: s.energy)

@@ -9,7 +9,8 @@ open (outgoing waves).  The rest decay as |z|^l = e^{-Im(lam) l} and are
 closed.
 
 Bound and scattering states are expansions sum_j s_j z_j^(l-1) F_j over
-the three channels; channel_expansion evaluates them site by site and
+the three channels; contact_elimination fixes the amplitudes s_j from the
+contact spinor, channel_expansion evaluates them site by site and
 expansion_moment sums them over the chain as geometric series.
 """
 
@@ -25,15 +26,17 @@ from .errors import (
     ConditioningError,
     DegenerateParametersError,
 )
-from .model import PARITY, ModelParams, bloch_matrices, bloch_matrix, hop_blocks
+from .model import PARITY, ModelParams, bloch_matrices, contact_interaction, hop_blocks
 
 __all__ = [
     "TOL_OPEN",
     "TOL_EDGE_FACTOR",
     "ChannelRoot",
     "channel_expansion",
+    "contact_elimination",
     "expansion_moment",
     "find_channel_roots",
+    "solve_regular",
 ]
 
 #: |.|z| - 1| below this counts as on the unit circle (open channel).
@@ -103,26 +106,60 @@ def expansion_moment(roots, scaled, lag: int) -> np.ndarray:
     return f.T @ core @ np.conj(f)
 
 
+def contact_elimination(E, roots, params, incident=None):
+    """Eliminate the sites l != 0 of a channel expansion: (W, C, r).
+
+    With b_l = inc_l + sum_j s_j z_j^(l-1) F_j for l >= 1 and b_-l = PARITY
+    b_l, rows 0-2 of the l = 1 equation fix the l = 1 channel amplitudes
+    from the contact spinor, s = W (b_0 - inc_0) with W = -M_1^-1 hp[:3]
+    and M_1 = ((A - E) Phi + hm Phi Z)[:3] (row 3 holds for every channel,
+    and M_1 stays regular as z -> 0).  The l = 0 equation then reads
+    C b_0 = r with C = A + V - E + (hp PARITY + hm) Phi W and
+    r = -(hp PARITY + hm)(inc_1 - Phi W inc_0).  ``incident`` holds the
+    free spinors (inc_0, inc_1); None, for a bound state, means zero.  An
+    M_1 singular to working precision raises ConditioningError.
+    """
+    a_e = bloch_matrices(params).onsite - E * np.eye(4)
+    hp, hm = hop_blocks(params)
+    phi = np.array([r.vector for r in roots]).T
+    z = np.array([r.z for r in roots])
+    m1 = (a_e @ phi + hm @ phi * z)[:3]
+    w = -solve_regular(m1, hp[:3], f"channel block M_1 at E = {E}")
+    mirror_hop = hp @ PARITY + hm
+    c = a_e + contact_interaction(params) + mirror_hop @ phi @ w
+    if incident is None:
+        return w, c, np.zeros(4, dtype=complex)
+    inc0, inc1 = incident
+    return w, c, -mirror_hop @ (inc1 - phi @ (w @ inc0))
+
+
+def solve_regular(m, rhs, what: str) -> np.ndarray:
+    """np.linalg.solve, refusing a matrix singular to working precision.
+
+    Raises ConditioningError when the smallest singular value of m is below
+    machine epsilon times the largest (LAPACK flags only exact zero pivots).
+    """
+    sv = np.linalg.svd(m, compute_uv=False)
+    if not sv[-1] > np.finfo(float).eps * sv[0]:
+        raise ConditioningError(f"{what} is singular to working precision "
+                                f"(singular values {sv[0]:.3g} .. {sv[-1]:.3g})")
+    return np.linalg.solve(m, rhs)
+
+
 def _blocks_minus_e(E, params):
     mats = bloch_matrices(params)
     return mats.onsite - E * np.eye(4), mats.hop_cos, mats.hop_sin
 
 
-def _det_scale(a, b, c, lam=0.0):
+def _det_scale(norms, cos, sin):
     """Hadamard-style magnitude of det(a + b cos(lam) + c sin(lam)).
 
-    Product of row norms, the b and c rows weighted by max(1, |cos lam|)
-    and max(1, |sin lam|), which follow a closed channel's growing decay.
+    Product of row norms (``norms`` holds those of a, b and c), the b and c
+    rows weighted by max(1, |cos lam|) and max(1, |sin lam|), which follow
+    a closed channel's growing decay.
     """
-    rows = (np.linalg.norm(a, axis=1)
-            + max(1.0, abs(np.cos(lam))) * np.linalg.norm(b, axis=1)
-            + max(1.0, abs(np.sin(lam))) * np.linalg.norm(c, axis=1))
-    return float(np.prod(rows))
-
-
-def _det_at(lam, E, params):
-    m = bloch_matrix(params, lam) - E * np.eye(4)
-    return np.linalg.det(m), m
+    na, nb, nc = norms
+    return float(np.prod(na + max(1.0, abs(cos)) * nb + max(1.0, abs(sin)) * nc))
 
 
 def _pencil_eigs(a, params):
@@ -222,9 +259,11 @@ def find_channel_roots(E: float, params: ModelParams) -> list:
         )
     if len(channels) != 3:
         raise ChannelCountError(f"found {len(channels)} channels, expected 3")
+    norms = [np.linalg.norm(m, axis=1) for m in (a, b, c)]
     for root in channels:
-        val, _ = _det_at(root.lam, E, params)
-        scale = _det_scale(a, b, c, root.lam)
+        cos, sin = np.cos(root.lam), np.sin(root.lam)
+        val = np.linalg.det(a + b * cos + c * sin)
+        scale = _det_scale(norms, cos, sin)
         if abs(val) > 1e-9 * scale:
             raise ConditioningError(
                 f"channel root lam={root.lam:.6g} fails the determinant "

@@ -206,6 +206,8 @@ def cmd_bound(config: RunConfig) -> int:
                          jobs=config.jobs, **config.tolerances)
     rows = []
     for pt in points:
+        if pt.note:
+            log.warning("skipped delta=%s: %s", _fmt(pt.delta), pt.note)
         open_ids = {g.index: i for i, g in enumerate(pt.gaps)}
         for gap_id in (1, 2):
             if gap_id not in open_ids:

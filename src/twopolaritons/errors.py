@@ -30,7 +30,7 @@ class ConditioningError(TwoPolaritonError):
 
 
 class MatchingError(TwoPolaritonError):
-    """Matching system solved but the solution failed a certificate."""
+    """The incident branch is not an open channel at its own energy."""
 
 
 class DegenerateBoundStateError(TwoPolaritonError):

@@ -5,13 +5,12 @@ relative momentum q.  Outside the contact site the solution adds one
 outgoing wave per channel; at the contact site the spinor is constrained
 to (s_p, s_plus, 0, 0): the antisymmetric slot vanishes by exchange
 symmetry and the TLS-pair slot because a single two-level system cannot
-hold two excitations.  Imposing the site equation at l = 0 and l = 1
-closes the problem: the l < 0 equations are the mirror images of l > 0
-ones, and for l >= 2 the ansatz solves the free chain identically.
-
-The resulting 8 equations in 5 unknowns are consistent but redundant (two
-rows vanish identically); least squares plus a residual certificate is
-more robust than picking an "independent" subset by hand.
+hold two excitations.  The l < 0 equations are the mirror images of l > 0
+ones, and for l >= 2 the ansatz solves the free chain identically.  The
+l = 1 equation fixes the outgoing amplitudes from the contact spinor, which
+leaves the l = 0 equation on the contact slots: the same 2x2 contact matrix
+whose zeros are the bound states, now with the incident wave as its source
+(channels.contact_elimination).
 """
 
 from dataclasses import dataclass
@@ -19,19 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import branch_energy, incident_state
-from .channels import channel_expansion, find_channel_roots
+from .channels import channel_expansion, contact_elimination, find_channel_roots, solve_regular
 from .errors import MatchingError, ParameterError
-from .model import (
-    MIX_SYM,
-    PARITY,
-    PHOTON_PAIR,
-    TLS_PAIR,
-    ModelParams,
-    bloch_matrices,
-    contact_interaction,
-    hop_blocks,
-    site_residual,
-)
+from .model import ModelParams, hop_blocks, site_residual
 
 __all__ = [
     "ScatteringSolution",
@@ -41,49 +30,6 @@ __all__ = [
 ]
 
 L_CHECK = 50
-
-
-def _matching_system(E, beta1, beta2, roots, params,
-                     include_interaction=True, free_contact_t=False):
-    """Assemble the matching equations at l = 0, 1.
-
-    Unknowns are the l = 1 channel amplitudes (f_j scaled by z_j, which
-    keeps every column O(1) even when a channel decays almost instantly),
-    then s_p, s_plus, and optionally a freed TLS-pair contact amplitude.
-    The freed variant, with the interaction off, turns the system into the
-    unconstrained free chain: an exactness oracle for the assembly.
-    """
-    mats = bloch_matrices(params)
-    a_e = mats.onsite - E * np.eye(4)
-    hp, hm = hop_blocks(params)
-    v = contact_interaction(params) if include_interaction else np.zeros((4, 4))
-    mirror_hop = hp @ PARITY + hm
-
-    n = 6 if free_contact_t else 5
-    sys = np.zeros((8, n), dtype=complex)
-    rhs = np.zeros(8, dtype=complex)
-
-    for j, root in enumerate(roots):
-        f = root.vector
-        sys[:4, j] = mirror_hop @ f
-        sys[4:, j] = (a_e + root.z * hm) @ f
-    contact_cols = [PHOTON_PAIR, MIX_SYM] + ([TLS_PAIR] if free_contact_t else [])
-    for k, comp in enumerate(contact_cols):
-        e = np.zeros(4)
-        e[comp] = 1.0
-        sys[:4, 3 + k] = (a_e + v) @ e
-        sys[4:, 3 + k] = hp @ e
-
-    rhs[:4] = -(mirror_hop @ beta1)
-    rhs[4:] = -(a_e @ beta1 + hm @ beta2)
-    return sys, rhs
-
-
-def _solve_matching(sys, rhs):
-    x, _, _, _ = np.linalg.lstsq(sys, rhs, rcond=None)
-    resid = np.linalg.norm(sys @ x - rhs)
-    scale = max(np.linalg.norm(np.column_stack([sys, rhs]), axis=1).max(), 1e-300)
-    return x, resid, scale
 
 
 def _assemble(l, branch, q, params, roots, scaled, contact):
@@ -106,7 +52,6 @@ class ScatteringSolution:
     scaled_amplitudes: np.ndarray   # f_j z_j, the l = 1 values (stable gauge)
     s_photon: complex
     s_mix: complex
-    ls_residual: float
     residual_max: float
     current_max: float
 
@@ -135,28 +80,28 @@ def scattering_wavefunction(sol: ScatteringSolution, l) -> np.ndarray:
                      sol.scaled_amplitudes, sol.contact_spinor)
 
 
-def probability_current(wavefunction, l: int, params: ModelParams) -> float:
-    """Discrete flux between sites l and l+1: 2 Im[beta_l^dag hm beta_{l+1}].
+def probability_current(field, params: ModelParams) -> np.ndarray:
+    """Discrete flux over each bond of a run of sites: 2 Im[beta_l^dag hm beta_{l+1}].
 
-    Zero for every exact solution with the exchange symmetry (a standing
-    wave); for a pure right-mover it equals the group velocity times the
-    squared norm, with a sign set by this orientation convention.
+    ``field`` holds the spinors of consecutive sites; entry l of the result
+    is the current between rows l and l + 1.  Zero for every exact solution
+    with the exchange symmetry (a standing wave); for a pure right-mover it
+    equals the group velocity times the squared norm, with a sign set by
+    this orientation convention.
     """
     _, hm = hop_blocks(params)
-    if callable(wavefunction):
-        b0, b1 = wavefunction(l), wavefunction(l + 1)
-    else:
-        b0, b1 = wavefunction[l], wavefunction[l + 1]
-    return float(2.0 * np.imag(np.conj(b0) @ hm @ b1))
+    field = np.asarray(field)
+    return 2.0 * np.imag(np.einsum("li,ij,lj->l", np.conj(field[:-1]), hm, field[1:]))
 
 
 def solve_scattering(branch: str, q: float, params: ModelParams,
                      l_check: int = L_CHECK) -> ScatteringSolution:
     """Solve for the outgoing amplitudes of an incident (branch, q) wave.
 
-    The least-squares residual certifies consistency of the matching
-    equations; the returned solution additionally carries the global
-    site-residual and flux certificates over |l| <= l_check.
+    The contact spinor solves the 2x2 contact problem C b_0 = r; a channel
+    block or contact matrix singular to working precision raises
+    ConditioningError.  The returned solution carries the site-residual and
+    flux certificates over |l| <= l_check.
     """
     q = float(q)
     if not 0.0 < q < np.pi:
@@ -168,28 +113,21 @@ def solve_scattering(branch: str, q: float, params: ModelParams,
             f"incident branch {branch} is not an open channel at its own "
             f"energy; channels found: {[(r.branch, r.is_open) for r in roots]}"
         )
-    beta12 = incident_state(branch, q, params, np.array([1, 2]))
-    sys, rhs = _matching_system(E, beta12[0], beta12[1], roots, params)
-    x, resid, scale = _solve_matching(sys, rhs)
-    if resid > 1e-10 * scale:
-        raise MatchingError(
-            f"matching equations inconsistent: residual {resid:.3g} "
-            f"exceeds 1e-10 x scale {scale:.3g}"
-        )
-    scaled = x[:3]
+    incident = incident_state(branch, q, params, np.array([0, 1]))
+    w, c, rhs = contact_elimination(E, roots, params, incident)
+    b0 = solve_regular(c[:2, :2], rhs[:2], f"contact matrix S at E = {E}")
+    contact = np.array([b0[0], b0[1], 0.0, 0.0])
+    scaled = w @ (contact - incident[0])
     amps = scaled / np.array([r.z for r in roots])
-    contact = np.array([x[3], x[4], 0.0, 0.0])
 
     span = np.arange(-l_check - 1, l_check + 2)
     wav = _assemble(span, branch, q, params, roots, scaled, contact)
     res = site_residual(wav, E, (-l_check, l_check), params)
-    right = wav[l_check + 1:]       # sites 0 .. l_check + 1
-    cur = max(abs(probability_current(right, j, params)) for j in range(0, l_check + 1))
+    cur = probability_current(wav[l_check + 1:], params)    # sites 0 .. l_check + 1
 
     return ScatteringSolution(
         branch=branch, q=q, params=params, energy=E, roots=tuple(roots),
         amplitudes=amps, scaled_amplitudes=scaled,
-        s_photon=complex(x[3]), s_mix=complex(x[4]),
-        ls_residual=float(resid / scale),
-        residual_max=float(res.max()), current_max=float(cur),
+        s_photon=complex(b0[0]), s_mix=complex(b0[1]),
+        residual_max=float(res.max()), current_max=float(np.abs(cur).max()),
     )

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 from .bands import band_structure
 from .bound_states import find_bound_states
-from .errors import (
-    ChannelCountError,
-    DegenerateParametersError,
-    MatchingError,
-    ParameterError,
-)
+from .errors import TwoPolaritonError
 from .model import ModelParams
 from .scattering import solve_scattering
 
@@ -32,11 +27,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundSweepPoint:
-    """Bound-state inventory of one detuning value."""
+    """Bound-state inventory of one detuning value, and the gaps skipped."""
 
     params: ModelParams
-    gaps: tuple      # open gaps, ascending index
+    gaps: tuple      # open gaps searched, ascending index
     states: tuple    # tuple of BoundState tuples, aligned with gaps
+    note: str        # why open gaps were skipped, "" if none was
 
     @property
     def delta(self) -> float:
@@ -60,16 +56,17 @@ class ScatterSweepPoint:
 
 def _bound_point(args) -> BoundSweepPoint:
     params, overrides = args
-    gaps, states = [], []
+    gaps, states, skipped = [], [], []
     for gap in sorted(band_structure(params).gaps, key=lambda g: g.index):
         try:
             found = find_bound_states(params, gap, **overrides)
-        except ParameterError:
-            continue        # open but narrower than the edge inset
+        except TwoPolaritonError as exc:
+            skipped.append(f"gap {gap.index}: {exc}")
+            continue
         gaps.append(gap)
         states.append(tuple(found))
     return BoundSweepPoint(params=params, gaps=tuple(gaps),
-                           states=tuple(states))
+                           states=tuple(states), note="; ".join(skipped))
 
 
 def _scatter_point(args) -> ScatterSweepPoint:
@@ -78,8 +75,7 @@ def _scatter_point(args) -> ScatterSweepPoint:
         sol = solve_scattering(branch, q, params)
         return ScatterSweepPoint(params=params, branch=branch, q=q,
                                  solution=sol, note="")
-    except (ChannelCountError, DegenerateParametersError, MatchingError,
-            ParameterError) as exc:
+    except TwoPolaritonError as exc:
         return ScatterSweepPoint(params=params, branch=branch, q=q,
                                  solution=None, note=str(exc))
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import model
 from .bands import band_structure, branch_energy, branch_vector, incident_state
 from .bound_states import find_bound_states, rayleigh_quotient
-from .channels import find_channel_roots
+from .channels import contact_elimination, find_channel_roots
 from .errors import ChannelCountError, DegenerateParametersError
 from .model import PARITY, ModelParams, single_polariton_energy
 from .ring_ed import (
@@ -29,7 +29,7 @@ from .ring_ed import (
     momentum_blocks,
     translation_operator,
 )
-from .scattering import _matching_system, _solve_matching, solve_scattering
+from .scattering import solve_scattering
 
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
 
@@ -175,21 +175,29 @@ def _check_scattering_unitarity(rng):
 
 
 def _check_scattering_free_chain(rng):
-    """With the contact interaction removed, nothing scatters."""
+    """Without the contact interaction and hard core, nothing scatters.
+
+    The contact elimination, with V removed and the TLS-pair slot freed,
+    must return the incident spinor at l = 0 and no outgoing wave.
+    """
     worst = 0.0
+    slots = [0, 1, 3]       # (p, d_+, t); d_- vanishes at l = 0 by symmetry
     for _ in range(10):
         p = ModelParams(xi=rng.uniform(-0.9, -0.1),
-                        delta=rng.uniform(-3.0, 3.0), K=0.0)
+                        delta=rng.uniform(-3.0, 3.0),
+                        K=rng.uniform(-0.9 * np.pi, 0.9 * np.pi))
         q = rng.uniform(0.4, np.pi - 0.4)
         e = float(branch_energy("AB", q, p))
         roots = find_channel_roots(e, p)
-        beta12 = incident_state("AB", q, p, np.array([1, 2]))
-        sys, rhs = _matching_system(e, beta12[0], beta12[1], roots, p,
-                                    include_interaction=False,
-                                    free_contact_t=True)
-        x, _, _ = _solve_matching(sys, rhs)
-        worst = max(worst, float(np.abs(x[:3]).max()))
-    return worst < 1e-12, f"max |f| without interaction {worst:.3g}"
+        inc = incident_state("AB", q, p, np.array([0, 1]))
+        w, c, r = contact_elimination(e, roots, p, inc)
+        free = (c - model.contact_interaction(p))[np.ix_(slots, slots)]
+        b0 = np.zeros(4, dtype=complex)
+        b0[slots] = np.linalg.solve(free, r[slots])
+        worst = max(worst, float(np.abs(w @ (b0 - inc[0])).max()),
+                    float(np.abs(b0 - inc[0]).max()))
+    return worst < 1e-12, (f"max |s|, |b_0 - inc_0| without interaction "
+                           f"{worst:.3g} over 10 draws")
 
 
 def _check_bound_certificates(rng):

@@ -12,16 +12,18 @@ from twopolaritons.bound_states import (
     find_bound_states,
     rayleigh_quotient,
 )
-from twopolaritons.channels import find_channel_roots
+from twopolaritons.channels import contact_elimination, find_channel_roots
 from twopolaritons.errors import ParameterError
 from twopolaritons.model import PARITY, ModelParams
+from twopolaritons.sweeps import bound_sweep
 
 # Frozen regression energies (g=1), found independently of the contact
-# matrix by a sigma_min scan of the full 8x5 matching system, except the
-# (-0.2, -2) pair: the certified states of the README sample (sigma_min
-# 3e-16, Rayleigh quotient equal to 1e-12).  The K = 0 ones are confirmed
-# against ring diagonalization elsewhere in the suite, and off K = 0 the
-# hopping blocks differ (hp != hm).
+# matrix by a scan of the smallest singular value of an 8x5 least-squares
+# matching system (sites l = 0 and 1) that the solver no longer contains,
+# except the (-0.2, -2) pair: the certified states of the README sample
+# (sigma_min 3e-16, Rayleigh quotient equal to 1e-12).  The K = 0 ones are
+# confirmed against ring diagonalization elsewhere in the suite, and off
+# K = 0 the hopping blocks differ (hp != hm).
 E_BOUND = {
     # (xi, delta, K) -> {gap_id: energy}
     (-0.2, 0.0, 0.0): {1: 1.3034485514726306, 2: -1.3034485514726306},
@@ -51,7 +53,7 @@ def both_gaps(params):
 
 def contact(E, p):
     """The contact matrix S(E) of the bound-state finder."""
-    return bound_states._contact_matrix(E, find_channel_roots(E, p), p)
+    return contact_elimination(E, find_channel_roots(E, p), p)[1][:2, :2]
 
 
 def test_matching_matrix_shape():
@@ -85,7 +87,7 @@ def test_frozen_energies():
 
 def test_sigma_contrast():
     # one eigenvalue of S vanishes at the bound energy and is order unity
-    # away from it; sigma_min of the full matching system collapses there
+    # away from it; sigma_min, the smallest |eigenvalue|, collapses there
     p = ModelParams(xi=-0.2)
     bs = both_gaps(p)
     state = find_bound_states(p, bs.gaps[0])[0]
@@ -301,3 +303,13 @@ def test_gap_object_required():
     # states: a sub-window that excludes E_b comes back empty
     lowered = dataclasses.replace(gap, hi=gap.lo + 0.05 * gap.width)
     assert find_bound_states(p, lowered) == []
+
+
+def test_bound_sweep_skips_zone_boundary():
+    # at K = pi every gap is refused with a typed error; the sweep keeps
+    # the point and records why its gaps were skipped
+    (pt,) = bound_sweep(-0.2, [-2.0], K=np.pi, jobs=1)
+    assert pt.gaps == () and pt.states == ()
+    assert "zone boundary K = pi" in pt.note
+    (ok,) = bound_sweep(-0.2, [-2.0], jobs=1)
+    assert ok.note == "" and len(ok.gaps) == 2

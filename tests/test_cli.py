@@ -169,6 +169,19 @@ def test_scatter_skips_degenerate_energy(tmp_path, caplog):
     assert any("skipped" in rec.message for rec in caplog.records)
 
 
+def test_bound_skips_zone_boundary(tmp_path, caplog):
+    # at K = pi both gaps are refused; the sweep logs why and exits 0
+    out = tmp_path / "bound.csv"
+    with caplog.at_level(logging.WARNING, logger="twopol"):
+        code = run(["bound", "--xi", "-0.2", "--delta", "-2", "--K", "pi",
+                    "--jobs", "1", "--out", str(out)])
+    assert code == 0
+    _, _, rows = read_csv(out)
+    assert [r[2] for r in rows] == ["", ""]
+    assert any("skipped delta=-2: gap 1" in rec.message
+               and "zone boundary" in rec.message for rec in caplog.records)
+
+
 def test_output_deterministic_across_jobs(tmp_path):
     argv = ["scatter", "--xi", "-0.2", "--delta", "-1,1",
             "--q", "0.4:2.8", "--grid", "6"]
