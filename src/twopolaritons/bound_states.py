@@ -7,8 +7,9 @@ S(E) whose eigenvalues fall strictly across a gap.  A bound state is a zero
 of one eigenvalue, so the change in the number of negative eigenvalues (the
 inertia) between the inset gap ends counts the states, and Brent's method
 finds each; its contact spinor is the eigenvector of that eigenvalue.  A
-state is accepted only when the smallest |eigenvalue| of S collapses there
-and its wavefunction passes the site-equation residual test.  Norms,
+sign change where the eigenvalue does not collapse is refused as a pole of
+S, and a state is accepted only when its wavefunction passes the
+site-equation residual test.  Norms,
 composition weights and the Rayleigh quotient are closed-form geometric
 sums, exact for any decay rate.
 """
@@ -43,8 +44,6 @@ __all__ = [
 SIGMA_ACCEPT = 1e-8
 RESIDUAL_TOL = 1e-8
 L_RESIDUAL = 60
-#: A bracketed eigenvalue "zero" above this fraction of |S| is a pole of S.
-POLE_TOL = 1e-6
 
 
 def _gap_roots(E: float, params: ModelParams) -> list:
@@ -63,8 +62,7 @@ def _contact_spectrum(E: float, roots, params: ModelParams):
     vanish, and W maps the contact spinor to the l = 1 channel amplitudes.
     """
     w, c, _ = contact_elimination(E, roots, params)
-    eigs, vecs = np.linalg.eigh(c[:2, :2])
-    return w, eigs, vecs
+    return (w, *np.linalg.eigh(c[:2, :2]))
 
 
 @dataclass(frozen=True)
@@ -128,11 +126,8 @@ def _certify(E_b: float, roots, spectrum, params: ModelParams, gap_id: int) -> B
         )
     # the l = 0 spinor is the contact pair (no TLS-pair slot: the hard-core
     # constraint kills it); sites l >= 1 follow the channel expansion
-    contact = np.zeros(4, dtype=complex)
-    contact[:2] = vecs[:, k]
-    x = phase_fix(np.concatenate([w @ contact, contact[:2]]))
-    scaled = x[:3]
-    contact[:2] = x[3:]
+    x = phase_fix(np.concatenate([w[:, :2] @ vecs[:, k], vecs[:, k]]))
+    scaled, contact = x[:3], np.concatenate([x[3:], np.zeros(2)])
     # each site l != 0 appears twice (l and its mirror -l, same moduli)
     comp = np.abs(contact) ** 2 + 2.0 * expansion_moment(roots, scaled, 0).diagonal().real
     norm_sq = float(comp.sum())
@@ -168,11 +163,11 @@ def find_bound_states(params: ModelParams, gap: Gap, *,
     """All certified bound states inside one open gap, sorted by energy.
 
     Each eigenvalue of S(E) that changes sign between the inset gap ends
-    holds one state, located by Brent's method and kept only if sigma_min
-    (its smallest |eigenvalue|) falls below sigma_accept * max(|S|, g)
-    there and the state passes the residual certificate.  An empty list is
-    a valid outcome.  A pole of S (a surface state of the half chain) would
-    spoil the count and raises ConditioningError.
+    holds one state, located by Brent's method and kept if it passes the
+    residual certificate; an empty list is a valid outcome.  A sign change
+    where the eigenvalue stays above sigma_accept * max(|S|, g) is a pole
+    of S (a surface state of the half chain) or an unresolved zero, and
+    raises ConditioningError.
     """
     g = params.g
     if tol_edge is None:
@@ -203,12 +198,13 @@ def find_bound_states(params: ModelParams, gap: Gap, *,
     for k in range(n_lo, n_hi):
         E_b = brentq(lambda E: eigs(E)[k], lo, hi, xtol=1e-13)
         at = eigs(E_b)
-        scale = max(np.abs(at).max(), g)
-        if abs(at[k]) > POLE_TOL * scale:
-            raise ConditioningError(f"eigenvalue {k} of S(E) jumps sign at E = {E_b} "
-                                    f"(|S| = {np.abs(at).max():.3g}): a pole, not a state")
+        gate = sigma_accept * max(np.abs(at).max(), g)
+        if not abs(at[k]) < gate:
+            raise ConditioningError(f"eigenvalue {k} of S(E) changes sign at E = {E_b} "
+                                    f"but |eig| = {abs(at[k]):.3g} is not below "
+                                    f"{gate:.3g}: a pole of S or an unresolved zero")
         state = _certify(E_b, *spectrum(E_b), params, gap.index)
-        if state.sigma_min < sigma_accept * scale and state.residual_max < residual_tol * g:
+        if state.residual_max < residual_tol * g:
             states.append(state)
     states.sort(key=lambda s: s.energy)
     return states

@@ -36,7 +36,6 @@ __all__ = [
     "contact_elimination",
     "expansion_moment",
     "find_channel_roots",
-    "solve_regular",
 ]
 
 #: |.|z| - 1| below this counts as on the unit circle (open channel).
@@ -124,7 +123,7 @@ def contact_elimination(E, roots, params, incident=None):
     phi = np.array([r.vector for r in roots]).T
     z = np.array([r.z for r in roots])
     m1 = (a_e @ phi + hm @ phi * z)[:3]
-    w = -solve_regular(m1, hp[:3], f"channel block M_1 at E = {E}")
+    w = -_solve_regular(m1, hp[:3], f"channel block M_1 at E = {E}")
     mirror_hop = hp @ PARITY + hm
     c = a_e + contact_interaction(params) + mirror_hop @ phi @ w
     if incident is None:
@@ -133,16 +132,11 @@ def contact_elimination(E, roots, params, incident=None):
     return w, c, -mirror_hop @ (inc1 - phi @ (w @ inc0))
 
 
-def solve_regular(m, rhs, what: str) -> np.ndarray:
-    """np.linalg.solve, refusing a matrix singular to working precision.
-
-    Raises ConditioningError when the smallest singular value of m is below
-    machine epsilon times the largest (LAPACK flags only exact zero pivots).
-    """
-    sv = np.linalg.svd(m, compute_uv=False)
-    if not sv[-1] > np.finfo(float).eps * sv[0]:
-        raise ConditioningError(f"{what} is singular to working precision "
-                                f"(singular values {sv[0]:.3g} .. {sv[-1]:.3g})")
+def _solve_regular(m, rhs, what: str) -> np.ndarray:
+    """np.linalg.solve, refusing cond(m) >= 1/eps (LAPACK flags only zero pivots)."""
+    cond = np.linalg.cond(m)
+    if not cond < 1.0 / np.finfo(float).eps:
+        raise ConditioningError(f"{what} is singular to working precision (cond {cond:.3g})")
     return np.linalg.solve(m, rhs)
 
 

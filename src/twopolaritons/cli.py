@@ -264,6 +264,9 @@ def cmd_oracle(config: RunConfig) -> int:
         bs = band_structure(p)
         points = bound_sweep(config.xi, [float(d)], K=config.K,
                              jobs=1, **config.tolerances)[0]
+        if points.note:
+            log.error("no oracle comparison at delta=%s: %s", _fmt(d), points.note)
+            status = 1
         for gap, states in zip(points.gaps, points.states):
             for st in states:
                 try:
@@ -337,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol-edge", type=float, default=None,
                            help="band-edge inset of the bound-state search")
             p.add_argument("--tol-sigma", type=float, default=None,
-                           help="singular-value acceptance threshold")
+                           help="relative |eigenvalue| of S a bound state must reach")
             p.add_argument("--tol-residual", type=float, default=None,
                            help="site-residual certificate threshold")
         p.add_argument("--jobs", type=int, default=None,

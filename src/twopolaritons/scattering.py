@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import branch_energy, incident_state
-from .channels import channel_expansion, contact_elimination, find_channel_roots, solve_regular
+from .channels import _solve_regular, channel_expansion, contact_elimination, find_channel_roots
 from .errors import MatchingError, ParameterError
 from .model import ModelParams, hop_blocks, site_residual
 
@@ -115,7 +115,7 @@ def solve_scattering(branch: str, q: float, params: ModelParams,
         )
     incident = incident_state(branch, q, params, np.array([0, 1]))
     w, c, rhs = contact_elimination(E, roots, params, incident)
-    b0 = solve_regular(c[:2, :2], rhs[:2], f"contact matrix S at E = {E}")
+    b0 = _solve_regular(c[:2, :2], rhs[:2], f"contact matrix S at E = {E}")
     contact = np.array([b0[0], b0[1], 0.0, 0.0])
     scaled = w @ (contact - incident[0])
     amps = scaled / np.array([r.z for r in roots])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bands import band_structure
 from .bound_states import find_bound_states
-from .errors import TwoPolaritonError
+from .errors import ChannelCountError, DegenerateParametersError, ParameterError, TwoPolaritonError
 from .model import ModelParams
 from .scattering import solve_scattering
 
@@ -54,13 +54,18 @@ class ScatterSweepPoint:
         return self.params.delta
 
 
+# refusals of the point itself; a solver failure inside a gap (a pole of S,
+# a degenerate null space) would leave a wrong inventory, so it propagates
+_GAP_REFUSALS = (ParameterError, DegenerateParametersError, ChannelCountError)
+
+
 def _bound_point(args) -> BoundSweepPoint:
     params, overrides = args
     gaps, states, skipped = [], [], []
     for gap in sorted(band_structure(params).gaps, key=lambda g: g.index):
         try:
             found = find_bound_states(params, gap, **overrides)
-        except TwoPolaritonError as exc:
+        except _GAP_REFUSALS as exc:
             skipped.append(f"gap {gap.index}: {exc}")
             continue
         gaps.append(gap)

@@ -17,7 +17,7 @@ import numpy as np
 from . import model
 from .bands import band_structure, branch_energy, branch_vector, incident_state
 from .bound_states import find_bound_states, rayleigh_quotient
-from .channels import contact_elimination, find_channel_roots
+from .channels import channel_expansion, contact_elimination, find_channel_roots
 from .errors import ChannelCountError, DegenerateParametersError
 from .model import PARITY, ModelParams, single_polariton_energy
 from .ring_ed import (
@@ -178,9 +178,10 @@ def _check_scattering_free_chain(rng):
     """Without the contact interaction and hard core, nothing scatters.
 
     The contact elimination, with V removed and the TLS-pair slot freed,
-    must return the incident spinor at l = 0 and no outgoing wave.
+    must return the incident spinor at l = 0 and no outgoing wave.  As that
+    holds for any W, s = W x must also solve the l = 1 equation for a random x.
     """
-    worst = 0.0
+    worst = worst_w = 0.0
     slots = [0, 1, 3]       # (p, d_+, t); d_- vanishes at l = 0 by symmetry
     for _ in range(10):
         p = ModelParams(xi=rng.uniform(-0.9, -0.1),
@@ -196,8 +197,13 @@ def _check_scattering_free_chain(rng):
         b0[slots] = np.linalg.solve(free, r[slots])
         worst = max(worst, float(np.abs(w @ (b0 - inc[0])).max()),
                     float(np.abs(b0 - inc[0]).max()))
-    return worst < 1e-12, (f"max |s|, |b_0 - inc_0| without interaction "
-                           f"{worst:.3g} over 10 draws")
+        x = np.zeros(4, dtype=complex)
+        x[slots] = rng.normal(size=3) + 1j * rng.normal(size=3)
+        field = channel_expansion(np.arange(3), roots, w @ x, x)
+        worst_w = max(worst_w, float(model.site_residual(field, e, (1, 1), p)[0]))
+    ok = worst < 1e-12 and worst_w < 1e-12
+    return ok, (f"max |s|, |b_0 - inc_0| without interaction {worst:.3g}, "
+                f"l = 1 residual of s = W x {worst_w:.3g} over 10 draws")
 
 
 def _check_bound_certificates(rng):

@@ -138,6 +138,8 @@ def test_criterion_1(bound_survey):
     failures = []
     for xi, points in sweeps.items():
         for pt in points:
+            if pt.note:
+                failures.append(f"xi={xi} delta={pt.delta:.2f}: {pt.note}")
             if len(pt.gaps) != 2:
                 continue
             g1, g2 = pt.gaps

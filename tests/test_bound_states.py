@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from twopolaritons import bound_states
+from twopolaritons import bound_states, sweeps
 from twopolaritons.bands import band_structure
 from twopolaritons.bound_states import (
     build_bound_wavefunction,
@@ -13,7 +13,7 @@ from twopolaritons.bound_states import (
     rayleigh_quotient,
 )
 from twopolaritons.channels import contact_elimination, find_channel_roots
-from twopolaritons.errors import ParameterError
+from twopolaritons.errors import ConditioningError, DegenerateBoundStateError, ParameterError
 from twopolaritons.model import PARITY, ModelParams
 from twopolaritons.sweeps import bound_sweep
 
@@ -289,8 +289,10 @@ def test_tolerance_override_plumbing():
     p = ModelParams(xi=-0.2)
     bs = both_gaps(p)
     gap = bs.gaps[0]
-    # an absurdly tight acceptance gate must reject the genuine state
-    assert find_bound_states(p, gap, sigma_accept=1e-30) == []
+    # an absurdly tight acceptance gate must reject the genuine state,
+    # and say so rather than return an empty gap
+    with pytest.raises(ConditioningError, match="not below"):
+        find_bound_states(p, gap, sigma_accept=1e-30)
     # the default gate accepts it
     assert len(find_bound_states(p, gap)) == 1
 
@@ -313,3 +315,15 @@ def test_bound_sweep_skips_zone_boundary():
     assert "zone boundary K = pi" in pt.note
     (ok,) = bound_sweep(-0.2, [-2.0], jobs=1)
     assert ok.note == "" and len(ok.gaps) == 2
+
+
+@pytest.mark.parametrize("error", [ConditioningError, DegenerateBoundStateError])
+def test_bound_sweep_propagates_solver_failures(monkeypatch, error):
+    # a failure inside a gap is not a refusal of the point: dropping the
+    # gap would report a wrong inventory, so the sweep raises
+    def fail(params, gap, **overrides):
+        raise error(f"failed in gap {gap.index}")
+
+    monkeypatch.setattr(sweeps, "find_bound_states", fail)
+    with pytest.raises(error, match="failed in gap 1"):
+        bound_sweep(-0.2, [-2.0], jobs=1)

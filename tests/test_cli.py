@@ -9,6 +9,8 @@ import pytest
 
 from twopolaritons import cli
 from twopolaritons.cli import main, parse_angle, parse_values
+from twopolaritons.model import ModelParams
+from twopolaritons.sweeps import BoundSweepPoint
 
 
 def run(argv):
@@ -180,6 +182,22 @@ def test_bound_skips_zone_boundary(tmp_path, caplog):
     assert [r[2] for r in rows] == ["", ""]
     assert any("skipped delta=-2: gap 1" in rec.message
                and "zone boundary" in rec.message for rec in caplog.records)
+
+
+def test_oracle_reports_skipped_gaps(tmp_path, caplog, monkeypatch):
+    # a gap the sweep refuses has no oracle comparison: say so and fail
+    def refused(xi, deltas, K=0.0, **kwargs):
+        return [BoundSweepPoint(params=ModelParams(xi=xi, delta=d, K=K), gaps=(),
+                                states=(), note="gap 1: refused") for d in deltas]
+
+    monkeypatch.setattr(cli, "bound_sweep", refused)
+    out = tmp_path / "oracle.csv"
+    with caplog.at_level(logging.ERROR, logger="twopol"):
+        code = run(["oracle", "--xi", "-0.2", "--delta", "0", "--N", "24",
+                    "--out", str(out)])
+    assert code == 1
+    assert any("no oracle comparison at delta=0: gap 1: refused" in rec.message
+               for rec in caplog.records)
 
 
 def test_output_deterministic_across_jobs(tmp_path):

@@ -5,9 +5,14 @@ import pytest
 
 from twopolaritons import sweeps
 from twopolaritons.bands import branch_energy, incident_state
-from twopolaritons.channels import contact_elimination, find_channel_roots, solve_regular
+from twopolaritons.channels import (
+    _solve_regular,
+    channel_expansion,
+    contact_elimination,
+    find_channel_roots,
+)
 from twopolaritons.errors import BandEdgeError, ConditioningError, ParameterError
-from twopolaritons.model import PARITY, ModelParams, contact_interaction
+from twopolaritons.model import PARITY, ModelParams, contact_interaction, site_residual
 from twopolaritons.scattering import (
     probability_current,
     scattering_wavefunction,
@@ -90,8 +95,11 @@ def test_two_channel_optical_theorem():
 def test_free_chain_does_not_scatter():
     # Removing the contact term (and freeing the TLS-pair slot) leaves a
     # translation-invariant chain: the contact elimination must return the
-    # incident spinor at l = 0 and no outgoing wave, at K = 0 and off it
+    # incident spinor at l = 0 and no outgoing wave, at K = 0 and off it.
+    # That holds for any W, so W is checked on its own: for a contact
+    # spinor x, the expansion with s = W x solves the l = 1 site equation.
     slots = [0, 1, 3]       # (p, d_+, t); d_- vanishes at l = 0 by symmetry
+    x = np.array([0.6, -0.3 + 0.5j, 0.0, 0.2 - 0.4j])
     for K in (0.0, 1.3):
         p = ModelParams(xi=-0.3, delta=0.7, K=K)
         q = 1.1
@@ -104,6 +112,8 @@ def test_free_chain_does_not_scatter():
         b0[slots] = np.linalg.solve(free, r[slots])
         assert np.abs(b0 - inc[0]).max() < 1e-12
         assert np.abs(w @ (b0 - inc[0])).max() < 1e-12
+        field = channel_expansion(np.arange(3), roots, w @ x, x)
+        assert site_residual(field, e, (1, 1), p)[0] < 1e-12
 
 
 def test_singular_matching_blocks_are_refused():
@@ -115,7 +125,7 @@ def test_singular_matching_blocks_are_refused():
     with pytest.raises(ConditioningError, match="M_1 at E"):
         contact_elimination(e, [roots[0], roots[0], roots[2]], p)
     with pytest.raises(ConditioningError, match="singular to working precision"):
-        solve_regular(np.outer([1.0, 2.0], [3.0, 4.0]), np.ones(2), "S")
+        _solve_regular(np.outer([1.0, 2.0], [3.0, 4.0]), np.ones(2), "S")
 
 
 def test_wavefunction_exchange_parity():
