@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBranchError
+from .errors import ConditioningError
 from .model import PARITY, ModelParams, bloch_matrix
 
 __all__ = [
@@ -45,6 +45,9 @@ SQRT2 = float(np.sqrt(2.0))
 #: closed-form eigenvectors lose meaning (possible only off the real-q axis,
 #: where the splitting can vanish).
 DEGENERACY_GUARD = 1e-12
+
+#: Momenta per branch on the grid that brackets the band edges.
+N_SAMPLES = 256
 
 _SIGN = {"A": 1.0, "B": -1.0}
 
@@ -148,7 +151,7 @@ def branch_vector(branch: str, q, params: ModelParams, *, check: bool = True) ->
     pg1, e1, r1 = _factor(u, l1 - d0, g)
     pg2, e2, r2 = _factor(v, l2 - d0, g)
     if min(abs(r1), abs(r2)) < DEGENERACY_GUARD * g:
-        raise DegenerateBranchError(
+        raise ConditioningError(
             f"dressed-mode splitting collapsed at q={q!r}; branch vectors are ill-defined"
         )
     # The antisymmetric slot carries first-photon x second-TLS minus the
@@ -174,7 +177,7 @@ def branch_vector(branch: str, q, params: ModelParams, *, check: bool = True) ->
         w, sv, vh = np.linalg.svd(m - energy * np.eye(4))
         f = phase_fix(np.conj(vh[-1]))
         if np.linalg.norm(m @ f - energy * f) > 1e-10 * scale:
-            raise DegenerateBranchError(
+            raise ConditioningError(
                 f"no clean eigenvector for branch {branch} at q={q!r}"
             )
     return f
@@ -196,9 +199,6 @@ class Band:
     labels: tuple
     lo: float
     hi: float
-
-    def contains(self, energy: float, margin: float = 0.0) -> bool:
-        return self.lo - margin <= energy <= self.hi + margin
 
 
 @dataclass(frozen=True)
@@ -222,8 +222,6 @@ class Gap:
 @dataclass(frozen=True)
 class BandStructure:
     params: ModelParams
-    q_grid: np.ndarray
-    samples: dict
     branch_edges: dict
     bands: tuple
     gaps: tuple
@@ -233,19 +231,6 @@ class BandStructure:
             if gap.contains(energy):
                 return gap
         return None
-
-    def band_at(self, energy: float, margin: float = 0.0):
-        for band in self.bands:
-            if band.contains(energy, margin):
-                return band
-        return None
-
-    def open_count(self, energy: float) -> int:
-        """Number of branches whose energy range contains `energy`."""
-        return sum(
-            1 for label in BRANCHES
-            if self.branch_edges[label][0] <= energy <= self.branch_edges[label][1]
-        )
 
 
 def _refine_extremum(func, qs, idx, sign):
@@ -266,25 +251,21 @@ def _refine_extremum(func, qs, idx, sign):
     return float(sign * -res.fun)
 
 
-def band_structure(params: ModelParams, n_samples: int = 256) -> BandStructure:
+def band_structure(params: ModelParams) -> BandStructure:
     """Sampled branch ranges, merged bands, and the gaps between them.
 
-    Edges are sampled on a uniform q grid and polished by Brent's method,
-    so they are accurate far beyond the grid spacing.
+    Edges are sampled on a uniform grid of N_SAMPLES momenta and polished
+    by Brent's method, so they are accurate far beyond the grid spacing.
     """
-    if n_samples < 64:
-        raise ValueError("n_samples must be at least 64 for reliable edges")
-    qs = np.linspace(-np.pi, np.pi, n_samples, endpoint=False)
-    samples = {}
+    qs = np.linspace(-np.pi, np.pi, N_SAMPLES, endpoint=False)
     edges = {}
     for label in BRANCHES:
         ev = np.asarray(branch_energy(label, qs, params))
-        samples[label] = ev
         func = lambda q, _label=label: float(branch_energy(_label, q, params))
         lows, highs = [], []
-        for idx in range(n_samples):
+        for idx in range(N_SAMPLES):
             left = ev[idx - 1]
-            right = ev[(idx + 1) % n_samples]
+            right = ev[(idx + 1) % N_SAMPLES]
             here = ev[idx]
             if here <= left and here <= right:
                 lows.append(_refine_extremum(func, qs, idx, -1.0))
@@ -322,8 +303,6 @@ def band_structure(params: ModelParams, n_samples: int = 256) -> BandStructure:
         )
     return BandStructure(
         params=params,
-        q_grid=qs,
-        samples=samples,
         branch_edges=edges,
         bands=bands,
         gaps=tuple(gaps),

@@ -31,7 +31,7 @@ from .channels import (
     expansion_moment,
     find_channel_roots,
 )
-from .errors import ConditioningError, DegenerateBoundStateError, ParameterError
+from .errors import ConditioningError, ParameterError
 from .model import PARITY, ModelParams, bloch_matrices, contact_interaction, hop_blocks, site_residual
 
 __all__ = [
@@ -120,7 +120,7 @@ def _certify(E_b: float, roots, spectrum, params: ModelParams, gap_id: int) -> B
     mags = np.abs(eigs)
     k = int(np.argmin(mags))
     if mags[1 - k] < SIGMA_ACCEPT * max(mags.max(), params.g):
-        raise DegenerateBoundStateError(
+        raise ConditioningError(
             f"null space at E_b = {E_b} has dimension > 1 "
             f"(|eig S| = {mags[1 - k]:.3g}, {mags[k]:.3g}); refusing to pick"
         )
@@ -156,22 +156,19 @@ def _certify(E_b: float, roots, spectrum, params: ModelParams, gap_id: int) -> B
     )
 
 
-def find_bound_states(params: ModelParams, gap: Gap, *,
-                      tol_edge: float = None,
-                      sigma_accept: float = SIGMA_ACCEPT,
-                      residual_tol: float = RESIDUAL_TOL) -> list:
+def find_bound_states(params: ModelParams, gap: Gap) -> list:
     """All certified bound states inside one open gap, sorted by energy.
 
     Each eigenvalue of S(E) that changes sign between the inset gap ends
     holds one state, located by Brent's method and kept if it passes the
     residual certificate; an empty list is a valid outcome.  A sign change
-    where the eigenvalue stays above sigma_accept * max(|S|, g) is a pole
+    where the eigenvalue stays above SIGMA_ACCEPT * max(|S|, g) is a pole
     of S (a surface state of the half chain) or an unresolved zero, and
-    raises ConditioningError.
+    raises ConditioningError.  The search stays TOL_EDGE_FACTOR * g inside
+    the gap edges.
     """
     g = params.g
-    if tol_edge is None:
-        tol_edge = TOL_EDGE_FACTOR * g
+    tol_edge = TOL_EDGE_FACTOR * g
     if gap.hi - gap.lo <= 2.0 * tol_edge:
         raise ParameterError(
             f"gap [{gap.lo}, {gap.hi}] is narrower than twice the edge "
@@ -198,13 +195,13 @@ def find_bound_states(params: ModelParams, gap: Gap, *,
     for k in range(n_lo, n_hi):
         E_b = brentq(lambda E: eigs(E)[k], lo, hi, xtol=1e-13)
         at = eigs(E_b)
-        gate = sigma_accept * max(np.abs(at).max(), g)
+        gate = SIGMA_ACCEPT * max(np.abs(at).max(), g)
         if not abs(at[k]) < gate:
             raise ConditioningError(f"eigenvalue {k} of S(E) changes sign at E = {E_b} "
                                     f"but |eig| = {abs(at[k]):.3g} is not below "
                                     f"{gate:.3g}: a pole of S or an unresolved zero")
         state = _certify(E_b, *spectrum(E_b), params, gap.index)
-        if state.residual_max < residual_tol * g:
+        if state.residual_max < RESIDUAL_TOL * g:
             states.append(state)
     states.sort(key=lambda s: s.energy)
     return states

@@ -20,12 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .bands import BRANCHES, branch_energy, branch_energy_derivative, branch_vector, phase_fix
-from .errors import (
-    BandEdgeError,
-    ChannelCountError,
-    ConditioningError,
-    DegenerateParametersError,
-)
+from .errors import ConditioningError, DegenerateParametersError
 from .model import PARITY, ModelParams, bloch_matrices, contact_interaction, hop_blocks
 
 __all__ = [
@@ -179,7 +174,7 @@ def _pencil_eigs(a, params):
     order = np.argsort(np.arctan2(np.abs(alpha), np.abs(beta)))[1:-1]
     alpha, beta = alpha[order], beta[order]
     if abs(alpha[0]) <= np.finfo(float).eps * abs(beta[0]):
-        raise ChannelCountError(
+        raise DegenerateParametersError(
             "energy hits twice the detuning; the third channel degenerates"
         )
     return alpha / beta, vecs[:4, order]
@@ -196,13 +191,13 @@ def _open_channels(lam_abs, mult, E, params):
                 continue
             v = float(branch_energy_derivative(br, lam, params))
             if abs(v) <= floor:
-                raise BandEdgeError(
+                raise ConditioningError(
                     f"open channel {br} has vanishing group velocity at lam={lam:.6g}"
                 )
             if v > 0.0:
                 kept.append((br, lam, v))
     if len(kept) != mult:
-        raise ChannelCountError(
+        raise DegenerateParametersError(
             f"open root at |lam|={lam_abs:.6g} admits {len(kept)} outgoing "
             f"waves, expected {mult}"
         )
@@ -252,7 +247,7 @@ def find_channel_roots(E: float, params: ModelParams) -> list:
             )
         )
     if len(channels) != 3:
-        raise ChannelCountError(f"found {len(channels)} channels, expected 3")
+        raise DegenerateParametersError(f"found {len(channels)} channels, expected 3")
     norms = [np.linalg.norm(m, axis=1) for m in (a, b, c)]
     for root in channels:
         cos, sin = np.cos(root.lam), np.sin(root.lam)

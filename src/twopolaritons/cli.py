@@ -9,6 +9,8 @@ files no matter how many worker processes ran.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import logging
 import math
@@ -93,7 +95,6 @@ class RunConfig:
     jobs: int = None
     out: str = None
     fmt: str = "csv"
-    tolerances: dict = field(default_factory=dict)
     checks: tuple = None
     seed: int = None
     raw: dict = field(default_factory=dict)    # original range strings
@@ -116,8 +117,6 @@ def _meta_block(config: RunConfig, columns, extra=()) -> list:
         pairs.append(("q", config.raw.get(
             "q", ",".join(_fmt(q) for q in config.qs))))
     pairs.extend(extra)
-    for name, value in sorted(config.tolerances.items()):
-        pairs.append((name.replace("_", "-"), _fmt(value)))
     lines = [f"# twopol {config.subcommand}"]
     lines += [f"# {k} = {v}" for k, v in sorted(pairs)]
     lines.append("# columns: " + ",".join(columns))
@@ -134,13 +133,13 @@ def _emit(text: str, out: str):
 
 
 def _csv(config: RunConfig, columns, rows, extra=()) -> str:
-    lines = _meta_block(config, columns, extra)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join("" if v is None else
-                              v if isinstance(v, str) else _fmt(v)
-                              for v in row))
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    buf.write("\n".join(_meta_block(config, columns, extra)) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")     # quotes text with commas
+    writer.writerow(columns)
+    writer.writerows(["" if v is None else v if isinstance(v, str) else _fmt(v)
+                      for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _json_doc(config: RunConfig, columns, rows, gaps=None) -> str:
@@ -154,38 +153,28 @@ def _json_doc(config: RunConfig, columns, rows, gaps=None) -> str:
             for row in rows
         ],
     }
-    if config.tolerances:
-        doc["tolerances"] = dict(sorted(config.tolerances.items()))
     if gaps is not None:
         doc["gaps"] = gaps
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _gap_listing(deltas, xi, K):
-    listing = []
-    for d in deltas:
-        bs = band_structure(ModelParams(xi=xi, delta=float(d), K=K))
-        listing.append({
+def cmd_bands(config: RunConfig) -> int:
+    columns = ("delta", "aa_lo", "aa_hi", "ab_lo", "ab_hi", "bb_lo", "bb_hi")
+    rows, gaps = [], []
+    for d in config.deltas:
+        bs = band_structure(ModelParams(xi=config.xi, delta=float(d), K=config.K))
+        edges = bs.branch_edges
+        rows.append((float(d),
+                     edges["AA"][0], edges["AA"][1],
+                     edges["AB"][0], edges["AB"][1],
+                     edges["BB"][0], edges["BB"][1]))
+        gaps.append({
             "delta": float(d),
             "gaps": [
                 {"index": g.index, "lo": g.lo, "hi": g.hi}
                 for g in sorted(bs.gaps, key=lambda g: g.index)
             ],
         })
-    return listing
-
-
-def cmd_bands(config: RunConfig) -> int:
-    columns = ("delta", "aa_lo", "aa_hi", "ab_lo", "ab_hi", "bb_lo", "bb_hi")
-    rows = []
-    for d in config.deltas:
-        p = ModelParams(xi=config.xi, delta=float(d), K=config.K)
-        edges = band_structure(p).branch_edges
-        rows.append((float(d),
-                     edges["AA"][0], edges["AA"][1],
-                     edges["AB"][0], edges["AB"][1],
-                     edges["BB"][0], edges["BB"][1]))
-    gaps = _gap_listing(config.deltas, config.xi, config.K)
     if config.fmt == "json":
         _emit(_json_doc(config, columns, rows, gaps=gaps), config.out)
     else:
@@ -201,27 +190,26 @@ def cmd_bands(config: RunConfig) -> int:
 
 def cmd_bound(config: RunConfig) -> int:
     columns = ("delta", "gap_id", "E_b", "weight_p", "weight_d", "weight_t",
-               "kappa")
+               "kappa", "note")
     points = bound_sweep(config.xi, config.deltas, K=config.K,
-                         jobs=config.jobs, **config.tolerances)
+                         jobs=config.jobs)
     rows = []
     for pt in points:
         if pt.note:
             log.warning("skipped delta=%s: %s", _fmt(pt.delta), pt.note)
-        open_ids = {g.index: i for i, g in enumerate(pt.gaps)}
+        searched = {g.index: states for g, states in zip(pt.gaps, pt.states)}
+        refused = dict(pt.skipped)
         for gap_id in (1, 2):
-            if gap_id not in open_ids:
-                rows.append((pt.delta, float(gap_id),
-                             None, None, None, None, None))
-                continue
-            states = pt.states[open_ids[gap_id]]
-            if not states:
-                rows.append((pt.delta, float(gap_id),
-                             None, None, None, None, None))
+            states = searched.get(gap_id, ())
             for st in states:
                 rows.append((pt.delta, float(gap_id), st.energy,
                              st.weights[0], st.weights[1], st.weights[2],
-                             st.decay_rate))
+                             st.decay_rate, ""))
+            if not states:
+                # an empty row says why: no state, the refusal, or no gap
+                why = "no state" if gap_id in searched else refused.get(gap_id, "closed")
+                rows.append((pt.delta, float(gap_id),
+                             None, None, None, None, None, why))
     if config.fmt == "json":
         _emit(_json_doc(config, columns, rows), config.out)
     else:
@@ -261,9 +249,7 @@ def cmd_oracle(config: RunConfig) -> int:
     status = 0
     for d in config.deltas:
         p = ModelParams(xi=config.xi, delta=float(d), K=config.K)
-        bs = band_structure(p)
-        points = bound_sweep(config.xi, [float(d)], K=config.K,
-                             jobs=1, **config.tolerances)[0]
+        points = bound_sweep(config.xi, [float(d)], K=config.K, jobs=1)[0]
         if points.note:
             log.error("no oracle comparison at delta=%s: %s", _fmt(d), points.note)
             status = 1
@@ -318,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, q_flag=False, branch_flag=False, tol_flags=False,
-               rings_flag=False):
+    def common(p, q_flag=False, branch_flag=False, rings_flag=False):
         p.add_argument("--xi", required=True, help="photon hopping / g")
         p.add_argument("--K", default="0", help="total momentum (pi syntax ok)")
         p.add_argument("--delta", required=True,
@@ -336,13 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         if rings_flag:
             p.add_argument("--N", default="24,48",
                            help="comma-separated ring sizes")
-        if tol_flags:
-            p.add_argument("--tol-edge", type=float, default=None,
-                           help="band-edge inset of the bound-state search")
-            p.add_argument("--tol-sigma", type=float, default=None,
-                           help="relative |eigenvalue| of S a bound state must reach")
-            p.add_argument("--tol-residual", type=float, default=None,
-                           help="site-residual certificate threshold")
         p.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: all cores)")
         p.add_argument("--out", default=None, help="output path")
@@ -350,20 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("csv", "json"))
 
     common(sub.add_parser("bands", help="band edges and gaps over detuning"))
-    common(sub.add_parser("bound", help="bound-state branches over detuning"),
-           tol_flags=True)
+    common(sub.add_parser("bound", help="bound-state branches over detuning"))
     common(sub.add_parser("scatter", help="scattering coefficients"),
            q_flag=True, branch_flag=True)
     common(sub.add_parser("oracle", help="ring-ED cross-checks"),
-           tol_flags=True, rings_flag=True)
+           rings_flag=True)
 
     val = sub.add_parser("validate", help="run the self-check suite")
     val.add_argument("--checks", default=None,
                      help="comma-separated subset of: " + ",".join(CHECK_NAMES))
     val.add_argument("--seed", type=int, default=None)
     val.add_argument("--out", default=None, help="JSON report path")
-    val.add_argument("--format", dest="fmt", default="json",
-                     choices=("csv", "json"))
     return parser
 
 
@@ -376,8 +351,7 @@ def _resolve(parser, args) -> RunConfig:
             if unknown:
                 parser.error(f"unknown checks: {sorted(unknown)}")
         return RunConfig(subcommand="validate", xi=0.0, K=0.0, deltas=None,
-                         out=args.out, fmt=args.fmt, checks=checks,
-                         seed=args.seed)
+                         out=args.out, checks=checks, seed=args.seed)
     try:
         xi = float(args.xi)
         k = parse_angle(args.K)
@@ -392,23 +366,13 @@ def _resolve(parser, args) -> RunConfig:
             raise ValueError("ring sizes must be at least 3")
     except ValueError as exc:
         parser.error(str(exc))
-    tolerances = {}
-    for key, name in (("tol_edge", "tol_edge"),
-                      ("tol_sigma", "sigma_accept"),
-                      ("tol_residual", "residual_tol")):
-        value = getattr(args, key, None)
-        if value is not None:
-            if value <= 0:
-                parser.error(f"--{key.replace('_', '-')} must be positive")
-            tolerances[name] = value
     raw = {"K": args.K, "delta": args.delta}
     if getattr(args, "q", None) is not None:
         raw["q"] = args.q
     return RunConfig(
         subcommand=args.subcommand, xi=xi, K=k, deltas=deltas, qs=qs,
         branch=getattr(args, "branch", "AB"), ring_sizes=rings,
-        jobs=args.jobs, out=args.out, fmt=args.fmt, tolerances=tolerances,
-        raw=raw,
+        jobs=args.jobs, out=args.out, fmt=args.fmt, raw=raw,
     )
 
 
@@ -423,7 +387,6 @@ _COMMANDS = {
 _VALUE_FLAGS = frozenset({
     "--xi", "--K", "--delta", "--q", "--grid", "--jobs", "--out",
     "--format", "--branch", "--N", "--checks", "--seed",
-    "--tol-edge", "--tol-sigma", "--tol-residual",
 })
 
 

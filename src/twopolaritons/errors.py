@@ -1,4 +1,11 @@
-"""Exception types shared by the solver modules."""
+"""Exception types shared by the solver modules.
+
+Callers tell apart only what they handle differently: bad input
+(ParameterError), a point the channel problem cannot describe
+(DegenerateParametersError, skipped by the sweeps), a computation too
+ill-conditioned to trust (ConditioningError) and an oracle disagreement.
+The message of each names the specific reason.
+"""
 
 
 class TwoPolaritonError(Exception):
@@ -9,32 +16,21 @@ class ParameterError(TwoPolaritonError, ValueError):
     """Rejected model parameters (non-positive coupling, non-finite values)."""
 
 
-class DegenerateBranchError(TwoPolaritonError):
-    """Branch eigenvector requested where the closed form is ill-defined."""
-
-
-class BandEdgeError(TwoPolaritonError):
-    """Energy or momentum too close to a band edge for a reliable answer."""
-
-
-class ChannelCountError(TwoPolaritonError):
-    """Channel-root bookkeeping did not produce the expected three roots."""
-
-
 class DegenerateParametersError(TwoPolaritonError):
-    """Channel problem degenerated: the photon pair does not hop (xi = 0, K = pi)."""
+    """The channel problem degenerates at these parameters and energy.
+
+    The photon pair does not hop (xi = 0, K = pi), the energy hits twice
+    the detuning, or the open channels do not pair up into three.
+    """
 
 
 class ConditioningError(TwoPolaritonError):
-    """A linear solve or root pairing was too ill-conditioned to trust."""
+    """A solve, eigenvector or root was too ill-conditioned to trust.
 
-
-class MatchingError(TwoPolaritonError):
-    """The incident branch is not an open channel at its own energy."""
-
-
-class DegenerateBoundStateError(TwoPolaritonError):
-    """Bound-state null space has dimension != 1."""
+    Covers singular linear solves, collapsed branch splittings, vanishing
+    group velocities at a band edge, an incident branch that is not open,
+    poles of the contact matrix and degenerate bound-state null spaces.
+    """
 
 
 class OracleMismatchError(TwoPolaritonError):

@@ -41,8 +41,6 @@ __all__ = [
     "contact_interaction",
     "site_residual",
     "single_polariton_energy",
-    "single_polariton_mode",
-    "SinglePolaritonMode",
 ]
 
 SQRT2 = float(np.sqrt(2.0))
@@ -184,17 +182,6 @@ def site_residual(field, energy: float, l_range, params: ModelParams) -> np.ndar
     return np.linalg.norm(defect, axis=1)
 
 
-@dataclass(frozen=True)
-class SinglePolaritonMode:
-    """One-excitation Bloch mode: branch label, momentum, energy, amplitudes."""
-
-    kind: str
-    k: float
-    energy: float
-    tls_amp: float
-    photon_amp: float
-
-
 def single_polariton_energy(kind: str, k, params: ModelParams):
     """Dispersion of the upper ('A') or lower ('B') one-excitation branch."""
     if kind not in ("A", "B"):
@@ -203,14 +190,3 @@ def single_polariton_energy(kind: str, k, params: ModelParams):
     ph = 2.0 * params.xi * np.cos(k)
     return 0.5 * (ph + params.delta + sign * np.sqrt((ph - params.delta) ** 2 + 4.0 * params.g**2))
 
-
-def single_polariton_mode(kind: str, k: float, params: ModelParams) -> SinglePolaritonMode:
-    """Energy and (TLS, photon) amplitudes of a one-excitation Bloch mode."""
-    energy = float(single_polariton_energy(kind, k, params))
-    # Eigenvector of [[delta, g], [g, 2 xi cos k]] in the (TLS, photon) basis
-    # is proportional to (g, energy - delta); g > 0 keeps it non-degenerate
-    # and fixes the sign convention tls_amp > 0.
-    tls = params.g
-    photon = energy - params.delta
-    norm = np.hypot(tls, photon)
-    return SinglePolaritonMode(kind=kind, k=float(k), energy=energy, tls_amp=float(tls / norm), photon_amp=float(photon / norm))

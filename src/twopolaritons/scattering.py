@@ -19,7 +19,7 @@ import numpy as np
 
 from .bands import branch_energy, incident_state
 from .channels import _solve_regular, channel_expansion, contact_elimination, find_channel_roots
-from .errors import MatchingError, ParameterError
+from .errors import ConditioningError, ParameterError
 from .model import ModelParams, hop_blocks, site_residual
 
 __all__ = [
@@ -94,14 +94,13 @@ def probability_current(field, params: ModelParams) -> np.ndarray:
     return 2.0 * np.imag(np.einsum("li,ij,lj->l", np.conj(field[:-1]), hm, field[1:]))
 
 
-def solve_scattering(branch: str, q: float, params: ModelParams,
-                     l_check: int = L_CHECK) -> ScatteringSolution:
+def solve_scattering(branch: str, q: float, params: ModelParams) -> ScatteringSolution:
     """Solve for the outgoing amplitudes of an incident (branch, q) wave.
 
     The contact spinor solves the 2x2 contact problem C b_0 = r; a channel
     block or contact matrix singular to working precision raises
     ConditioningError.  The returned solution carries the site-residual and
-    flux certificates over |l| <= l_check.
+    flux certificates over |l| <= L_CHECK.
     """
     q = float(q)
     if not 0.0 < q < np.pi:
@@ -109,7 +108,7 @@ def solve_scattering(branch: str, q: float, params: ModelParams,
     E = float(branch_energy(branch, q, params))
     roots = find_channel_roots(E, params)
     if branch not in [r.branch for r in roots if r.is_open]:
-        raise MatchingError(
+        raise ConditioningError(
             f"incident branch {branch} is not an open channel at its own "
             f"energy; channels found: {[(r.branch, r.is_open) for r in roots]}"
         )
@@ -120,10 +119,10 @@ def solve_scattering(branch: str, q: float, params: ModelParams,
     scaled = w @ (contact - incident[0])
     amps = scaled / np.array([r.z for r in roots])
 
-    span = np.arange(-l_check - 1, l_check + 2)
+    span = np.arange(-L_CHECK - 1, L_CHECK + 2)
     wav = _assemble(span, branch, q, params, roots, scaled, contact)
-    res = site_residual(wav, E, (-l_check, l_check), params)
-    cur = probability_current(wav[l_check + 1:], params)    # sites 0 .. l_check + 1
+    res = site_residual(wav, E, (-L_CHECK, L_CHECK), params)
+    cur = probability_current(wav[L_CHECK + 1:], params)    # sites 0 .. L_CHECK + 1
 
     return ScatteringSolution(
         branch=branch, q=q, params=params, energy=E, roots=tuple(roots),

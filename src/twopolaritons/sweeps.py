@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bands import band_structure
 from .bound_states import find_bound_states
-from .errors import ChannelCountError, DegenerateParametersError, ParameterError, TwoPolaritonError
+from .errors import DegenerateParametersError, ParameterError, TwoPolaritonError
 from .model import ModelParams
 from .scattering import solve_scattering
 
@@ -32,11 +32,16 @@ class BoundSweepPoint:
     params: ModelParams
     gaps: tuple      # open gaps searched, ascending index
     states: tuple    # tuple of BoundState tuples, aligned with gaps
-    note: str        # why open gaps were skipped, "" if none was
+    skipped: tuple   # (gap index, reason) of each open gap refused
 
     @property
     def delta(self) -> float:
         return self.params.delta
+
+    @property
+    def note(self) -> str:
+        """Why open gaps were skipped, "" if none was."""
+        return "; ".join(f"gap {index}: {reason}" for index, reason in self.skipped)
 
 
 @dataclass(frozen=True)
@@ -56,22 +61,21 @@ class ScatterSweepPoint:
 
 # refusals of the point itself; a solver failure inside a gap (a pole of S,
 # a degenerate null space) would leave a wrong inventory, so it propagates
-_GAP_REFUSALS = (ParameterError, DegenerateParametersError, ChannelCountError)
+_GAP_REFUSALS = (ParameterError, DegenerateParametersError)
 
 
-def _bound_point(args) -> BoundSweepPoint:
-    params, overrides = args
+def _bound_point(params) -> BoundSweepPoint:
     gaps, states, skipped = [], [], []
     for gap in sorted(band_structure(params).gaps, key=lambda g: g.index):
         try:
-            found = find_bound_states(params, gap, **overrides)
+            found = find_bound_states(params, gap)
         except _GAP_REFUSALS as exc:
-            skipped.append(f"gap {gap.index}: {exc}")
+            skipped.append((gap.index, str(exc)))
             continue
         gaps.append(gap)
         states.append(tuple(found))
     return BoundSweepPoint(params=params, gaps=tuple(gaps),
-                           states=tuple(states), note="; ".join(skipped))
+                           states=tuple(states), skipped=tuple(skipped))
 
 
 def _scatter_point(args) -> ScatterSweepPoint:
@@ -97,17 +101,15 @@ def _run(fn, items, jobs):
         return pool.map(fn, items, chunksize=chunk)
 
 
-def bound_sweep(xi, deltas, K: float = 0.0, g: float = 1.0,
-                jobs=None, **overrides) -> list:
+def bound_sweep(xi, deltas, K: float = 0.0, jobs=None) -> list:
     """Bound states over a detuning grid; one point per delta, in order."""
-    items = [(ModelParams(xi=xi, delta=float(d), K=K, g=g), overrides)
-             for d in deltas]
+    items = [ModelParams(xi=xi, delta=float(d), K=K) for d in deltas]
     return _run(_bound_point, items, jobs)
 
 
 def scatter_sweep(branch: str, qs, deltas, xi, K: float = 0.0,
-                  g: float = 1.0, jobs=None) -> list:
+                  jobs=None) -> list:
     """Scattering solves on a (delta, q) grid, delta-major order."""
-    items = [(ModelParams(xi=xi, delta=float(d), K=K, g=g), branch, float(q))
+    items = [(ModelParams(xi=xi, delta=float(d), K=K), branch, float(q))
              for d in deltas for q in qs]
     return _run(_scatter_point, items, jobs)

@@ -18,6 +18,9 @@ solver's matching system:
   must decay at the rate kappa;
 - elastic AB scattering: the 1D contact law, with the contact fixed by the
   on-site JC level shift and the speed by the closed-form dispersion.
+
+Criteria 5 and 6 read the validation checks that own their invariants,
+through the session-wide ``check_result`` fixture, so each check runs once.
 """
 
 import math
@@ -27,27 +30,17 @@ import numpy as np
 import pytest
 
 from twopolaritons.bands import (
-    BRANCHES,
     band_structure,
     branch_energy,
     branch_energy_derivative,
     branch_vector,
 )
 from twopolaritons.bound_states import find_bound_states
-from twopolaritons.channels import find_channel_roots
-from twopolaritons.errors import TwoPolaritonError
-from twopolaritons.model import (
-    ModelParams,
-    bloch_matrix,
-    bloch_matrices,
-    hop_blocks,
-    single_polariton_energy,
-)
+from twopolaritons.model import ModelParams, hop_blocks
 from twopolaritons.ring_ed import (
     TwoExcitationBasis,
     build_hamiltonian,
     compare_bound_state,
-    jc_pair_levels,
     momentum_blocks,
 )
 from twopolaritons.scattering import solve_scattering
@@ -356,69 +349,26 @@ def test_criterion_4(bound_survey, scatter_survey):
     report("criterion 4", failures)
 
 
-def test_criterion_5():
-    """Structural invariants over 1000 randomized parameter draws."""
-    rng = np.random.default_rng(20260816)
-    t0 = time.perf_counter()
+def test_criterion_5(check_result):
+    """Structural invariants over 1000 randomized parameter draws.
+
+    The invariants are the validation checks below, each of which draws
+    1000 random parameter sets; the criterion reads their results.
+    """
     failures = []
-    worst = {"herm": 0.0, "norm": 0.0, "eig": 0.0, "swap": 0.0,
-             "sum_levels": 0.0, "trace": 0.0}
-    roots_ok = 0
-    skipped = 0
-    for _ in range(1000):
-        p = ModelParams(xi=rng.uniform(-1.0, 1.0),
-                        delta=rng.uniform(-5.0, 5.0),
-                        K=rng.uniform(-2.0 * np.pi, 2.0 * np.pi))
-        q = rng.uniform(0.0, np.pi)
-        m = bloch_matrix(p, q)
-        hp, hm = hop_blocks(p)
-        worst["herm"] = max(worst["herm"],
-                            np.abs(m - m.conj().T).max(),
-                            np.abs(hm - hp.conj().T).max())
-        for branch in BRANCHES:
-            vec = branch_vector(branch, q, p)
-            e = branch_energy(branch, q, p)
-            worst["norm"] = max(worst["norm"],
-                                abs(np.linalg.norm(vec) - 1.0))
-            worst["eig"] = max(worst["eig"],
-                               np.linalg.norm(m @ vec - e * vec))
-            u, v = branch
-            expect = single_polariton_energy(u, 0.5 * p.K + q, p) \
-                + single_polariton_energy(v, 0.5 * p.K - q, p)
-            worst["sum_levels"] = max(worst["sum_levels"], abs(e - expect))
-        worst["swap"] = max(worst["swap"],
-                            abs(branch_energy("AB", q, p)
-                                - branch_energy("BA", -q, p)))
-        trace_expect = 4.0 * p.delta \
-            + 8.0 * p.xi * np.cos(0.5 * p.K) * np.cos(q)
-        worst["trace"] = max(
-            worst["trace"],
-            abs(sum(branch_energy(b, q, p) for b in BRANCHES)
-                - trace_expect))
-        try:
-            channels = find_channel_roots(branch_energy("AB", q, p), p)
-        except TwoPolaritonError:
-            skipped += 1    # at or numerically against a degeneracy
-            continue
-        if len(channels) == 3:
-            roots_ok += 1
-        else:
-            failures.append(f"draw with {len(channels)} channel roots")
-    for key, tol in (("herm", 1e-12), ("norm", 1e-10), ("eig", 1e-10),
-                     ("swap", 1e-12), ("sum_levels", 1e-10),
-                     ("trace", 1e-12)):
-        if worst[key] >= tol:
-            failures.append(f"{key} defect {worst[key]:.3g} >= {tol:g}")
-    if roots_ok < 950:
-        failures.append(f"only {roots_ok}/1000 draws yielded three channel "
-                        f"roots ({skipped} skipped as degenerate)")
-    elapsed = time.perf_counter() - t0
+    elapsed = 0.0
+    for name in ("bloch-hermiticity", "branch-eigenstructure",
+                 "branch-symmetries", "channel-roots"):
+        result = check_result(name)
+        elapsed += result.seconds
+        if not result.passed:
+            failures.append(f"{name}: {result.detail}")
     if elapsed >= 20.0:
         failures.append(f"runtime {elapsed:.1f} s >= 20 s")
     report("criterion 5", failures)
 
 
-def test_criterion_6():
+def test_criterion_6(check_result):
     """Vanishing-hopping limits against the single-site level set."""
     failures = []
     p = ModelParams(xi=-1e-3)
@@ -432,15 +382,7 @@ def test_criterion_6():
             failures.append(f"bound energy {e:.8f} vs single-site doublet "
                             f"{target:+.8f}: |diff| {abs(e - target):.3g} "
                             f">= 1e-3")
-    for delta in (0.0, 0.6):
-        p0 = ModelParams(xi=0.0, delta=delta)
-        h = build_hamiltonian(8, p0)
-        evals = np.sort(np.linalg.eigvalsh(h.toarray()))
-        levels = jc_pair_levels(p0, 8)
-        expect = np.sort(np.repeat([e for e, _ in levels],
-                                   [mult for _, mult in levels]))
-        worst = np.abs(evals - expect).max()
-        if worst >= 1e-12:
-            failures.append(f"xi=0 spectrum vs closed-form levels at "
-                            f"delta={delta}: max |diff| {worst:.3g} >= 1e-12")
+    levels = check_result("ed-jc-levels")    # the xi = 0 ring spectrum
+    if not levels.passed:
+        failures.append(f"ed-jc-levels: {levels.detail}")
     report("criterion 6", failures)

@@ -1,11 +1,16 @@
-"""In-gap two-polariton bound states: detection, certification, composition."""
+"""In-gap two-polariton bound states: detection, certification, composition.
+
+The certificates of the reference states are asserted by the validation
+check bound-certificates; the test named after it here plants a fault and
+requires the check to fail.
+"""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from twopolaritons import bound_states, sweeps
+from twopolaritons import bound_states, sweeps, validation
 from twopolaritons.bands import band_structure
 from twopolaritons.bound_states import (
     build_bound_wavefunction,
@@ -13,9 +18,10 @@ from twopolaritons.bound_states import (
     rayleigh_quotient,
 )
 from twopolaritons.channels import contact_elimination, find_channel_roots
-from twopolaritons.errors import ConditioningError, DegenerateBoundStateError, ParameterError
+from twopolaritons.errors import ConditioningError, ParameterError, TwoPolaritonError
 from twopolaritons.model import PARITY, ModelParams
 from twopolaritons.sweeps import bound_sweep
+from twopolaritons.validation import run_checks
 
 # Frozen regression energies (g=1), found independently of the contact
 # matrix by a scan of the smallest singular value of an 8x5 least-squares
@@ -56,7 +62,7 @@ def contact(E, p):
     return contact_elimination(E, find_channel_roots(E, p), p)[1][:2, :2]
 
 
-def test_matching_matrix_shape():
+def test_contact_matrix_shape():
     # the matching system reduces to a 2x2 matrix on the contact slots
     p = ModelParams(xi=-0.2)
     state = find_bound_states(p, both_gaps(p).gaps[0])[0]
@@ -99,7 +105,7 @@ def test_sigma_contrast():
     assert away.min() > 1e-2 * p.g
 
 
-def test_matching_matrix_nondegenerate_nullspace():
+def test_contact_matrix_nondegenerate_nullspace():
     # exactly one eigenvalue of S vanishes at the bound energy
     p = ModelParams(xi=-0.2)
     bs = both_gaps(p)
@@ -150,14 +156,15 @@ def test_near_twice_detuning_certifies(xi, delta):
         assert states[0].residual_max < 1e-8
 
 
-def test_certificates():
-    p = ModelParams(xi=-0.2, delta=-2.0)
-    bs = both_gaps(p)
-    for gap in bs.gaps:
-        st = find_bound_states(p, gap)[0]
-        assert st.sigma_min < 1e-8
-        assert st.residual_max < 1e-8
-        assert abs(rayleigh_quotient(st) - st.energy) < 1e-8
+def test_certificates(monkeypatch):
+    # a state reported 1e-6 away from its energy keeps its wavefunction, so
+    # the Rayleigh quotient of that wavefunction must expose the shift
+    def shifted(params, gap):
+        return [dataclasses.replace(st, energy=st.energy + 1e-6)
+                for st in find_bound_states(params, gap)]
+
+    monkeypatch.setattr(validation, "find_bound_states", shifted)
+    assert not run_checks(["bound-certificates"])[0].passed
 
 
 def assert_chain_sums(st):
@@ -285,14 +292,16 @@ def test_atomic_limit():
     assert abs(energies[1] - np.sqrt(2.0)) < 1e-3
 
 
-def test_tolerance_override_plumbing():
+def test_tolerance_override_plumbing(monkeypatch):
     p = ModelParams(xi=-0.2)
     bs = both_gaps(p)
     gap = bs.gaps[0]
     # an absurdly tight acceptance gate must reject the genuine state,
     # and say so rather than return an empty gap
-    with pytest.raises(ConditioningError, match="not below"):
-        find_bound_states(p, gap, sigma_accept=1e-30)
+    with monkeypatch.context() as m:
+        m.setattr(bound_states, "SIGMA_ACCEPT", 1e-30)
+        with pytest.raises(ConditioningError, match="not below"):
+            find_bound_states(p, gap)
     # the default gate accepts it
     assert len(find_bound_states(p, gap)) == 1
 
@@ -317,11 +326,12 @@ def test_bound_sweep_skips_zone_boundary():
     assert ok.note == "" and len(ok.gaps) == 2
 
 
-@pytest.mark.parametrize("error", [ConditioningError, DegenerateBoundStateError])
+@pytest.mark.parametrize("error", [ConditioningError, TwoPolaritonError])
 def test_bound_sweep_propagates_solver_failures(monkeypatch, error):
-    # a failure inside a gap is not a refusal of the point: dropping the
-    # gap would report a wrong inventory, so the sweep raises
-    def fail(params, gap, **overrides):
+    # a failure inside a gap (a pole of S, a degenerate null space, any
+    # error but a refusal of the point) is not a refusal: dropping the gap
+    # would report a wrong inventory, so the sweep raises
+    def fail(params, gap):
         raise error(f"failed in gap {gap.index}")
 
     monkeypatch.setattr(sweeps, "find_bound_states", fail)

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, file formats, determinism, exit codes."""
 
+import csv
 import json
 import logging
 import math
@@ -7,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from twopolaritons import cli
+from twopolaritons import cli, sweeps
 from twopolaritons.cli import main, parse_angle, parse_values
 from twopolaritons.model import ModelParams
 from twopolaritons.sweeps import BoundSweepPoint
@@ -30,7 +31,7 @@ def read_csv(path):
         elif columns is None:
             columns = line.split(",")
         else:
-            rows.append(line.split(","))
+            rows.extend(csv.reader([line]))
     return meta, columns, rows
 
 
@@ -115,10 +116,11 @@ def test_bound_rows_and_weights(tmp_path):
                 "--out", str(out)]) == 0
     meta, columns, rows = read_csv(out)
     assert columns == ["delta", "gap_id", "E_b", "weight_p", "weight_d",
-                       "weight_t", "kappa"]
+                       "weight_t", "kappa", "note"]
     assert len(rows) == 6  # two gaps per detuning
     for row in rows:
-        vals = [float(v) for v in row]
+        assert row[7] == ""
+        vals = [float(v) for v in row[:7]]
         assert vals[1] in (1.0, 2.0)
         assert abs(vals[3] + vals[4] + vals[5] - 1.0) < 1e-9
         assert vals[6] > 0.0
@@ -135,7 +137,17 @@ def test_bound_emits_empty_rows_when_gaps_closed(tmp_path):
     _, _, rows = read_csv(out)
     assert len(rows) == 2
     for row in rows:
-        assert row[2:] == ["", "", "", "", ""]
+        assert row[2:] == ["", "", "", "", "", "closed"]
+
+
+def test_bound_note_for_open_gap_without_state(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweeps, "find_bound_states", lambda params, gap: [])
+    out = tmp_path / "bound.json"
+    assert run(["bound", "--xi", "-0.2", "--delta", "0", "--jobs", "1",
+                "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["gap_id"], r["E_b"], r["note"]) for r in rows] == [
+        (1.0, None, "no state"), (2.0, None, "no state")]
 
 
 def test_scatter_rows(tmp_path):
@@ -180,6 +192,10 @@ def test_bound_skips_zone_boundary(tmp_path, caplog):
     assert code == 0
     _, _, rows = read_csv(out)
     assert [r[2] for r in rows] == ["", ""]
+    # each row names the refusal, which holds a comma and is quoted
+    for row in rows:
+        assert "zone boundary K = pi" in row[7]
+    assert '"photon pair does not hop' in out.read_text()
     assert any("skipped delta=-2: gap 1" in rec.message
                and "zone boundary" in rec.message for rec in caplog.records)
 
@@ -188,7 +204,7 @@ def test_oracle_reports_skipped_gaps(tmp_path, caplog, monkeypatch):
     # a gap the sweep refuses has no oracle comparison: say so and fail
     def refused(xi, deltas, K=0.0, **kwargs):
         return [BoundSweepPoint(params=ModelParams(xi=xi, delta=d, K=K), gaps=(),
-                                states=(), note="gap 1: refused") for d in deltas]
+                                states=(), skipped=((1, "refused"),)) for d in deltas]
 
     monkeypatch.setattr(cli, "bound_sweep", refused)
     out = tmp_path / "oracle.csv"
@@ -227,12 +243,12 @@ def test_oracle_command(tmp_path):
 
 def test_validate_command(tmp_path):
     out = tmp_path / "report.json"
-    assert run(["validate", "--checks", "parity-conjugation,channel-roots",
+    assert run(["validate", "--checks", "parity-conjugation,ed-jc-levels",
                 "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
     assert [c["name"] for c in doc["checks"]] == ["parity-conjugation",
-                                                  "channel-roots"]
+                                                  "ed-jc-levels"]
 
 
 def test_validate_failure_exit_code(monkeypatch, tmp_path):

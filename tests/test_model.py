@@ -1,8 +1,16 @@
-"""Site-basis building blocks: parameters, Bloch blocks, residual operator."""
+"""Site-basis building blocks: parameters, Bloch blocks, residual operator.
+
+The symmetries of the Bloch blocks are asserted by the validation checks
+bloch-hermiticity and parity-conjugation; the tests named after them here
+plant a fault of the kind each guards and require the check to fail.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from twopolaritons import model
 from twopolaritons.bands import branch_energy, incident_state
 from twopolaritons.errors import ParameterError
 from twopolaritons.model import (
@@ -12,11 +20,10 @@ from twopolaritons.model import (
     bloch_matrices,
     bloch_matrix,
     contact_interaction,
-    hop_blocks,
     single_polariton_energy,
-    single_polariton_mode,
     site_residual,
 )
+from twopolaritons.validation import run_checks
 
 RNG = np.random.default_rng(11)
 
@@ -51,14 +58,27 @@ def test_parity_is_involution():
     assert np.array_equal(PARITY @ PARITY, np.eye(4))
 
 
-def test_block_symmetry():
-    for _ in range(50):
-        p = random_params(RNG)
-        m = bloch_matrices(p)
-        for block in (m.onsite, m.hop_cos, m.hop_sin):
-            assert np.array_equal(block, block.T)
-        hp, hm = hop_blocks(p)
-        assert np.abs(hm - hp.conj().T).max() == 0.0
+def tamper_blocks(monkeypatch, **changes):
+    """Make model.bloch_matrices return blocks edited by changes[name](block)."""
+    real = model.bloch_matrices
+
+    def tampered(params):
+        mats = real(params)
+        return dataclasses.replace(mats, **{name: edit(getattr(mats, name))
+                                            for name, edit in changes.items()})
+
+    monkeypatch.setattr(model, "bloch_matrices", tampered)
+
+
+def test_block_symmetry(monkeypatch):
+    # the blocks must be exactly symmetric: a 1e-13 defect in one entry fails
+    def skew(block):
+        out = block.copy()
+        out[0, 1] += 1e-13
+        return out
+
+    tamper_blocks(monkeypatch, onsite=skew)
+    assert not run_checks(["bloch-hermiticity"])[0].passed
 
 
 def test_hop_sin_vanishes_at_zero_momentum():
@@ -75,21 +95,16 @@ def test_tls_pair_component_does_not_hop():
         assert np.abs(m.hop_sin[3]).max() == 0.0
 
 
-def test_bloch_matrix_hermitian_real_momentum():
-    for _ in range(50):
-        p = random_params(RNG)
-        lam = RNG.uniform(-np.pi, np.pi)
-        m = bloch_matrix(p, lam)
-        assert np.abs(m - m.conj().T).max() < 1e-14
+def test_bloch_matrix_hermitian_real_momentum(monkeypatch):
+    # an imaginary sin block stays symmetric, but M(lam) stops being Hermitian
+    tamper_blocks(monkeypatch, hop_sin=lambda block: 1j * block)
+    assert not run_checks(["bloch-hermiticity"])[0].passed
 
 
-def test_bloch_matrix_parity_conjugation():
-    # Exchange of the two excitations maps relative momentum q to -q.
-    for _ in range(50):
-        p = random_params(RNG)
-        lam = RNG.uniform(-np.pi, np.pi)
-        lhs = PARITY @ bloch_matrix(p, lam) @ PARITY
-        assert np.abs(lhs - bloch_matrix(p, -lam)).max() < 1e-14
+def test_bloch_matrix_parity_conjugation(monkeypatch):
+    # exchange flips the antisymmetric slot only; a sign on the wrong slot fails
+    monkeypatch.setattr(model, "PARITY", np.diag([1.0, -1.0, 1.0, 1.0]))
+    assert not run_checks(["parity-conjugation"])[0].passed
 
 
 def test_bloch_matrix_trace_rule():
@@ -129,21 +144,6 @@ def test_single_polariton_trace_identity():
         total = single_polariton_energy("A", k, p) \
             + single_polariton_energy("B", k, p)
         assert abs(total - (2.0 * p.xi * np.cos(k) + p.delta)) < 1e-12
-
-
-def test_single_polariton_mode_eigenpair():
-    for _ in range(20):
-        p = random_params(RNG)
-        k = RNG.uniform(-np.pi, np.pi)
-        for kind in "AB":
-            mode = single_polariton_mode(kind, k, p)
-            h = np.array([
-                [2.0 * p.xi * np.cos(k), p.g],
-                [p.g, p.delta],
-            ])
-            vec = np.array([mode.photon_amp, mode.tls_amp])
-            assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-            assert np.linalg.norm(h @ vec - mode.energy * vec) < 1e-12
 
 
 def test_site_residual_window():

@@ -9,11 +9,10 @@ from twopolaritons import validation
 from twopolaritons.validation import CHECK_NAMES, CheckResult, run_checks
 
 
-def test_all_checks_pass():
-    results = run_checks()
-    assert len(results) == len(CHECK_NAMES)
-    for r in results:
-        assert r.passed, f"{r.name}: {r.detail}"
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_check_passes(check_result, name):
+    result = check_result(name)
+    assert result.passed, f"{name}: {result.detail}"
 
 
 def test_subset_selection_and_determinism():
