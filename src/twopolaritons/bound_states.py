@@ -32,7 +32,7 @@ from .channels import (
     find_channel_roots,
 )
 from .errors import ConditioningError, ParameterError
-from .model import PARITY, ModelParams, bloch_matrices, contact_interaction, hop_blocks, site_residual
+from .model import PARITY, ModelParams, bloch_matrices, contact_interaction, site_residual
 
 __all__ = [
     "BoundState",
@@ -224,8 +224,9 @@ def rayleigh_quotient(state: BoundState) -> float:
     g0 = np.outer(b0, np.conj(b0)) + m0 + PARITY @ m0 @ PARITY
     g1 = (m1 + np.outer(b1, np.conj(b0)) + np.outer(b0, np.conj(b1)) @ PARITY
           + PARITY @ np.conj(m1).T @ PARITY)
-    hp, hm = hop_blocks(params)
-    num = (np.trace(bloch_matrices(params).onsite @ g0)
+    mats = bloch_matrices(params)
+    hp, hm = mats.hop_blocks()
+    num = (np.trace(mats.onsite @ g0)
            + np.trace(hp @ np.conj(g1).T) + np.trace(hm @ g1)
            + np.conj(b0) @ contact_interaction(params) @ b0)
     return float(num.real / np.trace(g0).real)

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .bands import BRANCHES, branch_energy, branch_energy_derivative, branch_vector, phase_fix
 from .errors import ConditioningError, DegenerateParametersError
-from .model import PARITY, ModelParams, bloch_matrices, contact_interaction, hop_blocks
+from .model import PARITY, ModelParams, bloch_matrices, contact_interaction
 
 __all__ = [
     "TOL_OPEN",
@@ -113,8 +113,9 @@ def contact_elimination(E, roots, params, incident=None):
     free spinors (inc_0, inc_1); None, for a bound state, means zero.  An
     M_1 singular to working precision raises ConditioningError.
     """
-    a_e = bloch_matrices(params).onsite - E * np.eye(4)
-    hp, hm = hop_blocks(params)
+    mats = bloch_matrices(params)
+    a_e = mats.onsite - E * np.eye(4)
+    hp, hm = mats.hop_blocks()
     phi = np.array([r.vector for r in roots]).T
     z = np.array([r.z for r in roots])
     m1 = (a_e @ phi + hm @ phi * z)[:3]
@@ -135,11 +136,6 @@ def _solve_regular(m, rhs, what: str) -> np.ndarray:
     return np.linalg.solve(m, rhs)
 
 
-def _blocks_minus_e(E, params):
-    mats = bloch_matrices(params)
-    return mats.onsite - E * np.eye(4), mats.hop_cos, mats.hop_sin
-
-
 def _det_scale(norms, cos, sin):
     """Hadamard-style magnitude of det(a + b cos(lam) + c sin(lam)).
 
@@ -151,7 +147,7 @@ def _det_scale(norms, cos, sin):
     return float(np.prod(na + max(1.0, abs(cos)) * nb + max(1.0, abs(sin)) * nc))
 
 
-def _pencil_eigs(a, params):
+def _pencil_eigs(a, hp, hm):
     """The six channel eigenpairs (z, F) of the companion pencil, by |z|.
 
     With x = (F, z F) the quadratic (hp + a z + hm z^2) F = 0 reads
@@ -160,7 +156,6 @@ def _pencil_eigs(a, params):
     one structural z = 0 and one structural z = inf, dropped here.  The
     homogeneous form (alpha, beta) orders them without forming inf.
     """
-    hp, hm = hop_blocks(params)
     if np.linalg.matrix_rank(hm[:3, :3]) < 3:
         raise DegenerateParametersError(
             "photon pair does not hop: 2 xi cos(K/2) = 0 on the Brillouin "
@@ -227,8 +222,9 @@ def find_channel_roots(E: float, params: ModelParams) -> list:
     M(lam) - E at that root, which follows |cos lam| and |sin lam| as
     |z| -> 0.
     """
-    a, b, c = _blocks_minus_e(E, params)
-    z, vecs = _pencil_eigs(a, params)
+    mats = bloch_matrices(params)
+    a = mats.onsite - E * np.eye(4)
+    z, vecs = _pencil_eigs(a, *mats.hop_blocks())
     on_circle = np.abs(np.abs(z) - 1.0) <= TOL_OPEN
     decaying = (np.abs(z) < 1.0) & ~on_circle
     channels = []
@@ -248,10 +244,10 @@ def find_channel_roots(E: float, params: ModelParams) -> list:
         )
     if len(channels) != 3:
         raise DegenerateParametersError(f"found {len(channels)} channels, expected 3")
-    norms = [np.linalg.norm(m, axis=1) for m in (a, b, c)]
+    norms = [np.linalg.norm(m, axis=1) for m in (a, mats.hop_cos, mats.hop_sin)]
     for root in channels:
         cos, sin = np.cos(root.lam), np.sin(root.lam)
-        val = np.linalg.det(a + b * cos + c * sin)
+        val = np.linalg.det(a + mats.hop_cos * cos + mats.hop_sin * sin)
         scale = _det_scale(norms, cos, sin)
         if abs(val) > 1e-9 * scale:
             raise ConditioningError(

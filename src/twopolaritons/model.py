@@ -40,7 +40,6 @@ __all__ = [
     "hop_blocks",
     "contact_interaction",
     "site_residual",
-    "single_polariton_energy",
 ]
 
 SQRT2 = float(np.sqrt(2.0))
@@ -104,6 +103,12 @@ class BlochMatrices:
     hop_cos: np.ndarray
     hop_sin: np.ndarray
 
+    def hop_blocks(self):
+        """Hopping blocks (hp, hm) multiplying b_{l-1} and b_{l+1}."""
+        hp = 0.5 * (self.hop_cos + 1j * self.hop_sin)
+        hm = 0.5 * (self.hop_cos - 1j * self.hop_sin)
+        return hp, hm
+
 
 def bloch_matrices(params: ModelParams) -> BlochMatrices:
     """Build the three 4x4 blocks for the given parameters."""
@@ -132,11 +137,8 @@ def bloch_matrix(params: ModelParams, q) -> np.ndarray:
 
 
 def hop_blocks(params: ModelParams):
-    """Hopping blocks (hp, hm) multiplying b_{l-1} and b_{l+1}."""
-    m = bloch_matrices(params)
-    hp = 0.5 * (m.hop_cos + 1j * m.hop_sin)
-    hm = 0.5 * (m.hop_cos - 1j * m.hop_sin)
-    return hp, hm
+    """Hopping blocks (hp, hm) of the given parameters."""
+    return bloch_matrices(params).hop_blocks()
 
 
 def contact_interaction(params: ModelParams) -> np.ndarray:
@@ -169,10 +171,11 @@ def site_residual(field, energy: float, l_range, params: ModelParams) -> np.ndar
             f"sites {lo - 1}..{hi + 1} need {hi - lo + 3} spinors of 4 "
             f"components, got shape {field.shape}"
         )
-    hp, hm = hop_blocks(params)
+    mats = bloch_matrices(params)
+    hp, hm = mats.hop_blocks()
     mid = field[1:-1]
     defect = (
-        mid @ bloch_matrices(params).onsite.T
+        mid @ mats.onsite.T
         + field[:-2] @ hp.T
         + field[2:] @ hm.T
         - energy * mid
@@ -180,13 +183,3 @@ def site_residual(field, energy: float, l_range, params: ModelParams) -> np.ndar
     if lo <= 0 <= hi:
         defect[0 - lo] += contact_interaction(params) @ field[0 - lo + 1]
     return np.linalg.norm(defect, axis=1)
-
-
-def single_polariton_energy(kind: str, k, params: ModelParams):
-    """Dispersion of the upper ('A') or lower ('B') one-excitation branch."""
-    if kind not in ("A", "B"):
-        raise ValueError(f"branch kind must be 'A' or 'B', got {kind!r}")
-    sign = 1.0 if kind == "A" else -1.0
-    ph = 2.0 * params.xi * np.cos(k)
-    return 0.5 * (ph + params.delta + sign * np.sqrt((ph - params.delta) ** 2 + 4.0 * params.g**2))
-

@@ -34,49 +34,60 @@ __all__ = [
 ]
 
 
+FAMILIES = ("pp", "mix", "tt")
+
+
 class TwoExcitationBasis:
     """Ordered basis of the N = 2 polariton sector on a ring.
 
     Three families: photon pairs a_m+ a_n+ |G> with m <= n (the m = n
     state carries 1/sqrt(2)), photon-TLS products over all (m, n), and
-    TLS pairs with m < n (one TLS cannot be excited twice).
+    TLS pairs with m < n (one TLS cannot be excited twice).  Each family
+    is ordered by (m, n), so every index is closed-form; the lookups take
+    site arrays and wrap them onto the ring.
     """
 
     def __init__(self, N: int):
         if N < 3:
             raise ParameterError(f"ring needs at least 3 cavities, got {N}")
         self.N = int(N)
-        self.states = []
-        for m in range(N):
-            for n in range(m, N):
-                self.states.append(("pp", m, n))
-        for m in range(N):
-            for n in range(N):
-                self.states.append(("mix", m, n))
-        for m in range(N):
-            for n in range(m + 1, N):
-                self.states.append(("tt", m, n))
-        self.index = {s: i for i, s in enumerate(self.states)}
-        self.dim = len(self.states)
-        assert self.dim == 2 * N * N
+        self.dim = 2 * self.N * self.N
+        self._pairs = self.N * (self.N + 1) // 2
 
-    def pp(self, m: int, n: int) -> int:
-        m, n = m % self.N, n % self.N
-        return self.index[("pp", min(m, n), max(m, n))]
+    @property
+    def states(self) -> list:
+        """Every state as (family, m, n), in basis order."""
+        return [(kind, int(m), int(n)) for kind in FAMILIES
+                for m, n in zip(*self.sites(kind))]
 
-    def mix(self, photon: int, tls: int) -> int:
-        return self.index[("mix", photon % self.N, tls % self.N)]
+    def sites(self, kind: str):
+        """Site arrays (m, n) of one family's states, in basis order."""
+        if kind == "mix":
+            return np.divmod(np.arange(self.N * self.N), self.N)
+        return np.triu_indices(self.N, 0 if kind == "pp" else 1)
 
-    def tt(self, m: int, n: int) -> int:
-        m, n = m % self.N, n % self.N
-        return self.index[("tt", min(m, n), max(m, n))]
+    def _ordered(self, m, n):
+        m, n = np.mod(m, self.N), np.mod(n, self.N)
+        return np.minimum(m, n), np.maximum(m, n)
 
-    def translate(self, i: int) -> int:
-        kind, m, n = self.states[i]
-        m, n = (m + 1) % self.N, (n + 1) % self.N
-        if kind != "mix" and m > n:
-            m, n = n, m
-        return self.index[(kind, m, n)]
+    def pp(self, m, n):
+        a, b = self._ordered(m, n)
+        return a * self.N - a * (a - 1) // 2 + (b - a)
+
+    def mix(self, photon, tls):
+        return self._pairs + np.mod(photon, self.N) * self.N + np.mod(tls, self.N)
+
+    def tt(self, m, n):
+        a, b = self._ordered(m, n)
+        if np.any(a == b):
+            raise ValueError("one TLS cannot be excited twice")
+        return (self._pairs + self.N * self.N + a * (self.N - 1)
+                - a * (a - 1) // 2 + (b - a - 1))
+
+    def translate(self, i):
+        """Index of state(s) i moved one site along the ring."""
+        moved = [getattr(self, kind)(*np.add(self.sites(kind), 1)) for kind in FAMILIES]
+        return np.concatenate(moved)[i]
 
 
 def build_hamiltonian(N: int, params: ModelParams) -> sp.csr_matrix:
@@ -85,9 +96,11 @@ def build_hamiltonian(N: int, params: ModelParams) -> sp.csr_matrix:
     Element conventions: photon energy is the zero of the rotating frame,
     a TLS excitation costs delta, the vertical coupling is g with the
     sqrt(2) enhancement on doubly occupied photon states, and photons hop
-    with amplitude xi between neighbors.  Both orientations of every
-    off-diagonal element are generated independently, so Hermiticity of
-    the result checks the matrix-element algebra.
+    with amplitude xi between neighbors.  Each column's elements are
+    generated from that column's state, one family at a time, so both
+    orientations of every off-diagonal element are generated
+    independently and Hermiticity of the result checks the matrix-element
+    algebra.
     """
     basis = TwoExcitationBasis(N)
     g, xi, delta = params.g, params.xi, params.delta
@@ -96,38 +109,41 @@ def build_hamiltonian(N: int, params: ModelParams) -> sp.csr_matrix:
     def put(r, c, v):
         rows.append(r)
         cols.append(c)
-        vals.append(v)
+        vals.append(np.broadcast_to(v, np.shape(c)))
 
-    for col, (kind, m, n) in enumerate(basis.states):
-        if kind == "pp":
-            if m == n:
-                put(basis.mix(m, m), col, SQRT2 * g)
-                for step in (1, -1):
-                    put(basis.pp(m + step, m), col, SQRT2 * xi)
-            else:
-                put(basis.mix(n, m), col, g)
-                put(basis.mix(m, n), col, g)
-                for site, other in ((m, n), (n, m)):
-                    for step in (1, -1):
-                        dest = (site + step) % N
-                        amp = SQRT2 * xi if dest == other else xi
-                        put(basis.pp(dest, other), col, amp)
-        elif kind == "mix":
-            put(col, col, delta)
-            if m == n:
-                put(basis.pp(m, m), col, SQRT2 * g)
-            else:
-                put(basis.pp(m, n), col, g)
-                put(basis.tt(m, n), col, g)
-            for step in (1, -1):
-                put(basis.mix(m + step, n), col, xi)
-        else:
-            put(col, col, 2.0 * delta)
-            put(basis.mix(m, n), col, g)
-            put(basis.mix(n, m), col, g)
+    m, n = basis.sites("pp")
+    col = basis.pp(m, n)
+    one = m == n
+    put(basis.mix(m[one], m[one]), col[one], SQRT2 * g)
+    for step in (1, -1):
+        put(basis.pp(m[one] + step, m[one]), col[one], SQRT2 * xi)
+    m, n, col = m[~one], n[~one], col[~one]
+    put(basis.mix(n, m), col, g)
+    put(basis.mix(m, n), col, g)
+    for site, other in ((m, n), (n, m)):
+        for step in (1, -1):
+            dest = (site + step) % N
+            put(basis.pp(dest, other), col, np.where(dest == other, SQRT2 * xi, xi))
+
+    m, n = basis.sites("mix")
+    col = basis.mix(m, n)
+    put(col, col, delta)
+    one = m == n
+    put(basis.pp(m[one], m[one]), col[one], SQRT2 * g)
+    put(basis.pp(m[~one], n[~one]), col[~one], g)
+    put(basis.tt(m[~one], n[~one]), col[~one], g)
+    for step in (1, -1):
+        put(basis.mix(m + step, n), col, xi)
+
+    m, n = basis.sites("tt")
+    col = basis.tt(m, n)
+    put(col, col, 2.0 * delta)
+    put(basis.mix(m, n), col, g)
+    put(basis.mix(n, m), col, g)
 
     h = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(basis.dim, basis.dim), dtype=float
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(basis.dim, basis.dim), dtype=float,
     )
     h.sum_duplicates()
     return h
@@ -135,11 +151,9 @@ def build_hamiltonian(N: int, params: ModelParams) -> sp.csr_matrix:
 
 def translation_operator(N: int) -> sp.csr_matrix:
     basis = TwoExcitationBasis(N)
-    rows = [basis.translate(i) for i in range(basis.dim)]
-    return sp.csr_matrix(
-        (np.ones(basis.dim), (rows, np.arange(basis.dim))),
-        shape=(basis.dim, basis.dim),
-    )
+    cols = np.arange(basis.dim)
+    return sp.csr_matrix((np.ones(basis.dim), (basis.translate(cols), cols)),
+                         shape=(basis.dim, basis.dim))
 
 
 @dataclass(frozen=True)
@@ -159,20 +173,27 @@ class MomentumSector:
 
 
 def _orbits(basis: TwoExcitationBasis):
-    seen = np.zeros(basis.dim, dtype=bool)
-    orbits = []
-    for start in range(basis.dim):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        i = basis.translate(start)
-        while i != start:
-            seen[i] = True
-            cycle.append(i)
-            i = basis.translate(i)
-        orbits.append(cycle)
-    return orbits
+    """Translation orbits as the powers T^j of each orbit's first state.
+
+    Each orbit's lowest index is a state (0, d): d <= N/2 for the unordered
+    pairs, any d for photon-TLS products.  Taken in basis order they start
+    the orbits in the order a scan of the basis meets them.  Returns the
+    member states orbit by orbit, each member's power j and each orbit's
+    length: N, or N/2 for an unordered pair at antipodal separation.
+    """
+    N, half = basis.N, basis.N // 2
+    first = np.concatenate([basis.pp(0, np.arange(half + 1)),
+                            basis.mix(0, np.arange(N)),
+                            basis.tt(0, np.arange(1, half + 1))])
+    step = basis.translate(np.arange(basis.dim))
+    powers = np.empty((N, first.size), dtype=int)
+    powers[0] = first
+    for j in range(1, N):
+        powers[j] = step[powers[j - 1]]
+    back = powers[1:] == first
+    length = np.where(back.any(axis=0), back.argmax(axis=0) + 1, N)
+    member = np.arange(N)[:, None] < length
+    return powers.T[member.T], np.nonzero(member.T)[1], length
 
 
 def momentum_blocks(h: sp.spmatrix, N: int, only=None) -> list:
@@ -192,24 +213,19 @@ def momentum_blocks(h: sp.spmatrix, N: int, only=None) -> list:
         raise RuntimeError(
             f"Hamiltonian does not commute with translation: |[H,T]| = {norm:.3g}"
         )
-    orbits = _orbits(basis)
+    states, power, length = _orbits(basis)
+    orbit = np.repeat(np.arange(length.size), length)
     wanted = range(N) if only is None else only
     sectors = []
     for n in wanted:
         k = 2.0 * math.pi * n / N
-        cols_r, cols_c, cols_v = [], [], []
-        j = 0
-        for cycle in orbits:
-            length = len(cycle)
-            if (n * length) % N != 0:
-                continue
-            phase = np.exp(-1j * k * np.arange(length)) / math.sqrt(length)
-            cols_r.extend(cycle)
-            cols_c.extend([j] * length)
-            cols_v.extend(phase)
-            j += 1
+        kept = (n * length) % N == 0
+        col = np.cumsum(kept) - 1
+        rows = kept[orbit]
+        phase = np.exp(-1j * k * power[rows]) / np.sqrt(length[orbit[rows]])
         proj = sp.csr_matrix(
-            (cols_v, (cols_r, cols_c)), shape=(basis.dim, j), dtype=complex
+            (phase, (states[rows], col[orbit[rows]])),
+            shape=(basis.dim, int(kept.sum())), dtype=complex,
         )
         block = (proj.getH() @ (h @ proj)).toarray()
         herm = np.abs(block - block.conj().T).max()
@@ -226,6 +242,14 @@ def momentum_blocks(h: sp.spmatrix, N: int, only=None) -> list:
     return sectors
 
 
+def _ring_sector(K: float, N: int) -> int:
+    """Sector n with 2 pi n / N = K, or ParameterError."""
+    n_k = K * N / (2.0 * math.pi)
+    if abs(n_k - round(n_k)) > 1e-9:
+        raise ParameterError(f"K = {K} is not a ring momentum for N = {N}")
+    return int(round(n_k)) % N
+
+
 def ring_embedding(state: BoundState, N: int) -> np.ndarray:
     """Wrap the infinite-chain bound state onto the ring basis.
 
@@ -236,31 +260,23 @@ def ring_embedding(state: BoundState, N: int) -> np.ndarray:
     Returned vector is unnormalized.
     """
     params = state.params
-    n_k = params.K * N / (2.0 * math.pi)
-    if abs(n_k - round(n_k)) > 1e-9:
-        raise ParameterError(
-            f"K = {params.K} is not a ring momentum for N = {N}"
-        )
+    _ring_sector(params.K, N)
     basis = TwoExcitationBasis(N)
     span = max(int(math.ceil(40.0 / state.decay_rate)), 2 * N)
     ls = np.arange(-span, span + 1)
-    betas = state.wavefunction(ls)
+    p, d_sym, d_asy, t = state.wavefunction(ls).T[:, :, None]
+    l = ls[:, None]
+    com = np.exp(1j * (params.K * np.arange(N) + 0.5 * params.K * l))
+    # (l, m) grid of the pair on sites m and m + l
+    m, other = np.broadcast_arrays(np.arange(N), np.arange(N) + l)
+    apart, ring = (np.broadcast_to(mask, m.shape) for mask in (l != 0, l % N != 0))
     psi = np.zeros(basis.dim, dtype=complex)
-    half_k = 0.5 * params.K
-    for l, beta in zip(ls, betas):
-        p, d_sym, d_asy, t = beta
-        for m in range(N):
-            com = np.exp(1j * (params.K * m + half_k * l))
-            other = m + l
-            if l == 0:
-                psi[basis.pp(m, m)] += com * SQRT2 * p
-                psi[basis.mix(m, m)] += com * SQRT2 * d_sym
-                continue
-            psi[basis.pp(m, other)] += com * p
-            psi[basis.mix(m, other)] += com * (d_sym + d_asy) / SQRT2
-            psi[basis.mix(other, m)] += com * (d_sym - d_asy) / SQRT2
-            if (other - m) % N != 0:
-                psi[basis.tt(m, other)] += com * t
+    np.add.at(psi, basis.pp(m, other), np.where(apart, com * p, com * SQRT2 * p))
+    np.add.at(psi, basis.mix(m, other), np.where(
+        apart, com * (d_sym + d_asy) / SQRT2, com * SQRT2 * d_sym))
+    np.add.at(psi, basis.mix(other[apart], m[apart]),
+              (com * (d_sym - d_asy) / SQRT2)[apart])
+    np.add.at(psi, basis.tt(m[ring], other[ring]), (com * t)[ring])
     return psi
 
 
@@ -289,13 +305,8 @@ def compare_bound_state(analytic: BoundState, N_list) -> tuple:
         )
     rows = []
     for N in N_list:
-        n_k = params.K * N / (2.0 * math.pi)
-        if abs(n_k - round(n_k)) > 1e-9:
-            raise ParameterError(
-                f"K = {params.K} is not a ring momentum for N = {N}"
-            )
         h = build_hamiltonian(N, params)
-        sector = momentum_blocks(h, N, only=[int(round(n_k)) % N])[0]
+        sector = momentum_blocks(h, N, only=[_ring_sector(params.K, N)])[0]
         inside = (sector.eigenvalues > gap.lo) & (sector.eigenvalues < gap.hi)
         if not inside.any():
             raise OracleMismatchError(
@@ -349,25 +360,17 @@ def band_edge_check(params: ModelParams, N: int) -> EdgeCheckReport:
     violations, in_gap = [], []
     band_counts = [0] * len(bands.bands)
     for e in sector.eigenvalues:
-        picked = False
         for i, band in enumerate(bands.bands):
             if band.lo - tol <= e <= band.hi + tol:
                 band_counts[i] += 1
-                picked = True
                 break
-        if picked:
-            continue
-        gap = bands.gap_at(e)
-        if gap is not None and gap.contains(e, margin=tol):
-            in_gap.append(float(e))
         else:
-            violations.append(float(e))
+            gap = bands.gap_at(e)
+            deep = gap is not None and gap.contains(e, margin=tol)
+            (in_gap if deep else violations).append(float(e))
     return EdgeCheckReport(
-        N=int(N),
-        violations=tuple(violations),
-        in_gap=tuple(in_gap),
-        expected_bound_count=int(expected),
-        band_counts=tuple(band_counts),
+        N=int(N), violations=tuple(violations), in_gap=tuple(in_gap),
+        expected_bound_count=int(expected), band_counts=tuple(band_counts),
     )
 
 
@@ -382,14 +385,8 @@ def jc_pair_levels(params: ModelParams, N: int) -> tuple:
     one = [0.5 * (d + s * math.sqrt(d * d + 4.0 * g * g)) for s in (1, -1)]
     two = [0.5 * (d + s * math.sqrt(d * d + 8.0 * g * g)) for s in (1, -1)]
     pairs = N * (N - 1) // 2
-    raw = [
-        (one[0] + one[0], pairs),
-        (one[0] + one[1], 2 * pairs),
-        (one[1] + one[1], pairs),
-        (two[0], N),
-        (two[1], N),
-    ]
-    raw.sort()
+    raw = sorted([(one[0] + one[0], pairs), (one[0] + one[1], 2 * pairs),
+                  (one[1] + one[1], pairs), (two[0], N), (two[1], N)])
     merged = []
     for e, mult in raw:
         if merged and abs(e - merged[-1][0]) < 1e-12 * max(1.0, params.g):

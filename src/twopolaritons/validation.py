@@ -28,6 +28,7 @@ from .ring_ed import (
     compare_bound_state,
     jc_pair_levels,
     momentum_blocks,
+    ring_embedding,
     translation_operator,
 )
 from .scattering import solve_scattering
@@ -66,7 +67,7 @@ def _check_bloch_hermiticity(rng):
         mats = model.bloch_matrices(p)
         for block in (mats.onsite, mats.hop_cos, mats.hop_sin):
             asym = max(asym, np.abs(block - block.T).max())
-        hp, hm = model.hop_blocks(p)
+        hp, hm = mats.hop_blocks()
         asym = max(asym, np.abs(hm - hp.conj().T).max())
         m = model.bloch_matrix(p, rng.uniform(-np.pi, np.pi))
         worst = max(worst, np.abs(m - m.conj().T).max())
@@ -256,29 +257,33 @@ def _check_bound_certificates(rng):
 def _check_ed_construction(rng):
     # both orientations of every element are written independently, so H
     # must be exactly symmetric; T must be an exact permutation commuting
-    # exactly with H, and the momentum sectors must rebuild the spectrum
+    # exactly with H, and the momentum sectors must rebuild the spectrum.
+    # Antipodal pairs, whose orbits are short, exist on the even ring only.
     if TwoExcitationBasis(3).dim != 18:
         return False, "N=3 basis dimension is not 18"
     p = _draw_params(rng, k_zero=True)
-    h = build_hamiltonian(8, p)
-    defect = (h - h.T)
-    if defect.nnz:
-        return False, f"H not exactly symmetric, {defect.nnz} entries differ"
-    t1 = translation_operator(8)
-    t = t1.toarray()
-    perm = ((t == 0.0) | (t == 1.0)).all() and (t.sum(axis=0) == 1.0).all() \
-        and (t.sum(axis=1) == 1.0).all()
-    if not perm:
-        return False, "translation operator is not a permutation"
-    comm = abs(h @ t1 - t1 @ h).max()
-    sectors = momentum_blocks(h, 8)
-    dims = sum(s.dim for s in sectors)
-    full = np.sort(np.linalg.eigvalsh(h.toarray()))
-    split = np.sort(np.concatenate([s.eigenvalues for s in sectors]))
-    mismatch = np.abs(full - split).max()
-    ok = comm == 0.0 and dims == 128 and mismatch < 1e-10
-    return ok, (f"commutator {comm:.3g}, sector dims {dims}/128, "
-                f"sector-vs-full spectrum defect {mismatch:.3g}")
+    comm, mismatch = 0.0, 0.0
+    for n, dim in ((7, 98), (8, 128)):
+        h = build_hamiltonian(n, p)
+        defect = (h - h.T)
+        if defect.nnz:
+            return False, f"H not exactly symmetric at N={n}, {defect.nnz} entries differ"
+        t1 = translation_operator(n)
+        t = t1.toarray()
+        perm = ((t == 0.0) | (t == 1.0)).all() and (t.sum(axis=0) == 1.0).all() \
+            and (t.sum(axis=1) == 1.0).all()
+        if not perm:
+            return False, f"translation operator at N={n} is not a permutation"
+        comm = max(comm, abs(h @ t1 - t1 @ h).max())
+        sectors = momentum_blocks(h, n)
+        if sum(s.dim for s in sectors) != dim:
+            return False, f"sector dims {sum(s.dim for s in sectors)}/{dim} at N={n}"
+        full = np.sort(np.linalg.eigvalsh(h.toarray()))
+        split = np.sort(np.concatenate([s.eigenvalues for s in sectors]))
+        mismatch = max(mismatch, np.abs(full - split).max())
+    ok = comm == 0.0 and mismatch < 1e-10
+    return ok, (f"commutator {comm:.3g}, sector dims 98 at N=7 and 128 at "
+                f"N=8, sector-vs-full spectrum defect {mismatch:.3g}")
 
 
 def _check_ed_jc_levels(rng):
@@ -300,18 +305,24 @@ def _check_ed_jc_levels(rng):
 
 
 def _check_ed_bound_agreement(rng):
+    # each K = 0 embedding must also be invariant under the ring translation
     p = ModelParams(xi=-0.2, delta=0.0, K=0.0)
-    worst_err, worst_ov, growth = 0.0, 1.0, 0.0
+    worst_err, worst_ov, growth, worst_t = 0.0, 1.0, 0.0, 0.0
     for gap in band_structure(p).gaps:
         for st in find_bound_states(p, gap):
             r12, r24 = compare_bound_state(st, [12, 24])
             worst_err = max(worst_err, r24.error)
             worst_ov = min(worst_ov, r24.overlap)
             growth = max(growth, r24.error - r12.error)
-    ok = worst_err < 1e-8 and worst_ov > 0.9999 and growth <= 0.0
+            for n in (12, 24):
+                psi = ring_embedding(st, n)
+                worst_t = max(worst_t, np.linalg.norm(translation_operator(n) @ psi - psi)
+                              / np.linalg.norm(psi))
+    ok = worst_err < 1e-8 and worst_ov > 0.9999 and growth <= 0.0 \
+        and worst_t <= 1e-13
     return ok, (f"max |E_ED - E_b| {worst_err:.3g}, min overlap "
                 f"{worst_ov:.10f} at N=24; error growth from N=12 "
-                f"{growth:.3g}")
+                f"{growth:.3g}; max |T psi - psi|/|psi| {worst_t:.3g}")
 
 
 def _check_ed_band_edges(rng):

@@ -1,8 +1,9 @@
 """Site-basis building blocks: parameters, Bloch blocks, residual operator.
 
 The symmetries of the Bloch blocks are asserted by the validation checks
-bloch-hermiticity and parity-conjugation; the tests named after them here
-plant a fault of the kind each guards and require the check to fail.
+bloch-hermiticity and parity-conjugation, the one-excitation dressed levels
+by branch-symmetries; the tests named after them here plant a fault of the
+kind each guards and require the check to fail.
 """
 
 import dataclasses
@@ -10,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from twopolaritons import model
+from twopolaritons import bands, model
 from twopolaritons.bands import branch_energy, incident_state
 from twopolaritons.errors import ParameterError
 from twopolaritons.model import (
@@ -20,7 +21,6 @@ from twopolaritons.model import (
     bloch_matrices,
     bloch_matrix,
     contact_interaction,
-    single_polariton_energy,
     site_residual,
 )
 from twopolaritons.validation import run_checks
@@ -123,27 +123,25 @@ def test_contact_block():
     assert np.array_equal(v, expect)
 
 
-def test_single_polariton_dispersion():
-    # Dressed branches = eigenvalues of the 2x2 photon/TLS block at each k.
-    for _ in range(50):
-        p = random_params(RNG)
-        k = RNG.uniform(-np.pi, np.pi)
-        h = np.array([
-            [2.0 * p.xi * np.cos(k), p.g],
-            [p.g, p.delta],
-        ])
-        lo, hi = np.linalg.eigvalsh(h)
-        assert abs(single_polariton_energy("A", k, p) - hi) < 1e-12
-        assert abs(single_polariton_energy("B", k, p) - lo) < 1e-12
+def tamper_dressed(monkeypatch, edit):
+    """Make bands.dressed_energy(kind, x, y, g) return dressed(kind, *edit(x, y, g))."""
+    real = bands.dressed_energy
+    monkeypatch.setattr(bands, "dressed_energy",
+                        lambda kind, x, y, g: real(kind, *edit(x, y, g)))
 
 
-def test_single_polariton_trace_identity():
-    for _ in range(50):
-        p = random_params(RNG)
-        k = RNG.uniform(-np.pi, np.pi)
-        total = single_polariton_energy("A", k, p) \
-            + single_polariton_energy("B", k, p)
-        assert abs(total - (2.0 * p.xi * np.cos(k) + p.delta)) < 1e-12
+def test_single_polariton_dispersion(monkeypatch):
+    # the dressed levels must be the eigenvalues of the 2x2 photon/TLS block:
+    # a coupling off by 1e-11 relative fails the branch-sum clause
+    tamper_dressed(monkeypatch, lambda x, y, g: (x, y, g * (1.0 + 1e-11)))
+    assert not run_checks(["branch-symmetries"])[0].passed
+
+
+def test_single_polariton_trace_identity(monkeypatch):
+    # the two dressed levels sum to the trace of the block: shifting both
+    # bare levels by 1e-11 fails it
+    tamper_dressed(monkeypatch, lambda x, y, g: (x + 1e-11, y + 1e-11, g))
+    assert not run_checks(["branch-symmetries"])[0].passed
 
 
 def test_site_residual_window():

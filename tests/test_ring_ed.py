@@ -31,11 +31,10 @@ def test_basis_dimension_and_roundtrip():
     for n in (3, 5, 8):
         basis = TwoExcitationBasis(n)
         assert basis.dim == 2 * n * n
-        seen = set()
-        for i, state in enumerate(basis.states):
-            assert basis.index[state] == i
-            seen.add(state)
-        assert len(seen) == basis.dim
+        # the closed-form lookups invert the enumeration
+        for i, (kind, m, n) in enumerate(basis.states):
+            assert getattr(basis, kind)(m, n) == i
+        assert len(set(basis.states)) == basis.dim
     with pytest.raises(ParameterError):
         TwoExcitationBasis(2)
 
@@ -140,6 +139,17 @@ def test_compare_bound_state_converges(monkeypatch):
         return dataclasses.replace(r12, error=0.0), r24
 
     monkeypatch.setattr(validation, "compare_bound_state", growing)
+    assert not run_checks(["ed-bound-agreement"])[0].passed
+
+
+def test_embedding_is_translation_invariant(monkeypatch):
+    # a site-dependent phase of 1e-6 per site leaves energies and overlaps
+    # within their bounds; only the translation clause catches it
+    def twisted(st, N):
+        sites = np.array([m for _, m, _ in TwoExcitationBasis(N).states])
+        return ring_ed.ring_embedding(st, N) * np.exp(1e-6j * sites)
+
+    monkeypatch.setattr(validation, "ring_embedding", twisted)
     assert not run_checks(["ed-bound-agreement"])[0].passed
 
 
