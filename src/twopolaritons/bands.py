@@ -13,6 +13,8 @@ Labelling convention: the first letter of the branch is the polariton kind
 carried by the particle at momentum K/2 + q, the second by the particle at
 K/2 - q, so that E(uv, q) = eps_u(K/2 + q) + eps_v(K/2 - q) holds exactly.
 Swapping q -> -q therefore swaps the mixed labels: E(AB, q) = E(BA, -q).
+So BA spans exactly the energies of AB, and band_structure computes the
+edges of AA, AB and BB only, copying those of AB to BA.
 """
 
 from dataclasses import dataclass
@@ -24,11 +26,9 @@ from .model import PARITY, ModelParams, bloch_matrix
 
 __all__ = [
     "BRANCHES",
-    "Band",
     "Gap",
     "BandStructure",
     "dressed_energy",
-    "effective_levels",
     "branch_energy",
     "branch_energy_derivative",
     "branch_vector",
@@ -49,19 +49,23 @@ DEGENERACY_GUARD = 1e-12
 #: Momenta per branch on the grid that brackets the band edges.
 N_SAMPLES = 256
 
+#: The edge polish stops once no stationary point moves by more than
+#: POLISH_XTOL, and raises if that takes more than POLISH_STEPS steps.
+POLISH_XTOL, POLISH_STEPS = 1e-9, 50
+
 _SIGN = {"A": 1.0, "B": -1.0}
 
 
-def _split(branch: str):
+def _signs(branch: str):
+    """Dressed-mode signs (+1 upper A, -1 lower B) of a branch's particles."""
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
-    return branch[0], branch[1]
+    return _SIGN[branch[0]], _SIGN[branch[1]]
 
 
-def dressed_energy(kind: str, x, y, g):
-    """Upper ('A') or lower ('B') eigenvalue of levels x, y coupled by g."""
-    s = _SIGN[kind[0] if kind in ("A", "B") else kind]  # raises KeyError on junk
-    return 0.5 * (x + y + s * np.sqrt((x - y) ** 2 + 4.0 * g * g))
+def dressed_energy(sign, x, y, g):
+    """Upper (sign +1) or lower (sign -1) eigenvalue of levels x, y coupled by g."""
+    return 0.5 * (x + y + sign * np.sqrt((x - y) ** 2 + 4.0 * g * g))
 
 
 def effective_levels(params: ModelParams, q):
@@ -77,33 +81,39 @@ def effective_levels(params: ModelParams, q):
     return d0, params.delta + shift, params.delta - shift
 
 
+def _energy(params: ModelParams, q, s1, s2):
+    """Energy of the branch whose dressed modes have signs s1 and s2.
+
+    +1 is the upper (A), -1 the lower (B) mode; s1 belongs to the particle
+    at K/2 + q, s2 to the one at K/2 - q.  q broadcasts against the signs,
+    so one call evaluates several branches.
+    """
+    d0, l1, l2 = effective_levels(params, q)
+    return dressed_energy(s1, d0, l1, params.g) + dressed_energy(s2, d0, l2, params.g)
+
+
+def _slope(params: ModelParams, q, s1, s2):
+    """dE/dq of the branch with dressed-mode signs s1, s2 (as in _energy)."""
+    g, half_k = params.g, 0.5 * params.K
+    d0, l1, l2 = effective_levels(params, q)
+    dd0 = -2.0 * params.xi * np.sin(q) * np.cos(half_k)
+    dshift = 2.0 * params.xi * np.cos(q) * np.sin(half_k)
+    u1, u2 = d0 - l1, d0 - l2
+    return dd0 + 0.5 * (s1 * u1 * (dd0 - dshift) / np.sqrt(u1 * u1 + 4.0 * g * g)
+                        + s2 * u2 * (dd0 + dshift) / np.sqrt(u2 * u2 + 4.0 * g * g))
+
+
 def branch_energy(branch: str, q, params: ModelParams):
     """Free-branch energy at relative momentum q (vectorized, complex-safe)."""
-    u, v = _split(branch)
-    d0, l1, l2 = effective_levels(params, q)
-    return dressed_energy(u, d0, l1, params.g) + dressed_energy(v, d0, l2, params.g)
+    return _energy(params, q, *_signs(branch))
 
 
 def branch_energy_derivative(branch: str, q, params: ModelParams):
     """dE/dq of a branch, from the closed-form chain rule."""
-    u, v = _split(branch)
-    g = params.g
-    half_k = 0.5 * params.K
-    d0, l1, l2 = effective_levels(params, q)
-    dd0 = -2.0 * params.xi * np.sin(q) * np.cos(half_k)
-    dshift = 2.0 * params.xi * np.cos(q) * np.sin(half_k)
-
-    def parts(kind, y):
-        r = np.sqrt((d0 - y) ** 2 + 4.0 * g * g)
-        s = _SIGN[kind]
-        return 0.5 * (1.0 + s * (d0 - y) / r), 0.5 * (1.0 - s * (d0 - y) / r)
-
-    du_x, du_y = parts(u, l1)
-    dv_x, dv_y = parts(v, l2)
-    return dd0 * (du_x + dv_x) + du_y * dshift - dv_y * dshift
+    return _slope(params, q, *_signs(branch))
 
 
-def _factor(kind: str, x, g):
+def _factor(sign, x, g):
     """Unnormalized (photon, tls) amplitudes of a dressed mode.
 
     x is the TLS level measured from the photon level; the returned pair is
@@ -112,7 +122,7 @@ def _factor(kind: str, x, g):
     negative real, so the principal branch serves real and complex x alike.
     """
     r = np.sqrt(x * x + 4.0 * g * g)
-    e = x + _SIGN[kind] * r
+    e = x + sign * r
     return 2.0 * g, e, r
 
 
@@ -145,11 +155,11 @@ def branch_vector(branch: str, q, params: ModelParams, *, check: bool = True) ->
     roots); if that lands on the wrong sheet the vector is recovered from
     the null space of the Bloch matrix instead.
     """
-    u, v = _split(branch)
+    s1, s2 = _signs(branch)
     g = params.g
     d0, l1, l2 = effective_levels(params, q)
-    pg1, e1, r1 = _factor(u, l1 - d0, g)
-    pg2, e2, r2 = _factor(v, l2 - d0, g)
+    pg1, e1, r1 = _factor(s1, l1 - d0, g)
+    pg2, e2, r2 = _factor(s2, l2 - d0, g)
     if min(abs(r1), abs(r2)) < DEGENERACY_GUARD * g:
         raise ConditioningError(
             f"dressed-mode splitting collapsed at q={q!r}; branch vectors are ill-defined"
@@ -211,10 +221,6 @@ class Gap:
     below: tuple
     above: tuple
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def contains(self, energy: float, margin: float = 0.0) -> bool:
         return self.lo + margin < energy < self.hi - margin
 
@@ -233,54 +239,54 @@ class BandStructure:
         return None
 
 
-def _refine_extremum(func, qs, idx, sign):
-    """Brent polish of a sampled extremum (sign=+1 max, -1 min)."""
-    from scipy.optimize import minimize_scalar
-
-    n = len(qs)
-    step = qs[1] - qs[0]
-    qm = qs[idx]
-    qa, qb = qm - step, qm + step
-    fm = sign * func(qm)
-    if not (fm > sign * func(qa) and fm > sign * func(qb)):
-        return sign * fm
-    res = minimize_scalar(
-        lambda q: -sign * func(q), bracket=(qa, qm, qb), method="brent",
-        options={"xtol": 1e-12},
-    )
-    return float(sign * -res.fun)
-
-
 def band_structure(params: ModelParams) -> BandStructure:
-    """Sampled branch ranges, merged bands, and the gaps between them.
+    """Branch ranges, merged bands, and the gaps between them.
 
-    Edges are sampled on a uniform grid of N_SAMPLES momenta and polished
-    by Brent's method, so they are accurate far beyond the grid spacing.
+    AA, AB and BB are sampled together at the midpoints of N_SAMPLES equal
+    cells of the zone, so q = 0 and pi, stationary by symmetry, always fall
+    strictly inside a bracket.  Each sign change of dE/dq between
+    neighbouring samples (cyclically) brackets a stationary point; all are
+    polished at once by Illinois regula-falsi steps on dE/dq.  An edge is
+    the extreme over the samples and polished points, exact to rounding
+    since the energy error is quadratic in the q error.  BA takes the
+    edges of AB (see the module docstring).
     """
-    qs = np.linspace(-np.pi, np.pi, N_SAMPLES, endpoint=False)
-    edges = {}
-    for label in BRANCHES:
-        ev = np.asarray(branch_energy(label, qs, params))
-        func = lambda q, _label=label: float(branch_energy(_label, q, params))
-        lows, highs = [], []
-        for idx in range(N_SAMPLES):
-            left = ev[idx - 1]
-            right = ev[(idx + 1) % N_SAMPLES]
-            here = ev[idx]
-            if here <= left and here <= right:
-                lows.append(_refine_extremum(func, qs, idx, -1.0))
-            if here >= left and here >= right:
-                highs.append(_refine_extremum(func, qs, idx, +1.0))
-        edges[label] = (float(min(lows)), float(max(highs)))
+    sampled = ("AA", "AB", "BB")
+    signs = np.array([_signs(label) for label in sampled])
+    step = 2.0 * np.pi / N_SAMPLES
+    qs = -np.pi + step * (np.arange(N_SAMPLES) + 0.5)
+    grid = (params, qs, signs[:, :1], signs[:, 1:])
+    ev, dv = _energy(*grid), _slope(*grid)
+    dn = np.roll(dv, -1, axis=1)
+    row, col = np.nonzero(((dv < 0.0) & (dn > 0.0)) | ((dv > 0.0) & (dn < 0.0)))
+    s1, s2 = signs[row, 0], signs[row, 1]
+    a, fa = qs[col], dv[row, col]
+    b, fb = a + step, dn[row, col]
+    for _ in range(POLISH_STEPS):
+        c = b - fb * (b - a) / (fb - fa)
+        fc = _slope(params, c, s1, s2)
+        # keep the bracket; halving the stale end's slope stops one end
+        # from sticking, the failure of plain regula falsi
+        flip = fc * fb < 0.0
+        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
+        moved = np.abs(c - b)
+        b, fb = c, fc
+        if not moved.size or moved.max() <= POLISH_XTOL:
+            break
+    else:
+        raise ConditioningError(f"band-edge polish did not settle in {POLISH_STEPS} steps "
+                                f"(last move {moved.max():.3g}) at {params}")
+    low, high = ev.min(axis=1), ev.max(axis=1)
+    polished = _energy(params, b, s1, s2)
+    np.minimum.at(low, row, polished)
+    np.maximum.at(high, row, polished)
+    edges = {label: (float(low[i]), float(high[i])) for i, label in enumerate(sampled)}
+    edges = {label: edges["AB" if label == "BA" else label] for label in BRANCHES}
 
     # AB and BA cover the same energy set (q -> -q maps one onto the other),
     # so they always merge; other overlaps depend on the hopping strength.
-    intervals = sorted(
-        ((edges[label][0], edges[label][1], label) for label in BRANCHES),
-        key=lambda t: (t[0], t[1]),
-    )
     merged = []
-    for lo, hi, label in intervals:
+    for lo, hi, label in sorted((*edges[label], label) for label in BRANCHES):
         if merged and lo <= merged[-1][1] + 1e-12:
             mlo, mhi, labels = merged[-1]
             merged[-1] = (mlo, max(mhi, hi), labels + (label,))

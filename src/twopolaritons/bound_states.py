@@ -36,7 +36,6 @@ from .model import PARITY, ModelParams, bloch_matrices, contact_interaction, sit
 
 __all__ = [
     "BoundState",
-    "build_bound_wavefunction",
     "find_bound_states",
     "rayleigh_quotient",
 ]
@@ -44,25 +43,6 @@ __all__ = [
 SIGMA_ACCEPT = 1e-8
 RESIDUAL_TOL = 1e-8
 L_RESIDUAL = 60
-
-
-def _gap_roots(E: float, params: ModelParams) -> list:
-    """The three channels at E, all decaying, or ParameterError."""
-    roots = find_channel_roots(E, params)
-    if any(r.is_open for r in roots):
-        raise ParameterError(f"E = {E} lies inside a band; bound states live in open gaps")
-    return roots
-
-
-def _contact_spectrum(E: float, roots, params: ModelParams):
-    """(W, eigenvalues, eigenvectors) of S(E) on the contact slots (p, d_+).
-
-    S is the (p, d_+) block of the contact matrix C of
-    channels.contact_elimination without an incident wave; its other rows
-    vanish, and W maps the contact spinor to the l = 1 channel amplitudes.
-    """
-    w, c, _ = contact_elimination(E, roots, params)
-    return (w, *np.linalg.eigh(c[:2, :2]))
 
 
 @dataclass(frozen=True)
@@ -74,7 +54,7 @@ class BoundState:
     site-equation defect over |l| <= L_RESIDUAL.
     """
 
-    gap_id: int
+    gap: Gap                        # the gap find_bound_states searched
     params: ModelParams
     energy: float
     roots: tuple
@@ -100,22 +80,14 @@ class BoundState:
         return channel_expansion(l, self.roots, self.scaled_amplitudes, self.contact_spinor)
 
 
-def build_bound_wavefunction(E_b: float, params: ModelParams,
-                             gap_id: int = 0) -> BoundState:
-    """Normalize and certify the bound state at energy E_b.
+def _certify(E_b: float, roots, spectrum, params: ModelParams, gap: Gap) -> BoundState:
+    """The normalized state at E_b from its roots and contact spectrum.
 
     The contact spinor is the eigenvector of S(E_b) whose eigenvalue is
     smallest in magnitude, and the channel amplitudes follow from it.  A
     second near-zero eigenvalue means the state is not unique and is
     reported as an error rather than resolved by fiat.
     """
-    E_b = float(E_b)
-    roots = _gap_roots(E_b, params)
-    return _certify(E_b, roots, _contact_spectrum(E_b, roots, params), params, gap_id)
-
-
-def _certify(E_b: float, roots, spectrum, params: ModelParams, gap_id: int) -> BoundState:
-    """The normalized state at E_b from its roots and contact spectrum."""
     w, eigs, vecs = spectrum
     mags = np.abs(eigs)
     k = int(np.argmin(mags))
@@ -142,7 +114,7 @@ def _certify(E_b: float, roots, spectrum, params: ModelParams, gap_id: int) -> B
     res = site_residual(field, E_b, (-L_RESIDUAL, L_RESIDUAL), params)
 
     return BoundState(
-        gap_id=int(gap_id),
+        gap=gap,
         params=params,
         energy=E_b,
         roots=tuple(roots),
@@ -177,11 +149,16 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
     lo, hi = gap.lo + tol_edge, gap.hi - tol_edge
 
     # each energy costs a root-find; Brent returns an energy it has
-    # evaluated, so the certificate reuses that energy's roots and spectrum
+    # evaluated, so the certificate reuses that energy's roots and spectrum.
+    # S(E) is the (p, d_+) block of the contact matrix C without incident
+    # wave (its other rows vanish); W maps the contact spinor to l = 1.
     @functools.cache
     def spectrum(E: float):
-        roots = _gap_roots(E, params)
-        return roots, _contact_spectrum(E, roots, params)
+        roots = find_channel_roots(E, params)
+        if any(r.is_open for r in roots):
+            raise ParameterError(f"E = {E} lies inside a band; bound states live in open gaps")
+        w, c, _ = contact_elimination(E, roots, params)
+        return roots, (w, *np.linalg.eigh(c[:2, :2]))
 
     def eigs(E: float):
         return spectrum(E)[1][1]
@@ -200,7 +177,7 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
             raise ConditioningError(f"eigenvalue {k} of S(E) changes sign at E = {E_b} "
                                     f"but |eig| = {abs(at[k]):.3g} is not below "
                                     f"{gate:.3g}: a pole of S or an unresolved zero")
-        state = _certify(E_b, *spectrum(E_b), params, gap.index)
+        state = _certify(E_b, *spectrum(E_b), params, gap)
         if state.residual_max < RESIDUAL_TOL * g:
             states.append(state)
     states.sort(key=lambda s: s.energy)

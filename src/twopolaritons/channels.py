@@ -24,9 +24,7 @@ from .errors import ConditioningError, DegenerateParametersError
 from .model import PARITY, ModelParams, bloch_matrices, contact_interaction
 
 __all__ = [
-    "TOL_OPEN",
     "TOL_EDGE_FACTOR",
-    "ChannelRoot",
     "channel_expansion",
     "contact_elimination",
     "expansion_moment",

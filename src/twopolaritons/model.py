@@ -29,12 +29,7 @@ from .errors import ParameterError
 
 __all__ = [
     "ModelParams",
-    "BlochMatrices",
     "PARITY",
-    "PHOTON_PAIR",
-    "MIX_SYM",
-    "MIX_ASYM",
-    "TLS_PAIR",
     "bloch_matrices",
     "bloch_matrix",
     "hop_blocks",

@@ -21,9 +21,6 @@ from .model import SQRT2, ModelParams
 
 __all__ = [
     "TwoExcitationBasis",
-    "MomentumSector",
-    "OracleComparison",
-    "EdgeCheckReport",
     "build_hamiltonian",
     "translation_operator",
     "momentum_blocks",
@@ -293,15 +290,17 @@ class OracleComparison:
 def compare_bound_state(analytic: BoundState, N_list) -> tuple:
     """Match the analytic bound state against rings of increasing size.
 
-    For each N, picks the in-gap eigenvalue of the matching momentum
-    sector nearest the analytic energy and computes the overlap with the
-    wrapped analytic wavefunction.  Errors are expected to fall with N.
+    For each N, picks the eigenvalue of the matching momentum sector
+    nearest the analytic energy inside the state's gap and computes the
+    overlap with the wrapped analytic wavefunction.  Errors are expected
+    to fall with N.
     """
     params = analytic.params
-    gap = band_structure(params).gap_at(analytic.energy)
-    if gap is None:
+    gap = analytic.gap
+    if not gap.contains(analytic.energy):
         raise OracleMismatchError(
-            f"analytic energy {analytic.energy} is not inside any gap"
+            f"analytic energy {analytic.energy} is not inside its gap "
+            f"({gap.lo:.6g}, {gap.hi:.6g})"
         )
     rows = []
     for N in N_list:

@@ -23,7 +23,6 @@ from .errors import ConditioningError, ParameterError
 from .model import ModelParams, hop_blocks, site_residual
 
 __all__ = [
-    "ScatteringSolution",
     "solve_scattering",
     "scattering_wavefunction",
     "probability_current",

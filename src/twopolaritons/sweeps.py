@@ -19,7 +19,6 @@ from .scattering import solve_scattering
 
 __all__ = [
     "BoundSweepPoint",
-    "ScatterSweepPoint",
     "bound_sweep",
     "scatter_sweep",
 ]

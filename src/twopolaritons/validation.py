@@ -338,6 +338,29 @@ def _check_ed_band_edges(rng):
                 f"{counted} of {dim} sector-0 eigenvalues attributed")
 
 
+def _check_branch_edges(rng):
+    # every branch value lies inside band_structure's edges, and each edge
+    # is attained: a uniform grid refined to spacing 1.5e-6 around each of
+    # its local extrema (grid error < 1e-11 at |xi| <= 1) must reach it
+    coarse = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
+    fine = np.linspace(-1.0, 1.0, 2049) * (coarse[1] - coarse[0])
+    outside = short = 0.0
+    for _ in range(200):
+        p = _draw_params(rng)
+        edges = band_structure(p).branch_edges
+        for br in BRANCHES:
+            values = branch_energy(br, coarse, p)
+            for side, sign in enumerate((-1.0, 1.0)):
+                v = sign * values
+                peaks = coarse[(v >= np.roll(v, 1)) & (v >= np.roll(v, -1))]
+                dense = sign * branch_energy(br, (peaks[:, None] + fine).ravel(), p)
+                best, edge = max(v.max(), dense.max()), sign * edges[br][side]
+                outside, short = max(outside, best - edge), max(short, edge - best)
+    ok = outside <= 1e-13 and short <= 1e-10
+    return ok, (f"max branch value beyond its edge {outside:.3g}, max edge "
+                f"beyond the refined-grid extreme {short:.3g} over 200 draws")
+
+
 _CHECKS = (
     ("bloch-hermiticity", _check_bloch_hermiticity),
     ("parity-conjugation", _check_parity_conjugation),
@@ -351,6 +374,7 @@ _CHECKS = (
     ("ed-jc-levels", _check_ed_jc_levels),
     ("ed-bound-agreement", _check_ed_bound_agreement),
     ("ed-band-edges", _check_ed_band_edges),
+    ("branch-edges", _check_branch_edges),
 )
 
 CHECK_NAMES = tuple(name for name, _ in _CHECKS)

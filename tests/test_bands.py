@@ -8,7 +8,7 @@ here plant a fault of the kind each guards and require the check to fail.
 import numpy as np
 import pytest
 
-from twopolaritons import validation
+from twopolaritons import bands, validation
 from twopolaritons.bands import (
     BRANCHES,
     BandStructure,
@@ -18,6 +18,7 @@ from twopolaritons.bands import (
     branch_vector,
     incident_state,
 )
+from twopolaritons.errors import ConditioningError
 from twopolaritons.model import PARITY, ModelParams
 from twopolaritons.validation import run_checks
 
@@ -136,6 +137,13 @@ def test_gap_structure_at_zero_detuning():
     assert bs.gap_at(1.0) is g1
     assert bs.gap_at(-1.0) is g2
     assert bs.gap_at(0.0) is None  # inside the mixed band
+
+
+def test_unsettled_edge_polish_raises(monkeypatch):
+    # an edge polish cut short is refused, never returned as an edge
+    monkeypatch.setattr(bands, "POLISH_STEPS", 1)
+    with pytest.raises(ConditioningError, match="did not settle"):
+        band_structure(ModelParams(xi=-0.3, delta=0.5, K=0.7))
 
 
 def test_bands_merge_at_strong_hopping():

@@ -11,12 +11,8 @@ import numpy as np
 import pytest
 
 from twopolaritons import bound_states, sweeps, validation
-from twopolaritons.bands import band_structure
-from twopolaritons.bound_states import (
-    build_bound_wavefunction,
-    find_bound_states,
-    rayleigh_quotient,
-)
+from twopolaritons.bands import Gap, band_structure
+from twopolaritons.bound_states import find_bound_states, rayleigh_quotient
 from twopolaritons.channels import contact_elimination, find_channel_roots
 from twopolaritons.errors import ConditioningError, ParameterError, TwoPolaritonError
 from twopolaritons.model import PARITY, ModelParams
@@ -74,11 +70,11 @@ def test_contact_matrix_shape():
 
 
 def test_in_band_energy_rejected():
+    # a "gap" laid inside a band has open channels at its ends
     p = ModelParams(xi=-0.2)
-    with pytest.raises(ParameterError):
-        build_bound_wavefunction(0.1, p)  # inside the mixed band
-    with pytest.raises(ParameterError):
-        build_bound_wavefunction(2.0, p)  # inside the photon-pair band
+    for lo, hi in ((0.05, 0.15), (1.95, 2.05)):   # mixed, photon-pair band
+        with pytest.raises(ParameterError):
+            find_bound_states(p, Gap(index=1, lo=lo, hi=hi, below=(), above=()))
 
 
 def test_frozen_energies():
@@ -89,6 +85,7 @@ def test_frozen_energies():
             states = find_bound_states(p, gap)
             assert len(states) == 1
             assert abs(states[0].energy - expect[gap.index]) < 1e-10
+            assert states[0].gap is gap
 
 
 def test_sigma_contrast():
@@ -312,7 +309,7 @@ def test_gap_object_required():
     gap = bs.gaps[0]
     # narrowing the search window by shifting gap edges must not invent
     # states: a sub-window that excludes E_b comes back empty
-    lowered = dataclasses.replace(gap, hi=gap.lo + 0.05 * gap.width)
+    lowered = dataclasses.replace(gap, hi=gap.lo + 0.05 * (gap.hi - gap.lo))
     assert find_bound_states(p, lowered) == []
 
 

@@ -157,9 +157,12 @@ def test_compare_bound_state_rejects_wrong_energy():
     p = ModelParams(xi=-0.2)
     bs = band_structure(p)
     st = find_bound_states(p, bs.gaps[0])[0]
-    fake = dataclasses.replace(st, energy=0.0)  # inside the mixed band
-    with pytest.raises(OracleMismatchError):
-        compare_bound_state(fake, (12,))
+    # inside the mixed band, then inside the other gap: the state is
+    # compared only within the gap it was found in
+    for energy in (0.0, 0.5 * (bs.gaps[1].lo + bs.gaps[1].hi)):
+        fake = dataclasses.replace(st, energy=energy)
+        with pytest.raises(OracleMismatchError):
+            compare_bound_state(fake, (12,))
 
 
 def test_band_edge_audit(monkeypatch):
