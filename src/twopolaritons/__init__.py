@@ -12,7 +12,7 @@ from .bound_states import BoundState, find_bound_states
 from .errors import ParameterError, TwoPolaritonError
 from .model import ModelParams
 from .ring_ed import compare_bound_state
-from .scattering import scattering_wavefunction, solve_scattering
+from .scattering import solve_scattering
 
 __all__ = [
     "BoundState",
@@ -22,7 +22,6 @@ __all__ = [
     "band_structure",
     "compare_bound_state",
     "find_bound_states",
-    "scattering_wavefunction",
     "solve_scattering",
 ]
 __version__ = "0.1.0"

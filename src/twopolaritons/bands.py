@@ -147,7 +147,7 @@ def phase_fix(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def branch_vector(branch: str, q, params: ModelParams, *, check: bool = True) -> np.ndarray:
+def branch_vector(branch: str, q, params: ModelParams) -> np.ndarray:
     """Normalized branch spinor F at momentum q.
 
     Real q gives a real vector in the frozen gauge of :func:`phase_fix`.
@@ -176,8 +176,6 @@ def branch_vector(branch: str, q, params: ModelParams, *, check: bool = True) ->
         ]
     )
     f = phase_fix(f)
-    if not check:
-        return f
     energy = branch_energy(branch, q, params)
     m = bloch_matrix(params, q)
     scale = np.linalg.norm(m) + abs(energy)

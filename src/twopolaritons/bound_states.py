@@ -9,9 +9,8 @@ inertia) between the inset gap ends counts the states, and Brent's method
 finds each; its contact spinor is the eigenvector of that eigenvalue.  A
 sign change where the eigenvalue does not collapse is refused as a pole of
 S, and a state is accepted only when its wavefunction passes the
-site-equation residual test.  Norms,
-composition weights and the Rayleigh quotient are closed-form geometric
-sums, exact for any decay rate.
+site-equation residual test.  Norms, composition weights and the Rayleigh
+quotient are closed-form geometric sums, exact for any decay rate.
 """
 
 from __future__ import annotations
@@ -26,13 +25,13 @@ from scipy.optimize import brentq
 from .bands import Gap, phase_fix
 from .channels import (
     TOL_EDGE_FACTOR,
-    channel_expansion,
+    ChannelState,
     contact_elimination,
     expansion_moment,
     find_channel_roots,
 )
 from .errors import ConditioningError, ParameterError
-from .model import PARITY, ModelParams, bloch_matrices, contact_interaction, site_residual
+from .model import PARITY, ModelParams, bloch_matrices, contact_interaction
 
 __all__ = [
     "BoundState",
@@ -42,45 +41,29 @@ __all__ = [
 
 SIGMA_ACCEPT = 1e-8
 RESIDUAL_TOL = 1e-8
-L_RESIDUAL = 60
 
 
 @dataclass(frozen=True)
-class BoundState:
+class BoundState(ChannelState):
     """Certified in-gap eigenstate with its composition weights.
 
     sigma_min is the smallest |eigenvalue| of the Hermitian contact matrix
-    S(E_b), hence its smallest singular value; residual_max is the largest
-    site-equation defect over |l| <= L_RESIDUAL.
+    S(E_b), hence its smallest singular value.
     """
 
+    WINDOW = 60
+
     gap: Gap                        # the gap find_bound_states searched
-    params: ModelParams
-    energy: float
-    roots: tuple
-    amplitudes: np.ndarray          # b_j multiplying z_j^l, ordered like roots
-    scaled_amplitudes: np.ndarray   # b_j z_j, the l = 1 values (stable gauge)
-    b_photon: complex
-    b_mix: complex
     weights: tuple                  # (photon pair, photon-TLS mix, TLS pair)
     sigma_min: float
-    residual_max: float
-
-    @property
-    def contact_spinor(self):
-        return np.array([self.b_photon, self.b_mix, 0.0, 0.0])
 
     @property
     def decay_rate(self) -> float:
         """Slowest spatial decay exponent, min_j Im lam_j."""
         return min(r.lam.imag for r in self.roots)
 
-    def wavefunction(self, l) -> np.ndarray:
-        """Spinor(s) of the normalized state at integer site(s) l."""
-        return channel_expansion(l, self.roots, self.scaled_amplitudes, self.contact_spinor)
 
-
-def _certify(E_b: float, roots, spectrum, params: ModelParams, gap: Gap) -> BoundState:
+def _normalized_state(E_b: float, roots, spectrum, params: ModelParams, gap: Gap):
     """The normalized state at E_b from its roots and contact spectrum.
 
     The contact spinor is the eigenvector of S(E_b) whose eigenvalue is
@@ -104,27 +87,12 @@ def _certify(E_b: float, roots, spectrum, params: ModelParams, gap: Gap) -> Boun
     comp = np.abs(contact) ** 2 + 2.0 * expansion_moment(roots, scaled, 0).diagonal().real
     norm_sq = float(comp.sum())
     comp = comp / norm_sq
-    weights = (float(comp[0]), float(comp[1] + comp[2]), float(comp[3]))
     factor = 1.0 / math.sqrt(norm_sq)
-    scaled = scaled * factor
-    contact = contact * factor
-
-    window = np.arange(-L_RESIDUAL - 1, L_RESIDUAL + 2)
-    field = channel_expansion(window, roots, scaled, contact)
-    res = site_residual(field, E_b, (-L_RESIDUAL, L_RESIDUAL), params)
-
     return BoundState(
-        gap=gap,
-        params=params,
-        energy=E_b,
-        roots=tuple(roots),
-        amplitudes=scaled / np.array([r.z for r in roots]),
-        scaled_amplitudes=scaled,
-        b_photon=complex(contact[0]),
-        b_mix=complex(contact[1]),
-        weights=weights,
+        params=params, energy=E_b, roots=tuple(roots),
+        scaled_amplitudes=scaled * factor, contact_spinor=contact * factor,
+        gap=gap, weights=(float(comp[0]), float(comp[1] + comp[2]), float(comp[3])),
         sigma_min=float(mags[k]),
-        residual_max=float(res.max()),
     )
 
 
@@ -177,7 +145,7 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
             raise ConditioningError(f"eigenvalue {k} of S(E) changes sign at E = {E_b} "
                                     f"but |eig| = {abs(at[k]):.3g} is not below "
                                     f"{gate:.3g}: a pole of S or an unresolved zero")
-        state = _certify(E_b, *spectrum(E_b), params, gap)
+        state = _normalized_state(E_b, *spectrum(E_b), params, gap)
         if state.residual_max < RESIDUAL_TOL * g:
             states.append(state)
     states.sort(key=lambda s: s.energy)

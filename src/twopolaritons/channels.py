@@ -8,26 +8,28 @@ channels.  Channels on the unit circle with positive group velocity are
 open (outgoing waves).  The rest decay as |z|^l = e^{-Im(lam) l} and are
 closed.
 
-Bound and scattering states are expansions sum_j s_j z_j^(l-1) F_j over
-the three channels; contact_elimination fixes the amplitudes s_j from the
-contact spinor, channel_expansion evaluates them site by site and
-expansion_moment sums them over the chain as geometric series.
+A ChannelState is a contact spinor plus sum_j s_j z_j^(l-1) F_j elsewhere;
+contact_elimination fixes the s_j from the contact spinor, channel_expansion
+evaluates them site by site, and expansion_moment and expansion_winding sum
+them over the chain and around a ring as geometric series.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .bands import BRANCHES, branch_energy, branch_energy_derivative, branch_vector, phase_fix
 from .errors import ConditioningError, DegenerateParametersError
-from .model import PARITY, ModelParams, bloch_matrices, contact_interaction
+from .model import PARITY, ModelParams, bloch_matrices, contact_interaction, site_residual
 
 __all__ = [
     "TOL_EDGE_FACTOR",
+    "ChannelState",
     "channel_expansion",
     "contact_elimination",
     "expansion_moment",
+    "expansion_winding",
     "find_channel_roots",
 ]
 
@@ -84,6 +86,36 @@ def channel_expansion(l, roots, scaled, contact) -> np.ndarray:
     return beta[0] if scalar else beta
 
 
+@dataclass(frozen=True)
+class ChannelState:
+    """Contact spinor b_0 = (p, d_+, 0, 0) plus the channel expansion at l != 0.
+
+    scaled_amplitudes are the l = 1 channel amplitudes s_j, ordered like
+    roots.  residual_max, the largest site-equation defect over |l| <=
+    WINDOW (set by each subclass), is set on construction from the fields.
+    """
+
+    params: ModelParams
+    energy: float
+    roots: tuple
+    scaled_amplitudes: np.ndarray
+    contact_spinor: np.ndarray
+    residual_max: float = field(init=False)
+
+    def __post_init__(self):
+        half = self.WINDOW
+        self._certify(self.wavefunction(np.arange(-half - 1, half + 2)))
+
+    def _certify(self, window_field):
+        half = self.WINDOW
+        res = site_residual(window_field, self.energy, (-half, half), self.params)
+        object.__setattr__(self, "residual_max", float(res.max()))
+
+    def wavefunction(self, l) -> np.ndarray:
+        """Spinor(s) at integer site(s) l."""
+        return channel_expansion(l, self.roots, self.scaled_amplitudes, self.contact_spinor)
+
+
 def expansion_moment(roots, scaled, lag: int) -> np.ndarray:
     """sum_{l >= 1} beta_{l+lag} beta_l^H of the channel expansion, in closed form.
 
@@ -96,6 +128,21 @@ def expansion_moment(roots, scaled, lag: int) -> np.ndarray:
     s = np.asarray(scaled)
     core = np.outer(s * z**lag, np.conj(s)) / (1.0 - np.outer(z, np.conj(z)))
     return f.T @ core @ np.conj(f)
+
+
+def expansion_winding(roots, scaled, N: int, theta: float) -> np.ndarray:
+    """sum_{k >= 0} e^{i theta l} beta_l over l = u + kN, for u = 1 .. N (rows).
+
+    Wrapping the sites l >= 1 onto a ring of N sites collects each residue
+    u as a geometric series in e^{i theta N} z_j^N, so row u - 1 is
+    sum_j s_j e^{i theta u} z_j^(u-1) F_j / (1 - e^{i theta N} z_j^N):
+    exact for any set of decaying channels, at a cost free of the decay.
+    """
+    u = np.arange(1, N + 1)[:, None]
+    z = np.array([r.z for r in roots])
+    f = np.array([r.vector for r in roots])
+    fold = np.exp(1j * theta * u) * np.power(z, u - 1) / (1.0 - np.exp(1j * theta * N) * z**N)
+    return (np.asarray(scaled) * fold) @ f
 
 
 def contact_elimination(E, roots, params, incident=None):

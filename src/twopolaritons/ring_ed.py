@@ -17,7 +17,8 @@ import scipy.sparse as sp
 from .bands import band_structure
 from .bound_states import BoundState, find_bound_states
 from .errors import OracleMismatchError, ParameterError
-from .model import SQRT2, ModelParams
+from .channels import expansion_winding
+from .model import PARITY, SQRT2, ModelParams
 
 __all__ = [
     "TwoExcitationBasis",
@@ -50,12 +51,6 @@ class TwoExcitationBasis:
         self.N = int(N)
         self.dim = 2 * self.N * self.N
         self._pairs = self.N * (self.N + 1) // 2
-
-    @property
-    def states(self) -> list:
-        """Every state as (family, m, n), in basis order."""
-        return [(kind, int(m), int(n)) for kind in FAMILIES
-                for m, n in zip(*self.sites(kind))]
 
     def sites(self, kind: str):
         """Site arrays (m, n) of one family's states, in basis order."""
@@ -250,30 +245,32 @@ def _ring_sector(K: float, N: int) -> int:
 def ring_embedding(state: BoundState, N: int) -> np.ndarray:
     """Wrap the infinite-chain bound state onto the ring basis.
 
-    Sums the relative-coordinate amplitudes over all separations with the
-    ring's modular arithmetic, applying only local operator conversions
-    (the sqrt(2) of a doubly occupied cavity; no doubly excited TLS), so
-    image contributions beyond one winding accumulate automatically.
-    Returned vector is unnormalized.
+    The pair on sites m and m + l carries e^{iK(m + l/2)} beta_l, and
+    separations equal mod N reach the same ring states: residue r collects
+    sum_{l = r mod N} e^{iKl/2} beta_l, the closed-form windings of each
+    side of the contact (channels.expansion_winding; l < 0 via PARITY).
+    Only local conversions follow: the sqrt(2) of a doubly occupied cavity,
+    no doubly excited TLS.  Returned vector is unnormalized.
     """
     params = state.params
     _ring_sector(params.K, N)
     basis = TwoExcitationBasis(N)
-    span = max(int(math.ceil(40.0 / state.decay_rate)), 2 * N)
-    ls = np.arange(-span, span + 1)
-    p, d_sym, d_asy, t = state.wavefunction(ls).T[:, :, None]
-    l = ls[:, None]
-    com = np.exp(1j * (params.K * np.arange(N) + 0.5 * params.K * l))
-    # (l, m) grid of the pair on sites m and m + l
-    m, other = np.broadcast_arrays(np.arange(N), np.arange(N) + l)
-    apart, ring = (np.broadcast_to(mask, m.shape) for mask in (l != 0, l % N != 0))
+    right, left = (expansion_winding(state.roots, state.scaled_amplitudes, N, s * params.K / 2)
+                   for s in (1, -1))
+    r = np.arange(N)
+    fold = right[(r - 1) % N] + left[(-r - 1) % N] @ PARITY
+    # l = 0: its photon pair shares a cavity; its d_+ reaches mix(m, m)
+    # through both mixed terms below, whose sum supplies the sqrt(2)
+    fold[0] += state.contact_spinor * np.array([SQRT2, 1.0, 1.0, 1.0])
+    p, d_sym, d_asy, t = fold.T[:, :, None]
+    com = np.exp(1j * params.K * r)
+    # (r, m) grid of the pair on sites m and m + r
+    m, other = np.broadcast_arrays(r, r[:, None] + r)
     psi = np.zeros(basis.dim, dtype=complex)
-    np.add.at(psi, basis.pp(m, other), np.where(apart, com * p, com * SQRT2 * p))
-    np.add.at(psi, basis.mix(m, other), np.where(
-        apart, com * (d_sym + d_asy) / SQRT2, com * SQRT2 * d_sym))
-    np.add.at(psi, basis.mix(other[apart], m[apart]),
-              (com * (d_sym - d_asy) / SQRT2)[apart])
-    np.add.at(psi, basis.tt(m[ring], other[ring]), (com * t)[ring])
+    np.add.at(psi, basis.pp(m, other), com * p)
+    np.add.at(psi, basis.mix(m, other), com * (d_sym + d_asy) / SQRT2)
+    np.add.at(psi, basis.mix(other, m), com * (d_sym - d_asy) / SQRT2)
+    np.add.at(psi, basis.tt(m[1:], other[1:]), (com * t)[1:])
     return psi
 
 
@@ -328,7 +325,7 @@ def compare_bound_state(analytic: BoundState, N_list) -> tuple:
 
 @dataclass(frozen=True)
 class EdgeCheckReport:
-    """Spectral placement audit of the K = 0 ring sector."""
+    """Spectral placement audit of the ring sector of the total momentum K."""
 
     N: int
     violations: tuple        # eigenvalues neither near a band nor deep in a gap
@@ -343,7 +340,7 @@ class EdgeCheckReport:
 
 
 def band_edge_check(params: ModelParams, N: int) -> EdgeCheckReport:
-    """Audit the ring spectrum against the analytic bands and gaps.
+    """Audit the ring sector of params.K against the bands and gaps at K.
 
     Finite-size effects push edge states out of the bands by O(1/N), so
     band membership carries a 5g/N margin; an eigenvalue must clear the
@@ -352,7 +349,7 @@ def band_edge_check(params: ModelParams, N: int) -> EdgeCheckReport:
     tol = 5.0 * params.g / N
     bands = band_structure(params)
     h = build_hamiltonian(N, params)
-    sector = momentum_blocks(h, N, only=[0])[0]
+    sector = momentum_blocks(h, N, only=[_ring_sector(params.K, N)])[0]
     expected = sum(
         len(find_bound_states(params, gap)) for gap in bands.gaps
     )

@@ -13,46 +13,51 @@ whose zeros are the bound states, now with the incident wave as its source
 (channels.contact_elimination).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bands import branch_energy, incident_state
-from .channels import _solve_regular, channel_expansion, contact_elimination, find_channel_roots
+from .channels import ChannelState, _solve_regular, contact_elimination, find_channel_roots
 from .errors import ConditioningError, ParameterError
-from .model import ModelParams, hop_blocks, site_residual
+from .model import ModelParams, hop_blocks
 
 __all__ = [
     "solve_scattering",
-    "scattering_wavefunction",
     "probability_current",
 ]
 
-L_CHECK = 50
-
-
-def _assemble(l, branch, q, params, roots, scaled, contact):
-    """Spinors of (incident + outgoing + contact) at integer site(s) l."""
-    l = np.asarray(l)
-    incident = np.where((l != 0)[..., None], incident_state(branch, q, params, l), 0.0)
-    return channel_expansion(l, roots, scaled, contact) + incident
-
 
 @dataclass(frozen=True)
-class ScatteringSolution:
-    """Converged scattering state with its certificates."""
+class ScatteringSolution(ChannelState):
+    """Converged scattering state: the incident (branch, q) wave adds at l != 0.
+
+    current_max, the largest probability current over sites 0 .. WINDOW + 1,
+    is set on construction with residual_max.
+    """
+
+    WINDOW = 50
 
     branch: str
     q: float
-    params: ModelParams
-    energy: float
-    roots: tuple
-    amplitudes: np.ndarray          # f_j, ordered like roots
-    scaled_amplitudes: np.ndarray   # f_j z_j, the l = 1 values (stable gauge)
-    s_photon: complex
-    s_mix: complex
-    residual_max: float
-    current_max: float
+    current_max: float = field(init=False)
+
+    def _certify(self, window_field):
+        super()._certify(window_field)
+        cur = probability_current(window_field[self.WINDOW + 1:], self.params)
+        object.__setattr__(self, "current_max", float(np.abs(cur).max()))
+
+    def wavefunction(self, l) -> np.ndarray:
+        """Spinor(s) of (incident + outgoing + contact) at integer site(s) l."""
+        l = np.asarray(l)
+        incident = np.where((l != 0)[..., None],
+                            incident_state(self.branch, self.q, self.params, l), 0.0)
+        return super().wavefunction(l) + incident
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """f_j = s_j / z_j, the amplitudes of z_j^l, ordered like roots."""
+        return self.scaled_amplitudes / np.array([r.z for r in self.roots])
 
     def coefficient(self, to_branch: str) -> complex:
         """f(to_branch <- incident) for an open outgoing channel."""
@@ -67,16 +72,6 @@ class ScatteringSolution:
     @property
     def open_branches(self):
         return tuple(r.branch for r in self.roots if r.is_open)
-
-    @property
-    def contact_spinor(self):
-        return np.array([self.s_photon, self.s_mix, 0.0, 0.0])
-
-
-def scattering_wavefunction(sol: ScatteringSolution, l) -> np.ndarray:
-    """Spinor(s) of the scattering state at integer site(s) l."""
-    return _assemble(l, sol.branch, sol.q, sol.params, sol.roots,
-                     sol.scaled_amplitudes, sol.contact_spinor)
 
 
 def probability_current(field, params: ModelParams) -> np.ndarray:
@@ -99,7 +94,7 @@ def solve_scattering(branch: str, q: float, params: ModelParams) -> ScatteringSo
     The contact spinor solves the 2x2 contact problem C b_0 = r; a channel
     block or contact matrix singular to working precision raises
     ConditioningError.  The returned solution carries the site-residual and
-    flux certificates over |l| <= L_CHECK.
+    flux certificates over |l| <= ScatteringSolution.WINDOW.
     """
     q = float(q)
     if not 0.0 < q < np.pi:
@@ -115,17 +110,8 @@ def solve_scattering(branch: str, q: float, params: ModelParams) -> ScatteringSo
     w, c, rhs = contact_elimination(E, roots, params, incident)
     b0 = _solve_regular(c[:2, :2], rhs[:2], f"contact matrix S at E = {E}")
     contact = np.array([b0[0], b0[1], 0.0, 0.0])
-    scaled = w @ (contact - incident[0])
-    amps = scaled / np.array([r.z for r in roots])
-
-    span = np.arange(-L_CHECK - 1, L_CHECK + 2)
-    wav = _assemble(span, branch, q, params, roots, scaled, contact)
-    res = site_residual(wav, E, (-L_CHECK, L_CHECK), params)
-    cur = probability_current(wav[L_CHECK + 1:], params)    # sites 0 .. L_CHECK + 1
-
     return ScatteringSolution(
-        branch=branch, q=q, params=params, energy=E, roots=tuple(roots),
-        amplitudes=amps, scaled_amplitudes=scaled,
-        s_photon=complex(b0[0]), s_mix=complex(b0[1]),
-        residual_max=float(res.max()), current_max=float(np.abs(cur).max()),
+        params=params, energy=E, roots=tuple(roots),
+        scaled_amplitudes=w @ (contact - incident[0]), contact_spinor=contact,
+        branch=branch, q=q,
     )

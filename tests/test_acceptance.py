@@ -38,6 +38,7 @@ from twopolaritons.bands import (
 from twopolaritons.bound_states import find_bound_states
 from twopolaritons.model import ModelParams, hop_blocks
 from twopolaritons.ring_ed import (
+    FAMILIES,
     TwoExcitationBasis,
     build_hamiltonian,
     compare_bound_state,
@@ -100,9 +101,10 @@ def ring_composition(state, gap, N):
     inside = (sector.eigenvalues > gap.lo) & (sector.eigenvalues < gap.hi)
     pick = np.argmin(np.abs(sector.eigenvalues[inside] - state.energy))
     vec = sector.projector @ sector.eigenvectors[:, inside][:, pick]
-    kinds = np.array([kind for kind, _, _ in TwoExcitationBasis(N).states])
-    w = np.abs(vec) ** 2
-    return tuple(w[kinds == kind].sum() for kind in ("pp", "mix", "tt"))
+    basis = TwoExcitationBasis(N)
+    sizes = [basis.sites(kind)[0].size for kind in FAMILIES]
+    w = np.split(np.abs(vec) ** 2, np.cumsum(sizes)[:-1])
+    return tuple(part.sum() for part in w)
 
 
 @pytest.fixture(scope="module")

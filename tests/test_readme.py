@@ -1,9 +1,11 @@
 """README's Python examples run as written, against the top-level API."""
 
 import re
+import shlex
 from pathlib import Path
 
 import twopolaritons
+from twopolaritons import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,3 +20,14 @@ def test_readme_python_blocks_run():
     # every top-level export is a name README shows
     for name in twopolaritons.__all__:
         assert re.search(rf"\b{name}\b", text), name
+
+
+def test_readme_scatter_line_honours_grid():
+    # README's scatter example asks for a two-field q range with --grid
+    # points; the command line must parse it into exactly that many
+    text = README.read_text(encoding="utf-8")
+    line = next(row for row in text.splitlines() if row.startswith("twopol scatter"))
+    argv = shlex.split(line)[1:]
+    parser = cli.build_parser()
+    config = cli._resolve(parser, parser.parse_args(cli._normalize_argv(argv)))
+    assert config.qs.size == int(argv[argv.index("--grid") + 1])

@@ -31,10 +31,10 @@ def test_basis_dimension_and_roundtrip():
     for n in (3, 5, 8):
         basis = TwoExcitationBasis(n)
         assert basis.dim == 2 * n * n
-        # the closed-form lookups invert the enumeration
-        for i, (kind, m, n) in enumerate(basis.states):
-            assert getattr(basis, kind)(m, n) == i
-        assert len(set(basis.states)) == basis.dim
+        # the closed-form lookups invert the enumeration, family by family
+        index = np.concatenate([getattr(basis, kind)(*basis.sites(kind))
+                                for kind in ring_ed.FAMILIES])
+        assert np.array_equal(index, np.arange(basis.dim))
     with pytest.raises(ParameterError):
         TwoExcitationBasis(2)
 
@@ -132,6 +132,56 @@ def test_ring_embedding_momentum_compatibility():
         ring_embedding(st, 24)
 
 
+def explicit_winding_sum(st, N):
+    """The ring vector of st as an explicit sum over separations |l| <= span.
+
+    The pair at separation l (photon on m, the other excitation on m + l)
+    carries e^{iK(m + l/2)} beta_l; span holds whole windings and reaches
+    |z|^span < e^-42 for the slowest channel.
+    """
+    basis = TwoExcitationBasis(N)
+    K = st.params.K
+    span = N * int(np.ceil(42.0 / (st.decay_rate * N)))
+    ls = np.arange(-span, span + 1)
+    m = np.arange(N)
+    com = np.exp(1j * K * m)
+    psi = np.zeros(basis.dim, dtype=complex)
+    beta = st.wavefunction(ls) * np.exp(0.5j * K * ls)[:, None]
+    for l, (p, d_sym, d_asy, t) in zip(ls, beta):
+        if l == 0:
+            np.add.at(psi, basis.pp(m, m), SQRT2 * p * com)
+            np.add.at(psi, basis.mix(m, m), SQRT2 * d_sym * com)
+            continue
+        np.add.at(psi, basis.pp(m, m + l), p * com)
+        np.add.at(psi, basis.mix(m, m + l), (d_sym + d_asy) / SQRT2 * com)
+        np.add.at(psi, basis.mix(m + l, m), (d_sym - d_asy) / SQRT2 * com)
+        if l % N:
+            np.add.at(psi, basis.tt(m, m + l), t * com)
+    return psi
+
+
+@pytest.mark.parametrize("K", [0.0, 2.0 * np.pi * 3 / 24])
+def test_ring_embedding_matches_explicit_winding_sum(K):
+    # K = 0, and an odd sector of N = 24, where e^{iKN/2} = -1 alternates
+    # the windings and the mirrored d_- slot is nonzero
+    p = ModelParams(xi=-0.2, delta=-2.0, K=K)
+    states = [st for gap in band_structure(p).gaps for st in find_bound_states(p, gap)]
+    assert len(states) == 2
+    for st in states:
+        ref = explicit_winding_sum(st, 24)
+        err = np.linalg.norm(ring_embedding(st, 24) - ref) / np.linalg.norm(ref)
+        assert err < 1e-13
+
+
+def test_band_edge_audit_uses_the_sector_of_K():
+    # at K = pi/2 the bands and the bound states belong to sector n = 12;
+    # audited against sector 0 the same ring shows 6 violations
+    rep = ring_ed.band_edge_check(ModelParams(xi=-0.2, delta=0.0, K=np.pi / 2), 48)
+    assert rep.violations == ()
+    assert len(rep.in_gap) == rep.expected_bound_count == 2
+    assert rep.ok
+
+
 def test_compare_bound_state_converges(monkeypatch):
     # an N = 12 error below the N = 24 one means the ring shift grew with N
     def growing(st, ns):
@@ -146,7 +196,8 @@ def test_embedding_is_translation_invariant(monkeypatch):
     # a site-dependent phase of 1e-6 per site leaves energies and overlaps
     # within their bounds; only the translation clause catches it
     def twisted(st, N):
-        sites = np.array([m for _, m, _ in TwoExcitationBasis(N).states])
+        basis = TwoExcitationBasis(N)
+        sites = np.concatenate([basis.sites(kind)[0] for kind in ring_ed.FAMILIES])
         return ring_ed.ring_embedding(st, N) * np.exp(1e-6j * sites)
 
     monkeypatch.setattr(validation, "ring_embedding", twisted)

@@ -17,11 +17,7 @@ from twopolaritons.bands import branch_energy
 from twopolaritons.channels import _solve_regular, contact_elimination, find_channel_roots
 from twopolaritons.errors import ConditioningError, DegenerateParametersError, ParameterError
 from twopolaritons.model import PARITY, ModelParams
-from twopolaritons.scattering import (
-    probability_current,
-    scattering_wavefunction,
-    solve_scattering,
-)
+from twopolaritons.scattering import probability_current, solve_scattering
 from twopolaritons.sweeps import scatter_sweep
 from twopolaritons.validation import run_checks
 
@@ -48,7 +44,7 @@ def tamper_amplitudes(monkeypatch, edit):
     def tampered(branch, q, p):
         sol = solve_scattering(branch, q, p)
         scale = np.array([edit(r) for r in sol.roots])
-        return dataclasses.replace(sol, amplitudes=sol.amplitudes * scale)
+        return dataclasses.replace(sol, scaled_amplitudes=sol.scaled_amplitudes * scale)
 
     monkeypatch.setattr(validation, "solve_scattering", tampered)
 
@@ -103,8 +99,8 @@ def test_wavefunction_exchange_parity():
     p = ModelParams(xi=-0.2, delta=0.5)
     sol = solve_scattering("AB", 0.9, p)
     ls = np.arange(1, 8)
-    right = scattering_wavefunction(sol, ls)
-    left = scattering_wavefunction(sol, -ls)
+    right = sol.wavefunction(ls)
+    left = sol.wavefunction(-ls)
     for i in range(len(ls)):
         assert np.linalg.norm(left[i] - PARITY @ right[i]) < 1e-12
 
@@ -117,7 +113,7 @@ def test_wavefunction_site_equation_far_field():
     hp, hm = hop_blocks(p)
     onsite = bloch_matrices(p).onsite
     for l in (2, 7, 19, 43):
-        b = [scattering_wavefunction(sol, l + d) for d in (-1, 0, 1)]
+        b = [sol.wavefunction(l + d) for d in (-1, 0, 1)]
         resid = onsite @ b[1] + hp @ b[0] + hm @ b[2] - sol.energy * b[1]
         assert np.linalg.norm(resid) < 1e-10
 
@@ -143,7 +139,7 @@ def test_closed_channel_content_decays():
                     * r.vector.astype(complex)
         return out
 
-    resid = [np.linalg.norm(scattering_wavefunction(sol, l) - open_part(l))
+    resid = [np.linalg.norm(sol.wavefunction(l) - open_part(l))
              for l in (5, 10, 15)]
     assert resid[0] < np.exp(-kappa * 4)
     assert resid[2] < resid[1] < resid[0]
@@ -152,7 +148,7 @@ def test_closed_channel_content_decays():
 def test_current_certificate_zero_everywhere():
     p = ModelParams(xi=-0.2, delta=1.5)
     sol = solve_scattering("AB", 0.7, p)
-    cur = probability_current(scattering_wavefunction(sol, np.arange(-10, 11)), p)
+    cur = probability_current(sol.wavefunction(np.arange(-10, 11)), p)
     assert cur.shape == (20,)
     assert np.abs(cur).max() < 1e-10
 
@@ -161,7 +157,7 @@ def test_tls_pair_amplitude_vanishes_at_contact():
     # hard-core constraint: the same-site TLS-pair slot carries no weight
     p = ModelParams(xi=-0.3, delta=0.2)
     sol = solve_scattering("AB", 1.0, p)
-    beta0 = scattering_wavefunction(sol, 0)
+    beta0 = sol.wavefunction(0)
     assert abs(beta0[3]) < 1e-12
     # and the antisymmetric slot vanishes at l = 0 by exchange symmetry
     assert abs(beta0[2]) < 1e-12
