@@ -26,6 +26,7 @@ from .bands import Gap, phase_fix
 from .channels import (
     TOL_EDGE_FACTOR,
     ChannelState,
+    certificate_window,
     contact_elimination,
     expansion_moment,
     find_channel_roots,
@@ -41,6 +42,7 @@ __all__ = [
 
 SIGMA_ACCEPT = 1e-8
 RESIDUAL_TOL = 1e-8
+L_RESIDUAL = 60
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,6 @@ class BoundState(ChannelState):
     sigma_min is the smallest |eigenvalue| of the Hermitian contact matrix
     S(E_b), hence its smallest singular value.
     """
-
-    WINDOW = 60
 
     gap: Gap                        # the gap find_bound_states searched
     weights: tuple                  # (photon pair, photon-TLS mix, TLS pair)
@@ -63,7 +63,7 @@ class BoundState(ChannelState):
         return min(r.lam.imag for r in self.roots)
 
 
-def _normalized_state(E_b: float, roots, spectrum, params: ModelParams, gap: Gap):
+def _certify(E_b: float, roots, spectrum, params: ModelParams, gap: Gap) -> BoundState:
     """The normalized state at E_b from its roots and contact spectrum.
 
     The contact spinor is the eigenvector of S(E_b) whose eigenvalue is
@@ -88,9 +88,11 @@ def _normalized_state(E_b: float, roots, spectrum, params: ModelParams, gap: Gap
     norm_sq = float(comp.sum())
     comp = comp / norm_sq
     factor = 1.0 / math.sqrt(norm_sq)
+    scaled, contact = scaled * factor, contact * factor
+    _, residual = certificate_window(L_RESIDUAL, E_b, params, roots, scaled, contact)
     return BoundState(
-        params=params, energy=E_b, roots=tuple(roots),
-        scaled_amplitudes=scaled * factor, contact_spinor=contact * factor,
+        params=params, energy=E_b, roots=tuple(roots), scaled_amplitudes=scaled,
+        contact_spinor=contact, residual_max=residual,
         gap=gap, weights=(float(comp[0]), float(comp[1] + comp[2]), float(comp[3])),
         sigma_min=float(mags[k]),
     )
@@ -145,7 +147,7 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
             raise ConditioningError(f"eigenvalue {k} of S(E) changes sign at E = {E_b} "
                                     f"but |eig| = {abs(at[k]):.3g} is not below "
                                     f"{gate:.3g}: a pole of S or an unresolved zero")
-        state = _normalized_state(E_b, *spectrum(E_b), params, gap)
+        state = _certify(E_b, *spectrum(E_b), params, gap)
         if state.residual_max < RESIDUAL_TOL * g:
             states.append(state)
     states.sort(key=lambda s: s.energy)

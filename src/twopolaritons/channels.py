@@ -10,11 +10,12 @@ closed.
 
 A ChannelState is a contact spinor plus sum_j s_j z_j^(l-1) F_j elsewhere;
 contact_elimination fixes the s_j from the contact spinor, channel_expansion
-evaluates them site by site, and expansion_moment and expansion_winding sum
-them over the chain and around a ring as geometric series.
+evaluates them site by site (certificate_window over the window a solver
+certifies), and expansion_moment and expansion_winding sum them over the
+chain and around a ring as geometric series.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -26,6 +27,7 @@ from .model import PARITY, ModelParams, bloch_matrices, contact_interaction, sit
 __all__ = [
     "TOL_EDGE_FACTOR",
     "ChannelState",
+    "certificate_window",
     "channel_expansion",
     "contact_elimination",
     "expansion_moment",
@@ -66,12 +68,14 @@ class ChannelRoot:
     group_velocity: float
 
 
-def channel_expansion(l, roots, scaled, contact) -> np.ndarray:
+def channel_expansion(l, roots, scaled, contact, incident=None) -> np.ndarray:
     """Spinor(s) of a channel expansion at integer site(s) l.
 
     Sites l >= 1 carry sum_j s_j z_j^(l-1) F_j, with s_j the l = 1 channel
     amplitudes ("scaled") and F_j the channel spinors; site 0 carries the
     contact spinor and l < 0 the exchange mirror PARITY @ beta_{|l|}.
+    ``incident``, the free spinors at the same sites, adds at l != 0 (the
+    incident wave of a scattering state).
     """
     l = np.asarray(l)
     scalar = l.ndim == 0
@@ -83,7 +87,17 @@ def channel_expansion(l, roots, scaled, contact) -> np.ndarray:
     beta[pos == 0] = contact
     neg = l < 0
     beta[neg] = beta[neg] @ PARITY  # diagonal, so right-multiplication works
+    if incident is not None:
+        beta = beta + np.where((l != 0)[..., None], incident, 0.0)
     return beta[0] if scalar else beta
+
+
+def certificate_window(half: int, E, params, roots, scaled, contact, incident=None):
+    """Spinors at |l| <= half + 1, incident(l) added, and their largest defect at |l| <= half."""
+    sites = np.arange(-half - 1, half + 2)
+    field = channel_expansion(sites, roots, scaled, contact,
+                              None if incident is None else incident(sites))
+    return field, float(site_residual(field, E, (-half, half), params).max())
 
 
 @dataclass(frozen=True)
@@ -91,8 +105,8 @@ class ChannelState:
     """Contact spinor b_0 = (p, d_+, 0, 0) plus the channel expansion at l != 0.
 
     scaled_amplitudes are the l = 1 channel amplitudes s_j, ordered like
-    roots.  residual_max, the largest site-equation defect over |l| <=
-    WINDOW (set by each subclass), is set on construction from the fields.
+    roots.  residual_max is the largest site-equation defect over the
+    solver's certificate window (certificate_window).
     """
 
     params: ModelParams
@@ -100,16 +114,7 @@ class ChannelState:
     roots: tuple
     scaled_amplitudes: np.ndarray
     contact_spinor: np.ndarray
-    residual_max: float = field(init=False)
-
-    def __post_init__(self):
-        half = self.WINDOW
-        self._certify(self.wavefunction(np.arange(-half - 1, half + 2)))
-
-    def _certify(self, window_field):
-        half = self.WINDOW
-        res = site_residual(window_field, self.energy, (-half, half), self.params)
-        object.__setattr__(self, "residual_max", float(res.max()))
+    residual_max: float
 
     def wavefunction(self, l) -> np.ndarray:
         """Spinor(s) at integer site(s) l."""

@@ -13,12 +13,13 @@ whose zeros are the bound states, now with the incident wave as its source
 (channels.contact_elimination).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bands import branch_energy, incident_state
-from .channels import ChannelState, _solve_regular, contact_elimination, find_channel_roots
+from .channels import (ChannelState, _solve_regular, certificate_window, channel_expansion,
+                       contact_elimination, find_channel_roots)
 from .errors import ConditioningError, ParameterError
 from .model import ModelParams, hop_blocks
 
@@ -27,32 +28,24 @@ __all__ = [
     "probability_current",
 ]
 
+L_CHECK = 50
+
 
 @dataclass(frozen=True)
 class ScatteringSolution(ChannelState):
     """Converged scattering state: the incident (branch, q) wave adds at l != 0.
 
-    current_max, the largest probability current over sites 0 .. WINDOW + 1,
-    is set on construction with residual_max.
+    current_max is the largest probability current over sites 0 .. L_CHECK + 1.
     """
-
-    WINDOW = 50
 
     branch: str
     q: float
-    current_max: float = field(init=False)
-
-    def _certify(self, window_field):
-        super()._certify(window_field)
-        cur = probability_current(window_field[self.WINDOW + 1:], self.params)
-        object.__setattr__(self, "current_max", float(np.abs(cur).max()))
+    current_max: float
 
     def wavefunction(self, l) -> np.ndarray:
         """Spinor(s) of (incident + outgoing + contact) at integer site(s) l."""
-        l = np.asarray(l)
-        incident = np.where((l != 0)[..., None],
-                            incident_state(self.branch, self.q, self.params, l), 0.0)
-        return super().wavefunction(l) + incident
+        return channel_expansion(l, self.roots, self.scaled_amplitudes, self.contact_spinor,
+                                 incident_state(self.branch, self.q, self.params, l))
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -94,7 +87,7 @@ def solve_scattering(branch: str, q: float, params: ModelParams) -> ScatteringSo
     The contact spinor solves the 2x2 contact problem C b_0 = r; a channel
     block or contact matrix singular to working precision raises
     ConditioningError.  The returned solution carries the site-residual and
-    flux certificates over |l| <= ScatteringSolution.WINDOW.
+    flux certificates over |l| <= L_CHECK.
     """
     q = float(q)
     if not 0.0 < q < np.pi:
@@ -110,8 +103,11 @@ def solve_scattering(branch: str, q: float, params: ModelParams) -> ScatteringSo
     w, c, rhs = contact_elimination(E, roots, params, incident)
     b0 = _solve_regular(c[:2, :2], rhs[:2], f"contact matrix S at E = {E}")
     contact = np.array([b0[0], b0[1], 0.0, 0.0])
+    scaled = w @ (contact - incident[0])
+    wav, residual = certificate_window(L_CHECK, E, params, roots, scaled, contact,
+                                       lambda l: incident_state(branch, q, params, l))
     return ScatteringSolution(
-        params=params, energy=E, roots=tuple(roots),
-        scaled_amplitudes=w @ (contact - incident[0]), contact_spinor=contact,
-        branch=branch, q=q,
+        params=params, energy=E, roots=tuple(roots), scaled_amplitudes=scaled,
+        contact_spinor=contact, residual_max=residual, branch=branch, q=q,
+        current_max=float(np.abs(probability_current(wav[L_CHECK + 1:], params)).max()),
     )

@@ -1,5 +1,6 @@
 """README's Python examples run as written, against the top-level API."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -22,12 +23,13 @@ def test_readme_python_blocks_run():
         assert re.search(rf"\b{name}\b", text), name
 
 
-def test_readme_scatter_line_honours_grid():
+def test_readme_scatter_line_honours_grid(tmp_path):
     # README's scatter example asks for a two-field q range with --grid
-    # points; the command line must parse it into exactly that many
+    # points; run as written, it must give exactly that many momenta
     text = README.read_text(encoding="utf-8")
     line = next(row for row in text.splitlines() if row.startswith("twopol scatter"))
     argv = shlex.split(line)[1:]
-    parser = cli.build_parser()
-    config = cli._resolve(parser, parser.parse_args(cli._normalize_argv(argv)))
-    assert config.qs.size == int(argv[argv.index("--grid") + 1])
+    out = tmp_path / "scatter.json"
+    assert cli.main(argv + ["--jobs", "1", "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len({row["q"] for row in rows}) == int(argv[argv.index("--grid") + 1])
