@@ -41,11 +41,6 @@ BRANCHES = ("AA", "AB", "BA", "BB")
 
 SQRT2 = float(np.sqrt(2.0))
 
-#: Guard below which the dressed-mode splitting counts as collapsed and the
-#: closed-form eigenvectors lose meaning (possible only off the real-q axis,
-#: where the splitting can vanish).
-DEGENERACY_GUARD = 1e-12
-
 #: Momenta per branch on the grid that brackets the band edges.
 N_SAMPLES = 256
 
@@ -117,13 +112,9 @@ def _factor(sign, x, g):
     """Unnormalized (photon, tls) amplitudes of a dressed mode.
 
     x is the TLS level measured from the photon level; the returned pair is
-    (2g, x + s*r) with r the level splitting.  For real x the squared norm
-    is 4g^2 + (x + s*r)^2.  The argument of the square root is never a
-    negative real, so the principal branch serves real and complex x alike.
+    (2g, x + s*r) with r >= 2g the level splitting.
     """
-    r = np.sqrt(x * x + 4.0 * g * g)
-    e = x + sign * r
-    return 2.0 * g, e, r
+    return 2.0 * g, x + sign * np.sqrt(x * x + 4.0 * g * g)
 
 
 def phase_fix(vec: np.ndarray) -> np.ndarray:
@@ -147,47 +138,32 @@ def phase_fix(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def branch_vector(branch: str, q, params: ModelParams) -> np.ndarray:
-    """Normalized branch spinor F at momentum q.
+def branch_vector(branch: str, q: float, params: ModelParams) -> np.ndarray:
+    """Normalized branch spinor F at real momentum q, in the gauge of phase_fix.
 
-    Real q gives a real vector in the frozen gauge of :func:`phase_fix`.
-    Complex q continues the closed form analytically (principal square
-    roots); if that lands on the wrong sheet the vector is recovered from
-    the null space of the Bloch matrix instead.
+    The closed form is checked against the Bloch eigen-relation; a residual
+    above 1e-10 of the matrix scale raises ConditioningError.
     """
     s1, s2 = _signs(branch)
     g = params.g
     d0, l1, l2 = effective_levels(params, q)
-    pg1, e1, r1 = _factor(s1, l1 - d0, g)
-    pg2, e2, r2 = _factor(s2, l2 - d0, g)
-    if min(abs(r1), abs(r2)) < DEGENERACY_GUARD * g:
-        raise ConditioningError(
-            f"dressed-mode splitting collapsed at q={q!r}; branch vectors are ill-defined"
-        )
+    pg1, e1 = _factor(s1, l1 - d0, g)
+    pg2, e2 = _factor(s2, l2 - d0, g)
     # The antisymmetric slot carries first-photon x second-TLS minus the
     # reverse; with the K/2+q particle taken as "first" this ordering is
     # what the eigen-relation demands.
-    f = np.array(
+    f = phase_fix(np.array(
         [
             pg1 * pg2,
             (e1 * pg2 + pg1 * e2) / SQRT2,
             (pg1 * e2 - e1 * pg2) / SQRT2,
             e1 * e2,
         ]
-    )
-    f = phase_fix(f)
+    ))
     energy = branch_energy(branch, q, params)
     m = bloch_matrix(params, q)
-    scale = np.linalg.norm(m) + abs(energy)
-    if np.linalg.norm(m @ f - energy * f) > 1e-10 * scale:
-        # Wrong sheet of the continued square roots: fall back to the null
-        # space of (M - E), which does not care about sheets.
-        w, sv, vh = np.linalg.svd(m - energy * np.eye(4))
-        f = phase_fix(np.conj(vh[-1]))
-        if np.linalg.norm(m @ f - energy * f) > 1e-10 * scale:
-            raise ConditioningError(
-                f"no clean eigenvector for branch {branch} at q={q!r}"
-            )
+    if np.linalg.norm(m @ f - energy * f) > 1e-10 * (np.linalg.norm(m) + abs(energy)):
+        raise ConditioningError(f"no clean eigenvector for branch {branch} at q={q!r}")
     return f
 
 

@@ -132,30 +132,39 @@ def _emit(text: str, out: str):
         sys.stdout.write(text)
 
 
-def _csv(config: RunConfig, columns, rows, extra=()) -> str:
+def _write(config: RunConfig, columns, rows, extra=(), gaps=None):
+    """Write the rows in the configured format: CSV or JSON.
+
+    CSV carries the metadata header, with `extra` pairs; a gap listing
+    goes into the JSON document, or next to a CSV file as the .gaps.json
+    sidecar.
+    """
+    if config.fmt == "json":
+        doc = {
+            "command": config.subcommand,
+            "xi": config.xi,
+            "K": config.K,
+            "columns": list(columns),
+            "rows": [dict(zip(columns, row)) for row in rows],
+        }
+        if gaps is not None:
+            doc["gaps"] = gaps
+        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out)
+        return
     buf = io.StringIO()
     buf.write("\n".join(_meta_block(config, columns, extra)) + "\n")
     writer = csv.writer(buf, lineterminator="\n")     # quotes text with commas
     writer.writerow(columns)
     writer.writerows(["" if v is None else v if isinstance(v, str) else _fmt(v)
                       for v in row] for row in rows)
-    return buf.getvalue()
-
-
-def _json_doc(config: RunConfig, columns, rows, gaps=None) -> str:
-    doc = {
-        "command": config.subcommand,
-        "xi": config.xi,
-        "K": config.K,
-        "columns": list(columns),
-        "rows": [
-            {c: (None if v is None else v) for c, v in zip(columns, row)}
-            for row in rows
-        ],
-    }
-    if gaps is not None:
-        doc["gaps"] = gaps
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _emit(buf.getvalue(), config.out)
+    if gaps is None:
+        return
+    if config.out:
+        _emit(json.dumps(gaps, indent=2, sort_keys=True) + "\n", config.out + ".gaps.json")
+    else:
+        log.info("gap listing omitted on stdout; pass --out to get "
+                 "the .gaps.json sidecar")
 
 
 def cmd_bands(config: RunConfig) -> int:
@@ -175,16 +184,7 @@ def cmd_bands(config: RunConfig) -> int:
                 for g in sorted(bs.gaps, key=lambda g: g.index)
             ],
         })
-    if config.fmt == "json":
-        _emit(_json_doc(config, columns, rows, gaps=gaps), config.out)
-    else:
-        _emit(_csv(config, columns, rows), config.out)
-        if config.out:
-            side = config.out + ".gaps.json"
-            _emit(json.dumps(gaps, indent=2, sort_keys=True) + "\n", side)
-        else:
-            log.info("gap listing omitted on stdout; pass --out to get "
-                     "the .gaps.json sidecar")
+    _write(config, columns, rows, gaps=gaps)
     return 0
 
 
@@ -210,10 +210,7 @@ def cmd_bound(config: RunConfig) -> int:
                 why = "no state" if gap_id in searched else refused.get(gap_id, "closed")
                 rows.append((pt.delta, float(gap_id),
                              None, None, None, None, None, why))
-    if config.fmt == "json":
-        _emit(_json_doc(config, columns, rows), config.out)
-    else:
-        _emit(_csv(config, columns, rows), config.out)
+    _write(config, columns, rows)
     return 0
 
 
@@ -235,11 +232,7 @@ def cmd_scatter(config: RunConfig) -> int:
             f = sol.coefficient(out_branch)
             rows.append((pt.q, pt.delta, out_branch, f.real, f.imag,
                          abs(f) ** 2, sol.residual_max, sol.current_max))
-    extra = (("branch", config.branch),)
-    if config.fmt == "json":
-        _emit(_json_doc(config, columns, rows), config.out)
-    else:
-        _emit(_csv(config, columns, rows, extra), config.out)
+    _write(config, columns, rows, extra=(("branch", config.branch),))
     return 0
 
 
@@ -247,36 +240,32 @@ def cmd_oracle(config: RunConfig) -> int:
     columns = ("delta", "gap_id", "E_b", "N", "E_ed", "error", "overlap")
     rows = []
     status = 0
-    for d in config.deltas:
-        p = ModelParams(xi=config.xi, delta=float(d), K=config.K)
-        points = bound_sweep(config.xi, [float(d)], K=config.K, jobs=1)[0]
-        if points.note:
-            log.error("no oracle comparison at delta=%s: %s", _fmt(d), points.note)
+    points = bound_sweep(config.xi, config.deltas, K=config.K, jobs=config.jobs)
+    for pt in points:
+        if pt.note:
+            log.error("no oracle comparison at delta=%s: %s", _fmt(pt.delta), pt.note)
             status = 1
-        for gap, states in zip(points.gaps, points.states):
+        for gap, states in zip(pt.gaps, pt.states):
             for st in states:
                 try:
                     comparisons = compare_bound_state(st, config.ring_sizes)
                 except OracleMismatchError as exc:
-                    log.error("oracle mismatch at delta=%s: %s", _fmt(d), exc)
+                    log.error("oracle mismatch at delta=%s: %s", _fmt(pt.delta), exc)
                     status = 1
                     continue
                 for row in comparisons:
-                    rows.append((float(d), float(gap.index), st.energy,
+                    rows.append((pt.delta, float(gap.index), st.energy,
                                  float(row.N), row.energy, row.error,
                                  row.overlap))
-        report = band_edge_check(p, max(config.ring_sizes))
+        report = band_edge_check(pt.params, max(config.ring_sizes))
         if not report.ok:
             log.error("band-edge audit failed at delta=%s: %d violations, "
-                      "%d in-gap vs %d expected", _fmt(d),
+                      "%d in-gap vs %d expected", _fmt(pt.delta),
                       len(report.violations), len(report.in_gap),
                       report.expected_bound_count)
             status = 1
-    extra = (("N", ",".join(str(n) for n in config.ring_sizes)),)
-    if config.fmt == "json":
-        _emit(_json_doc(config, columns, rows), config.out)
-    else:
-        _emit(_csv(config, columns, rows, extra), config.out)
+    _write(config, columns, rows,
+           extra=(("N", ",".join(str(n) for n in config.ring_sizes)),))
     return status
 
 

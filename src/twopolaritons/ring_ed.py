@@ -8,6 +8,7 @@ common with the solver modules, so agreement is genuine evidence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ __all__ = [
     "build_hamiltonian",
     "translation_operator",
     "momentum_blocks",
+    "ring_sector",
     "ring_embedding",
     "compare_bound_state",
     "band_edge_check",
@@ -150,18 +152,38 @@ def translation_operator(N: int) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class MomentumSector:
-    """One total-momentum block of the ring Hamiltonian."""
+    """One diagonalized total-momentum block of the N-site ring Hamiltonian.
 
+    Its arrays are read-only: ring_sector hands the same sector to every
+    caller.
+    """
+
+    N: int
     n: int
     momentum: float
-    block: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray        # columns, in the sector basis
     projector: sp.csr_matrix        # sector basis -> full basis
 
     @property
     def dim(self) -> int:
-        return self.block.shape[0]
+        return self.eigenvalues.size
+
+    def nearest_in_gap(self, state: BoundState):
+        """The sector eigenpair paired with an analytic bound state.
+
+        The eigenvalue is the one inside the state's gap nearest its
+        energy; its eigenvector is returned in the full ring basis.
+        """
+        gap = state.gap
+        inside = np.flatnonzero((self.eigenvalues > gap.lo) & (self.eigenvalues < gap.hi))
+        if not inside.size:
+            raise OracleMismatchError(
+                f"no ring eigenvalue inside gap ({gap.lo:.6g}, {gap.hi:.6g}) "
+                f"at N = {self.N}"
+            )
+        pick = inside[np.argmin(np.abs(self.eigenvalues[inside] - state.energy))]
+        return float(self.eigenvalues[pick]), self.projector @ self.eigenvectors[:, pick]
 
 
 def _orbits(basis: TwoExcitationBasis):
@@ -225,21 +247,36 @@ def momentum_blocks(h: sp.spmatrix, N: int, only=None) -> list:
             raise RuntimeError(
                 f"momentum block n={n} not Hermitian: defect {herm:.3g}"
             )
-        block = 0.5 * (block + block.conj().T)
-        vals, vecs = np.linalg.eigh(block)
+        vals, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
+        for a in (vals, vecs, proj.data, proj.indices, proj.indptr):
+            a.flags.writeable = False
         sectors.append(MomentumSector(
-            n=n, momentum=k, block=block,
+            N=N, n=n, momentum=k,
             eigenvalues=vals, eigenvectors=vecs, projector=proj,
         ))
     return sectors
 
 
-def _ring_sector(K: float, N: int) -> int:
-    """Sector n with 2 pi n / N = K, or ParameterError."""
-    n_k = K * N / (2.0 * math.pi)
+#: Diagonalized sectors ring_sector keeps: enough for the three ring sizes
+#: both states of one detuning are compared at, so those comparisons and
+#: the audit share one diagonalization per ring size.
+SECTORS_KEPT = 4
+
+
+@functools.lru_cache(maxsize=SECTORS_KEPT)
+def ring_sector(params: ModelParams, N: int) -> MomentumSector:
+    """The diagonalized sector of the N-site ring that holds momentum params.K.
+
+    The package's only map from K to a sector: n = K N / 2 pi (mod N), or
+    ParameterError when K is not a ring momentum.  Builds H and
+    diagonalizes that one block, with the exact [H, T] and Hermiticity
+    checks of momentum_blocks; the SECTORS_KEPT most recent (params, N)
+    are memoized (ring_sector.cache_clear() empties the memo).
+    """
+    n_k = params.K * N / (2.0 * math.pi)
     if abs(n_k - round(n_k)) > 1e-9:
-        raise ParameterError(f"K = {K} is not a ring momentum for N = {N}")
-    return int(round(n_k)) % N
+        raise ParameterError(f"K = {params.K} is not a ring momentum for N = {N}")
+    return momentum_blocks(build_hamiltonian(N, params), N, only=[int(round(n_k)) % N])[0]
 
 
 def ring_embedding(state: BoundState, N: int) -> np.ndarray:
@@ -250,10 +287,11 @@ def ring_embedding(state: BoundState, N: int) -> np.ndarray:
     sum_{l = r mod N} e^{iKl/2} beta_l, the closed-form windings of each
     side of the contact (channels.expansion_winding; l < 0 via PARITY).
     Only local conversions follow: the sqrt(2) of a doubly occupied cavity,
-    no doubly excited TLS.  Returned vector is unnormalized.
+    no doubly excited TLS.  Returned vector is unnormalized.  A K that is
+    no momentum of the ring raises ParameterError from ring_sector.
     """
     params = state.params
-    _ring_sector(params.K, N)
+    ring_sector(params, N)
     basis = TwoExcitationBasis(N)
     right, left = (expansion_winding(state.roots, state.scaled_amplitudes, N, s * params.K / 2)
                    for s in (1, -1))
@@ -292,7 +330,6 @@ def compare_bound_state(analytic: BoundState, N_list) -> tuple:
     overlap with the wrapped analytic wavefunction.  Errors are expected
     to fall with N.
     """
-    params = analytic.params
     gap = analytic.gap
     if not gap.contains(analytic.energy):
         raise OracleMismatchError(
@@ -301,23 +338,13 @@ def compare_bound_state(analytic: BoundState, N_list) -> tuple:
         )
     rows = []
     for N in N_list:
-        h = build_hamiltonian(N, params)
-        sector = momentum_blocks(h, N, only=[_ring_sector(params.K, N)])[0]
-        inside = (sector.eigenvalues > gap.lo) & (sector.eigenvalues < gap.hi)
-        if not inside.any():
-            raise OracleMismatchError(
-                f"no ring eigenvalue inside gap ({gap.lo:.6g}, {gap.hi:.6g}) "
-                f"at N = {N}"
-            )
-        evals = sector.eigenvalues[inside]
-        pick = int(np.argmin(np.abs(evals - analytic.energy)))
-        vec_full = sector.projector @ sector.eigenvectors[:, inside][:, pick]
+        energy, vec_full = ring_sector(analytic.params, N).nearest_in_gap(analytic)
         psi = ring_embedding(analytic, N)
         ov = abs(np.vdot(vec_full, psi)) ** 2 / np.vdot(psi, psi).real
         rows.append(OracleComparison(
             N=int(N),
-            energy=float(evals[pick]),
-            error=float(abs(evals[pick] - analytic.energy)),
+            energy=energy,
+            error=float(abs(energy - analytic.energy)),
             overlap=float(ov),
         ))
     return tuple(rows)
@@ -348,8 +375,7 @@ def band_edge_check(params: ModelParams, N: int) -> EdgeCheckReport:
     """
     tol = 5.0 * params.g / N
     bands = band_structure(params)
-    h = build_hamiltonian(N, params)
-    sector = momentum_blocks(h, N, only=[_ring_sector(params.K, N)])[0]
+    sector = ring_sector(params, N)
     expected = sum(
         len(find_bound_states(params, gap)) for gap in bands.gaps
     )

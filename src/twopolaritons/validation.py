@@ -29,6 +29,7 @@ from .ring_ed import (
     jc_pair_levels,
     momentum_blocks,
     ring_embedding,
+    ring_sector,
     translation_operator,
 )
 from .scattering import solve_scattering
@@ -330,7 +331,7 @@ def _check_ed_band_edges(rng):
     # violation, so the attribution conserves the sector dimension
     p = ModelParams(xi=-0.2, delta=0.0, K=0.0)
     rep = band_edge_check(p, 24)
-    dim = momentum_blocks(build_hamiltonian(24, p), 24, only=[0])[0].dim
+    dim = ring_sector(p, 24).dim
     counted = sum(rep.band_counts) + len(rep.in_gap) + len(rep.violations)
     ok = rep.ok and rep.expected_bound_count == 2 and counted == dim
     return ok, (f"{len(rep.violations)} violations, {len(rep.in_gap)} "

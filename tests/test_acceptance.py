@@ -40,9 +40,8 @@ from twopolaritons.model import ModelParams, hop_blocks
 from twopolaritons.ring_ed import (
     FAMILIES,
     TwoExcitationBasis,
-    build_hamiltonian,
     compare_bound_state,
-    momentum_blocks,
+    ring_sector,
 )
 from twopolaritons.scattering import solve_scattering
 from twopolaritons.sweeps import bound_sweep
@@ -89,18 +88,14 @@ def edge_pair(gap, edge, params):
     return branch, q, dist
 
 
-def ring_composition(state, gap, N):
-    """Weights of the K = 0 ring eigenvector paired with `state`.
+def ring_composition(state, N):
+    """Weights of the ring eigenvector paired with `state`.
 
-    The eigenvector is the in-gap one nearest the analytic energy, as in
-    compare_bound_state; its weight is summed over the pp/mix/tt families
-    of the ring basis, which knows nothing of the solver's spinors.
+    The eigenvector is the one compare_bound_state pairs with the state;
+    its weight is summed over the pp/mix/tt families of the ring basis,
+    which knows nothing of the solver's spinors.
     """
-    sector = momentum_blocks(build_hamiltonian(N, state.params), N,
-                             only=[0])[0]
-    inside = (sector.eigenvalues > gap.lo) & (sector.eigenvalues < gap.hi)
-    pick = np.argmin(np.abs(sector.eigenvalues[inside] - state.energy))
-    vec = sector.projector @ sector.eigenvectors[:, inside][:, pick]
+    _, vec = ring_sector(state.params, N).nearest_in_gap(state)
     basis = TwoExcitationBasis(N)
     sizes = [basis.sites(kind)[0].size for kind in FAMILIES]
     w = np.split(np.abs(vec) ** 2, np.cumsum(sizes)[:-1])
@@ -205,7 +200,7 @@ def test_criterion_1(bound_survey):
                     failures.append(f"{tag}: kappa {st.decay_rate:.3g} "
                                     f"needs a ring above {ED_MAX_N} sites")
                     continue
-                w_ring = ring_composition(st, gap, n_ring)
+                w_ring = ring_composition(st, n_ring)
                 dev = max(abs(a - b) for a, b in zip(st.weights, w_ring))
                 if dev >= 1e-6:
                     failures.append(

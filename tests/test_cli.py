@@ -217,12 +217,28 @@ def test_oracle_reports_skipped_gaps(tmp_path, caplog, monkeypatch):
 
 
 def test_output_deterministic_across_jobs(tmp_path):
-    argv = ["scatter", "--xi", "-0.2", "--delta", "-1,1",
-            "--q", "0.4:2.8", "--grid", "6"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(argv + ["--jobs", "1", "--out", str(a)]) == 0
-    assert run(argv + ["--jobs", "3", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    for argv in (["scatter", "--xi", "-0.2", "--delta", "-1,1",
+                  "--q", "0.4:2.8", "--grid", "6"],
+                 ["oracle", "--xi", "-0.2", "--delta", "-0.5,0,0.5",
+                  "--N", "24,48"]):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(argv + ["--jobs", "1", "--out", str(a)]) == 0
+        assert run(argv + ["--jobs", "3", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+def test_oracle_sweeps_all_deltas_at_once(tmp_path, monkeypatch):
+    # one bound sweep over every detuning, run with the requested jobs
+    calls = []
+
+    def recorded(xi, deltas, K=0.0, jobs=None):
+        calls.append((list(deltas), jobs))
+        return sweeps.bound_sweep(xi, deltas, K=K, jobs=1)
+
+    monkeypatch.setattr(cli, "bound_sweep", recorded)
+    assert run(["oracle", "--xi", "-0.2", "--delta", "-0.5,0,0.5", "--N", "24,48",
+                "--jobs", "2", "--out", str(tmp_path / "oracle.csv")]) == 0
+    assert calls == [([-0.5, 0.0, 0.5], 2)]
 
 
 def test_oracle_command(tmp_path):

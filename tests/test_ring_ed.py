@@ -226,3 +226,36 @@ def test_band_edge_audit(monkeypatch):
 
     monkeypatch.setattr(validation, "band_edge_check", lossy)
     assert not run_checks(["ed-band-edges"])[0].passed
+
+
+def test_one_diagonalization_per_ring(monkeypatch):
+    # both states of one (params, N) and the audit at N = 48 share the
+    # memoized sectors: one Hamiltonian per ring size
+    built = []
+
+    def counting(N, params):
+        built.append(N)
+        return build_hamiltonian(N, params)
+
+    ring_ed.ring_sector.cache_clear()
+    monkeypatch.setattr(ring_ed, "build_hamiltonian", counting)
+    p = ModelParams(xi=-0.2, delta=0.0)
+    states = [st for gap in band_structure(p).gaps for st in find_bound_states(p, gap)]
+    assert len(states) == 2
+    for st in states:
+        compare_bound_state(st, (24, 48))
+    ring_ed.band_edge_check(p, 48)
+    assert built == [24, 48]
+
+
+def test_ring_sector_of_K():
+    sector = ring_ed.ring_sector(ModelParams(xi=-0.2, K=2.0 * np.pi * 3 / 24), 24)
+    assert (sector.N, sector.n) == (24, 3)
+    assert sector.momentum == 2.0 * np.pi * 3 / 24
+
+
+def test_cached_sector_is_read_only():
+    sector = ring_ed.ring_sector(ModelParams(xi=-0.2), 12)
+    for array in (sector.eigenvalues, sector.eigenvectors, sector.projector.data):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
