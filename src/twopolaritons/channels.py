@@ -2,11 +2,12 @@
 
 A wave b_l = z^l F with z = e^{i lam} solves the free chain at energy E
 when (hp + (A - E) z + hm z^2) F = 0.  This quadratic eigenproblem is
-solved as one 8x8 companion pencil for every K.  Because the determinant
-is even in lam, its roots come in z <-> 1/z pairs, which leaves three
-channels.  Channels on the unit circle with positive group velocity are
-open (outgoing waves).  The rest decay as |z|^l = e^{-Im(lam) l} and are
-closed.
+solved as one 8x8 companion pencil for every K: one LAPACK ggev call per
+energy, with the E-independent blocks cached per parameter set.  Because
+the determinant is even in lam, its roots come in z <-> 1/z pairs, which
+leaves three channels.  Channels on the unit circle with positive group
+velocity are open (outgoing waves).  The rest decay as |z|^l =
+e^{-Im(lam) l} and are closed.
 
 A ChannelState is a contact spinor plus sum_j s_j z_j^(l-1) F_j elsewhere;
 contact_elimination fixes the s_j from the contact spinor, channel_expansion
@@ -15,13 +16,16 @@ certifies), and expansion_moment and expansion_winding sum them over the
 chain and around a ring as geometric series.
 """
 
+import functools
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .bands import BRANCHES, branch_energy, branch_energy_derivative, branch_vector, phase_fix
-from .errors import ConditioningError, DegenerateParametersError
+from .errors import ConditioningError, DegenerateParametersError, ParameterError
 from .model import PARITY, ModelParams, bloch_matrices, contact_interaction, site_residual
 
 __all__ = [
@@ -48,6 +52,32 @@ _VELOCITY_FLOOR = 1e-10
 #: Open eigenvalues whose |lam| agree to this share one momentum (the AB/BA
 #: pair at K = 0); the pencil splits such a double root only by roundoff.
 _CLUSTER_TOL = 1e-5
+
+#: LAPACK's generalized eigensolver for the complex 8x8 companion pencil.
+(_GGEV,) = get_lapack_funcs(("ggev",), (np.zeros((8, 8), dtype=complex),))
+
+#: Energy-independent data of one parameter set: blocks, hop_cos/hop_sin row norms,
+#: hp PARITY + hm, the companion pencil less its -(A - E) block, rank of hm[:3, :3].
+_Pencil = namedtuple("_Pencil", "onsite hop_cos hop_sin hop_norms hp hm contact "
+                                "mirror_hop lhs rhs hm_rank")
+
+
+@functools.lru_cache(maxsize=8)
+def _pencil(params: ModelParams) -> _Pencil:
+    """The _Pencil of params, its arrays read-only; the 8 most recent are kept."""
+    mats = bloch_matrices(params)
+    hp, hm = mats.hop_blocks()
+    zero, one = np.zeros((4, 4)), np.eye(4)
+    pencil = _Pencil(
+        onsite=mats.onsite, hop_cos=mats.hop_cos, hop_sin=mats.hop_sin,
+        hop_norms=np.linalg.norm([mats.hop_cos, mats.hop_sin], axis=2), hp=hp, hm=hm,
+        contact=contact_interaction(params), mirror_hop=hp @ PARITY + hm,
+        lhs=np.block([[zero, one], [-hp, zero]]), rhs=np.block([[one, zero], [zero, hm]]),
+        hm_rank=int(np.linalg.matrix_rank(hm[:3, :3])),
+    )
+    for array in pencil[:-1]:
+        array.flags.writeable = False
+    return pencil
 
 
 @dataclass(frozen=True)
@@ -163,19 +193,17 @@ def contact_elimination(E, roots, params, incident=None):
     free spinors (inc_0, inc_1); None, for a bound state, means zero.  An
     M_1 singular to working precision raises ConditioningError.
     """
-    mats = bloch_matrices(params)
-    a_e = mats.onsite - E * np.eye(4)
-    hp, hm = mats.hop_blocks()
+    pencil = _pencil(params)
+    a_e = pencil.onsite - E * np.eye(4)
     phi = np.array([r.vector for r in roots]).T
     z = np.array([r.z for r in roots])
-    m1 = (a_e @ phi + hm @ phi * z)[:3]
-    w = -_solve_regular(m1, hp[:3], f"channel block M_1 at E = {E}")
-    mirror_hop = hp @ PARITY + hm
-    c = a_e + contact_interaction(params) + mirror_hop @ phi @ w
+    m1 = (a_e @ phi + pencil.hm @ phi * z)[:3]
+    w = -_solve_regular(m1, pencil.hp[:3], f"channel block M_1 at E = {E}")
+    c = a_e + pencil.contact + pencil.mirror_hop @ phi @ w
     if incident is None:
         return w, c, np.zeros(4, dtype=complex)
     inc0, inc1 = incident
-    return w, c, -mirror_hop @ (inc1 - phi @ (w @ inc0))
+    return w, c, -pencil.mirror_hop @ (inc1 - phi @ (w @ inc0))
 
 
 def _solve_regular(m, rhs, what: str) -> np.ndarray:
@@ -186,36 +214,26 @@ def _solve_regular(m, rhs, what: str) -> np.ndarray:
     return np.linalg.solve(m, rhs)
 
 
-def _det_scale(norms, cos, sin):
-    """Hadamard-style magnitude of det(a + b cos(lam) + c sin(lam)).
-
-    Product of row norms (``norms`` holds those of a, b and c), the b and c
-    rows weighted by max(1, |cos lam|) and max(1, |sin lam|), which follow
-    a closed channel's growing decay.
-    """
-    na, nb, nc = norms
-    return float(np.prod(na + max(1.0, abs(cos)) * nb + max(1.0, abs(sin)) * nc))
-
-
-def _pencil_eigs(a, hp, hm):
+def _pencil_eigs(a, pencil):
     """The six channel eigenpairs (z, F) of the companion pencil, by |z|.
 
     With x = (F, z F) the quadratic (hp + a z + hm z^2) F = 0 reads
     [[0, I], [-hp, -a]] x = z [[I, 0], [0, hm]] x.  The TLS pair does not
     hop, so hp and hm share a zero row and column: the pencil always has
     one structural z = 0 and one structural z = inf, dropped here.  The
-    homogeneous form (alpha, beta) orders them without forming inf.
+    homogeneous form (alpha, beta) orders them without forming inf.  F is
+    unnormalized; a failed ggev raises ConditioningError.
     """
-    if np.linalg.matrix_rank(hm[:3, :3]) < 3:
+    if pencil.hm_rank < 3:
         raise DegenerateParametersError(
             "photon pair does not hop: 2 xi cos(K/2) = 0 on the Brillouin "
             "zone boundary K = pi (or at xi = 0), so the hopping block loses rank"
         )
-    lhs = np.zeros((8, 8), dtype=complex)
-    rhs = np.zeros((8, 8), dtype=complex)
-    lhs[:4, 4:] = rhs[:4, :4] = np.eye(4)
-    lhs[4:, :4], lhs[4:, 4:], rhs[4:, 4:] = -hp, -a, hm
-    (alpha, beta), vecs = scipy.linalg.eig(lhs, rhs, homogeneous_eigvals=True)
+    lhs = pencil.lhs.copy()
+    lhs[4:, 4:] = -a
+    alpha, beta, _, vecs, _, info = _GGEV(lhs, pencil.rhs, compute_vl=0)
+    if info != 0:
+        raise ConditioningError(f"LAPACK ggev failed on the companion pencil (info = {info})")
     order = np.argsort(np.arctan2(np.abs(alpha), np.abs(beta)))[1:-1]
     alpha, beta = alpha[order], beta[order]
     if abs(alpha[0]) <= np.finfo(float).eps * abs(beta[0]):
@@ -246,16 +264,9 @@ def _open_channels(lam_abs, mult, E, params):
             f"open root at |lam|={lam_abs:.6g} admits {len(kept)} outgoing "
             f"waves, expected {mult}"
         )
-    out = []
-    for br, lam, v in kept:
-        out.append(
-            ChannelRoot(
-                lam=complex(lam), z=complex(np.exp(1j * lam)), is_open=True,
-                branch=br, vector=branch_vector(br, lam, params),
-                group_velocity=v,
-            )
-        )
-    return out
+    return [ChannelRoot(lam=complex(lam), z=complex(np.exp(1j * lam)), is_open=True, branch=br,
+                        vector=branch_vector(br, lam, params), group_velocity=v)
+            for br, lam, v in kept]
 
 
 def find_channel_roots(E: float, params: ModelParams) -> list:
@@ -272,9 +283,11 @@ def find_channel_roots(E: float, params: ModelParams) -> list:
     M(lam) - E at that root, which follows |cos lam| and |sin lam| as
     |z| -> 0.
     """
-    mats = bloch_matrices(params)
-    a = mats.onsite - E * np.eye(4)
-    z, vecs = _pencil_eigs(a, *mats.hop_blocks())
+    if not math.isfinite(E):
+        raise ParameterError(f"energy must be finite, got {E!r}")
+    pencil = _pencil(params)
+    a = pencil.onsite - E * np.eye(4)
+    z, vecs = _pencil_eigs(a, pencil)
     on_circle = np.abs(np.abs(z) - 1.0) <= TOL_OPEN
     decaying = (np.abs(z) < 1.0) & ~on_circle
     channels = []
@@ -294,15 +307,19 @@ def find_channel_roots(E: float, params: ModelParams) -> list:
         )
     if len(channels) != 3:
         raise DegenerateParametersError(f"found {len(channels)} channels, expected 3")
-    norms = [np.linalg.norm(m, axis=1) for m in (a, mats.hop_cos, mats.hop_sin)]
-    for root in channels:
-        cos, sin = np.cos(root.lam), np.sin(root.lam)
-        val = np.linalg.det(a + mats.hop_cos * cos + mats.hop_sin * sin)
-        scale = _det_scale(norms, cos, sin)
-        if abs(val) > 1e-9 * scale:
+    # Hadamard-style scale: the product of row norms, those of hop_cos and hop_sin
+    # weighted by max(1, |cos lam|) and max(1, |sin lam|) to follow a closed decay
+    lam = np.array([r.lam for r in channels])
+    cos, sin = np.cos(lam), np.sin(lam)
+    vals = np.abs(np.linalg.det(a + np.multiply.outer(cos, pencil.hop_cos)
+                                + np.multiply.outer(sin, pencil.hop_sin)))
+    weights = np.maximum(1.0, np.abs([cos, sin]))
+    scales = np.prod(np.linalg.norm(a, axis=1) + weights.T @ pencil.hop_norms, axis=1)
+    for root, val, scale in zip(channels, vals, scales):
+        if val > 1e-9 * scale:
             raise ConditioningError(
                 f"channel root lam={root.lam:.6g} fails the determinant "
-                f"condition: |det| = {abs(val):.3g} vs scale {scale:.3g}"
+                f"condition: |det| = {val:.3g} vs scale {scale:.3g}"
             )
     channels.sort(key=lambda r: (not r.is_open, r.lam.imag, r.lam.real, r.branch))
     return channels

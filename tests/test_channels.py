@@ -6,15 +6,18 @@ kind each guards and require the check to fail.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from twopolaritons import validation
+from twopolaritons import channels, validation
 from twopolaritons.bands import band_structure, branch_energy
 from twopolaritons.channels import channel_expansion, expansion_moment, find_channel_roots
-from twopolaritons.errors import DegenerateParametersError
-from twopolaritons.model import PARITY, ModelParams, bloch_matrix
+from twopolaritons.errors import (ConditioningError, DegenerateParametersError, ParameterError,
+                                  TwoPolaritonError)
+from twopolaritons.model import PARITY, ModelParams, bloch_matrices, bloch_matrix
 from twopolaritons.validation import run_checks
 
 RNG = np.random.default_rng(37)
@@ -184,10 +187,74 @@ def test_channel_count_error_at_degenerate_energy():
 
 def test_zone_boundary_is_refused():
     # at K = pi, 2 xi cos(K/2) = 0: the photon pair does not hop, the
-    # hopping block loses rank and the channel problem is refused
+    # hopping block loses rank and the channel problem is refused, on every
+    # call and not only while the parameters are new to the cache
     p = ModelParams(xi=-0.2, delta=-2.0, K=np.pi)
-    with pytest.raises(DegenerateParametersError, match="zone boundary"):
-        find_channel_roots(-1.0, p)
+    for _ in range(2):
+        with pytest.raises(DegenerateParametersError, match="zone boundary"):
+            find_channel_roots(-1.0, p)
+
+
+@pytest.mark.parametrize("energy", [np.nan, np.inf, -np.inf])
+def test_non_finite_energy_is_refused(energy):
+    # refused as bad input before any arithmetic, so without a warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParameterError, match="energy must be finite"):
+            find_channel_roots(energy, ModelParams(xi=-0.2, delta=0.4))
+    assert not caught
+
+
+def test_cached_pencil_data_is_read_only():
+    pencil = channels._pencil(ModelParams(xi=-0.3, delta=0.8, K=0.9))
+    arrays = [a for a in pencil if isinstance(a, np.ndarray)]
+    assert len(arrays) == len(pencil) - 1
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+
+
+def test_ggev_failure_is_a_conditioning_error(monkeypatch):
+    real = channels._GGEV
+
+    def failing(*args, **kwargs):
+        return (*real(*args, **kwargs)[:-1], 1)
+
+    monkeypatch.setattr(channels, "_GGEV", failing)
+    with pytest.raises(ConditioningError, match="info = 1"):
+        find_channel_roots(0.1, ModelParams(xi=-0.2))
+
+
+def test_pencil_eigenvalues_match_scipy_eig(monkeypatch):
+    # the eigenvalues of the direct LAPACK call inside find_channel_roots
+    # equal those of scipy.linalg.eig, bit for bit, on the companion pencil
+    # built afresh from the model blocks
+    real, seen = channels._GGEV, []
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(out[:2])
+        return out
+
+    monkeypatch.setattr(channels, "_GGEV", recorded)
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        p = validation._draw_params(rng)
+        e = rng.uniform(2.0 * p.delta - 6.0, 2.0 * p.delta + 6.0)
+        seen.clear()
+        try:
+            find_channel_roots(e, p)
+        except TwoPolaritonError:
+            pass
+        mats = bloch_matrices(p)
+        hp, hm = mats.hop_blocks()
+        lhs = np.zeros((8, 8), dtype=complex)
+        rhs = np.zeros((8, 8), dtype=complex)
+        lhs[:4, 4:] = rhs[:4, :4] = np.eye(4)
+        lhs[4:, :4], lhs[4:, 4:], rhs[4:, 4:] = -hp, -(mats.onsite - e * np.eye(4)), hm
+        (alpha, beta), _ = scipy.linalg.eig(lhs, rhs, homogeneous_eigvals=True)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0][0], alpha) and np.array_equal(seen[0][1], beta)
 
 
 @pytest.mark.parametrize("xi, delta", [(-0.5, -1.0), (-0.75, -1.5)])
