@@ -122,17 +122,18 @@ def phase_fix(vec: np.ndarray) -> np.ndarray:
 
     The first component whose magnitude reaches 10% of the largest one is
     made real and positive.  Comparing amplitudes between runs only makes
-    sense once this gauge is frozen.
+    sense once this gauge is frozen.  A (n, m) array is fixed column by
+    column, each by the same rule.
     """
     v = np.asarray(vec)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
+    cols = v.reshape(len(v), -1)
+    mags = np.abs(cols)
+    norm = np.hypot.reduce(mags, axis=0)
+    if not norm.all():
         raise ValueError("cannot phase-fix a zero vector")
-    v = v / norm
-    mags = np.abs(v)
-    pick = int(np.argmax(mags >= 0.1 * mags.max()))
-    phase = v[pick] / mags[pick]
-    out = v * np.conj(phase)
+    pick = (mags >= 0.1 * mags.max(axis=0)).argmax(axis=0)
+    cut = (pick, np.arange(cols.shape[1]))
+    out = (cols * np.conj(cols[cut] / (mags[cut] * norm))).reshape(v.shape)
     if not np.iscomplexobj(vec):
         return out.real
     return out

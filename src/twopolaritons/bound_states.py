@@ -6,11 +6,14 @@ on the contact slots (photon pair, symmetric mix): a 2x2 Hermitian matrix
 S(E) whose eigenvalues fall strictly across a gap.  A bound state is a zero
 of one eigenvalue, so the change in the number of negative eigenvalues (the
 inertia) between the inset gap ends counts the states, and Brent's method
-finds each; its contact spinor is the eigenvector of that eigenvalue.  A
-sign change where the eigenvalue does not collapse is refused as a pole of
-S, and a state is accepted only when its wavefunction passes the
-site-equation residual test.  Norms, composition weights and the Rayleigh
-quotient are closed-form geometric sums, exact for any decay rate.
+finds each; its contact spinor is the eigenvector of that eigenvalue.
+Brent runs in the Chebyshev gap variable s in [0, 1], E(s) = lo + (hi -
+lo)(1 - cos(pi s))/2, in which the sqrt(E - edge) onset of S's
+eigenvalues at a gap edge is linear.  A sign change where the eigenvalue
+does not collapse is refused as a pole of S, and a state is accepted only
+when its wavefunction passes the site-equation residual test.  Norms,
+composition weights and the Rayleigh quotient are closed-form geometric
+sums, exact for any decay rate.
 """
 
 from __future__ import annotations
@@ -102,12 +105,12 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
     """All certified bound states inside one open gap, sorted by energy.
 
     Each eigenvalue of S(E) that changes sign between the inset gap ends
-    holds one state, located by Brent's method and kept if it passes the
-    residual certificate; an empty list is a valid outcome.  A sign change
-    where the eigenvalue stays above SIGMA_ACCEPT * max(|S|, g) is a pole
-    of S (a surface state of the half chain) or an unresolved zero, and
-    raises ConditioningError.  The search stays TOL_EDGE_FACTOR * g inside
-    the gap edges.
+    holds one state, located by Brent's method in the gap variable s and
+    kept if it passes the residual certificate; an empty list is a valid
+    outcome.  A sign change where the eigenvalue stays above SIGMA_ACCEPT *
+    max(|S|, g) is a pole of S (a surface state of the half chain) or an
+    unresolved zero, and raises ConditioningError.  The search stays
+    TOL_EDGE_FACTOR * g inside the gap edges.
     """
     g = params.g
     tol_edge = TOL_EDGE_FACTOR * g
@@ -118,8 +121,8 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
         )
     lo, hi = gap.lo + tol_edge, gap.hi - tol_edge
 
-    # each energy costs a root-find; Brent returns an energy it has
-    # evaluated, so the certificate reuses that energy's roots and spectrum.
+    # each energy costs a root-find; Brent returns an s it has evaluated,
+    # so the certificate reuses the roots and spectrum at E(s).
     # S(E) is the (p, d_+) block of the contact matrix C without incident
     # wave (its other rows vanish); W maps the contact spinor to l = 1.
     @functools.cache
@@ -138,9 +141,19 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
     if n_hi < n_lo:
         raise ConditioningError(f"S(E) has {n_lo} negative eigenvalues at {lo} but "
                                 f"{n_hi} at {hi}: a pole inside the gap spoils the count")
+    # E(s) anchors each half at its own end, so E(0) and E(1) are lo and hi
+    # exactly and reuse the inertia evaluations; |dE/ds| <= pi/2 (hi - lo)
+    # keeps the energy tolerance at 1e-13
+    span = hi - lo
+
+    def energy(s: float) -> float:
+        c = math.cos(math.pi * s)
+        return lo + 0.5 * span * (1.0 - c) if s <= 0.5 else hi - 0.5 * span * (1.0 + c)
+
+    xtol_s = 1e-13 / (0.5 * math.pi * span)
     states = []
     for k in range(n_lo, n_hi):
-        E_b = brentq(lambda E: eigs(E)[k], lo, hi, xtol=1e-13)
+        E_b = energy(brentq(lambda s: eigs(energy(s))[k], 0.0, 1.0, xtol=xtol_s))
         at = eigs(E_b)
         gate = SIGMA_ACCEPT * max(np.abs(at).max(), g)
         if not abs(at[k]) < gate:

@@ -53,13 +53,16 @@ _VELOCITY_FLOOR = 1e-10
 #: pair at K = 0); the pencil splits such a double root only by roundoff.
 _CLUSTER_TOL = 1e-5
 
+_EPS = np.finfo(float).eps
+
 #: LAPACK's generalized eigensolver for the complex 8x8 companion pencil.
 (_GGEV,) = get_lapack_funcs(("ggev",), (np.zeros((8, 8), dtype=complex),))
 
 #: Energy-independent data of one parameter set: blocks, hop_cos/hop_sin row norms,
-#: hp PARITY + hm, the companion pencil less its -(A - E) block, rank of hm[:3, :3].
+#: hp PARITY + hm, the companion pencil less its -(A - E) block, the 4x4 identity,
+#: rank of hm[:3, :3].
 _Pencil = namedtuple("_Pencil", "onsite hop_cos hop_sin hop_norms hp hm contact "
-                                "mirror_hop lhs rhs hm_rank")
+                                "mirror_hop lhs rhs eye hm_rank")
 
 
 @functools.lru_cache(maxsize=8)
@@ -73,7 +76,7 @@ def _pencil(params: ModelParams) -> _Pencil:
         hop_norms=np.linalg.norm([mats.hop_cos, mats.hop_sin], axis=2), hp=hp, hm=hm,
         contact=contact_interaction(params), mirror_hop=hp @ PARITY + hm,
         lhs=np.block([[zero, one], [-hp, zero]]), rhs=np.block([[one, zero], [zero, hm]]),
-        hm_rank=int(np.linalg.matrix_rank(hm[:3, :3])),
+        eye=one, hm_rank=int(np.linalg.matrix_rank(hm[:3, :3])),
     )
     for array in pencil[:-1]:
         array.flags.writeable = False
@@ -123,10 +126,12 @@ def channel_expansion(l, roots, scaled, contact, incident=None) -> np.ndarray:
 
 
 def certificate_window(half: int, E, params, roots, scaled, contact, incident=None):
-    """Spinors at |l| <= half + 1, incident(l) added, and their largest defect at |l| <= half."""
+    """Spinors at l = -half - 1 .. half + 1 and their largest defect at |l| <= half.
+
+    ``incident``, the free spinors at those sites, adds as in channel_expansion.
+    """
     sites = np.arange(-half - 1, half + 2)
-    field = channel_expansion(sites, roots, scaled, contact,
-                              None if incident is None else incident(sites))
+    field = channel_expansion(sites, roots, scaled, contact, incident)
     return field, float(site_residual(field, E, (-half, half), params).max())
 
 
@@ -194,7 +199,7 @@ def contact_elimination(E, roots, params, incident=None):
     M_1 singular to working precision raises ConditioningError.
     """
     pencil = _pencil(params)
-    a_e = pencil.onsite - E * np.eye(4)
+    a_e = pencil.onsite - E * pencil.eye
     phi = np.array([r.vector for r in roots]).T
     z = np.array([r.z for r in roots])
     m1 = (a_e @ phi + pencil.hm @ phi * z)[:3]
@@ -207,11 +212,16 @@ def contact_elimination(E, roots, params, incident=None):
 
 
 def _solve_regular(m, rhs, what: str) -> np.ndarray:
-    """np.linalg.solve, refusing cond(m) >= 1/eps (LAPACK flags only zero pivots)."""
-    cond = np.linalg.cond(m)
-    if not cond < 1.0 / np.finfo(float).eps:
+    """Solve m x = rhs by one SVD, refusing cond(m) >= 1/eps (an LU flags only zero pivots).
+
+    The 2-norm condition number s[0] / s[-1] and the solve
+    Vh^H diag(1/s) U^H rhs share the factorization; rhs is 1-D or 2-D.
+    """
+    u, s, vh = np.linalg.svd(m)
+    if not s[0] < s[-1] / _EPS:
+        cond = s[0] / s[-1] if s[-1] > 0.0 else np.inf
         raise ConditioningError(f"{what} is singular to working precision (cond {cond:.3g})")
-    return np.linalg.solve(m, rhs)
+    return (np.conj(vh.T) / s) @ (np.conj(u.T) @ rhs)
 
 
 def _pencil_eigs(a, pencil):
@@ -236,7 +246,7 @@ def _pencil_eigs(a, pencil):
         raise ConditioningError(f"LAPACK ggev failed on the companion pencil (info = {info})")
     order = np.argsort(np.arctan2(np.abs(alpha), np.abs(beta)))[1:-1]
     alpha, beta = alpha[order], beta[order]
-    if abs(alpha[0]) <= np.finfo(float).eps * abs(beta[0]):
+    if abs(alpha[0]) <= _EPS * abs(beta[0]):
         raise DegenerateParametersError(
             "energy hits twice the detuning; the third channel degenerates"
         )
@@ -286,25 +296,25 @@ def find_channel_roots(E: float, params: ModelParams) -> list:
     if not math.isfinite(E):
         raise ParameterError(f"energy must be finite, got {E!r}")
     pencil = _pencil(params)
-    a = pencil.onsite - E * np.eye(4)
+    a = pencil.onsite - E * pencil.eye
     z, vecs = _pencil_eigs(a, pencil)
-    on_circle = np.abs(np.abs(z) - 1.0) <= TOL_OPEN
-    decaying = (np.abs(z) < 1.0) & ~on_circle
+    mod = np.abs(z)
+    on_circle = np.abs(mod - 1.0) <= TOL_OPEN
+    decaying = (mod < 1.0) & ~on_circle
     channels = []
-    lam_open = np.sort(np.abs(np.angle(z[on_circle])))
-    breaks = np.flatnonzero(np.diff(lam_open) > _CLUSTER_TOL) + 1
-    for group in np.split(lam_open, breaks):
-        if group.size:
+    if on_circle.any():
+        lam_open = np.sort(np.abs(np.angle(z[on_circle])))
+        breaks = np.flatnonzero(np.diff(lam_open) > _CLUSTER_TOL) + 1
+        for group in np.split(lam_open, breaks):
             channels.extend(_open_channels(group.mean(), group.size // 2, E, params))
-    for zj, vec in zip(z[decaying], vecs.T[decaying]):
-        # cut on the negative imaginary z axis: Re lam in (-pi/2, 3pi/2]
-        lam = 0.5 * np.pi - 1j * np.log(-1j * zj)
-        channels.append(
-            ChannelRoot(
-                lam=complex(lam), z=complex(zj), is_open=False, branch="",
-                vector=phase_fix(vec), group_velocity=0.0,
-            )
-        )
+    z_closed = z[decaying]
+    # cut on the negative imaginary z axis: Re lam in (-pi/2, 3pi/2]
+    lam_closed = 0.5 * np.pi - 1j * np.log(-1j * z_closed)
+    channels.extend(
+        ChannelRoot(lam=complex(lam), z=complex(zj), is_open=False, branch="",
+                    vector=vec, group_velocity=0.0)
+        for lam, zj, vec in zip(lam_closed, z_closed, phase_fix(vecs[:, decaying]).T)
+    )
     if len(channels) != 3:
         raise DegenerateParametersError(f"found {len(channels)} channels, expected 3")
     # Hadamard-style scale: the product of row norms, those of hop_cos and hop_sin

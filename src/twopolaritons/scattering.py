@@ -99,13 +99,14 @@ def solve_scattering(branch: str, q: float, params: ModelParams) -> ScatteringSo
             f"incident branch {branch} is not an open channel at its own "
             f"energy; channels found: {[(r.branch, r.is_open) for r in roots]}"
         )
-    incident = incident_state(branch, q, params, np.array([0, 1]))
-    w, c, rhs = contact_elimination(E, roots, params, incident)
+    # the free wave over the certificate window; rows L_CHECK + 1, + 2 are l = 0, 1
+    incident = incident_state(branch, q, params, np.arange(-L_CHECK - 1, L_CHECK + 2))
+    inc01 = incident[L_CHECK + 1:L_CHECK + 3]
+    w, c, rhs = contact_elimination(E, roots, params, inc01)
     b0 = _solve_regular(c[:2, :2], rhs[:2], f"contact matrix S at E = {E}")
     contact = np.array([b0[0], b0[1], 0.0, 0.0])
-    scaled = w @ (contact - incident[0])
-    wav, residual = certificate_window(L_CHECK, E, params, roots, scaled, contact,
-                                       lambda l: incident_state(branch, q, params, l))
+    scaled = w @ (contact - inc01[0])
+    wav, residual = certificate_window(L_CHECK, E, params, roots, scaled, contact, incident)
     return ScatteringSolution(
         params=params, energy=E, roots=tuple(roots), scaled_amplitudes=scaled,
         contact_spinor=contact, residual_max=residual, branch=branch, q=q,

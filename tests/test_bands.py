@@ -188,3 +188,28 @@ def test_branch_label_validation():
     p = ModelParams(xi=-0.2)
     with pytest.raises(Exception):
         branch_energy("AC", 0.3, p)
+
+
+def test_phase_fix_columns():
+    # a (4, m) array is gauged column by column by the 1-D rule; the second
+    # column is tiny and the third has a first component below 10% of its
+    # largest, so the picked slot differs between columns
+    cols = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
+    cols[:, 1] *= 1e-9
+    cols[0, 2] = 1e-3
+    fixed = bands.phase_fix(cols)
+    assert fixed.shape == cols.shape
+    for j in range(cols.shape[1]):
+        assert np.abs(fixed[:, j] - bands.phase_fix(cols[:, j])).max() < 1e-15
+        assert abs(np.linalg.norm(fixed[:, j]) - 1.0) < 1e-15
+    assert abs(fixed[0, 2]) < 1e-2 and fixed[1, 2].real > 0.0 and abs(fixed[1, 2].imag) < 1e-15
+    cols[:, 3] = 0.0
+    with pytest.raises(ValueError, match="zero vector"):
+        bands.phase_fix(cols)
+    with pytest.raises(ValueError, match="zero vector"):
+        bands.phase_fix(np.zeros(4))
+    real = RNG.normal(size=(4, 3))
+    fixed = bands.phase_fix(real)
+    assert not np.iscomplexobj(fixed)
+    for j in range(3):
+        assert np.abs(fixed[:, j] - bands.phase_fix(real[:, j])).max() < 1e-15

@@ -201,9 +201,8 @@ def test_chain_sums_at_nonzero_momentum():
     assert_chain_sums(st)
 
 
-def test_refinement_evaluates_each_energy_once(monkeypatch):
-    # every energy costs a root-find; the inertia count, Brent's iterations
-    # and the certificate of the accepted energy must not repeat one
+def counted_search(monkeypatch, p, gap):
+    """find_bound_states(p, gap) and the energies of its root-finds, in order."""
     seen = []
     roots = bound_states.find_channel_roots
 
@@ -212,10 +211,65 @@ def test_refinement_evaluates_each_energy_once(monkeypatch):
         return roots(E, params)
 
     monkeypatch.setattr(bound_states, "find_channel_roots", counting)
+    states = find_bound_states(p, gap)
+    monkeypatch.undo()
+    return states, seen
+
+
+def inset_ends(p, gap):
+    tol_edge = bound_states.TOL_EDGE_FACTOR * p.g
+    return gap.lo + tol_edge, gap.hi - tol_edge
+
+
+def test_refinement_evaluates_each_energy_once(monkeypatch):
+    # every energy costs a root-find; the inertia count, Brent's iterations
+    # and the certificate of the accepted energy must not repeat one.  Brent
+    # starts from s = 0 and 1, which map to the inset gap ends exactly, so
+    # its first two evaluations are the inertia count's, and it never
+    # leaves the gap
     p = ModelParams(xi=-0.2, delta=-2.0)
     for gap in both_gaps(p).gaps:
-        assert len(find_bound_states(p, gap)) == 1
-    assert seen and len(seen) == len(set(seen))
+        states, seen = counted_search(monkeypatch, p, gap)
+        assert len(states) == 1
+        lo, hi = inset_ends(p, gap)
+        assert seen[:2] == [lo, hi]
+        assert all(lo <= E <= hi for E in seen)
+        assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("K", [0.0, np.pi / 2])
+def test_root_finds_per_state(monkeypatch, K):
+    # Brent in the Chebyshev gap variable, where the edge square root of
+    # S's eigenvalues is linear, takes 8 root-finds per state on these
+    # gaps (inertia ends and certificate included); Brent in E took 9.5
+    p = ModelParams(xi=-0.2, delta=-2.0, K=K)
+    counts = [counted_search(monkeypatch, p, gap) for gap in both_gaps(p).gaps]
+    n_states = sum(len(states) for states, _ in counts)
+    assert n_states == 2
+    assert sum(len(seen) for _, seen in counts) / n_states <= 8.5
+
+
+@pytest.mark.parametrize("xi, delta, index", [(-0.2, -4.0, 1), (-0.2, 5.0, 2)])
+def test_shallow_state_matches_bisection(xi, delta, index):
+    # a state with decay rate below 0.05 sits within 6e-4 of a gap edge (the
+    # upper edge of gap 1 at delta = -4, the lower edge of gap 2 at delta =
+    # 5); plain bisection on the same eigenvalue of S(E) must agree
+    p = ModelParams(xi=xi, delta=delta)
+    gap = next(g for g in both_gaps(p).gaps if g.index == index)
+    (state,) = find_bound_states(p, gap)
+    assert state.decay_rate < 0.05
+    assert min(state.energy - gap.lo, gap.hi - state.energy) < 6e-4
+    lo, hi = inset_ends(p, gap)
+    k = int((np.linalg.eigvalsh(contact(lo, p)) < 0.0).sum())
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if np.linalg.eigvalsh(contact(mid, p))[k] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert abs(state.energy - lo) < 1e-12
 
 
 def test_wavefunction_parity_and_decay():

@@ -95,6 +95,34 @@ def test_singular_matching_blocks_are_refused():
         _solve_regular(np.outer([1.0, 2.0], [3.0, 4.0]), np.ones(2), "S")
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_solve_regular_agrees_with_lu(n):
+    # one SVD gives the solve and the condition number: on well-conditioned
+    # complex systems the solve agrees with LU for vector and matrix sides
+    rng = np.random.default_rng(40 + n)
+    for _ in range(50):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+        assert np.linalg.cond(m) < 1e3
+        for rhs in (rng.normal(size=n) + 1j * rng.normal(size=n),
+                    rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))):
+            got, want = _solve_regular(m, rhs, "M"), np.linalg.solve(m, rhs)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("m", [
+    np.array([[0.0, 1.0], [1e-17j, 0.0]]),
+    np.array([[0.0, 1e-17j, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, -1.0]]),
+])
+def test_solve_regular_refuses_tiny_pivot(m):
+    # singular values exactly {1 or 2, ..., 1e-17}: cond 1e17 or more with
+    # no zero pivot, which LU solves without complaint
+    rhs = np.ones(len(m))
+    assert np.isfinite(np.linalg.solve(m, rhs)).all()
+    with pytest.raises(ConditioningError, match="singular to working precision"):
+        _solve_regular(m, rhs, "M")
+
+
 def test_wavefunction_exchange_parity():
     p = ModelParams(xi=-0.2, delta=0.5)
     sol = solve_scattering("AB", 0.9, p)
