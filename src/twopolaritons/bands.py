@@ -17,6 +17,7 @@ So BA spans exactly the energies of AB, and band_structure computes the
 edges of AA, AB and BB only, copying those of AB to BA.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,17 +124,21 @@ def phase_fix(vec: np.ndarray) -> np.ndarray:
     The first component whose magnitude reaches 10% of the largest one is
     made real and positive.  Comparing amplitudes between runs only makes
     sense once this gauge is frozen.  A (n, m) array is fixed column by
-    column, each by the same rule.
+    column, each by the same rule; the few spinor columns are gauged as
+    plain numbers and scaled as one array.
     """
     v = np.asarray(vec)
     cols = v.reshape(len(v), -1)
-    mags = np.abs(cols)
-    norm = np.hypot.reduce(mags, axis=0)
-    if not norm.all():
-        raise ValueError("cannot phase-fix a zero vector")
-    pick = (mags >= 0.1 * mags.max(axis=0)).argmax(axis=0)
-    cut = (pick, np.arange(cols.shape[1]))
-    out = (cols * np.conj(cols[cut] / (mags[cut] * norm))).reshape(v.shape)
+    phases = []
+    for col in cols.T.tolist():
+        mags = [abs(x) for x in col]
+        norm = math.hypot(*mags)
+        if not norm:
+            raise ValueError("cannot phase-fix a zero vector")
+        floor = 0.1 * max(mags)
+        pick = next((i for i, m in enumerate(mags) if m >= floor), 0)
+        phases.append(col[pick].conjugate() / (mags[pick] * norm))
+    out = (cols * np.array(phases)).reshape(v.shape)
     if not np.iscomplexobj(vec):
         return out.real
     return out

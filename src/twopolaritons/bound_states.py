@@ -7,6 +7,11 @@ S(E) whose eigenvalues fall strictly across a gap.  A bound state is a zero
 of one eigenvalue, so the change in the number of negative eigenvalues (the
 inertia) between the inset gap ends counts the states, and Brent's method
 finds each; its contact spinor is the eigenvector of that eigenvalue.
+Every energy costs one find_channel_roots call (one ChannelSet) and one
+contact elimination; the inertia count and Brent read only S's two
+eigenvalues, in closed form for a 2x2 Hermitian matrix, and
+np.linalg.eigh runs once per state, at the accepted energy, on the
+cached S there.
 Brent runs in the Chebyshev gap variable s in [0, 1], E(s) = lo + (hi -
 lo)(1 - cos(pi s))/2, in which the sqrt(E - edge) onset of S's
 eigenvalues at a gap edge is linear.  A sign change where the eigenvalue
@@ -63,18 +68,31 @@ class BoundState(ChannelState):
     @property
     def decay_rate(self) -> float:
         """Slowest spatial decay exponent, min_j Im lam_j."""
-        return min(r.lam.imag for r in self.roots)
+        return float(self.roots.lam.imag.min())
 
 
-def _certify(E_b: float, roots, spectrum, params: ModelParams, gap: Gap) -> BoundState:
-    """The normalized state at E_b from its roots and contact spectrum.
+def _eigvalsh2(s) -> tuple:
+    """Both eigenvalues of the 2x2 Hermitian s, ascending, in closed form.
 
-    The contact spinor is the eigenvector of S(E_b) whose eigenvalue is
-    smallest in magnitude, and the channel amplitudes follow from it.  A
-    second near-zero eigenvalue means the state is not unique and is
-    reported as an error rather than resolved by fiat.
+    Like np.linalg.eigh, reads the lower triangle and the real diagonal:
+    (a + d)/2 -+ hypot((a - d)/2, |s[1, 0]|), within a few eps * ||s|| of
+    eigh's and free of overflow and underflow in the off-diagonal term.
     """
-    w, eigs, vecs = spectrum
+    (a, _), (b, d) = s.tolist()
+    mean, half = 0.5 * (a.real + d.real), 0.5 * (a.real - d.real)
+    r = math.hypot(half, abs(b))
+    return mean - r, mean + r
+
+
+def _certify(E_b: float, roots, w, s, params: ModelParams, gap: Gap) -> BoundState:
+    """The normalized state at E_b from its channels, W and contact matrix S.
+
+    The contact spinor is the eigenvector of S(E_b) (np.linalg.eigh) whose
+    eigenvalue is smallest in magnitude, and the channel amplitudes follow
+    from it.  A second near-zero eigenvalue means the state is not unique
+    and is reported as an error rather than resolved by fiat.
+    """
+    eigs, vecs = np.linalg.eigh(s)
     mags = np.abs(eigs)
     k = int(np.argmin(mags))
     if mags[1 - k] < SIGMA_ACCEPT * max(mags.max(), params.g):
@@ -94,7 +112,7 @@ def _certify(E_b: float, roots, spectrum, params: ModelParams, gap: Gap) -> Boun
     scaled, contact = scaled * factor, contact * factor
     _, residual = certificate_window(L_RESIDUAL, E_b, params, roots, scaled, contact)
     return BoundState(
-        params=params, energy=E_b, roots=tuple(roots), scaled_amplitudes=scaled,
+        params=params, energy=E_b, roots=roots, scaled_amplitudes=scaled,
         contact_spinor=contact, residual_max=residual,
         gap=gap, weights=(float(comp[0]), float(comp[1] + comp[2]), float(comp[3])),
         sigma_min=float(mags[k]),
@@ -105,8 +123,10 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
     """All certified bound states inside one open gap, sorted by energy.
 
     Each eigenvalue of S(E) that changes sign between the inset gap ends
-    holds one state, located by Brent's method in the gap variable s and
-    kept if it passes the residual certificate; an empty list is a valid
+    holds one state, located by Brent's method in the gap variable s on the
+    closed-form eigenvalues of S (eigh runs only at the accepted energy, for
+    the eigenvector) and kept if it passes the residual certificate; each
+    energy costs one find_channel_roots call.  An empty list is a valid
     outcome.  A sign change where the eigenvalue stays above SIGMA_ACCEPT *
     max(|S|, g) is a pole of S (a surface state of the half chain) or an
     unresolved zero, and raises ConditioningError.  The search stays
@@ -122,22 +142,23 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
     lo, hi = gap.lo + tol_edge, gap.hi - tol_edge
 
     # each energy costs a root-find; Brent returns an s it has evaluated,
-    # so the certificate reuses the roots and spectrum at E(s).
+    # so the certificate reuses the channels, W and S at E(s).
     # S(E) is the (p, d_+) block of the contact matrix C without incident
     # wave (its other rows vanish); W maps the contact spinor to l = 1.
     @functools.cache
-    def spectrum(E: float):
+    def contact(E: float):
         roots = find_channel_roots(E, params)
-        if any(r.is_open for r in roots):
+        if roots.is_open.any():
             raise ParameterError(f"E = {E} lies inside a band; bound states live in open gaps")
         w, c, _ = contact_elimination(E, roots, params)
-        return roots, (w, *np.linalg.eigh(c[:2, :2]))
+        s = c[:2, :2]
+        return roots, w, s, _eigvalsh2(s)
 
     def eigs(E: float):
-        return spectrum(E)[1][1]
+        return contact(E)[3]
 
-    n_lo = int((eigs(lo) < 0.0).sum())
-    n_hi = int((eigs(hi) < 0.0).sum())
+    n_lo = sum(e < 0.0 for e in eigs(lo))
+    n_hi = sum(e < 0.0 for e in eigs(hi))
     if n_hi < n_lo:
         raise ConditioningError(f"S(E) has {n_lo} negative eigenvalues at {lo} but "
                                 f"{n_hi} at {hi}: a pole inside the gap spoils the count")
@@ -154,13 +175,13 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
     states = []
     for k in range(n_lo, n_hi):
         E_b = energy(brentq(lambda s: eigs(energy(s))[k], 0.0, 1.0, xtol=xtol_s))
-        at = eigs(E_b)
-        gate = SIGMA_ACCEPT * max(np.abs(at).max(), g)
+        roots, w, s, at = contact(E_b)
+        gate = SIGMA_ACCEPT * max(abs(at[0]), abs(at[1]), g)
         if not abs(at[k]) < gate:
             raise ConditioningError(f"eigenvalue {k} of S(E) changes sign at E = {E_b} "
                                     f"but |eig| = {abs(at[k]):.3g} is not below "
                                     f"{gate:.3g}: a pole of S or an unresolved zero")
-        state = _certify(E_b, *spectrum(E_b), params, gap)
+        state = _certify(E_b, roots, w, s, params, gap)
         if state.residual_max < RESIDUAL_TOL * g:
             states.append(state)
     states.sort(key=lambda s: s.energy)

@@ -7,7 +7,10 @@ energy, with the E-independent blocks cached per parameter set.  Because
 the determinant is even in lam, its roots come in z <-> 1/z pairs, which
 leaves three channels.  Channels on the unit circle with positive group
 velocity are open (outgoing waves).  The rest decay as |z|^l =
-e^{-Im(lam) l} and are closed.
+e^{-Im(lam) l} and are closed.  find_channel_roots returns the three as
+one ChannelSet: a frozen record of read-only arrays (momenta, Bloch
+factors, the spinors as the columns of one 4x3 array, open flags,
+velocities) that every consumer reads as arrays.
 
 A ChannelState is a contact spinor plus sum_j s_j z_j^(l-1) F_j elsewhere;
 contact_elimination fixes the s_j from the contact spinor, channel_expansion
@@ -16,6 +19,7 @@ certifies), and expansion_moment and expansion_winding sum them over the
 chain and around a ring as geometric series.
 """
 
+import cmath
 import functools
 import math
 from collections import namedtuple
@@ -30,6 +34,7 @@ from .model import PARITY, ModelParams, bloch_matrices, contact_interaction, sit
 
 __all__ = [
     "TOL_EDGE_FACTOR",
+    "ChannelSet",
     "ChannelState",
     "certificate_window",
     "channel_expansion",
@@ -58,11 +63,14 @@ _EPS = np.finfo(float).eps
 #: LAPACK's generalized eigensolver for the complex 8x8 companion pencil.
 (_GGEV,) = get_lapack_funcs(("ggev",), (np.zeros((8, 8), dtype=complex),))
 
-#: Energy-independent data of one parameter set: blocks, hop_cos/hop_sin row norms,
-#: hp PARITY + hm, the companion pencil less its -(A - E) block, the 4x4 identity,
-#: rank of hm[:3, :3].
-_Pencil = namedtuple("_Pencil", "onsite hop_cos hop_sin hop_norms hp hm contact "
-                                "mirror_hop lhs rhs eye hm_rank")
+#: LAPACK's divide-and-conquer SVD for the complex blocks _solve_regular inverts.
+(_GESDD,) = get_lapack_funcs(("gesdd",), (np.zeros((3, 3), dtype=complex),))
+
+#: Energy-independent data of one parameter set: blocks, the diagonal of A and the
+#: norms of its off-diagonal rows, hop_cos/hop_sin row norms, hp PARITY + hm, the
+#: companion pencil less its -(A - E) block, the 4x4 identity, rank of hm[:3, :3].
+_Pencil = namedtuple("_Pencil", "onsite onsite_diag offdiag_norms hop_cos hop_sin hop_norms "
+                                "hp hm contact mirror_hop lhs rhs eye hm_rank")
 
 
 @functools.lru_cache(maxsize=8)
@@ -72,7 +80,9 @@ def _pencil(params: ModelParams) -> _Pencil:
     hp, hm = mats.hop_blocks()
     zero, one = np.zeros((4, 4)), np.eye(4)
     pencil = _Pencil(
-        onsite=mats.onsite, hop_cos=mats.hop_cos, hop_sin=mats.hop_sin,
+        onsite=mats.onsite, onsite_diag=mats.onsite.diagonal().copy(),
+        offdiag_norms=np.linalg.norm(mats.onsite - np.diag(mats.onsite.diagonal()), axis=1),
+        hop_cos=mats.hop_cos, hop_sin=mats.hop_sin,
         hop_norms=np.linalg.norm([mats.hop_cos, mats.hop_sin], axis=2), hp=hp, hm=hm,
         contact=contact_interaction(params), mirror_hop=hp @ PARITY + hm,
         lhs=np.block([[zero, one], [-hp, zero]]), rhs=np.block([[one, zero], [zero, hm]]),
@@ -83,22 +93,40 @@ def _pencil(params: ModelParams) -> _Pencil:
     return pencil
 
 
-@dataclass(frozen=True)
-class ChannelRoot:
-    """One outgoing channel: momentum, Bloch factor, spinor, bookkeeping.
+@dataclass(frozen=True, eq=False)
+class ChannelSet:
+    """The three outgoing channels at one energy, open first; every array read-only.
 
-    z = e^{i lam}.  A closed channel has Im lam > 0 and Re lam in
-    (-pi/2, 3pi/2], so a real z of either sign sits away from the branch
-    cut of the logarithm; its branch label is "".  An open channel carries
-    its branch label, the branch spinor and its (positive) group velocity.
+    Channel j has momentum lam[j], Bloch factor z[j] = e^{i lam[j]} and the
+    phase-fixed spinor vectors[:, j].  A closed channel has Im lam > 0 and
+    Re lam in (-pi/2, 3pi/2], so a real z of either sign sits away from the
+    branch cut of the logarithm; its branch label is "" and its group
+    velocity 0.  An open channel carries its branch label and its
+    (positive) group velocity.  Open channels are ordered by (lam, branch),
+    closed ones by (Im lam, Re lam).  One record is shared by every state
+    built at its energy, so construction makes its arrays read-only.
     """
 
-    lam: complex
-    z: complex
-    is_open: bool
-    branch: str
-    vector: np.ndarray
-    group_velocity: float
+    lam: np.ndarray             # (3,) complex
+    z: np.ndarray               # (3,) complex
+    vectors: np.ndarray         # (4, 3), one spinor per column
+    is_open: np.ndarray         # (3,) bool
+    branch: tuple               # (3,) str
+    group_velocity: np.ndarray  # (3,)
+
+    def __post_init__(self):
+        for array in (self.lam, self.z, self.vectors, self.is_open, self.group_velocity):
+            array.flags.writeable = False
+
+    def __setstate__(self, state):
+        # unpickling (results of sweep workers) bypasses __init__
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    @property
+    def open_branches(self) -> tuple:
+        """Branch labels of the open channels, in channel order."""
+        return tuple(br for br in self.branch if br)
 
 
 def channel_expansion(l, roots, scaled, contact, incident=None) -> np.ndarray:
@@ -114,9 +142,7 @@ def channel_expansion(l, roots, scaled, contact, incident=None) -> np.ndarray:
     scalar = l.ndim == 0
     l = np.atleast_1d(l)
     pos = np.abs(l)
-    beta = np.zeros(l.shape + (4,), dtype=complex)
-    for root, amp in zip(roots, scaled):
-        beta += amp * np.power(root.z, (pos - 1)[..., None]) * root.vector
+    beta = (scaled * np.power(roots.z, (pos - 1)[..., None])) @ roots.vectors.T
     beta[pos == 0] = contact
     neg = l < 0
     beta[neg] = beta[neg] @ PARITY  # diagonal, so right-multiplication works
@@ -139,14 +165,15 @@ def certificate_window(half: int, E, params, roots, scaled, contact, incident=No
 class ChannelState:
     """Contact spinor b_0 = (p, d_+, 0, 0) plus the channel expansion at l != 0.
 
-    scaled_amplitudes are the l = 1 channel amplitudes s_j, ordered like
-    roots.  residual_max is the largest site-equation defect over the
-    solver's certificate window (certificate_window).
+    roots is the ChannelSet at ``energy``; scaled_amplitudes are the l = 1
+    channel amplitudes s_j, ordered like its channels.  residual_max is the
+    largest site-equation defect over the solver's certificate window
+    (certificate_window).
     """
 
     params: ModelParams
     energy: float
-    roots: tuple
+    roots: ChannelSet
     scaled_amplitudes: np.ndarray
     contact_spinor: np.ndarray
     residual_max: float
@@ -163,11 +190,10 @@ def expansion_moment(roots, scaled, lag: int) -> np.ndarray:
     is F^T [s_j z_j^lag conj(s_i) / (1 - z_j conj(z_i))] conj(F): a 3x3 core
     between the channel spinors, exact for any set of decaying channels.
     """
-    z = np.array([r.z for r in roots])
-    f = np.array([r.vector for r in roots])
+    z, f = roots.z, roots.vectors
     s = np.asarray(scaled)
     core = np.outer(s * z**lag, np.conj(s)) / (1.0 - np.outer(z, np.conj(z)))
-    return f.T @ core @ np.conj(f)
+    return f @ core @ np.conj(f.T)
 
 
 def expansion_winding(roots, scaled, N: int, theta: float) -> np.ndarray:
@@ -179,10 +205,9 @@ def expansion_winding(roots, scaled, N: int, theta: float) -> np.ndarray:
     exact for any set of decaying channels, at a cost free of the decay.
     """
     u = np.arange(1, N + 1)[:, None]
-    z = np.array([r.z for r in roots])
-    f = np.array([r.vector for r in roots])
+    z = roots.z
     fold = np.exp(1j * theta * u) * np.power(z, u - 1) / (1.0 - np.exp(1j * theta * N) * z**N)
-    return (np.asarray(scaled) * fold) @ f
+    return (np.asarray(scaled) * fold) @ roots.vectors.T
 
 
 def contact_elimination(E, roots, params, incident=None):
@@ -200,9 +225,8 @@ def contact_elimination(E, roots, params, incident=None):
     """
     pencil = _pencil(params)
     a_e = pencil.onsite - E * pencil.eye
-    phi = np.array([r.vector for r in roots]).T
-    z = np.array([r.z for r in roots])
-    m1 = (a_e @ phi + pencil.hm @ phi * z)[:3]
+    phi = roots.vectors
+    m1 = (a_e @ phi + pencil.hm @ phi * roots.z)[:3]
     w = -_solve_regular(m1, pencil.hp[:3], f"channel block M_1 at E = {E}")
     c = a_e + pencil.contact + pencil.mirror_hop @ phi @ w
     if incident is None:
@@ -215,9 +239,13 @@ def _solve_regular(m, rhs, what: str) -> np.ndarray:
     """Solve m x = rhs by one SVD, refusing cond(m) >= 1/eps (an LU flags only zero pivots).
 
     The 2-norm condition number s[0] / s[-1] and the solve
-    Vh^H diag(1/s) U^H rhs share the factorization; rhs is 1-D or 2-D.
+    Vh^H diag(1/s) U^H rhs share the factorization, one direct LAPACK gesdd
+    call on the complex matrix; an SVD that fails to converge raises
+    ConditioningError.  rhs is 1-D or 2-D.
     """
-    u, s, vh = np.linalg.svd(m)
+    u, s, vh, info = _GESDD(m)
+    if info != 0:
+        raise ConditioningError(f"LAPACK gesdd failed on {what} (info = {info})")
     if not s[0] < s[-1] / _EPS:
         cond = s[0] / s[-1] if s[-1] > 0.0 else np.inf
         raise ConditioningError(f"{what} is singular to working precision (cond {cond:.3g})")
@@ -254,7 +282,7 @@ def _pencil_eigs(a, pencil):
 
 
 def _open_channels(lam_abs, mult, E, params):
-    """Open-channel roots at +-lam_abs: branch labels with outgoing velocity."""
+    """Open channels at +-lam_abs: (branch, lam, group velocity) of each outgoing wave."""
     tol = 1e-8 * max(1.0, abs(E))
     floor = _VELOCITY_FLOOR * (params.g + abs(params.xi))
     kept = []
@@ -274,13 +302,30 @@ def _open_channels(lam_abs, mult, E, params):
             f"open root at |lam|={lam_abs:.6g} admits {len(kept)} outgoing "
             f"waves, expected {mult}"
         )
-    return [ChannelRoot(lam=complex(lam), z=complex(np.exp(1j * lam)), is_open=True, branch=br,
-                        vector=branch_vector(br, lam, params), group_velocity=v)
-            for br, lam, v in kept]
+    return kept
 
 
-def find_channel_roots(E: float, params: ModelParams) -> list:
-    """The three outgoing channels at energy E, open first.
+def _det_scale(pencil, E, cos, sin) -> list:
+    """Hadamard-style scale of M(lam) - E at each lam, from cos lam and sin lam.
+
+    The product of row norms: those of A - E, closed-form in E from the
+    cached diagonal and off-diagonal row norms of A, plus those of hop_cos
+    and hop_sin weighted by max(1, |cos lam|) and max(1, |sin lam|) to
+    follow a closed decay.  Plain floats: three products of four rows.
+    """
+    rows = [math.hypot(d - E, o)
+            for d, o in zip(pencil.onsite_diag.tolist(), pencil.offdiag_norms.tolist())]
+    norms_cos, norms_sin = pencil.hop_norms.tolist()
+    scales = []
+    for c, s in zip(cos.tolist(), sin.tolist()):
+        wc, ws = max(1.0, abs(c)), max(1.0, abs(s))
+        scales.append(math.prod(r + (wc * nc + ws * ns)
+                                for r, nc, ns in zip(rows, norms_cos, norms_sin)))
+    return scales
+
+
+def find_channel_roots(E: float, params: ModelParams) -> ChannelSet:
+    """The three outgoing channels at energy E, open first, as one ChannelSet.
 
     The channels are the eigenvalues z of the companion pencil with
     |z| <= 1.  A closed channel takes its spinor from its own eigenvector.
@@ -288,9 +333,9 @@ def find_channel_roots(E: float, params: ModelParams) -> list:
     eigenvalues holds m outgoing waves, labelled by branch.
 
     Raises a degenerate-parameter, band-edge or channel-count error instead
-    of returning a malformed set; every returned root satisfies the
+    of returning a malformed set; every returned channel satisfies the
     determinant condition to 1e-9 relative to the Hadamard scale of
-    M(lam) - E at that root, which follows |cos lam| and |sin lam| as
+    M(lam) - E at its lam, which follows |cos lam| and |sin lam| as
     |z| -> 0.
     """
     if not math.isfinite(E):
@@ -298,38 +343,42 @@ def find_channel_roots(E: float, params: ModelParams) -> list:
     pencil = _pencil(params)
     a = pencil.onsite - E * pencil.eye
     z, vecs = _pencil_eigs(a, pencil)
-    mod = np.abs(z)
-    on_circle = np.abs(mod - 1.0) <= TOL_OPEN
-    decaying = (mod < 1.0) & ~on_circle
-    channels = []
-    if on_circle.any():
+    zs = z.tolist()
+    mod = [abs(w) for w in zs]
+    on_circle = [abs(m - 1.0) <= TOL_OPEN for m in mod]
+    # closed channels by (Im lam, Re lam); the cut on the negative imaginary
+    # z axis puts Re lam in (-pi/2, 3pi/2]
+    closed = sorted(((0.5 * math.pi - 1j * cmath.log(-1j * w), j) for j, w in enumerate(zs)
+                     if mod[j] < 1.0 and not on_circle[j]),
+                    key=lambda c: (c[0].imag, c[0].real))
+    opened = []
+    if any(on_circle):
         lam_open = np.sort(np.abs(np.angle(z[on_circle])))
         breaks = np.flatnonzero(np.diff(lam_open) > _CLUSTER_TOL) + 1
         for group in np.split(lam_open, breaks):
-            channels.extend(_open_channels(group.mean(), group.size // 2, E, params))
-    z_closed = z[decaying]
-    # cut on the negative imaginary z axis: Re lam in (-pi/2, 3pi/2]
-    lam_closed = 0.5 * np.pi - 1j * np.log(-1j * z_closed)
-    channels.extend(
-        ChannelRoot(lam=complex(lam), z=complex(zj), is_open=False, branch="",
-                    vector=vec, group_velocity=0.0)
-        for lam, zj, vec in zip(lam_closed, z_closed, phase_fix(vecs[:, decaying]).T)
-    )
-    if len(channels) != 3:
-        raise DegenerateParametersError(f"found {len(channels)} channels, expected 3")
-    # Hadamard-style scale: the product of row norms, those of hop_cos and hop_sin
-    # weighted by max(1, |cos lam|) and max(1, |sin lam|) to follow a closed decay
-    lam = np.array([r.lam for r in channels])
+            opened.extend(_open_channels(group.mean(), group.size // 2, E, params))
+        opened.sort(key=lambda o: (o[1], o[0]))
+    n_open = len(opened)
+    if n_open + len(closed) != 3:
+        raise DegenerateParametersError(f"found {n_open + len(closed)} channels, expected 3")
+    idx = [j for _, j in closed]
+    lam = np.array([lo for _, lo, _ in opened] + [lc for lc, _ in closed], dtype=complex)
+    z, vectors = z[idx], phase_fix(vecs[:, idx])
+    if opened:
+        z = np.concatenate((np.exp(1j * lam[:n_open]), z))
+        vectors = np.column_stack([branch_vector(br, lo, params) for br, lo, _ in opened]
+                                  + [vectors])
     cos, sin = np.cos(lam), np.sin(lam)
     vals = np.abs(np.linalg.det(a + np.multiply.outer(cos, pencil.hop_cos)
                                 + np.multiply.outer(sin, pencil.hop_sin)))
-    weights = np.maximum(1.0, np.abs([cos, sin]))
-    scales = np.prod(np.linalg.norm(a, axis=1) + weights.T @ pencil.hop_norms, axis=1)
-    for root, val, scale in zip(channels, vals, scales):
+    for j, (val, scale) in enumerate(zip(vals.tolist(), _det_scale(pencil, E, cos, sin))):
         if val > 1e-9 * scale:
             raise ConditioningError(
-                f"channel root lam={root.lam:.6g} fails the determinant "
+                f"channel root lam={lam[j]:.6g} fails the determinant "
                 f"condition: |det| = {val:.3g} vs scale {scale:.3g}"
             )
-    channels.sort(key=lambda r: (not r.is_open, r.lam.imag, r.lam.real, r.branch))
-    return channels
+    return ChannelSet(
+        lam=lam, z=z, vectors=vectors, is_open=np.arange(3) < n_open,
+        branch=tuple(br for br, _, _ in opened) + ("",) * (3 - n_open),
+        group_velocity=np.array([v for _, _, v in opened] + [0.0] * (3 - n_open)),
+    )

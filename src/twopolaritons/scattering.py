@@ -50,21 +50,20 @@ class ScatteringSolution(ChannelState):
     @property
     def amplitudes(self) -> np.ndarray:
         """f_j = s_j / z_j, the amplitudes of z_j^l, ordered like roots."""
-        return self.scaled_amplitudes / np.array([r.z for r in self.roots])
+        return self.scaled_amplitudes / self.roots.z
 
     def coefficient(self, to_branch: str) -> complex:
         """f(to_branch <- incident) for an open outgoing channel."""
-        hits = [j for j, r in enumerate(self.roots)
-                if r.is_open and r.branch == to_branch]
-        if not hits:
+        hits = np.flatnonzero(self.roots.is_open & (np.array(self.roots.branch) == to_branch))
+        if not hits.size:
             raise KeyError(f"no open channel labelled {to_branch!r}")
-        if len(hits) > 1:
+        if hits.size > 1:
             raise KeyError(f"open channel label {to_branch!r} is ambiguous")
         return complex(self.amplitudes[hits[0]])
 
     @property
     def open_branches(self):
-        return tuple(r.branch for r in self.roots if r.is_open)
+        return self.roots.open_branches
 
 
 def probability_current(field, params: ModelParams) -> np.ndarray:
@@ -94,10 +93,10 @@ def solve_scattering(branch: str, q: float, params: ModelParams) -> ScatteringSo
         raise ParameterError(f"incident momentum must lie in (0, pi), got {q}")
     E = float(branch_energy(branch, q, params))
     roots = find_channel_roots(E, params)
-    if branch not in [r.branch for r in roots if r.is_open]:
+    if branch not in roots.open_branches:
         raise ConditioningError(
             f"incident branch {branch} is not an open channel at its own "
-            f"energy; channels found: {[(r.branch, r.is_open) for r in roots]}"
+            f"energy; open channels found: {roots.open_branches}"
         )
     # the free wave over the certificate window; rows L_CHECK + 1, + 2 are l = 0, 1
     incident = incident_state(branch, q, params, np.arange(-L_CHECK - 1, L_CHECK + 2))
@@ -108,7 +107,7 @@ def solve_scattering(branch: str, q: float, params: ModelParams) -> ScatteringSo
     scaled = w @ (contact - inc01[0])
     wav, residual = certificate_window(L_CHECK, E, params, roots, scaled, contact, incident)
     return ScatteringSolution(
-        params=params, energy=E, roots=tuple(roots), scaled_amplitudes=scaled,
+        params=params, energy=E, roots=roots, scaled_amplitudes=scaled,
         contact_spinor=contact, residual_max=residual, branch=branch, q=q,
         current_max=float(np.abs(probability_current(wav[L_CHECK + 1:], params)).max()),
     )

@@ -144,21 +144,20 @@ def _check_channel_roots(rng):
         p = _draw_params(rng)
         e = rng.uniform(2.0 * p.delta - 6.0, 2.0 * p.delta + 6.0)
         roots = find_channel_roots(e, p)
-        if len(roots) != 3:
-            return False, f"{len(roots)} roots at E={e}, params={p}"
-        for r in roots:
-            m = model.bloch_matrix(p, r.lam) - e * np.eye(4)
-            scale = max(1.0, float(np.prod(np.linalg.norm(m, axis=1))))
-            worst_det = max(worst_det, abs(np.linalg.det(m)) / scale)
-            worst_res = max(worst_res, np.linalg.norm(m @ r.vector))
-            if r.is_open:
-                continue
-            if not abs(r.z) < 1.0:
-                return False, f"closed root with |z| = {abs(r.z)} >= 1"
-            worst_back = max(worst_back,
-                             np.linalg.norm(m @ r.vector) / np.linalg.norm(m))
-        phi = np.array([r.vector for r in roots]).T
-        sigma = min(sigma, np.linalg.svd(phi, compute_uv=False)[-1])
+        if roots.z.shape != (3,):
+            return False, f"{roots.z.size} roots at E={e}, params={p}"
+        # one Bloch matrix M(lam) - E per channel, stacked
+        m = model.bloch_matrix(p, roots.lam[:, None, None]) - e * np.eye(4)
+        scale = np.maximum(1.0, np.prod(np.linalg.norm(m, axis=2), axis=1))
+        worst_det = max(worst_det, float((np.abs(np.linalg.det(m)) / scale).max()))
+        res = np.linalg.norm(np.einsum("kij,jk->ki", m, roots.vectors), axis=1)
+        worst_res = max(worst_res, float(res.max()))
+        closed = ~roots.is_open
+        if not (np.abs(roots.z[closed]) < 1.0).all():
+            return False, f"closed root with |z| = {np.abs(roots.z[closed]).max()} >= 1"
+        back = res[closed] / np.linalg.norm(m[closed], axis=(1, 2))
+        worst_back = max(worst_back, float(np.max(back, initial=0.0)))
+        sigma = min(sigma, np.linalg.svd(roots.vectors, compute_uv=False)[-1])
     ok = worst_det < 1e-8 and worst_res < 1e-8 and worst_back < 1e-12 \
         and sigma > 1e-3
     return ok, (f"max |det|/row-norm scale {worst_det:.3g}, root residual "

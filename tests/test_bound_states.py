@@ -129,6 +129,26 @@ def test_contact_matrix_inertia(xi, delta, K):
         assert count == len(find_bound_states(p, gap)) == 1
 
 
+def test_closed_form_contact_eigenvalues():
+    # the inertia count and Brent read S's eigenvalues in closed form; both
+    # must equal eigh's, ascending, to 4 eps ||S||: on S(E) at the method
+    # points and on a diagonal, an exactly degenerate, a 1e-300 off-diagonal
+    # and a 1e8-scaled matrix
+    eps = np.finfo(float).eps
+    cases = [np.diag([-0.3, 2.0]), np.diag([1.5, 1.5]).astype(complex),
+             np.array([[0.7, 1e-300 - 2e-300j], [1e-300 + 2e-300j, -0.2]]),
+             1e8 * np.array([[1.0, 0.3 - 0.4j], [0.3 + 0.4j, -2.0]])]
+    for xi, delta, K in METHOD_POINTS:
+        p = ModelParams(xi=xi, delta=delta, K=K)
+        for gap in both_gaps(p).gaps:
+            cases += [contact(E, p) for E in np.linspace(gap.lo + 1e-6, gap.hi - 1e-6, 10)]
+    for s in cases:
+        want = np.linalg.eigh(s)[0]
+        got = bound_states._eigvalsh2(s)
+        assert got[0] <= got[1]
+        assert np.abs(np.array(got) - want).max() <= 4.0 * eps * np.abs(want).max()
+
+
 def test_gap_edge_at_twice_detuning():
     # at (xi, delta) = (-0.5, -1) the upper edge of gap 1 is the mixed-band
     # edge delta + 2 xi = 2 delta, where the third channel's decay rate

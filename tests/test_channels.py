@@ -6,6 +6,7 @@ kind each guards and require the check to fail.
 """
 
 import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -48,8 +49,7 @@ def test_polynomial_is_palindromic():
 
 def spinor_sigma_min(channels):
     # smallest singular value of the 4x3 matrix of the unit channel spinors
-    phi = np.array([r.vector for r in channels]).T
-    return np.linalg.svd(phi, compute_uv=False)[-1]
+    return np.linalg.svd(channels.vectors, compute_uv=False)[-1]
 
 
 def test_polynomial_degree_and_root_pairing():
@@ -66,9 +66,9 @@ def test_polynomial_degree_and_root_pairing():
         except DegenerateParametersError:
             continue
         count += 1
-        assert len(channels) == 3
+        assert channels.lam.shape == (3,)
         assert spinor_sigma_min(channels) > 1e-3
-        zk = np.exp(1j * np.array([s * r.lam for r in channels for s in (1, -1)]))
+        zk = np.exp(1j * np.concatenate((channels.lam, -channels.lam)))
         lams = rng.uniform(-np.pi, np.pi, 5) + 1j * rng.uniform(-0.5, 0.5, 5)
         ratios = [
             np.linalg.det(bloch_matrix(p, lam) - e * np.eye(4))
@@ -84,8 +84,8 @@ def test_roots_satisfy_determinant(monkeypatch):
     # closed-root spinors off by 1e-11 leave the determinant untouched; the
     # check bounds their relative backward error by 1e-12
     def nudged(e, p):
-        return [r if r.is_open else dataclasses.replace(r, vector=r.vector + 1e-11)
-                for r in find_channel_roots(e, p)]
+        roots = find_channel_roots(e, p)
+        return dataclasses.replace(roots, vectors=roots.vectors + 1e-11 * ~roots.is_open)
 
     monkeypatch.setattr(validation, "find_channel_roots", nudged)
     assert not run_checks(["channel-roots"])[0].passed
@@ -112,11 +112,10 @@ def test_k0_roots_continue_off_zero_momentum():
     p0 = ModelParams(xi=-0.2, delta=0.4, K=0.0)
     p1 = ModelParams(xi=-0.2, delta=0.4, K=1e-7)
     for e in (1.1, -1.3, 2.6):
-        r0 = sorted(find_channel_roots(e, p0), key=lambda r: (r.lam.real, r.lam.imag))
-        r1 = sorted(find_channel_roots(e, p1), key=lambda r: (r.lam.real, r.lam.imag))
-        for a, b in zip(r0, r1):
-            assert abs(a.lam - b.lam) < 1e-5
-            assert a.is_open == b.is_open
+        r0, r1 = find_channel_roots(e, p0), find_channel_roots(e, p1)
+        o0, o1 = (np.lexsort((r.lam.imag, r.lam.real)) for r in (r0, r1))
+        assert np.abs(r0.lam[o0] - r1.lam[o1]).max() < 1e-5
+        assert np.array_equal(r0.is_open[o0], r1.is_open[o1])
 
 
 def test_open_closed_split_in_band_and_gap():
@@ -124,32 +123,29 @@ def test_open_closed_split_in_band_and_gap():
     bs = band_structure(p)
     # in-band energy away from E = 2*delta: AB and BA open, one closed mode
     channels = find_channel_roots(0.1, p)
-    open_roots = [r for r in channels if r.is_open]
-    assert len(open_roots) == 2
-    assert sorted(r.branch for r in open_roots) == ["AB", "BA"]
+    assert channels.is_open.sum() == 2
+    assert sorted(channels.open_branches) == ["AB", "BA"]
     # mid AA band: one open channel
     e_aa = 0.5 * sum(bs.branch_edges["AA"])
-    open_aa = [r for r in find_channel_roots(e_aa, p) if r.is_open]
-    assert len(open_aa) == 1 and open_aa[0].branch == "AA"
+    open_aa = find_channel_roots(e_aa, p)
+    assert open_aa.is_open.sum() == 1 and open_aa.open_branches == ("AA",)
     # in a gap: all channels closed and decaying
     gap = bs.gaps[0]
     channels = find_channel_roots(0.5 * (gap.lo + gap.hi), p)
-    assert all(not r.is_open for r in channels)
-    for r in channels:
-        assert abs(r.z) < 1.0  # retained root decays to the right
-        assert r.lam.imag > 0.0
+    assert not channels.is_open.any()
+    assert (np.abs(channels.z) < 1.0).all()  # retained roots decay to the right
+    assert (channels.lam.imag > 0.0).all()
 
 
 def test_open_roots_are_real_momenta_on_branch():
     p = ModelParams(xi=-0.35, delta=0.9, K=0.7)
     e = branch_energy("AB", 1.2, p)
     channels = find_channel_roots(e, p)
-    for root in channels:
-        if not root.is_open:
-            continue
-        assert abs(root.lam.imag) < 1e-10
-        assert abs(branch_energy(root.branch, root.lam.real, p) - e) < 1e-8
-        assert abs(abs(root.z) - 1.0) < 1e-10
+    op = channels.is_open
+    for lam, br in zip(channels.lam[op], channels.open_branches):
+        assert abs(branch_energy(br, lam.real, p) - e) < 1e-8
+    assert np.abs(channels.lam[op].imag).max() < 1e-10
+    assert np.abs(np.abs(channels.z[op]) - 1.0).max() < 1e-10
 
 
 def test_group_velocity_sign():
@@ -159,11 +155,12 @@ def test_group_velocity_sign():
 
     p = ModelParams(xi=-0.2, delta=0.1)
     e = 0.05
-    for root in find_channel_roots(e, p):
-        if root.is_open:
-            assert root.group_velocity > 0.0
-            expect = branch_energy_derivative(root.branch, root.lam.real, p)
-            assert abs(root.group_velocity - abs(expect)) < 1e-8
+    channels = find_channel_roots(e, p)
+    op = channels.is_open
+    assert (channels.group_velocity[op] > 0.0).all()
+    expect = [branch_energy_derivative(br, lam.real, p)
+              for br, lam in zip(channels.open_branches, channels.lam[op])]
+    assert np.abs(channels.group_velocity[op] - np.abs(expect)).max(initial=0.0) < 1e-8
 
 
 def test_scale_invariance():
@@ -172,10 +169,9 @@ def test_scale_invariance():
     p2 = ModelParams(xi=-0.6, delta=1.6, K=0.9, g=2.0)
     r1 = find_channel_roots(1.3, p1)
     r2 = find_channel_roots(2.6, p2)
-    assert len(r1) == len(r2)
-    for a, b in zip(r1, r2):
-        assert abs(a.lam - b.lam) < 1e-8
-        assert a.branch == b.branch
+    assert r1.lam.shape == r2.lam.shape
+    assert np.abs(r1.lam - r2.lam).max() < 1e-8
+    assert r1.branch == r2.branch
 
 
 def test_channel_count_error_at_degenerate_energy():
@@ -265,11 +261,11 @@ def test_roots_certified_next_to_twice_detuning(xi, delta):
     p = ModelParams(xi=xi, delta=delta)
     e = 2.0 * delta - 1e-6
     roots = find_channel_roots(e, p)
-    assert len(roots) == 3
-    assert min(abs(r.z) for r in roots) < 1e-5
-    for r in roots:
-        m = bloch_matrix(p, r.lam) - e * np.eye(4)
-        backward = np.linalg.norm(m @ r.vector) / np.linalg.norm(m)
+    assert roots.lam.shape == (3,)
+    assert np.abs(roots.z).min() < 1e-5
+    for lam, vector in zip(roots.lam, roots.vectors.T):
+        m = bloch_matrix(p, lam) - e * np.eye(4)
+        backward = np.linalg.norm(m @ vector) / np.linalg.norm(m)
         assert backward < 1e-12
 
 
@@ -281,7 +277,7 @@ def test_continuity_across_band_edge():
     kappas = []
     for eps in (1e-2, 1e-4, 1e-6):
         channels = find_channel_roots(edge + eps, p)
-        kappas.append(min(r.lam.imag for r in channels if not r.is_open))
+        kappas.append(channels.lam.imag[~channels.is_open].min())
     assert kappas[0] > kappas[1] > kappas[2]
     assert kappas[2] < 1e-2
 
@@ -292,14 +288,15 @@ def test_k0_double_root_unfolds_into_two_channels():
     # the three channel spinors stay linearly independent
     p = ModelParams(xi=-0.2)
     channels = find_channel_roots(0.1, p)
-    mixed = [r for r in channels if r.branch in ("AB", "BA")]
+    mixed = [j for j, br in enumerate(channels.branch) if br in ("AB", "BA")]
     assert len(mixed) == 2
-    assert abs(mixed[0].lam - mixed[1].lam) < 1e-12
+    assert abs(channels.lam[mixed[0]] - channels.lam[mixed[1]]) < 1e-12
     assert spinor_sigma_min(channels) > 1e-3
     gap = band_structure(p).gaps[0]
     channels = find_channel_roots(0.5 * (gap.lo + gap.hi), p)
-    assert not any(r.is_open for r in channels)
-    assert min(abs(channels[i].z - channels[j].z) for i in range(3) for j in range(i)) < 1e-10
+    assert not channels.is_open.any()
+    z = channels.z
+    assert min(abs(z[i] - z[j]) for i in range(3) for j in range(i)) < 1e-10
     assert spinor_sigma_min(channels) > 1e-3
 
 
@@ -311,10 +308,10 @@ def test_expansion_moments_are_chain_sums():
         p = ModelParams(xi=-0.3, delta=-1.0, K=K)
         gap = band_structure(p).gaps[0]
         roots = find_channel_roots(0.5 * (gap.lo + gap.hi), p)
-        assert not any(r.is_open for r in roots)
+        assert not roots.is_open.any()
         scaled = rng.normal(size=3) + 1j * rng.normal(size=3)
         contact = np.array([rng.normal(), rng.normal(), 0.0, 0.0])
-        n = int(np.ceil(40.0 / min(r.lam.imag for r in roots)))
+        n = int(np.ceil(40.0 / roots.lam.imag.min()))
         beta = channel_expansion(np.arange(1, n + 2), roots, scaled, contact)
         for lag in (0, 1):
             direct = beta[lag:n + lag].T @ np.conj(beta[:n])
@@ -324,3 +321,49 @@ def test_expansion_moments_are_chain_sums():
         assert np.array_equal(channel_expansion(0, roots, scaled, contact), contact)
         mirror = channel_expansion(-np.arange(1, 6), roots, scaled, contact)
         assert np.array_equal(mirror, beta[:5] @ PARITY)
+
+
+def test_channel_set_is_read_only():
+    # one record serves every state built at its energy and the ring
+    # embedding, so no consumer may write into it: in band (open and
+    # closed channels) and in a gap (closed only), also once unpickled
+    p = ModelParams(xi=-0.2)
+    gap = band_structure(p).gaps[0]
+    for e in (0.1, 0.5 * (gap.lo + gap.hi)):
+        roots = find_channel_roots(e, p)
+        copy = pickle.loads(pickle.dumps(roots))    # as sweep workers return it
+        for name in ("lam", "z", "vectors", "is_open", "group_velocity"):
+            for array in (getattr(roots, name), getattr(copy, name)):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = array[(0,) * array.ndim]
+        assert isinstance(roots.branch, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            roots.z = np.zeros(3)
+
+
+def test_determinant_scale_matches_row_norms():
+    # the certificate's scale from cached per-parameter row data equals the
+    # direct product of row norms of A - E plus the weighted hopping norms,
+    # over validate-style draws and at a closed root with |z| ~ 1e-4
+    rng = np.random.default_rng(43)
+    draws = []
+    for _ in range(200):
+        p = validation._draw_params(rng)
+        draws.append((p, rng.uniform(2.0 * p.delta - 6.0, 2.0 * p.delta + 6.0)))
+    draws.append((ModelParams(xi=-0.5, delta=-1.0), -2.0 - 4e-4))
+    checked = 0
+    for p, e in draws:
+        try:
+            roots = find_channel_roots(e, p)
+        except TwoPolaritonError:
+            continue
+        checked += 1
+        pencil = channels._pencil(p)
+        cos, sin = np.cos(roots.lam), np.sin(roots.lam)
+        weights = np.maximum(1.0, np.abs([cos, sin]))
+        want = np.prod(np.linalg.norm(pencil.onsite - e * np.eye(4), axis=1)
+                       + weights.T @ pencil.hop_norms, axis=1)
+        got = np.array(channels._det_scale(pencil, e, cos, sin))
+        assert (np.abs(got - want) <= 1e-14 * want).all()
+    assert checked > 190
+    assert 5e-5 < np.abs(roots.z).min() < 2e-4

@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from twopolaritons import scattering, sweeps, validation
+from twopolaritons import channels, scattering, sweeps, validation
 from twopolaritons.bands import branch_energy
 from twopolaritons.channels import _solve_regular, contact_elimination, find_channel_roots
 from twopolaritons.errors import ConditioningError, DegenerateParametersError, ParameterError
@@ -40,11 +40,10 @@ def test_frozen_mixed_branch_amplitude():
 
 
 def tamper_amplitudes(monkeypatch, edit):
-    """Make the checks see solutions whose amplitudes[j] are edited by edit(root)."""
+    """Make the checks see solutions whose amplitudes are scaled by edit(channel set)."""
     def tampered(branch, q, p):
         sol = solve_scattering(branch, q, p)
-        scale = np.array([edit(r) for r in sol.roots])
-        return dataclasses.replace(sol, scaled_amplitudes=sol.scaled_amplitudes * scale)
+        return dataclasses.replace(sol, scaled_amplitudes=sol.scaled_amplitudes * edit(sol.roots))
 
     monkeypatch.setattr(validation, "solve_scattering", tampered)
 
@@ -62,7 +61,7 @@ def test_certificates_on_random_draws(monkeypatch):
 
 def test_exchange_degenerate_amplitudes_equal(monkeypatch):
     # at K = 0 the AB and BA amplitudes coincide: a 1e-8 split fails
-    tamper_amplitudes(monkeypatch, lambda r: 1.0 + 1e-8 * (r.branch == "BA"))
+    tamper_amplitudes(monkeypatch, lambda r: 1.0 + 1e-8 * (np.array(r.branch) == "BA"))
     assert not run_checks(["scattering-unitarity"])[0].passed
 
 
@@ -89,8 +88,13 @@ def test_singular_matching_blocks_are_refused():
     p = ModelParams(xi=-0.3, delta=0.7)
     e = float(branch_energy("AB", 1.1, p))
     roots = find_channel_roots(e, p)
+    pick = [0, 0, 2]
+    repeated = dataclasses.replace(
+        roots, lam=roots.lam[pick], z=roots.z[pick], vectors=roots.vectors[:, pick],
+        is_open=roots.is_open[pick], branch=tuple(roots.branch[j] for j in pick),
+        group_velocity=roots.group_velocity[pick])
     with pytest.raises(ConditioningError, match="M_1 at E"):
-        contact_elimination(e, [roots[0], roots[0], roots[2]], p)
+        contact_elimination(e, repeated, p)
     with pytest.raises(ConditioningError, match="singular to working precision"):
         _solve_regular(np.outer([1.0, 2.0], [3.0, 4.0]), np.ones(2), "S")
 
@@ -121,6 +125,21 @@ def test_solve_regular_refuses_tiny_pivot(m):
     assert np.isfinite(np.linalg.solve(m, rhs)).all()
     with pytest.raises(ConditioningError, match="singular to working precision"):
         _solve_regular(m, rhs, "M")
+
+
+def test_svd_failure_is_a_conditioning_error(monkeypatch):
+    # an SVD that does not converge is a typed refusal, not a LinAlgError,
+    # in the M_1 solve of every energy and in the scattering contact solve
+    real = channels._GESDD
+
+    def failing(*args, **kwargs):
+        return (*real(*args, **kwargs)[:-1], 1)
+
+    monkeypatch.setattr(channels, "_GESDD", failing)
+    with pytest.raises(ConditioningError, match="gesdd failed on M .*info = 1"):
+        _solve_regular(np.eye(2) + 0.5j, np.ones(2), "M")
+    with pytest.raises(ConditioningError, match="gesdd failed on channel block M_1"):
+        solve_scattering("AB", 1.1, ModelParams(xi=-0.3, delta=0.7))
 
 
 def test_wavefunction_exchange_parity():
@@ -154,17 +173,16 @@ def test_closed_channel_content_decays():
     p = ModelParams(xi=-0.2, delta=0.5)
     q = 0.9
     sol = solve_scattering("AB", q, p)
-    kappa = min(r.lam.imag for r in sol.roots if not r.is_open)
+    roots = sol.roots
+    kappa = roots.lam.imag[~roots.is_open].min()
 
     def open_part(l):
         out = 0.5 * (np.exp(1j * q * l)
                      * branch_vector("AB", q, p).astype(complex)
                      + np.exp(-1j * q * l)
                      * (PARITY @ branch_vector("AB", q, p)).astype(complex))
-        for j, r in enumerate(sol.roots):
-            if r.is_open:
-                out += sol.amplitudes[j] * np.exp(1j * r.lam.real * l) \
-                    * r.vector.astype(complex)
+        for j in np.flatnonzero(roots.is_open):
+            out += sol.amplitudes[j] * np.exp(1j * roots.lam[j].real * l) * roots.vectors[:, j]
         return out
 
     resid = [np.linalg.norm(sol.wavefunction(l) - open_part(l))
