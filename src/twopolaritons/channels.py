@@ -78,19 +78,34 @@ def _pencil(params: ModelParams) -> _Pencil:
     """The _Pencil of params, its arrays read-only; the 8 most recent are kept."""
     mats = bloch_matrices(params)
     hp, hm = mats.hop_blocks()
-    zero, one = np.zeros((4, 4)), np.eye(4)
+    one = np.eye(4)
+    lhs, rhs = np.zeros((8, 8), dtype=complex), np.zeros((8, 8), dtype=complex)
+    lhs[:4, 4:], lhs[4:, :4] = one, -hp
+    rhs[:4, :4], rhs[4:, 4:] = one, hm
     pencil = _Pencil(
         onsite=mats.onsite, onsite_diag=mats.onsite.diagonal().copy(),
         offdiag_norms=np.linalg.norm(mats.onsite - np.diag(mats.onsite.diagonal()), axis=1),
         hop_cos=mats.hop_cos, hop_sin=mats.hop_sin,
         hop_norms=np.linalg.norm([mats.hop_cos, mats.hop_sin], axis=2), hp=hp, hm=hm,
         contact=contact_interaction(params), mirror_hop=hp @ PARITY + hm,
-        lhs=np.block([[zero, one], [-hp, zero]]), rhs=np.block([[one, zero], [zero, hm]]),
-        eye=one, hm_rank=int(np.linalg.matrix_rank(hm[:3, :3])),
+        lhs=lhs, rhs=rhs, eye=one, hm_rank=_hm_rank(params),
     )
     for array in pencil[:-1]:
         array.flags.writeable = False
     return pencil
+
+
+def _hm_rank(params: ModelParams) -> int:
+    """np.linalg.matrix_rank of hm[:3, :3], in closed form.
+
+    hm[:3, :3] is diag(c, (c I - i s sigma_x) / 2) with c = 2 xi cos(K/2)
+    and s = -2 xi sin(K/2); the 2x2 block is normal, so the singular
+    values are |c|, |xi| and |xi|.  matrix_rank's tolerance is kept:
+    3 eps sigma_max.
+    """
+    c, xi = abs(2.0 * params.xi * np.cos(0.5 * params.K)), abs(params.xi)
+    tol = 3.0 * _EPS * max(c, xi)
+    return int(c > tol) + 2 * int(xi > tol)
 
 
 @dataclass(frozen=True, eq=False)

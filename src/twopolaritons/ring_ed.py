@@ -186,70 +186,99 @@ class MomentumSector:
         return float(self.eigenvalues[pick]), self.projector @ self.eigenvectors[:, pick]
 
 
-def _orbits(basis: TwoExcitationBasis):
-    """Translation orbits as the powers T^j of each orbit's first state.
+def _orbits(basis: TwoExcitationBasis, step: np.ndarray):
+    """Translation orbits of the basis under the site shift ``step``.
 
     Each orbit's lowest index is a state (0, d): d <= N/2 for the unordered
-    pairs, any d for photon-TLS products.  Taken in basis order they start
-    the orbits in the order a scan of the basis meets them.  Returns the
-    member states orbit by orbit, each member's power j and each orbit's
-    length: N, or N/2 for an unordered pair at antipodal separation.
+    pairs, any d for photon-TLS products.  Taken in basis order they number
+    the orbits in the order a scan of the basis meets them.  Returns each
+    orbit's first state and length (N, or N/2 for an unordered pair at
+    antipodal separation), and for every basis state its orbit and the
+    power j with state = T^j first[orbit].
     """
     N, half = basis.N, basis.N // 2
     first = np.concatenate([basis.pp(0, np.arange(half + 1)),
                             basis.mix(0, np.arange(N)),
                             basis.tt(0, np.arange(1, half + 1))])
-    step = basis.translate(np.arange(basis.dim))
     powers = np.empty((N, first.size), dtype=int)
     powers[0] = first
     for j in range(1, N):
         powers[j] = step[powers[j - 1]]
     back = powers[1:] == first
     length = np.where(back.any(axis=0), back.argmax(axis=0) + 1, N)
-    member = np.arange(N)[:, None] < length
-    return powers.T[member.T], np.nonzero(member.T)[1], length
+    j, o = np.nonzero(np.arange(N)[:, None] < length)
+    orbit, power = np.empty(basis.dim, dtype=int), np.empty(basis.dim, dtype=int)
+    orbit[powers[j, o]] = o
+    power[powers[j, o]] = j
+    return first, length, orbit, power
 
 
 def momentum_blocks(h: sp.spmatrix, N: int, only=None) -> list:
     """Block-diagonalize the ring Hamiltonian over total momentum.
 
-    The translation operator is a permutation; its orbits give the
-    momentum basis directly, including the short orbits of antipodal
-    pair states.  A nonzero commutator means the Hamiltonian was not
-    built translation-covariantly, which is an implementation bug, not
-    a data condition.
+    The translation T is a permutation, the site shift ``step``; its
+    orbits give the momentum basis directly, including the short orbits
+    of antipodal pair states.  [H, T] is checked exactly by relabelling
+    H's indices through ``step``: max|T H T^-1 - H| = max|HT - TH|.  A
+    nonzero commutator means the Hamiltonian was not built
+    translation-covariantly, which is an implementation bug, not a data
+    condition.
+
+    Sector n (k = 2 pi n / N) keeps the orbits with e^{ik L} = 1.  Its
+    block is summed from the rows of H at the kept orbits' first states
+    r_a: block[a, b] = sqrt(L_a/L_b) sum_{c in orbit b} H[r_a, c]
+    e^{-ik m_c}, with c = T^{m_c} r_b.  Row r_a fills block[a, b] and row
+    r_b fills block[b, a], so the Hermiticity check still tests the
+    element algebra.  When 2n = 0 (mod N), k is 0 or pi, every phase is
+    +-1, and the projector, the block and its eigenvectors are real.
     """
     basis = TwoExcitationBasis(N)
-    t1 = translation_operator(N)
-    comm = (h @ t1 - t1 @ h)
+    h = h.tocsr()
+    step = basis.translate(np.arange(basis.dim))
+    coo = h.tocoo()
+    moved = sp.csr_matrix((coo.data, (step[coo.row], step[coo.col])), shape=h.shape)
+    comm = moved - h
     norm = abs(comm).max() if comm.nnz else 0.0
     if norm > 1e-12:
         raise RuntimeError(
             f"Hamiltonian does not commute with translation: |[H,T]| = {norm:.3g}"
         )
-    states, power, length = _orbits(basis)
-    orbit = np.repeat(np.arange(length.size), length)
+    first, length, orbit, power = _orbits(basis, step)
+    reps = h[first].tocoo()
+    a, b = reps.row, orbit[reps.col]
+    weight = reps.data * np.sqrt(length[a] / length[b])
     wanted = range(N) if only is None else only
     sectors = []
     for n in wanted:
         k = 2.0 * math.pi * n / N
         kept = (n * length) % N == 0
         col = np.cumsum(kept) - 1
-        rows = kept[orbit]
-        phase = np.exp(-1j * k * power[rows]) / np.sqrt(length[orbit[rows]])
+        size = int(col[-1]) + 1
+        if (2 * n) % N == 0:
+            phase = 1.0 - 2.0 * ((2 * n // N * power) % 2)
+        else:
+            phase = np.exp(-1j * k * power)
+        inside = kept[orbit]
         proj = sp.csr_matrix(
-            (phase, (states[rows], col[orbit[rows]])),
-            shape=(basis.dim, int(kept.sum())), dtype=complex,
+            (phase[inside] / np.sqrt(length[orbit[inside]]), col[orbit[inside]],
+             np.concatenate(([0], np.cumsum(inside)))),
+            shape=(basis.dim, size),
         )
-        block = (proj.getH() @ (h @ proj)).toarray()
+        keep = kept[a] & kept[b]
+        cell = col[a[keep]] * size + col[b[keep]]
+        terms = weight[keep] * phase[reps.col[keep]]
+        block = np.bincount(cell, terms.real, minlength=size * size)
+        if np.iscomplexobj(terms):
+            block = block + 1j * np.bincount(cell, terms.imag, minlength=size * size)
+        block = block.reshape(size, size)
         herm = np.abs(block - block.conj().T).max()
         if herm > 1e-13:
             raise RuntimeError(
                 f"momentum block n={n} not Hermitian: defect {herm:.3g}"
             )
         vals, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
-        for a in (vals, vecs, proj.data, proj.indices, proj.indptr):
-            a.flags.writeable = False
+        for arr in (vals, vecs, proj.data, proj.indices, proj.indptr):
+            arr.flags.writeable = False
         sectors.append(MomentumSector(
             N=N, n=n, momentum=k,
             eigenvalues=vals, eigenvectors=vecs, projector=proj,
@@ -263,20 +292,29 @@ def momentum_blocks(h: sp.spmatrix, N: int, only=None) -> list:
 SECTORS_KEPT = 4
 
 
+def _sector_of(K: float, N: int) -> int:
+    """Ring sector n = K N / 2 pi (mod N) of total momentum K.
+
+    The package's only map from K to a sector; a K that is no momentum of
+    the N-site ring raises ParameterError.
+    """
+    n_k = K * N / (2.0 * math.pi)
+    if abs(n_k - round(n_k)) > 1e-9:
+        raise ParameterError(f"K = {K} is not a ring momentum for N = {N}")
+    return int(round(n_k)) % N
+
+
 @functools.lru_cache(maxsize=SECTORS_KEPT)
 def ring_sector(params: ModelParams, N: int) -> MomentumSector:
     """The diagonalized sector of the N-site ring that holds momentum params.K.
 
-    The package's only map from K to a sector: n = K N / 2 pi (mod N), or
-    ParameterError when K is not a ring momentum.  Builds H and
-    diagonalizes that one block, with the exact [H, T] and Hermiticity
-    checks of momentum_blocks; the SECTORS_KEPT most recent (params, N)
-    are memoized (ring_sector.cache_clear() empties the memo).
+    The sector is n = _sector_of(K, N).  Builds H and diagonalizes that one
+    block, with the exact [H, T] and Hermiticity checks of momentum_blocks;
+    the SECTORS_KEPT most recent (params, N) are memoized
+    (ring_sector.cache_clear() empties the memo).
     """
-    n_k = params.K * N / (2.0 * math.pi)
-    if abs(n_k - round(n_k)) > 1e-9:
-        raise ParameterError(f"K = {params.K} is not a ring momentum for N = {N}")
-    return momentum_blocks(build_hamiltonian(N, params), N, only=[int(round(n_k)) % N])[0]
+    n = _sector_of(params.K, N)
+    return momentum_blocks(build_hamiltonian(N, params), N, only=[n])[0]
 
 
 def ring_embedding(state: BoundState, N: int) -> np.ndarray:
@@ -288,10 +326,11 @@ def ring_embedding(state: BoundState, N: int) -> np.ndarray:
     side of the contact (channels.expansion_winding; l < 0 via PARITY).
     Only local conversions follow: the sqrt(2) of a doubly occupied cavity,
     no doubly excited TLS.  Returned vector is unnormalized.  A K that is
-    no momentum of the ring raises ParameterError from ring_sector.
+    no momentum of the ring raises ParameterError (_sector_of, the map
+    ring_sector uses); nothing is built or diagonalized.
     """
     params = state.params
-    ring_sector(params, N)
+    _sector_of(params.K, N)
     basis = TwoExcitationBasis(N)
     right, left = (expansion_winding(state.roots, state.scaled_amplitudes, N, s * params.K / 2)
                    for s in (1, -1))
@@ -304,12 +343,13 @@ def ring_embedding(state: BoundState, N: int) -> np.ndarray:
     com = np.exp(1j * params.K * r)
     # (r, m) grid of the pair on sites m and m + r
     m, other = np.broadcast_arrays(r, r[:, None] + r)
-    psi = np.zeros(basis.dim, dtype=complex)
-    np.add.at(psi, basis.pp(m, other), com * p)
-    np.add.at(psi, basis.mix(m, other), com * (d_sym + d_asy) / SQRT2)
-    np.add.at(psi, basis.mix(other, m), com * (d_sym - d_asy) / SQRT2)
-    np.add.at(psi, basis.tt(m[1:], other[1:]), (com * t)[1:])
-    return psi
+    # one scatter-add over the four families; r = 0 has no TLS pair
+    index = np.concatenate([basis.pp(m, other).ravel(), basis.mix(m, other).ravel(),
+                            basis.mix(other, m).ravel(), basis.tt(m[1:], other[1:]).ravel()])
+    value = np.concatenate([(com * p).ravel(), (com * (d_sym + d_asy) / SQRT2).ravel(),
+                            (com * (d_sym - d_asy) / SQRT2).ravel(), (com * t)[1:].ravel()])
+    return np.bincount(index, value.real, minlength=basis.dim) \
+        + 1j * np.bincount(index, value.imag, minlength=basis.dim)
 
 
 @dataclass(frozen=True)

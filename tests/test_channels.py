@@ -210,6 +210,19 @@ def test_cached_pencil_data_is_read_only():
             array[(0,) * array.ndim] = 1.0
 
 
+def test_hopping_rank_matches_matrix_rank():
+    # the closed-form rank of hm[:3, :3] that refuses the zone boundary
+    # equals the SVD rank, at K = +-pi, next to it, at xi = 0 and tiny |xi|
+    ks = [0.0, 0.7, 2.0, np.pi, -np.pi, np.nextafter(np.pi, 0.0), np.pi - 1e-10, -3.0]
+    xis = [0.0, 5e-324, 1e-300, 1e-17, 1e-8, -0.2, 0.5, -3.0]
+    for k in ks:
+        for xi in xis:
+            p = ModelParams(xi=xi, K=k)
+            hm = bloch_matrices(p).hop_blocks()[1]
+            assert channels._hm_rank(p) == np.linalg.matrix_rank(hm[:3, :3]), (k, xi)
+            assert channels._pencil(p).hm_rank == channels._hm_rank(p)
+
+
 def test_ggev_failure_is_a_conditioning_error(monkeypatch):
     real = channels._GGEV
 

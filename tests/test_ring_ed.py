@@ -8,6 +8,7 @@ fail.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,44 @@ def test_momentum_blocks_reject_doctored_hamiltonian():
         momentum_blocks(h.tocsr(), n)
 
 
+@pytest.mark.parametrize("n_sites", [6, 7, 8])
+def test_sector_blocks_equal_projected_hamiltonian(n_sites):
+    # each block is summed from orbit-representative rows of H; it must
+    # equal P^H H P from the sector's own projector, short antipodal orbits
+    # (even N) included, and P must have orthonormal columns
+    h = build_hamiltonian(n_sites, ModelParams(xi=-0.37, delta=0.41, g=1.3))
+    for s in momentum_blocks(h, n_sites):
+        proj = s.projector.toarray()
+        assert np.abs(proj.conj().T @ proj - np.eye(s.dim)).max() < 1e-13
+        block = (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.conj().T
+        assert np.abs(block - proj.conj().T @ (h @ proj)).max() < 1e-13, s.n
+
+
+@pytest.mark.parametrize("n_sites", [7, 8])
+def test_sectors_are_real_where_the_phases_are(n_sites):
+    # e^{-ikm} = +-1 when 2n = 0 (mod N): n = 0, and n = N/2 on even rings
+    h = build_hamiltonian(n_sites, ModelParams(xi=-0.2, delta=0.3))
+    for s in momentum_blocks(h, n_sites):
+        real = (2 * s.n) % n_sites == 0
+        for array in (s.eigenvectors, s.projector.data):
+            assert np.isrealobj(array) == real, (s.n, array.dtype)
+
+
+@pytest.mark.parametrize("kick", [0.1234567, 3e-12])
+def test_commutator_defect_is_the_exact_one(kick):
+    # the relabelled check reports max|HT - TH| of the doctored H, and a
+    # defect just above the 1e-12 bound is refused
+    n = 6
+    h = build_hamiltonian(n, ModelParams(xi=-0.3)).tolil()
+    h[0, 5] += kick
+    h[5, 0] += kick
+    h = h.tocsr()
+    t = ring_ed.translation_operator(n)
+    defect = abs(h @ t - t @ h).max()
+    with pytest.raises(RuntimeError, match=re.escape(f"|[H,T]| = {defect:.3g}")):
+        momentum_blocks(h, n)
+
+
 def test_zero_hopping_matches_single_site_levels(monkeypatch):
     # closed-form levels that ignore the coupling's scale agree at g = 1
     # only; the check runs at g = 1.1 to catch that
@@ -130,6 +169,25 @@ def test_ring_embedding_momentum_compatibility():
     st = find_bound_states(p, bs.gaps[0])[0]
     with pytest.raises(ParameterError):
         ring_embedding(st, 24)
+
+
+def test_ring_embedding_builds_no_sector(monkeypatch):
+    # the momentum check of the embedding needs only the K -> n map, not
+    # a diagonalized sector: a fresh ring size builds no Hamiltonian
+    built = []
+
+    def counting(N, params):
+        built.append(N)
+        return build_hamiltonian(N, params)
+
+    ring_ed.ring_sector.cache_clear()
+    monkeypatch.setattr(ring_ed, "build_hamiltonian", counting)
+    p = ModelParams(xi=-0.2, delta=-2.0, K=2.0 * np.pi * 3 / 30)
+    st = find_bound_states(p, band_structure(p).gaps[0])[0]
+    assert ring_embedding(st, 30).shape == (2 * 30 * 30,)
+    with pytest.raises(ParameterError):
+        ring_embedding(st, 31)
+    assert built == []
 
 
 def explicit_winding_sum(st, N):
