@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError
-from .model import PARITY, ModelParams, bloch_matrix
+from .model import PARITY, SQRT2, ModelParams, bloch_matrix
 
 __all__ = [
     "BRANCHES",
@@ -39,8 +39,6 @@ __all__ = [
 ]
 
 BRANCHES = ("AA", "AB", "BA", "BB")
-
-SQRT2 = float(np.sqrt(2.0))
 
 #: Momenta per branch on the grid that brackets the band edges.
 N_SAMPLES = 256
@@ -210,7 +208,7 @@ class BandStructure:
     params: ModelParams
     branch_edges: dict
     bands: tuple
-    gaps: tuple
+    gaps: tuple      # by index, topmost gap first
 
     def gap_at(self, energy: float):
         for gap in self.gaps:

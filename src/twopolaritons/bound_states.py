@@ -40,7 +40,7 @@ from .channels import (
     find_channel_roots,
 )
 from .errors import ConditioningError, ParameterError
-from .model import PARITY, ModelParams, bloch_matrices, contact_interaction
+from .model import PARITY, ModelParams, bloch_matrices
 
 __all__ = [
     "BoundState",
@@ -206,8 +206,7 @@ def rayleigh_quotient(state: BoundState) -> float:
     g1 = (m1 + np.outer(b1, np.conj(b0)) + np.outer(b0, np.conj(b1)) @ PARITY
           + PARITY @ np.conj(m1).T @ PARITY)
     mats = bloch_matrices(params)
-    hp, hm = mats.hop_blocks()
     num = (np.trace(mats.onsite @ g0)
-           + np.trace(hp @ np.conj(g1).T) + np.trace(hm @ g1)
-           + np.conj(b0) @ contact_interaction(params) @ b0)
+           + np.trace(mats.hp @ np.conj(g1).T) + np.trace(mats.hm @ g1)
+           + np.conj(b0) @ mats.contact @ b0)
     return float(num.real / np.trace(g0).real)

@@ -3,7 +3,7 @@
 A wave b_l = z^l F with z = e^{i lam} solves the free chain at energy E
 when (hp + (A - E) z + hm z^2) F = 0.  This quadratic eigenproblem is
 solved as one 8x8 companion pencil for every K: one LAPACK ggev call per
-energy, with the E-independent blocks cached per parameter set.  Because
+energy, on the E-independent data of model.bloch_matrices' record.  Because
 the determinant is even in lam, its roots come in z <-> 1/z pairs, which
 leaves three channels.  Channels on the unit circle with positive group
 velocity are open (outgoing waves).  The rest decay as |z|^l =
@@ -20,9 +20,7 @@ chain and around a ring as geometric series.
 """
 
 import cmath
-import functools
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +28,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .bands import BRANCHES, branch_energy, branch_energy_derivative, branch_vector, phase_fix
 from .errors import ConditioningError, DegenerateParametersError, ParameterError
-from .model import PARITY, ModelParams, bloch_matrices, contact_interaction, site_residual
+from .model import PARITY, ModelParams, bloch_matrices, site_residual
 
 __all__ = [
     "TOL_EDGE_FACTOR",
@@ -66,46 +64,9 @@ _EPS = np.finfo(float).eps
 #: LAPACK's divide-and-conquer SVD for the complex blocks _solve_regular inverts.
 (_GESDD,) = get_lapack_funcs(("gesdd",), (np.zeros((3, 3), dtype=complex),))
 
-#: Energy-independent data of one parameter set: blocks, the diagonal of A and the
-#: norms of its off-diagonal rows, hop_cos/hop_sin row norms, hp PARITY + hm, the
-#: companion pencil less its -(A - E) block, the 4x4 identity, rank of hm[:3, :3].
-_Pencil = namedtuple("_Pencil", "onsite onsite_diag offdiag_norms hop_cos hop_sin hop_norms "
-                                "hp hm contact mirror_hop lhs rhs eye hm_rank")
-
-
-@functools.lru_cache(maxsize=8)
-def _pencil(params: ModelParams) -> _Pencil:
-    """The _Pencil of params, its arrays read-only; the 8 most recent are kept."""
-    mats = bloch_matrices(params)
-    hp, hm = mats.hop_blocks()
-    one = np.eye(4)
-    lhs, rhs = np.zeros((8, 8), dtype=complex), np.zeros((8, 8), dtype=complex)
-    lhs[:4, 4:], lhs[4:, :4] = one, -hp
-    rhs[:4, :4], rhs[4:, 4:] = one, hm
-    pencil = _Pencil(
-        onsite=mats.onsite, onsite_diag=mats.onsite.diagonal().copy(),
-        offdiag_norms=np.linalg.norm(mats.onsite - np.diag(mats.onsite.diagonal()), axis=1),
-        hop_cos=mats.hop_cos, hop_sin=mats.hop_sin,
-        hop_norms=np.linalg.norm([mats.hop_cos, mats.hop_sin], axis=2), hp=hp, hm=hm,
-        contact=contact_interaction(params), mirror_hop=hp @ PARITY + hm,
-        lhs=lhs, rhs=rhs, eye=one, hm_rank=_hm_rank(params),
-    )
-    for array in pencil[:-1]:
-        array.flags.writeable = False
-    return pencil
-
-
-def _hm_rank(params: ModelParams) -> int:
-    """np.linalg.matrix_rank of hm[:3, :3], in closed form.
-
-    hm[:3, :3] is diag(c, (c I - i s sigma_x) / 2) with c = 2 xi cos(K/2)
-    and s = -2 xi sin(K/2); the 2x2 block is normal, so the singular
-    values are |c|, |xi| and |xi|.  matrix_rank's tolerance is kept:
-    3 eps sigma_max.
-    """
-    c, xi = abs(2.0 * params.xi * np.cos(0.5 * params.K)), abs(params.xi)
-    tol = 3.0 * _EPS * max(c, xi)
-    return int(c > tol) + 2 * int(xi > tol)
+#: The 4x4 identity, for A - E.
+_EYE = np.eye(4)
+_EYE.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,16 +199,16 @@ def contact_elimination(E, roots, params, incident=None):
     free spinors (inc_0, inc_1); None, for a bound state, means zero.  An
     M_1 singular to working precision raises ConditioningError.
     """
-    pencil = _pencil(params)
-    a_e = pencil.onsite - E * pencil.eye
+    mats = bloch_matrices(params)
+    a_e = mats.onsite - E * _EYE
     phi = roots.vectors
-    m1 = (a_e @ phi + pencil.hm @ phi * roots.z)[:3]
-    w = -_solve_regular(m1, pencil.hp[:3], f"channel block M_1 at E = {E}")
-    c = a_e + pencil.contact + pencil.mirror_hop @ phi @ w
+    m1 = (a_e @ phi + mats.hm @ phi * roots.z)[:3]
+    w = -_solve_regular(m1, mats.hp[:3], f"channel block M_1 at E = {E}")
+    c = a_e + mats.contact + mats.mirror_hop @ phi @ w
     if incident is None:
         return w, c, np.zeros(4, dtype=complex)
     inc0, inc1 = incident
-    return w, c, -pencil.mirror_hop @ (inc1 - phi @ (w @ inc0))
+    return w, c, -mats.mirror_hop @ (inc1 - phi @ (w @ inc0))
 
 
 def _solve_regular(m, rhs, what: str) -> np.ndarray:
@@ -267,7 +228,7 @@ def _solve_regular(m, rhs, what: str) -> np.ndarray:
     return (np.conj(vh.T) / s) @ (np.conj(u.T) @ rhs)
 
 
-def _pencil_eigs(a, pencil):
+def _pencil_eigs(a, mats):
     """The six channel eigenpairs (z, F) of the companion pencil, by |z|.
 
     With x = (F, z F) the quadratic (hp + a z + hm z^2) F = 0 reads
@@ -277,14 +238,14 @@ def _pencil_eigs(a, pencil):
     homogeneous form (alpha, beta) orders them without forming inf.  F is
     unnormalized; a failed ggev raises ConditioningError.
     """
-    if pencil.hm_rank < 3:
+    if mats.hm_rank < 3:
         raise DegenerateParametersError(
             "photon pair does not hop: 2 xi cos(K/2) = 0 on the Brillouin "
             "zone boundary K = pi (or at xi = 0), so the hopping block loses rank"
         )
-    lhs = pencil.lhs.copy()
+    lhs = mats.pencil_lhs.copy()
     lhs[4:, 4:] = -a
-    alpha, beta, _, vecs, _, info = _GGEV(lhs, pencil.rhs, compute_vl=0)
+    alpha, beta, _, vecs, _, info = _GGEV(lhs, mats.pencil_rhs, compute_vl=0)
     if info != 0:
         raise ConditioningError(f"LAPACK ggev failed on the companion pencil (info = {info})")
     order = np.argsort(np.arctan2(np.abs(alpha), np.abs(beta)))[1:-1]
@@ -320,7 +281,7 @@ def _open_channels(lam_abs, mult, E, params):
     return kept
 
 
-def _det_scale(pencil, E, cos, sin) -> list:
+def _det_scale(mats, E, cos, sin) -> list:
     """Hadamard-style scale of M(lam) - E at each lam, from cos lam and sin lam.
 
     The product of row norms: those of A - E, closed-form in E from the
@@ -329,8 +290,8 @@ def _det_scale(pencil, E, cos, sin) -> list:
     follow a closed decay.  Plain floats: three products of four rows.
     """
     rows = [math.hypot(d - E, o)
-            for d, o in zip(pencil.onsite_diag.tolist(), pencil.offdiag_norms.tolist())]
-    norms_cos, norms_sin = pencil.hop_norms.tolist()
+            for d, o in zip(mats.onsite_diag.tolist(), mats.offdiag_norms.tolist())]
+    norms_cos, norms_sin = mats.hop_norms.tolist()
     scales = []
     for c, s in zip(cos.tolist(), sin.tolist()):
         wc, ws = max(1.0, abs(c)), max(1.0, abs(s))
@@ -355,9 +316,9 @@ def find_channel_roots(E: float, params: ModelParams) -> ChannelSet:
     """
     if not math.isfinite(E):
         raise ParameterError(f"energy must be finite, got {E!r}")
-    pencil = _pencil(params)
-    a = pencil.onsite - E * pencil.eye
-    z, vecs = _pencil_eigs(a, pencil)
+    mats = bloch_matrices(params)
+    a = mats.onsite - E * _EYE
+    z, vecs = _pencil_eigs(a, mats)
     zs = z.tolist()
     mod = [abs(w) for w in zs]
     on_circle = [abs(m - 1.0) <= TOL_OPEN for m in mod]
@@ -384,9 +345,9 @@ def find_channel_roots(E: float, params: ModelParams) -> ChannelSet:
         vectors = np.column_stack([branch_vector(br, lo, params) for br, lo, _ in opened]
                                   + [vectors])
     cos, sin = np.cos(lam), np.sin(lam)
-    vals = np.abs(np.linalg.det(a + np.multiply.outer(cos, pencil.hop_cos)
-                                + np.multiply.outer(sin, pencil.hop_sin)))
-    for j, (val, scale) in enumerate(zip(vals.tolist(), _det_scale(pencil, E, cos, sin))):
+    vals = np.abs(np.linalg.det(a + np.multiply.outer(cos, mats.hop_cos)
+                                + np.multiply.outer(sin, mats.hop_sin)))
+    for j, (val, scale) in enumerate(zip(vals.tolist(), _det_scale(mats, E, cos, sin))):
         if val > 1e-9 * scale:
             raise ConditioningError(
                 f"channel root lam={lam[j]:.6g} fails the determinant "

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bands import band_structure
+from .bands import BRANCHES, band_structure
 from .errors import OracleMismatchError, ParameterError, TwoPolaritonError
 from .model import ModelParams
 from .ring_ed import band_edge_check, compare_bound_state
@@ -97,7 +97,7 @@ class RunConfig:
     fmt: str = "csv"
     checks: tuple = None
     seed: int = None
-    raw: dict = field(default_factory=dict)    # original range strings
+    raw: dict = field(default_factory=dict)    # K, delta and (with qs) q as typed
 
 
 def _fmt(x) -> str:
@@ -105,18 +105,7 @@ def _fmt(x) -> str:
 
 
 def _meta_block(config: RunConfig, columns, extra=()) -> list:
-    pairs = [
-        ("xi", _fmt(config.xi)),
-        ("K", config.raw.get("K", _fmt(config.K))),
-        ("format", config.fmt),
-    ]
-    if config.deltas is not None:
-        pairs.append(("delta", config.raw.get(
-            "delta", ",".join(_fmt(d) for d in config.deltas))))
-    if config.qs is not None:
-        pairs.append(("q", config.raw.get(
-            "q", ",".join(_fmt(q) for q in config.qs))))
-    pairs.extend(extra)
+    pairs = [("xi", _fmt(config.xi)), ("format", config.fmt), *config.raw.items(), *extra]
     lines = [f"# twopol {config.subcommand}"]
     lines += [f"# {k} = {v}" for k, v in sorted(pairs)]
     lines.append("# columns: " + ",".join(columns))
@@ -181,7 +170,7 @@ def cmd_bands(config: RunConfig) -> int:
             "delta": float(d),
             "gaps": [
                 {"index": g.index, "lo": g.lo, "hi": g.hi}
-                for g in sorted(bs.gaps, key=lambda g: g.index)
+                for g in bs.gaps
             ],
         })
     _write(config, columns, rows, gaps=gaps)
@@ -226,7 +215,7 @@ def cmd_scatter(config: RunConfig) -> int:
                         _fmt(pt.delta), pt.note)
             continue
         sol = pt.solution
-        for out_branch in ("AA", "AB", "BA", "BB"):
+        for out_branch in BRANCHES:
             if out_branch not in sol.open_branches:
                 continue
             f = sol.coefficient(out_branch)
@@ -305,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="point count for two-field --q ranges")
         if branch_flag:
             p.add_argument("--branch", default="AB",
-                           choices=("AA", "AB", "BA", "BB"),
+                           choices=BRANCHES,
                            help="incident branch")
         if rings_flag:
             p.add_argument("--N", default="24,48",

@@ -11,7 +11,9 @@ lives in a four-component amplitude vector ("spinor"):
     index 3   TLS pair                 t_l
 
 with the exchange conditions p_l = p_{-l}, t_l = t_{-l}, t_0 = 0 and
-d_{l+-} = (d_l +- d_{-l})/2.  The stationary problem is block tridiagonal,
+d_{l+-} = (d_l +- d_{-l})/2, where d_l is the pair with the TLS on site m
+and the photon on m + l; every pair on m and m + l carries e^{iK(m + l/2)}.
+The stationary problem is block tridiagonal,
 
     onsite @ b_l + hp @ b_{l-1} + hm @ b_{l+1} + delta_{l0} V @ b_0 = E b_l,
 
@@ -21,6 +23,8 @@ in units of the photon-TLS coupling g (g = 1 by default); xi is the photon
 hopping between neighbouring cavities and delta the TLS-photon detuning.
 """
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +43,7 @@ __all__ = [
 
 SQRT2 = float(np.sqrt(2.0))
 TWO_PI = 2.0 * np.pi
+_EPS = np.finfo(float).eps
 
 # Spinor component order, fixed project-wide.
 PHOTON_PAIR, MIX_SYM, MIX_ASYM, TLS_PAIR = 0, 1, 2, 3
@@ -85,28 +90,71 @@ class ModelParams:
         object.__setattr__(self, "g", float(self.g))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochMatrices:
-    """Blocks of the relative-motion problem at fixed K.
+    """The blocks of one parameter set, and all that follows from them alone.
 
     ``onsite + hop_cos*cos(q) + hop_sin*sin(q)`` is the free Bloch matrix at
-    relative momentum q; the hopping blocks of the site equation are
-    ``(hop_cos +- 1j*hop_sin)/2``.
+    relative momentum q.  __post_init__ derives every other field from those
+    three, so a record rebuilt from edited blocks (dataclasses.replace) stays
+    consistent; bloch_matrices shares one record, so its arrays are read-only.
+    hp, hm and contact are the site equation's hp, hm and V; mirror_hop =
+    hp PARITY + hm couples b_0 to b_1 and b_-1 = PARITY b_1; pencil_lhs and
+    pencil_rhs are the companion pencil of (hp + (A - E) z + hm z^2) F = 0
+    less its -(A - E) block; onsite_diag, offdiag_norms and hop_norms are the
+    row norms of the determinant scale; hm_rank is np.linalg.matrix_rank of
+    hm[:3, :3] = diag(c, [[a, b], [b, a]]), from its singular values |c|,
+    |a + b|, |a - b| and matrix_rank's tolerance 3 eps sigma_max.
     """
 
     onsite: np.ndarray
     hop_cos: np.ndarray
     hop_sin: np.ndarray
+    hp: np.ndarray = dataclasses.field(init=False)
+    hm: np.ndarray = dataclasses.field(init=False)
+    mirror_hop: np.ndarray = dataclasses.field(init=False)
+    contact: np.ndarray = dataclasses.field(init=False)
+    pencil_lhs: np.ndarray = dataclasses.field(init=False)
+    pencil_rhs: np.ndarray = dataclasses.field(init=False)
+    onsite_diag: np.ndarray = dataclasses.field(init=False)
+    offdiag_norms: np.ndarray = dataclasses.field(init=False)
+    hop_norms: np.ndarray = dataclasses.field(init=False)
+    hm_rank: int = dataclasses.field(init=False)
 
-    def hop_blocks(self):
-        """Hopping blocks (hp, hm) multiplying b_{l-1} and b_{l+1}."""
+    def __post_init__(self):
         hp = 0.5 * (self.hop_cos + 1j * self.hop_sin)
         hm = 0.5 * (self.hop_cos - 1j * self.hop_sin)
-        return hp, hm
+        # V cancels the onsite coupling of d_+ and t at l = 0: one TLS holds one quantum
+        contact = np.zeros((4, 4))
+        for i, j in ((MIX_SYM, TLS_PAIR), (TLS_PAIR, MIX_SYM)):
+            contact[i, j] = -self.onsite[i, j]
+        one = np.eye(4)
+        lhs, rhs = np.zeros((8, 8), dtype=complex), np.zeros((8, 8), dtype=complex)
+        lhs[:4, 4:], lhs[4:, :4] = one, -hp
+        rhs[:4, :4], rhs[4:, 4:] = one, hm
+        diag = self.onsite.diagonal().copy()
+        derived = dict(
+            hp=hp, hm=hm, mirror_hop=hp @ PARITY + hm, contact=contact,
+            pencil_lhs=lhs, pencil_rhs=rhs, onsite_diag=diag,
+            offdiag_norms=np.linalg.norm(self.onsite - np.diag(diag), axis=1),
+            hop_norms=np.linalg.norm([self.hop_cos, self.hop_sin], axis=2),
+        )
+        for name, array in derived.items():
+            object.__setattr__(self, name, array)
+        for array in (self.onsite, self.hop_cos, self.hop_sin, *derived.values()):
+            array.flags.writeable = False
+        a, b = complex(hm[1, 1]), complex(hm[1, 2])
+        sv = (abs(complex(hm[0, 0])), abs(a + b), abs(a - b))
+        object.__setattr__(self, "hm_rank", sum(s > 3.0 * _EPS * max(sv) for s in sv))
 
 
+@functools.lru_cache(maxsize=8)
 def bloch_matrices(params: ModelParams) -> BlochMatrices:
-    """Build the three 4x4 blocks for the given parameters."""
+    """The read-only BlochMatrices of params, built once; the 8 most recent are kept.
+
+    The package's one per-parameter cache: every layer reads the blocks and
+    their derived data here (bloch_matrices.cache_clear() empties it).
+    """
     g, xi, delta, k = params.g, params.xi, params.delta, params.K
     sg = SQRT2 * g
     onsite = np.array(
@@ -132,20 +180,14 @@ def bloch_matrix(params: ModelParams, q) -> np.ndarray:
 
 
 def hop_blocks(params: ModelParams):
-    """Hopping blocks (hp, hm) of the given parameters."""
-    return bloch_matrices(params).hop_blocks()
+    """Hopping blocks (hp, hm) of the given parameters, read-only."""
+    m = bloch_matrices(params)
+    return m.hp, m.hm
 
 
 def contact_interaction(params: ModelParams) -> np.ndarray:
-    """Contact block acting at l = 0 only.
-
-    Couples the symmetric mixed and TLS-pair components; together with the
-    t_0 = 0 condition it encodes that a single TLS saturates at one quantum.
-    """
-    v = np.zeros((4, 4))
-    v[MIX_SYM, TLS_PAIR] = -SQRT2 * params.g
-    v[TLS_PAIR, MIX_SYM] = -SQRT2 * params.g
-    return v
+    """Contact block V of the given parameters, acting at l = 0 only; read-only."""
+    return bloch_matrices(params).contact
 
 
 def site_residual(field, energy: float, l_range, params: ModelParams) -> np.ndarray:
@@ -167,14 +209,13 @@ def site_residual(field, energy: float, l_range, params: ModelParams) -> np.ndar
             f"components, got shape {field.shape}"
         )
     mats = bloch_matrices(params)
-    hp, hm = mats.hop_blocks()
     mid = field[1:-1]
     defect = (
         mid @ mats.onsite.T
-        + field[:-2] @ hp.T
-        + field[2:] @ hm.T
+        + field[:-2] @ mats.hp.T
+        + field[2:] @ mats.hm.T
         - energy * mid
     )
     if lo <= 0 <= hi:
-        defect[0 - lo] += contact_interaction(params) @ field[0 - lo + 1]
+        defect[0 - lo] += mats.contact @ field[0 - lo + 1]
     return np.linalg.norm(defect, axis=1)

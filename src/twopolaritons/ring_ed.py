@@ -293,15 +293,17 @@ SECTORS_KEPT = 4
 
 
 def _sector_of(K: float, N: int) -> int:
-    """Ring sector n = K N / 2 pi (mod N) of total momentum K.
+    """Ring sector n = -K N / 2 pi (mod N) of total momentum K.
 
-    The package's only map from K to a sector; a K that is no momentum of
-    the N-site ring raises ParameterError.
+    T (every state moved one site on) has eigenvalue e^{-iK} on a pair of
+    amplitude e^{iK m} at centre site m, and e^{+i k_n} on sector n's
+    sum_j e^{-i k_n j} T^j |s>: so k_n = -K.  The package's only map from K
+    to a sector; a K that is no ring momentum raises ParameterError.
     """
     n_k = K * N / (2.0 * math.pi)
     if abs(n_k - round(n_k)) > 1e-9:
         raise ParameterError(f"K = {K} is not a ring momentum for N = {N}")
-    return int(round(n_k)) % N
+    return -int(round(n_k)) % N
 
 
 @functools.lru_cache(maxsize=SECTORS_KEPT)
@@ -320,7 +322,8 @@ def ring_sector(params: ModelParams, N: int) -> MomentumSector:
 def ring_embedding(state: BoundState, N: int) -> np.ndarray:
     """Wrap the infinite-chain bound state onto the ring basis.
 
-    The pair on sites m and m + l carries e^{iK(m + l/2)} beta_l, and
+    The pair on sites m and m + l carries e^{iK(m + l/2)} beta_l (a mixed
+    pair with the TLS on m and the photon on m + l, the l of model.py), and
     separations equal mod N reach the same ring states: residue r collects
     sum_{l = r mod N} e^{iKl/2} beta_l, the closed-form windings of each
     side of the contact (channels.expansion_winding; l < 0 via PARITY).
@@ -343,11 +346,12 @@ def ring_embedding(state: BoundState, N: int) -> np.ndarray:
     com = np.exp(1j * params.K * r)
     # (r, m) grid of the pair on sites m and m + r
     m, other = np.broadcast_arrays(r, r[:, None] + r)
-    # one scatter-add over the four families; r = 0 has no TLS pair
+    # one scatter-add over the four families; r = 0 has no TLS pair; the
+    # photon on m + r and TLS on m hold d_r = d_+ + d_-, the reverse d_-r
     index = np.concatenate([basis.pp(m, other).ravel(), basis.mix(m, other).ravel(),
                             basis.mix(other, m).ravel(), basis.tt(m[1:], other[1:]).ravel()])
-    value = np.concatenate([(com * p).ravel(), (com * (d_sym + d_asy) / SQRT2).ravel(),
-                            (com * (d_sym - d_asy) / SQRT2).ravel(), (com * t)[1:].ravel()])
+    value = np.concatenate([(com * p).ravel(), (com * (d_sym - d_asy) / SQRT2).ravel(),
+                            (com * (d_sym + d_asy) / SQRT2).ravel(), (com * t)[1:].ravel()])
     return np.bincount(index, value.real, minlength=basis.dim) \
         + 1j * np.bincount(index, value.imag, minlength=basis.dim)
 

@@ -21,7 +21,7 @@ from .bands import branch_energy, incident_state
 from .channels import (ChannelState, _solve_regular, certificate_window, channel_expansion,
                        contact_elimination, find_channel_roots)
 from .errors import ConditioningError, ParameterError
-from .model import ModelParams, hop_blocks
+from .model import ModelParams, bloch_matrices
 
 __all__ = [
     "solve_scattering",
@@ -75,9 +75,9 @@ def probability_current(field, params: ModelParams) -> np.ndarray:
     equals the group velocity times the squared norm, with a sign set by
     this orientation convention.
     """
-    _, hm = hop_blocks(params)
     field = np.asarray(field)
-    return 2.0 * np.imag(np.einsum("li,ij,lj->l", np.conj(field[:-1]), hm, field[1:]))
+    return 2.0 * np.imag(np.einsum("li,ij,lj->l", np.conj(field[:-1]),
+                                   bloch_matrices(params).hm, field[1:]))
 
 
 def solve_scattering(branch: str, q: float, params: ModelParams) -> ScatteringSolution:

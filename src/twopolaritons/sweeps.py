@@ -65,7 +65,7 @@ _GAP_REFUSALS = (ParameterError, DegenerateParametersError)
 
 def _bound_point(params) -> BoundSweepPoint:
     gaps, states, skipped = [], [], []
-    for gap in sorted(band_structure(params).gaps, key=lambda g: g.index):
+    for gap in band_structure(params).gaps:
         try:
             found = find_bound_states(params, gap)
         except _GAP_REFUSALS as exc:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import model
-from .bands import band_structure, branch_energy, branch_vector, incident_state
+from .bands import BRANCHES, band_structure, branch_energy, branch_vector, incident_state
 from .bound_states import find_bound_states, rayleigh_quotient
 from .channels import channel_expansion, contact_elimination, find_channel_roots
 from .model import ModelParams
@@ -37,7 +37,6 @@ from .scattering import solve_scattering
 __all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
 
 SEED = 20260816
-BRANCHES = ("AA", "AB", "BA", "BB")
 
 #: Random draws of each check that sweeps the whole parameter space.
 N_DRAWS = 1000
@@ -68,8 +67,7 @@ def _check_bloch_hermiticity(rng):
         mats = model.bloch_matrices(p)
         for block in (mats.onsite, mats.hop_cos, mats.hop_sin):
             asym = max(asym, np.abs(block - block.T).max())
-        hp, hm = mats.hop_blocks()
-        asym = max(asym, np.abs(hm - hp.conj().T).max())
+        asym = max(asym, np.abs(mats.hm - mats.hp.conj().T).max())
         m = model.bloch_matrix(p, rng.uniform(-np.pi, np.pi))
         worst = max(worst, np.abs(m - m.conj().T).max())
     ok = asym == 0.0 and worst < 1e-14
@@ -305,24 +303,29 @@ def _check_ed_jc_levels(rng):
 
 
 def _check_ed_bound_agreement(rng):
-    # each K = 0 embedding must also be invariant under the ring translation
-    p = ModelParams(xi=-0.2, delta=0.0, K=0.0)
+    # K = 0 at N = 12 and 24, and K = pi/2 at N = 48, where only the sector
+    # of K and the orientation of the mixed slots give a nonzero overlap;
+    # each embedding must have the ring translation's eigenvalue e^{-iK}
     worst_err, worst_ov, growth, worst_t = 0.0, 1.0, 0.0, 0.0
-    for gap in band_structure(p).gaps:
-        for st in find_bound_states(p, gap):
-            r12, r24 = compare_bound_state(st, [12, 24])
-            worst_err = max(worst_err, r24.error)
-            worst_ov = min(worst_ov, r24.overlap)
-            growth = max(growth, r24.error - r12.error)
-            for n in (12, 24):
-                psi = ring_embedding(st, n)
-                worst_t = max(worst_t, np.linalg.norm(translation_operator(n) @ psi - psi)
-                              / np.linalg.norm(psi))
+    for p, sizes in ((ModelParams(xi=-0.2, delta=0.0, K=0.0), (12, 24)),
+                     (ModelParams(xi=-0.3, delta=-1.0, K=np.pi / 2), (48,))):
+        for gap in band_structure(p).gaps:
+            for st in find_bound_states(p, gap):
+                rows = compare_bound_state(st, sizes)
+                worst_err = max(worst_err, rows[-1].error)
+                worst_ov = min(worst_ov, rows[-1].overlap)
+                for small, large in zip(rows, rows[1:]):
+                    growth = max(growth, large.error - small.error)
+                for n in sizes:
+                    psi = ring_embedding(st, n)
+                    moved = translation_operator(n) @ psi - np.exp(-1j * p.K) * psi
+                    worst_t = max(worst_t, np.linalg.norm(moved) / np.linalg.norm(psi))
     ok = worst_err < 1e-8 and worst_ov > 0.9999 and growth <= 0.0 \
         and worst_t <= 1e-13
     return ok, (f"max |E_ED - E_b| {worst_err:.3g}, min overlap "
-                f"{worst_ov:.10f} at N=24; error growth from N=12 "
-                f"{growth:.3g}; max |T psi - psi|/|psi| {worst_t:.3g}")
+                f"{worst_ov:.10f} at N=24 (K=0) and N=48 (K=pi/2); error "
+                f"growth from N=12 {growth:.3g}; max |T psi - e^-iK psi|/|psi| "
+                f"{worst_t:.3g}")
 
 
 def _check_ed_band_edges(rng):

@@ -202,12 +202,18 @@ def test_non_finite_energy_is_refused(energy):
 
 
 def test_cached_pencil_data_is_read_only():
-    pencil = channels._pencil(ModelParams(xi=-0.3, delta=0.8, K=0.9))
-    arrays = [a for a in pencil if isinstance(a, np.ndarray)]
-    assert len(arrays) == len(pencil) - 1
-    for array in arrays:
+    # the per-parameter record is shared by every caller: each of its
+    # fields but the hopping rank is a read-only array
+    mats = bloch_matrices(ModelParams(xi=-0.3, delta=0.8, K=0.9))
+    names = [f.name for f in dataclasses.fields(mats) if f.name != "hm_rank"]
+    assert len(names) == len(dataclasses.fields(mats)) - 1
+    for name in names:
+        array = getattr(mats, name)
+        assert isinstance(array, np.ndarray), name
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mats.hm_rank = 3
 
 
 def test_hopping_rank_matches_matrix_rank():
@@ -217,10 +223,9 @@ def test_hopping_rank_matches_matrix_rank():
     xis = [0.0, 5e-324, 1e-300, 1e-17, 1e-8, -0.2, 0.5, -3.0]
     for k in ks:
         for xi in xis:
-            p = ModelParams(xi=xi, K=k)
-            hm = bloch_matrices(p).hop_blocks()[1]
-            assert channels._hm_rank(p) == np.linalg.matrix_rank(hm[:3, :3]), (k, xi)
-            assert channels._pencil(p).hm_rank == channels._hm_rank(p)
+            mats = bloch_matrices(ModelParams(xi=xi, K=k))
+            hm = 0.5 * (mats.hop_cos - 1j * mats.hop_sin)
+            assert mats.hm_rank == np.linalg.matrix_rank(hm[:3, :3]), (k, xi)
 
 
 def test_ggev_failure_is_a_conditioning_error(monkeypatch):
@@ -256,7 +261,8 @@ def test_pencil_eigenvalues_match_scipy_eig(monkeypatch):
         except TwoPolaritonError:
             pass
         mats = bloch_matrices(p)
-        hp, hm = mats.hop_blocks()
+        hp = 0.5 * (mats.hop_cos + 1j * mats.hop_sin)
+        hm = 0.5 * (mats.hop_cos - 1j * mats.hop_sin)
         lhs = np.zeros((8, 8), dtype=complex)
         rhs = np.zeros((8, 8), dtype=complex)
         lhs[:4, 4:] = rhs[:4, :4] = np.eye(4)
@@ -355,7 +361,7 @@ def test_channel_set_is_read_only():
 
 
 def test_determinant_scale_matches_row_norms():
-    # the certificate's scale from cached per-parameter row data equals the
+    # the certificate's scale from the per-parameter record's row norms equals the
     # direct product of row norms of A - E plus the weighted hopping norms,
     # over validate-style draws and at a closed root with |z| ~ 1e-4
     rng = np.random.default_rng(43)
@@ -371,12 +377,13 @@ def test_determinant_scale_matches_row_norms():
         except TwoPolaritonError:
             continue
         checked += 1
-        pencil = channels._pencil(p)
+        mats = bloch_matrices(p)
         cos, sin = np.cos(roots.lam), np.sin(roots.lam)
         weights = np.maximum(1.0, np.abs([cos, sin]))
-        want = np.prod(np.linalg.norm(pencil.onsite - e * np.eye(4), axis=1)
-                       + weights.T @ pencil.hop_norms, axis=1)
-        got = np.array(channels._det_scale(pencil, e, cos, sin))
+        hop_norms = np.linalg.norm([mats.hop_cos, mats.hop_sin], axis=2)
+        want = np.prod(np.linalg.norm(mats.onsite - e * np.eye(4), axis=1)
+                       + weights.T @ hop_norms, axis=1)
+        got = np.array(channels._det_scale(mats, e, cos, sin))
         assert (np.abs(got - want) <= 1e-14 * want).all()
     assert checked > 190
     assert 5e-5 < np.abs(roots.z).min() < 2e-4

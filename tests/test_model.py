@@ -81,6 +81,28 @@ def test_block_symmetry(monkeypatch):
     assert not run_checks(["bloch-hermiticity"])[0].passed
 
 
+def test_record_derives_everything_from_its_blocks():
+    # the cached record equals one built afresh from copies of its three
+    # blocks, field by field; an edited block, as the tamper seams make it
+    # (dataclasses.replace, or a 3-field record), reaches every field
+    # derived from it and no other
+    mats = bloch_matrices(ModelParams(xi=-0.3, delta=0.8, K=0.9))
+    names = [f.name for f in dataclasses.fields(mats)]
+    fresh = model.BlochMatrices(onsite=mats.onsite.copy(), hop_cos=mats.hop_cos.copy(),
+                                hop_sin=mats.hop_sin.copy())
+    for name in names:
+        assert np.array_equal(getattr(fresh, name), getattr(mats, name)), name
+    for block, derived in (("hop_sin", {"hp", "hm", "mirror_hop", "pencil_lhs",
+                                        "pencil_rhs", "hop_norms"}),
+                           ("onsite", {"contact", "onsite_diag", "offdiag_norms"})):
+        edited = dataclasses.replace(mats, **{block: 2.0 * getattr(mats, block)})
+        changed = {name for name in names
+                   if not np.array_equal(getattr(edited, name), getattr(mats, name))}
+        assert changed == {block} | derived, block
+    edited = dataclasses.replace(mats, hop_sin=2.0 * mats.hop_sin)
+    assert np.array_equal(edited.hm, 0.5 * (mats.hop_cos - 2j * mats.hop_sin))
+
+
 def test_hop_sin_vanishes_at_zero_momentum():
     p = random_params(RNG, k_zero=True)
     assert np.abs(bloch_matrices(p).hop_sin).max() == 0.0

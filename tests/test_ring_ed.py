@@ -18,6 +18,7 @@ from twopolaritons.bands import band_structure
 from twopolaritons.bound_states import find_bound_states
 from twopolaritons.errors import OracleMismatchError, ParameterError
 from twopolaritons.model import SQRT2, ModelParams
+from twopolaritons.sweeps import bound_sweep
 from twopolaritons.ring_ed import (
     TwoExcitationBasis,
     build_hamiltonian,
@@ -193,9 +194,11 @@ def test_ring_embedding_builds_no_sector(monkeypatch):
 def explicit_winding_sum(st, N):
     """The ring vector of st as an explicit sum over separations |l| <= span.
 
-    The pair at separation l (photon on m, the other excitation on m + l)
-    carries e^{iK(m + l/2)} beta_l; span holds whole windings and reaches
-    |z|^span < e^-42 for the slowest channel.
+    As model.py defines the spinor, the pair on sites m and m + l carries
+    e^{iK(m + l/2)} beta_l, a mixed pair with the TLS on m and the photon
+    on m + l holding d_l = d_+ + d_-, and the reverse d_-l = d_+ - d_-;
+    span holds whole windings and reaches |z|^span < e^-42 for the slowest
+    channel.
     """
     basis = TwoExcitationBasis(N)
     K = st.params.K
@@ -211,8 +214,8 @@ def explicit_winding_sum(st, N):
             np.add.at(psi, basis.mix(m, m), SQRT2 * d_sym * com)
             continue
         np.add.at(psi, basis.pp(m, m + l), p * com)
-        np.add.at(psi, basis.mix(m, m + l), (d_sym + d_asy) / SQRT2 * com)
-        np.add.at(psi, basis.mix(m + l, m), (d_sym - d_asy) / SQRT2 * com)
+        np.add.at(psi, basis.mix(m + l, m), (d_sym + d_asy) / SQRT2 * com)
+        np.add.at(psi, basis.mix(m, m + l), (d_sym - d_asy) / SQRT2 * com)
         if l % N:
             np.add.at(psi, basis.tt(m, m + l), t * com)
     return psi
@@ -243,8 +246,8 @@ def test_band_edge_audit_uses_the_sector_of_K():
 def test_compare_bound_state_converges(monkeypatch):
     # an N = 12 error below the N = 24 one means the ring shift grew with N
     def growing(st, ns):
-        r12, r24 = compare_bound_state(st, ns)
-        return dataclasses.replace(r12, error=0.0), r24
+        first, *rest = compare_bound_state(st, ns)
+        return (dataclasses.replace(first, error=0.0), *rest)
 
     monkeypatch.setattr(validation, "compare_bound_state", growing)
     assert not run_checks(["ed-bound-agreement"])[0].passed
@@ -307,9 +310,41 @@ def test_one_diagonalization_per_ring(monkeypatch):
 
 
 def test_ring_sector_of_K():
-    sector = ring_ed.ring_sector(ModelParams(xi=-0.2, K=2.0 * np.pi * 3 / 24), 24)
-    assert (sector.N, sector.n) == (24, 3)
-    assert sector.momentum == 2.0 * np.pi * 3 / 24
+    # a plane wave e^{iK m} over the pair's sites has T-eigenvalue e^{-iK}
+    # (T moves every state one site on); the sector picked for K must hold
+    # it, and T acts on that sector's basis as e^{i momentum}
+    N, K = 24, 2.0 * np.pi * 3 / 24
+    sector = ring_ed.ring_sector(ModelParams(xi=-0.2, K=K), N)
+    basis, m = TwoExcitationBasis(N), np.arange(N)
+    psi = np.zeros(basis.dim, dtype=complex)
+    psi[basis.mix(m + 2, m)] = np.exp(1j * K * (m + 1.0))
+    t = ring_ed.translation_operator(N)
+    assert np.abs(t @ psi - np.exp(-1j * K) * psi).max() < 1e-14
+    proj = sector.projector
+    assert np.linalg.norm(proj @ (proj.conj().T @ psi) - psi) < 1e-13 * np.linalg.norm(psi)
+    assert abs(t @ proj - np.exp(1j * sector.momentum) * proj).max() < 1e-14
+    assert (sector.N, sector.n) == (24, 21)
+
+
+def test_ed_bound_agreement_needs_the_sector_of_K(monkeypatch):
+    # sectors n and -n share a spectrum, so only the K = pi/2 overlap clause
+    # can tell them apart: mapping K to +K N / 2 pi must fail the check
+    real = ring_ed._sector_of
+    monkeypatch.setattr(ring_ed, "_sector_of", lambda K, N: -real(K, N) % N)
+    ring_ed.ring_sector.cache_clear()
+    try:
+        assert not run_checks(["ed-bound-agreement"])[0].passed
+    finally:
+        ring_ed.ring_sector.cache_clear()
+
+
+def test_audit_counts_the_certified_states():
+    # over the ed_oracle benchmark's detunings, the audit's expected in-gap
+    # count is the number of certified states the bound sweep reports
+    deltas = [j / 16 for j in range(-12, 13)]
+    for pt in bound_sweep(-0.2, deltas, K=0.0, jobs=1):
+        report = ring_ed.band_edge_check(pt.params, 48)
+        assert report.expected_bound_count == sum(map(len, pt.states)), pt.delta
 
 
 def test_cached_sector_is_read_only():

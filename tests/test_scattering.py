@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from twopolaritons import channels, scattering, sweeps, validation
+from twopolaritons import channels, model, scattering, sweeps, validation
 from twopolaritons.bands import branch_energy
 from twopolaritons.channels import _solve_regular, contact_elimination, find_channel_roots
 from twopolaritons.errors import ConditioningError, DegenerateParametersError, ParameterError
@@ -24,6 +24,17 @@ from twopolaritons.validation import run_checks
 # Frozen regression value (xi=-0.2, delta=-10, K=0, g=1, q=0.3): the
 # mixed-branch reflection amplitude deep in the photon-dominated regime.
 F_AB_FROZEN = -0.3702151048663741 + 0.21919928960187418j
+
+
+def test_one_block_build_per_solve():
+    # every layer of a solve (roots, branch spinors, incident wave,
+    # elimination, residual and current certificates) reads the one
+    # per-parameter record: a fresh parameter set builds its blocks once
+    model.bloch_matrices.cache_clear()
+    sol = solve_scattering("AB", 1.1, ModelParams(xi=-0.2, delta=10.0, K=np.pi / 2))
+    assert sol.residual_max < 1e-8
+    info = model.bloch_matrices.cache_info()
+    assert info.misses == 1 and info.hits > 0, info
 
 
 def test_incident_momentum_validation():
