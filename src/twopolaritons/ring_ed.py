@@ -8,6 +8,7 @@ common with the solver modules, so agreement is genuine evidence.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -84,8 +85,41 @@ class TwoExcitationBasis:
         return np.concatenate(moved)[i]
 
 
-def build_hamiltonian(N: int, params: ModelParams) -> sp.csr_matrix:
-    """Sparse two-excitation Hamiltonian of the ring (K plays no role here).
+#: Ring sizes whose geometry _ring_geometry keeps: the three sizes one
+#: oracle run compares at, and one more.
+RINGS_KEPT = 4
+
+#: The couplings H is linear in, in the order of _RingGeometry.coefficients.
+XI, G, DELTA = range(3)
+
+
+@dataclass(frozen=True, eq=False)
+class _RingGeometry:
+    """Everything about the N-site ring that no parameter changes.
+
+    ``indptr``/``indices`` are the CSR pattern of H and ``coefficients``
+    its (xi, g, delta) coefficient rows over that pattern, so that H's data
+    is (xi, g, delta) @ coefficients.  ``step`` is the site shift T as a
+    permutation of basis indices, and (first, length, orbit, power) are its
+    orbits (_orbits).  ``embedding`` is ring_embedding's scatter index over
+    the (r, m) grid of pairs.  Every array is read-only: _ring_geometry
+    hands the same record to every caller.
+    """
+
+    basis: TwoExcitationBasis
+    indptr: np.ndarray
+    indices: np.ndarray
+    coefficients: np.ndarray
+    step: np.ndarray
+    first: np.ndarray
+    length: np.ndarray
+    orbit: np.ndarray
+    power: np.ndarray
+    embedding: np.ndarray
+
+
+def _hamiltonian_pattern(basis: TwoExcitationBasis):
+    """CSR pattern of H and its coefficient row per coupling (xi, g, delta).
 
     Element conventions: photon energy is the zero of the rotating frame,
     a TLS excitation costs delta, the vertical coupling is g with the
@@ -93,54 +127,96 @@ def build_hamiltonian(N: int, params: ModelParams) -> sp.csr_matrix:
     with amplitude xi between neighbors.  Each column's elements are
     generated from that column's state, one family at a time, so both
     orientations of every off-diagonal element are generated
-    independently and Hermiticity of the result checks the matrix-element
-    algebra.
+    independently and Hermiticity of every H built on them checks the
+    matrix-element algebra.
     """
-    basis = TwoExcitationBasis(N)
-    g, xi, delta = params.g, params.xi, params.delta
-    rows, cols, vals = [], [], []
+    N = basis.N
+    rows, cols, coefs = [], [], []
 
-    def put(r, c, v):
+    def put(r, c, coupling, v):
         rows.append(r)
         cols.append(c)
-        vals.append(np.broadcast_to(v, np.shape(c)))
+        coef = np.zeros((3, np.size(c)))
+        coef[coupling] = v
+        coefs.append(coef)
 
     m, n = basis.sites("pp")
     col = basis.pp(m, n)
     one = m == n
-    put(basis.mix(m[one], m[one]), col[one], SQRT2 * g)
+    put(basis.mix(m[one], m[one]), col[one], G, SQRT2)
     for step in (1, -1):
-        put(basis.pp(m[one] + step, m[one]), col[one], SQRT2 * xi)
+        put(basis.pp(m[one] + step, m[one]), col[one], XI, SQRT2)
     m, n, col = m[~one], n[~one], col[~one]
-    put(basis.mix(n, m), col, g)
-    put(basis.mix(m, n), col, g)
+    put(basis.mix(n, m), col, G, 1.0)
+    put(basis.mix(m, n), col, G, 1.0)
     for site, other in ((m, n), (n, m)):
         for step in (1, -1):
             dest = (site + step) % N
-            put(basis.pp(dest, other), col, np.where(dest == other, SQRT2 * xi, xi))
+            put(basis.pp(dest, other), col, XI, np.where(dest == other, SQRT2, 1.0))
 
     m, n = basis.sites("mix")
     col = basis.mix(m, n)
-    put(col, col, delta)
+    put(col, col, DELTA, 1.0)
     one = m == n
-    put(basis.pp(m[one], m[one]), col[one], SQRT2 * g)
-    put(basis.pp(m[~one], n[~one]), col[~one], g)
-    put(basis.tt(m[~one], n[~one]), col[~one], g)
+    put(basis.pp(m[one], m[one]), col[one], G, SQRT2)
+    put(basis.pp(m[~one], n[~one]), col[~one], G, 1.0)
+    put(basis.tt(m[~one], n[~one]), col[~one], G, 1.0)
     for step in (1, -1):
-        put(basis.mix(m + step, n), col, xi)
+        put(basis.mix(m + step, n), col, XI, 1.0)
 
     m, n = basis.sites("tt")
     col = basis.tt(m, n)
-    put(col, col, 2.0 * delta)
-    put(basis.mix(m, n), col, g)
-    put(basis.mix(n, m), col, g)
+    put(col, col, DELTA, 2.0)
+    put(basis.mix(m, n), col, G, 1.0)
+    put(basis.mix(n, m), col, G, 1.0)
 
-    h = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.dim, basis.dim), dtype=float,
-    )
-    h.sum_duplicates()
-    return h
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # one conversion per coupling over the same (row, col) list: each sums
+    # its duplicates onto one canonical pattern, explicit zeros kept
+    parts = [sp.csr_matrix((coef, (rows, cols)), shape=(basis.dim, basis.dim))
+             for coef in np.concatenate(coefs, axis=1)]
+    for part in parts:
+        part.sum_duplicates()
+    return parts[0].indptr, parts[0].indices, np.stack([part.data for part in parts])
+
+
+@functools.lru_cache(maxsize=RINGS_KEPT)
+def _ring_geometry(N: int) -> _RingGeometry:
+    """The read-only _RingGeometry of the N-site ring, built once per N.
+
+    build_hamiltonian, momentum_blocks and ring_embedding read it; the
+    RINGS_KEPT most recent ring sizes are kept
+    (_ring_geometry.cache_clear() empties the memo).
+    """
+    basis = TwoExcitationBasis(N)
+    indptr, indices, coefficients = _hamiltonian_pattern(basis)
+    step = basis.translate(np.arange(basis.dim))
+    r = np.arange(N)
+    # (r, m) grid of the pair on sites m and m + r; r = 0 has no TLS pair
+    m, other = np.broadcast_arrays(r, r[:, None] + r)
+    embedding = np.concatenate([basis.pp(m, other).ravel(), basis.mix(m, other).ravel(),
+                                basis.mix(other, m).ravel(),
+                                basis.tt(m[1:], other[1:]).ravel()])
+    # every index array in scipy's index dtype, as the pattern's own
+    maps = (a.astype(indices.dtype) for a in (step, *_orbits(basis, step), embedding))
+    geometry = _RingGeometry(basis, indptr, indices, coefficients, *maps)
+    for field in dataclasses.fields(geometry)[1:]:     # every array
+        getattr(geometry, field.name).flags.writeable = False
+    return geometry
+
+
+def build_hamiltonian(N: int, params: ModelParams) -> sp.csr_matrix:
+    """Sparse two-excitation Hamiltonian of the ring (K plays no role here).
+
+    H is linear in (xi, g, delta): its data are those couplings times the
+    coefficient rows of the ring's cached pattern (_hamiltonian_pattern,
+    which states the element conventions).  The returned matrix owns its
+    arrays, pattern included, so editing it leaves the cache untouched.
+    """
+    geo = _ring_geometry(N)
+    data = np.array([params.xi, params.g, params.delta]) @ geo.coefficients
+    return sp.csr_matrix((data, geo.indices.copy(), geo.indptr.copy()),
+                         shape=(geo.basis.dim, geo.basis.dim))
 
 
 def translation_operator(N: int) -> sp.csr_matrix:
@@ -218,8 +294,9 @@ def momentum_blocks(h: sp.spmatrix, N: int, only=None) -> list:
 
     The translation T is a permutation, the site shift ``step``; its
     orbits give the momentum basis directly, including the short orbits
-    of antipodal pair states.  [H, T] is checked exactly by relabelling
-    H's indices through ``step``: max|T H T^-1 - H| = max|HT - TH|.  A
+    of antipodal pair states; both are read from the ring's _RingGeometry.
+    [H, T] is checked exactly, for every h passed in, by relabelling H's
+    indices through ``step``: max|T H T^-1 - H| = max|HT - TH|.  A
     nonzero commutator means the Hamiltonian was not built
     translation-covariantly, which is an implementation bug, not a data
     condition.
@@ -232,9 +309,9 @@ def momentum_blocks(h: sp.spmatrix, N: int, only=None) -> list:
     element algebra.  When 2n = 0 (mod N), k is 0 or pi, every phase is
     +-1, and the projector, the block and its eigenvectors are real.
     """
-    basis = TwoExcitationBasis(N)
+    geo = _ring_geometry(N)
     h = h.tocsr()
-    step = basis.translate(np.arange(basis.dim))
+    step = geo.step
     coo = h.tocoo()
     moved = sp.csr_matrix((coo.data, (step[coo.row], step[coo.col])), shape=h.shape)
     comm = moved - h
@@ -243,8 +320,8 @@ def momentum_blocks(h: sp.spmatrix, N: int, only=None) -> list:
         raise RuntimeError(
             f"Hamiltonian does not commute with translation: |[H,T]| = {norm:.3g}"
         )
-    first, length, orbit, power = _orbits(basis, step)
-    reps = h[first].tocoo()
+    length, orbit, power = geo.length, geo.orbit, geo.power
+    reps = h[geo.first].tocoo()
     a, b = reps.row, orbit[reps.col]
     weight = reps.data * np.sqrt(length[a] / length[b])
     wanted = range(N) if only is None else only
@@ -262,7 +339,7 @@ def momentum_blocks(h: sp.spmatrix, N: int, only=None) -> list:
         proj = sp.csr_matrix(
             (phase[inside] / np.sqrt(length[orbit[inside]]), col[orbit[inside]],
              np.concatenate(([0], np.cumsum(inside)))),
-            shape=(basis.dim, size),
+            shape=(geo.basis.dim, size),
         )
         keep = kept[a] & kept[b]
         cell = col[a[keep]] * size + col[b[keep]]
@@ -334,7 +411,7 @@ def ring_embedding(state: BoundState, N: int) -> np.ndarray:
     """
     params = state.params
     _sector_of(params.K, N)
-    basis = TwoExcitationBasis(N)
+    geo = _ring_geometry(N)
     right, left = (expansion_winding(state.roots, state.scaled_amplitudes, N, s * params.K / 2)
                    for s in (1, -1))
     r = np.arange(N)
@@ -344,16 +421,14 @@ def ring_embedding(state: BoundState, N: int) -> np.ndarray:
     fold[0] += state.contact_spinor * np.array([SQRT2, 1.0, 1.0, 1.0])
     p, d_sym, d_asy, t = fold.T[:, :, None]
     com = np.exp(1j * params.K * r)
-    # (r, m) grid of the pair on sites m and m + r
-    m, other = np.broadcast_arrays(r, r[:, None] + r)
-    # one scatter-add over the four families; r = 0 has no TLS pair; the
-    # photon on m + r and TLS on m hold d_r = d_+ + d_-, the reverse d_-r
-    index = np.concatenate([basis.pp(m, other).ravel(), basis.mix(m, other).ravel(),
-                            basis.mix(other, m).ravel(), basis.tt(m[1:], other[1:]).ravel()])
+    # one scatter-add over the four families of the ring's (r, m) grid
+    # (_ring_geometry); the photon on m + r and TLS on m hold
+    # d_r = d_+ + d_-, the reverse d_-r
     value = np.concatenate([(com * p).ravel(), (com * (d_sym - d_asy) / SQRT2).ravel(),
                             (com * (d_sym + d_asy) / SQRT2).ravel(), (com * t)[1:].ravel()])
-    return np.bincount(index, value.real, minlength=basis.dim) \
-        + 1j * np.bincount(index, value.imag, minlength=basis.dim)
+    dim = geo.basis.dim
+    return np.bincount(geo.embedding, value.real, minlength=dim) \
+        + 1j * np.bincount(geo.embedding, value.imag, minlength=dim)
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,8 @@ def test_ring_embedding_momentum_compatibility():
 
 def test_ring_embedding_builds_no_sector(monkeypatch):
     # the momentum check of the embedding needs only the K -> n map, not
-    # a diagonalized sector: a fresh ring size builds no Hamiltonian
+    # a diagonalized sector: a fresh ring size builds no Hamiltonian, and
+    # a K that is no momentum of the ring raises before its geometry is built
     built = []
 
     def counting(N, params):
@@ -182,12 +183,14 @@ def test_ring_embedding_builds_no_sector(monkeypatch):
         return build_hamiltonian(N, params)
 
     ring_ed.ring_sector.cache_clear()
+    ring_ed._ring_geometry.cache_clear()
     monkeypatch.setattr(ring_ed, "build_hamiltonian", counting)
     p = ModelParams(xi=-0.2, delta=-2.0, K=2.0 * np.pi * 3 / 30)
     st = find_bound_states(p, band_structure(p).gaps[0])[0]
-    assert ring_embedding(st, 30).shape == (2 * 30 * 30,)
     with pytest.raises(ParameterError):
         ring_embedding(st, 31)
+    assert ring_ed._ring_geometry.cache_info().misses == 0
+    assert ring_embedding(st, 30).shape == (2 * 30 * 30,)
     assert built == []
 
 
@@ -352,3 +355,58 @@ def test_cached_sector_is_read_only():
     for array in (sector.eigenvalues, sector.eigenvectors, sector.projector.data):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_one_geometry_record_per_ring_size():
+    # the comparisons and audits of every ed_oracle benchmark detuning at
+    # the three oracle ring sizes build each size's geometry once
+    ring_ed.ring_sector.cache_clear()
+    ring_ed._ring_geometry.cache_clear()
+    sizes = (24, 48, 64)
+    for delta in (j / 16 for j in range(-12, 13)):
+        p = ModelParams(xi=-0.2, delta=delta)
+        for gap in band_structure(p).gaps:
+            for st in find_bound_states(p, gap):
+                for n in sizes:
+                    compare_bound_state(st, (n,))
+        for n in sizes:
+            ring_ed.band_edge_check(p, n)
+    info = ring_ed._ring_geometry.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+
+
+def test_hamiltonian_leaks_nothing_through_the_shared_geometry():
+    # builds at other parameters, and in-place edits of a returned H (values,
+    # and scipy's own pattern rewrite in eliminate_zeros), leave the next H
+    # bit for bit the same; the cached arrays themselves cannot be written
+    n, p = 8, ModelParams(xi=-0.37, delta=0.41, g=1.3)
+
+    def arrays(h):
+        return [a.tobytes() for a in (h.data, h.indices, h.indptr)]
+
+    before = arrays(build_hamiltonian(n, p))
+    build_hamiltonian(n, ModelParams(xi=0.9, delta=-2.0, g=0.5))
+    h = build_hamiltonian(n, p)
+    h.data *= 3.0
+    h.indices[:] = 0
+    zeros = build_hamiltonian(n, ModelParams(xi=-0.2, delta=0.0))
+    zeros.eliminate_zeros()
+    assert zeros.nnz < h.nnz
+    assert arrays(build_hamiltonian(n, p)) == before
+    geometry = ring_ed._ring_geometry(n)
+    for field in dataclasses.fields(geometry)[1:]:
+        with pytest.raises(ValueError):
+            getattr(geometry, field.name)[0] = 0
+
+
+@pytest.mark.parametrize("n_sites", [7, 8])
+def test_hamiltonian_pattern_is_params_free(n_sites):
+    # zero detuning and zero hopping (the ed-jc-levels input) keep their
+    # zero elements explicit: the pattern is the same at every parameter set
+    hs = [build_hamiltonian(n_sites, p) for p in (
+        ModelParams(xi=-0.37, delta=0.41, g=1.3), ModelParams(xi=-0.2, delta=0.0),
+        ModelParams(xi=0.0, delta=0.6, g=1.1))]
+    for h in hs[1:]:
+        assert np.array_equal(h.indices, hs[0].indices)
+        assert np.array_equal(h.indptr, hs[0].indptr)
+    assert (hs[1].data == 0.0).any() and (hs[2].data == 0.0).any()
