@@ -1,16 +1,12 @@
 """Propagation channels of the relative motion at a fixed real energy.
 
-A wave b_l = z^l F with z = e^{i lam} solves the free chain at energy E
-when (hp + (A - E) z + hm z^2) F = 0.  This quadratic eigenproblem is
-solved as one 8x8 companion pencil for every K: one LAPACK ggev call per
-energy, on the E-independent data of model.bloch_matrices' record.  Because
-the determinant is even in lam, its roots come in z <-> 1/z pairs, which
-leaves three channels.  Channels on the unit circle with positive group
-velocity are open (outgoing waves).  The rest decay as |z|^l =
-e^{-Im(lam) l} and are closed.  find_channel_roots returns the three as
-one ChannelSet: a frozen record of read-only arrays (momenta, Bloch
-factors, the spinors as the columns of one 4x3 array, open flags,
-velocities) that every consumer reads as arrays.
+A wave b_l = z^l F with z = e^{i lam} solves the free chain at energy E when
+(M(lam) - E) F = 0.  M(lam) - E is a star around d_+ whose diagonal obeys
+D0 + D3 = 2 D1, so det(M(lam) - E) = D1^2 (D0 D3 - 4 g^2) - t^2 D0 D3 with
+D0 = 4 xi cos(K/2) w - E, D1 = delta - E + 2 xi cos(K/2) w, D3 = 2 delta - E
+and t^2 = 4 xi^2 sin^2(K/2) (1 - w^2), w = cos lam: a real cubic in w whose
+three roots are the channels.  Open channels (real lam, positive group
+velocity) are outgoing waves; closed ones decay as |z|^l = e^{-Im(lam) l}.
 
 A ChannelState is a contact spinor plus sum_j s_j z_j^(l-1) F_j elsewhere;
 contact_elimination fixes the s_j from the contact spinor, channel_expansion
@@ -42,9 +38,6 @@ __all__ = [
     "find_channel_roots",
 ]
 
-#: |.|z| - 1| below this counts as on the unit circle (open channel).
-TOL_OPEN = 1e-8
-
 #: Energies closer than TOL_EDGE_FACTOR * g to a band edge are refused:
 #: the open/closed dichotomy breaks when the group velocity vanishes.
 TOL_EDGE_FACTOR = 1e-6
@@ -52,14 +45,7 @@ TOL_EDGE_FACTOR = 1e-6
 #: Group velocities below this scale-relative floor mean a band edge.
 _VELOCITY_FLOOR = 1e-10
 
-#: Open eigenvalues whose |lam| agree to this share one momentum (the AB/BA
-#: pair at K = 0); the pencil splits such a double root only by roundoff.
-_CLUSTER_TOL = 1e-5
-
 _EPS = np.finfo(float).eps
-
-#: LAPACK's generalized eigensolver for the complex 8x8 companion pencil.
-(_GGEV,) = get_lapack_funcs(("ggev",), (np.zeros((8, 8), dtype=complex),))
 
 #: LAPACK's divide-and-conquer SVD for the complex blocks _solve_regular inverts.
 (_GESDD,) = get_lapack_funcs(("gesdd",), (np.zeros((3, 3), dtype=complex),))
@@ -228,57 +214,99 @@ def _solve_regular(m, rhs, what: str) -> np.ndarray:
     return (np.conj(vh.T) / s) @ (np.conj(u.T) @ rhs)
 
 
-def _pencil_eigs(a, mats):
-    """The six channel eigenpairs (z, F) of the companion pencil, by |z|.
+def _det_roots(E: float, mats) -> tuple:
+    """Roots y = a cos lam of det(M(lam) - E) = c3 (y^3 + b y^2 + c y + d): (ys, terms, poly, det).
 
-    With x = (F, z F) the quadratic (hp + a z + hm z^2) F = 0 reads
-    [[0, I], [-hp, -a]] x = z [[I, 0], [0, hm]] x.  The TLS pair does not
-    hop, so hp and hm share a zero row and column: the pencil always has
-    one structural z = 0 and one structural z = inf, dropped here.  The
-    homogeneous form (alpha, beta) orders them without forming inf.  F is
-    unnormalized; a failed ggev raises ConditioningError.
+    terms = (a, s, e0, e1, d3, f, sg): a = 2 xi cos(K/2), t = s sin lam, D0 = 2 y + e0,
+    D1 = y + e1, D3 = d3, f = 4 g^2, sg = sqrt2 g; det(y) is the cubic and its slope from
+    the factored form.  A vanishing a or D3 is refused.  At s = 0 to rounding the roots
+    are D1 = 0 twice and D0 D3 = f; otherwise Newton from Kahan's start ("To solve a real cubic
+    equation", 1986) finds a real root, and the other two, m +- h, solve G = det /
+    (c3 (y - root)) = (y - m)^2 - h^2, with m, h^2 from G, G' as accurate as det.
     """
-    if mats.hm_rank < 3:
+    (a00, sg, _, _), (_, a11, _, _), _, (_, _, _, a33) = mats.onsite.tolist()
+    a, s = mats.hop_cos[1, 1].item(), mats.hop_sin[1, 2].item()
+    if not abs(a) > 1.5 * _EPS * math.hypot(a, s):
         raise DegenerateParametersError(
             "photon pair does not hop: 2 xi cos(K/2) = 0 on the Brillouin "
-            "zone boundary K = pi (or at xi = 0), so the hopping block loses rank"
-        )
-    lhs = mats.pencil_lhs.copy()
-    lhs[4:, 4:] = -a
-    alpha, beta, _, vecs, _, info = _GGEV(lhs, mats.pencil_rhs, compute_vl=0)
-    if info != 0:
-        raise ConditioningError(f"LAPACK ggev failed on the companion pencil (info = {info})")
-    order = np.argsort(np.arctan2(np.abs(alpha), np.abs(beta)))[1:-1]
-    alpha, beta = alpha[order], beta[order]
-    if abs(alpha[0]) <= _EPS * abs(beta[0]):
+            "zone boundary K = pi (or at xi = 0), so the hopping block loses rank")
+    e0, e1, d3, f = a00 - E, a11 - E, a33 - E, 2.0 * sg * sg
+    if abs(d3) <= _EPS * abs(E):
         raise DegenerateParametersError(
-            "energy hits twice the detuning; the third channel degenerates"
-        )
-    return alpha / beta, vecs[:4, order]
+            "energy hits twice the detuning; the third channel degenerates")
+    s2, sig = s * s, (s / a) ** 2       # t^2 = s2 - sig y^2
+
+    def det(y):
+        u, d0 = y + e1, 2.0 * y + e0
+        q, tt = d0 * d3 - f, s2 - sig * y * y
+        return u * u * q - tt * d0 * d3, 2.0 * (u * q + d3 * (u * u - tt + sig * y * d0))
+
+    def polish(y):      # Newton on det while its steps shrink
+        last = math.inf
+        for _ in range(100):
+            value, slope = det(y)
+            if not slope or not abs(value / slope) < last:
+                break
+            y, last = y - value / slope, abs(value / slope)
+        return y
+
+    q0, r0, c3 = e0 * d3 - f, e0 * d3, 2.0 * d3 * (1.0 + sig)
+    b, d = (q0 + 4.0 * e1 * d3 + sig * r0) / c3, (e1 * e1 * q0 - s2 * r0) / c3
+    c = (2.0 * e1 * q0 + 2.0 * (e1 * e1 - s2) * d3) / c3
+    out = ((a, s, e0, e1, d3, f, sg), (c3, b, c, d), det)
+    if abs(s) <= _EPS * abs(a):
+        return ([-e1, -e1, 0.5 * (f / d3 - e0)], *out)
+    x = -b / 3.0
+    fx, dfx = ((x + b) * x + c) * x + d, (3.0 * x + 2.0 * b) * x + c
+    reach = abs(fx) ** (1.0 / 3.0)
+    if dfx < 0.0:
+        reach = 1.324718 * max(reach, math.sqrt(-dfx))
+    root = polish(x - math.copysign(reach, fx))
+    mid = -0.5 * (b + root)
+    value, slope = det(mid)
+    g, dg = slope / c3, 0.0         # G and G' if the root is the midpoint
+    if mid != root:
+        g = value / (c3 * (mid - root))
+        dg = (slope / c3 - g) / (mid - root)
+    sq = 0.25 * dg * dg - g
+    half, mid = (math.sqrt(sq) if sq >= 0.0 else cmath.sqrt(sq)), mid - 0.5 * dg
+    return ([root, polish(mid + half), polish(mid - half)], *out)
 
 
-def _open_channels(lam_abs, mult, E, params):
-    """Open channels at +-lam_abs: (branch, lam, group velocity) of each outgoing wave."""
+def _closed_spinor(y, lam, terms) -> tuple:
+    """(-sg d_+ / D0, d_+, d_-, -sg d_+ / D3) D0 D3 at a simple root y = a cos lam, (d_+, d_-)
+    null in the larger row of [[D1 Q / (D0 D3), t], [t, D1]], Q = D0 D3 - f; D0 -> 0 at K = pi."""
+    _, s, e0, e1, d3, f, sg = terms
+    u, d0 = y + e1, 2.0 * y + e0
+    dd, t = d0 * d3, s * cmath.sin(lam)
+    if abs(dd - f) >= abs(dd):
+        return (-sg * t * d3, t * dd, -u * (dd - f), -sg * t * d0)
+    return (-sg * u * d3, u * dd, -t * dd, -sg * u * d0)
+
+
+def _open_channel(lam_abs, E, params, taken):
+    """The outgoing wave of an open root at +-lam_abs: (branch, lam, group velocity).
+
+    The closest match to E of a branch not ``taken`` by another root wins: AB and BA
+    both match the double root at K = 0, and both roots next to it."""
     tol = 1e-8 * max(1.0, abs(E))
     floor = _VELOCITY_FLOOR * (params.g + abs(params.xi))
     kept = []
     for lam in (lam_abs, -lam_abs):
         for br in BRANCHES:
-            if abs(branch_energy(br, lam, params) - E) > tol:
+            miss = abs(branch_energy(br, lam, params) - E)
+            if miss > tol:
                 continue
             v = float(branch_energy_derivative(br, lam, params))
             if abs(v) <= floor:
                 raise ConditioningError(
-                    f"open channel {br} has vanishing group velocity at lam={lam:.6g}"
-                )
+                    f"open channel {br} has vanishing group velocity at lam={lam:.6g}")
             if v > 0.0:
-                kept.append((br, lam, v))
-    if len(kept) != mult:
+                kept.append((br in taken, miss, br, lam, v))
+    if not kept:
         raise DegenerateParametersError(
-            f"open root at |lam|={lam_abs:.6g} admits {len(kept)} outgoing "
-            f"waves, expected {mult}"
-        )
-    return kept
+            f"open root at |lam|={lam_abs:.6g} admits 0 outgoing waves, expected 1")
+    return min(kept)[2:]
 
 
 def _det_scale(mats, E, cos, sin) -> list:
@@ -303,49 +331,36 @@ def _det_scale(mats, E, cos, sin) -> list:
 def find_channel_roots(E: float, params: ModelParams) -> ChannelSet:
     """The three outgoing channels at energy E, open first, as one ChannelSet.
 
-    The channels are the eigenvalues z of the companion pencil with
-    |z| <= 1.  A closed channel takes its spinor from its own eigenvector.
-    Open channels (|z| = 1) are grouped by |lam|: each group of 2m
-    eigenvalues holds m outgoing waves, labelled by branch.
-
-    Raises a degenerate-parameter, band-edge or channel-count error instead
-    of returning a malformed set; every returned channel satisfies the
-    determinant condition to 1e-9 relative to the Hadamard scale of
-    M(lam) - E at its lam, which follows |cos lam| and |sin lam| as
-    |z| -> 0.
-    """
+    Each root w = cos lam of det(M(lam) - E) is taken with the lam of its decaying
+    wave; at sin(K/2) = 0 the double root D1 = 0 has spinors (0, 0, 1, 0) and
+    (sqrt2 g, D3, 0, -sqrt2 g).  Degenerate parameters and band edges raise; each channel
+    satisfies the determinant condition to 1e-9 of the Hadamard scale of M(lam) - E
+    at its lam, which follows |cos lam| and |sin lam| as |z| -> 0."""
     if not math.isfinite(E):
         raise ParameterError(f"energy must be finite, got {E!r}")
     mats = bloch_matrices(params)
-    a = mats.onsite - E * _EYE
-    z, vecs = _pencil_eigs(a, mats)
-    zs = z.tolist()
-    mod = [abs(w) for w in zs]
-    on_circle = [abs(m - 1.0) <= TOL_OPEN for m in mod]
-    # closed channels by (Im lam, Re lam); the cut on the negative imaginary
-    # z axis puts Re lam in (-pi/2, 3pi/2]
-    closed = sorted(((0.5 * math.pi - 1j * cmath.log(-1j * w), j) for j, w in enumerate(zs)
-                     if mod[j] < 1.0 and not on_circle[j]),
+    ys, terms, _, _ = _det_roots(E, mats)
+    a, _, _, e1, d3, _, sg = terms
+    k0 = ys[0] == ys[1] == -e1      # the closed-form double root D1 = 0
+    roots = [1j * cmath.acosh(y / a) for y in ys]       # Im lam >= 0
+    if not all(map(cmath.isfinite, roots)):
+        raise ConditioningError(f"channel momenta overflow at E = {E}: xi = {params.xi:.3g}")
+    opened = []     # a real lam, exact for a real root in [-1, 1], is an open channel
+    for lam_abs in sorted(abs(lam.real) for lam in roots if not lam.imag):
+        opened.append(_open_channel(lam_abs, E, params, {o[0] for o in opened}))
+    opened.sort(key=lambda o: (o[1], o[0]))
+    closed = sorted(((lam + 2.0 * math.pi if lam.real <= -0.5 * math.pi else lam, j)
+                     for j, lam in enumerate(roots) if lam.imag),
                     key=lambda c: (c[0].imag, c[0].real))
-    opened = []
-    if any(on_circle):
-        lam_open = np.sort(np.abs(np.angle(z[on_circle])))
-        breaks = np.flatnonzero(np.diff(lam_open) > _CLUSTER_TOL) + 1
-        for group in np.split(lam_open, breaks):
-            opened.extend(_open_channels(group.mean(), group.size // 2, E, params))
-        opened.sort(key=lambda o: (o[1], o[0]))
-    n_open = len(opened)
-    if n_open + len(closed) != 3:
-        raise DegenerateParametersError(f"found {n_open + len(closed)} channels, expected 3")
-    idx = [j for _, j in closed]
     lam = np.array([lo for _, lo, _ in opened] + [lc for lc, _ in closed], dtype=complex)
-    z, vectors = z[idx], phase_fix(vecs[:, idx])
-    if opened:
-        z = np.concatenate((np.exp(1j * lam[:n_open]), z))
-        vectors = np.column_stack([branch_vector(br, lo, params) for br, lo, _ in opened]
-                                  + [vectors])
+    vectors = [branch_vector(br, lo, params) for br, lo, _ in opened]
+    pair = ((0.0, 0.0, 1.0, 0.0), (sg, d3, 0.0, -sg))
+    if closed:
+        vectors.append(phase_fix(np.array([pair[j] if k0 and j < 2 else _closed_spinor(
+            ys[j], lc, terms) for lc, j in closed], dtype=complex).T))
+    vectors = np.column_stack(vectors)
     cos, sin = np.cos(lam), np.sin(lam)
-    vals = np.abs(np.linalg.det(a + np.multiply.outer(cos, mats.hop_cos)
+    vals = np.abs(np.linalg.det(mats.onsite - E * _EYE + np.multiply.outer(cos, mats.hop_cos)
                                 + np.multiply.outer(sin, mats.hop_sin)))
     for j, (val, scale) in enumerate(zip(vals.tolist(), _det_scale(mats, E, cos, sin))):
         if val > 1e-9 * scale:
@@ -354,7 +369,7 @@ def find_channel_roots(E: float, params: ModelParams) -> ChannelSet:
                 f"condition: |det| = {val:.3g} vs scale {scale:.3g}"
             )
     return ChannelSet(
-        lam=lam, z=z, vectors=vectors, is_open=np.arange(3) < n_open,
-        branch=tuple(br for br, _, _ in opened) + ("",) * (3 - n_open),
-        group_velocity=np.array([v for _, _, v in opened] + [0.0] * (3 - n_open)),
+        lam=lam, z=np.exp(1j * lam), vectors=vectors, is_open=np.arange(3) < len(opened),
+        branch=tuple(br for br, _, _ in opened) + ("",) * len(closed),
+        group_velocity=np.array([v for _, _, v in opened] + [0.0] * len(closed)),
     )

@@ -43,7 +43,6 @@ __all__ = [
 
 SQRT2 = float(np.sqrt(2.0))
 TWO_PI = 2.0 * np.pi
-_EPS = np.finfo(float).eps
 
 # Spinor component order, fixed project-wide.
 PHOTON_PAIR, MIX_SYM, MIX_ASYM, TLS_PAIR = 0, 1, 2, 3
@@ -99,12 +98,8 @@ class BlochMatrices:
     three, so a record rebuilt from edited blocks (dataclasses.replace) stays
     consistent; bloch_matrices shares one record, so its arrays are read-only.
     hp, hm and contact are the site equation's hp, hm and V; mirror_hop =
-    hp PARITY + hm couples b_0 to b_1 and b_-1 = PARITY b_1; pencil_lhs and
-    pencil_rhs are the companion pencil of (hp + (A - E) z + hm z^2) F = 0
-    less its -(A - E) block; onsite_diag, offdiag_norms and hop_norms are the
-    row norms of the determinant scale; hm_rank is np.linalg.matrix_rank of
-    hm[:3, :3] = diag(c, [[a, b], [b, a]]), from its singular values |c|,
-    |a + b|, |a - b| and matrix_rank's tolerance 3 eps sigma_max.
+    hp PARITY + hm couples b_0 to b_1 and b_-1 = PARITY b_1; onsite_diag,
+    offdiag_norms and hop_norms are the row norms of the determinant scale.
     """
 
     onsite: np.ndarray
@@ -114,12 +109,9 @@ class BlochMatrices:
     hm: np.ndarray = dataclasses.field(init=False)
     mirror_hop: np.ndarray = dataclasses.field(init=False)
     contact: np.ndarray = dataclasses.field(init=False)
-    pencil_lhs: np.ndarray = dataclasses.field(init=False)
-    pencil_rhs: np.ndarray = dataclasses.field(init=False)
     onsite_diag: np.ndarray = dataclasses.field(init=False)
     offdiag_norms: np.ndarray = dataclasses.field(init=False)
     hop_norms: np.ndarray = dataclasses.field(init=False)
-    hm_rank: int = dataclasses.field(init=False)
 
     def __post_init__(self):
         hp = 0.5 * (self.hop_cos + 1j * self.hop_sin)
@@ -128,14 +120,9 @@ class BlochMatrices:
         contact = np.zeros((4, 4))
         for i, j in ((MIX_SYM, TLS_PAIR), (TLS_PAIR, MIX_SYM)):
             contact[i, j] = -self.onsite[i, j]
-        one = np.eye(4)
-        lhs, rhs = np.zeros((8, 8), dtype=complex), np.zeros((8, 8), dtype=complex)
-        lhs[:4, 4:], lhs[4:, :4] = one, -hp
-        rhs[:4, :4], rhs[4:, 4:] = one, hm
         diag = self.onsite.diagonal().copy()
         derived = dict(
-            hp=hp, hm=hm, mirror_hop=hp @ PARITY + hm, contact=contact,
-            pencil_lhs=lhs, pencil_rhs=rhs, onsite_diag=diag,
+            hp=hp, hm=hm, mirror_hop=hp @ PARITY + hm, contact=contact, onsite_diag=diag,
             offdiag_norms=np.linalg.norm(self.onsite - np.diag(diag), axis=1),
             hop_norms=np.linalg.norm([self.hop_cos, self.hop_sin], axis=2),
         )
@@ -143,9 +130,6 @@ class BlochMatrices:
             object.__setattr__(self, name, array)
         for array in (self.onsite, self.hop_cos, self.hop_sin, *derived.values()):
             array.flags.writeable = False
-        a, b = complex(hm[1, 1]), complex(hm[1, 2])
-        sv = (abs(complex(hm[0, 0])), abs(a + b), abs(a - b))
-        object.__setattr__(self, "hm_rank", sum(s > 3.0 * _EPS * max(sv) for s in sv))
 
 
 @functools.lru_cache(maxsize=8)

@@ -12,13 +12,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from twopolaritons import channels, validation
 from twopolaritons.bands import band_structure, branch_energy
 from twopolaritons.channels import channel_expansion, expansion_moment, find_channel_roots
-from twopolaritons.errors import (ConditioningError, DegenerateParametersError, ParameterError,
-                                  TwoPolaritonError)
+from twopolaritons.errors import DegenerateParametersError, ParameterError, TwoPolaritonError
 from twopolaritons.model import PARITY, ModelParams, bloch_matrices, bloch_matrix
+from twopolaritons.scattering import solve_scattering
 from twopolaritons.validation import run_checks
 
 RNG = np.random.default_rng(37)
@@ -118,6 +119,21 @@ def test_k0_roots_continue_off_zero_momentum():
         assert np.array_equal(r0.is_open[o0], r1.is_open[o1])
 
 
+def test_open_pair_splits_off_zero_momentum():
+    # in the AB/BA band just off K = 0 the double root splits into two
+    # simple open roots whose energies differ from the other label's by
+    # less than the labelling tolerance, down to rounding: each root keeps
+    # its own label, both labels appear, and scattering stays certified
+    for k in (1e-5, 1e-9, 1e-14):
+        p = ModelParams(xi=-0.2, delta=0.1, K=k)
+        for e in (0.05, 0.25):
+            roots = find_channel_roots(e, p)
+            assert sorted(roots.open_branches) == ["AB", "BA"], (k, e)
+            assert spinor_sigma_min(roots) > 1e-3
+        sol = solve_scattering("AB", 1.0, p)
+        assert max(sol.residual_max, sol.current_max) < 1e-12, k
+
+
 def test_open_closed_split_in_band_and_gap():
     p = ModelParams(xi=-0.2)
     bs = band_structure(p)
@@ -201,75 +217,114 @@ def test_non_finite_energy_is_refused(energy):
     assert not caught
 
 
-def test_cached_pencil_data_is_read_only():
+def test_cached_record_is_read_only():
     # the per-parameter record is shared by every caller: each of its
-    # fields but the hopping rank is a read-only array
+    # fields is a read-only array
     mats = bloch_matrices(ModelParams(xi=-0.3, delta=0.8, K=0.9))
-    names = [f.name for f in dataclasses.fields(mats) if f.name != "hm_rank"]
-    assert len(names) == len(dataclasses.fields(mats)) - 1
-    for name in names:
-        array = getattr(mats, name)
-        assert isinstance(array, np.ndarray), name
+    for field in dataclasses.fields(mats):
+        array = getattr(mats, field.name)
+        assert isinstance(array, np.ndarray), field.name
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        mats.hm_rank = 3
+        mats.hp = mats.hm
 
 
 def test_hopping_rank_matches_matrix_rank():
-    # the closed-form rank of hm[:3, :3] that refuses the zone boundary
-    # equals the SVD rank, at K = +-pi, next to it, at xi = 0 and tiny |xi|
+    # the zone-boundary refusal (a vanishing leading coefficient
+    # 2 xi cos(K/2)) falls exactly where hm[:3, :3] loses rank by the SVD,
+    # at K = +-pi, next to it, at xi = 0 and tiny |xi|; elsewhere the call
+    # returns or raises another typed error, without a warning
     ks = [0.0, 0.7, 2.0, np.pi, -np.pi, np.nextafter(np.pi, 0.0), np.pi - 1e-10, -3.0]
     xis = [0.0, 5e-324, 1e-300, 1e-17, 1e-8, -0.2, 0.5, -3.0]
     for k in ks:
         for xi in xis:
-            mats = bloch_matrices(ModelParams(xi=xi, K=k))
+            p = ModelParams(xi=xi, K=k)
+            mats = bloch_matrices(p)
             hm = 0.5 * (mats.hop_cos - 1j * mats.hop_sin)
-            assert mats.hm_rank == np.linalg.matrix_rank(hm[:3, :3]), (k, xi)
+            try:
+                find_channel_roots(-1.0, p)
+                refused = False
+            except TwoPolaritonError as exc:
+                refused = "zone boundary K = pi" in str(exc)
+            assert refused == (np.linalg.matrix_rank(hm[:3, :3]) < 3), (k, xi)
 
 
-def test_ggev_failure_is_a_conditioning_error(monkeypatch):
-    real = channels._GGEV
+def companion_pencil_roots(p, e):
+    """The six channel eigenvalues of the 8x8 companion pencil, by scipy.linalg.eig.
 
-    def failing(*args, **kwargs):
-        return (*real(*args, **kwargs)[:-1], 1)
+    With x = (F, z F), (hp + (A - E) z + hm z^2) F = 0 reads
+    [[0, I], [-hp, -(A - E)]] x = z [[I, 0], [0, hm]] x; the TLS pair does
+    not hop, so one structural z = 0 and one z = inf are dropped.
+    """
+    mats = bloch_matrices(p)
+    hp = 0.5 * (mats.hop_cos + 1j * mats.hop_sin)
+    hm = 0.5 * (mats.hop_cos - 1j * mats.hop_sin)
+    lhs = np.zeros((8, 8), dtype=complex)
+    rhs = np.zeros((8, 8), dtype=complex)
+    lhs[:4, 4:] = rhs[:4, :4] = np.eye(4)
+    lhs[4:, :4], lhs[4:, 4:], rhs[4:, 4:] = -hp, -(mats.onsite - e * np.eye(4)), hm
+    (alpha, beta), _ = scipy.linalg.eig(lhs, rhs, homogeneous_eigvals=True)
+    order = np.argsort(np.arctan2(np.abs(alpha), np.abs(beta)))[1:-1]
+    return alpha[order] / beta[order]
 
-    monkeypatch.setattr(channels, "_GGEV", failing)
-    with pytest.raises(ConditioningError, match="info = 1"):
-        find_channel_roots(0.1, ModelParams(xi=-0.2))
 
-
-def test_pencil_eigenvalues_match_scipy_eig(monkeypatch):
-    # the eigenvalues of the direct LAPACK call inside find_channel_roots
-    # equal those of scipy.linalg.eig, bit for bit, on the companion pencil
-    # built afresh from the model blocks
-    real, seen = channels._GGEV, []
-
-    def recorded(*args, **kwargs):
-        out = real(*args, **kwargs)
-        seen.append(out[:2])
-        return out
-
-    monkeypatch.setattr(channels, "_GGEV", recorded)
+def test_roots_match_companion_pencil():
+    # the independent reference: the pencil's six channel eigenvalues are
+    # the three channels' z and 1/z, paired one to one; the pencil splits
+    # the K = 0 double root only by roundoff, about sqrt(eps)
     rng = np.random.default_rng(41)
-    for _ in range(200):
-        p = validation._draw_params(rng)
+    draws = [validation._draw_params(rng) for _ in range(200)]
+    draws += [validation._draw_params(rng, k_zero=True) for _ in range(50)]
+    checked = 0
+    for p in draws:
         e = rng.uniform(2.0 * p.delta - 6.0, 2.0 * p.delta + 6.0)
-        seen.clear()
         try:
-            find_channel_roots(e, p)
+            z = find_channel_roots(e, p).z
         except TwoPolaritonError:
-            pass
-        mats = bloch_matrices(p)
-        hp = 0.5 * (mats.hop_cos + 1j * mats.hop_sin)
-        hm = 0.5 * (mats.hop_cos - 1j * mats.hop_sin)
-        lhs = np.zeros((8, 8), dtype=complex)
-        rhs = np.zeros((8, 8), dtype=complex)
-        lhs[:4, 4:] = rhs[:4, :4] = np.eye(4)
-        lhs[4:, :4], lhs[4:, 4:], rhs[4:, 4:] = -hp, -(mats.onsite - e * np.eye(4)), hm
-        (alpha, beta), _ = scipy.linalg.eig(lhs, rhs, homogeneous_eigvals=True)
-        assert len(seen) == 1
-        assert np.array_equal(seen[0][0], alpha) and np.array_equal(seen[0][1], beta)
+            continue
+        checked += 1
+        ours = np.concatenate((z, 1.0 / z))
+        pencil = companion_pencil_roots(p, e)
+        gap = np.abs(ours[:, None] - pencil[None, :]) / np.maximum(1.0, np.abs(ours))[:, None]
+        rows, cols = scipy.optimize.linear_sum_assignment(gap)
+        assert gap[rows, cols].max() < 1e-6, (p, e)
+    assert checked > 240
+
+
+@pytest.mark.parametrize("xi, K, delta, e", [(-1.2e-3, 0.7, 1.0, -4.0), (-1e-5, 0.7, 0.0, 3.0),
+                                             (-1e-5, 0.7, 1.0, -4.0)])
+def test_closed_spinors_hold_at_small_hopping(xi, K, delta, e):
+    # as xi -> 0 the hopping blocks are tiny against A - E; the closed
+    # spinors must still solve their Bloch equation to a backward error
+    # of 1e-12, as the channel-roots check requires
+    p = ModelParams(xi=xi, delta=delta, K=K)
+    roots = find_channel_roots(e, p)
+    assert not roots.is_open.any()
+    for lam, vector in zip(roots.lam, roots.vectors.T):
+        m = bloch_matrix(p, lam) - e * np.eye(4)
+        assert np.linalg.norm(m @ vector) / np.linalg.norm(m) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0.0, 1e-7, 0.7, np.pi / 2, -2.0 * np.pi])
+def test_determinant_factorization(k):
+    # det(M(lam) - E) = D1^2 (D0 D3 - 4 g^2) - t^2 D0 D3: the cubic's
+    # coefficients and its factored form, at y = 2 xi cos(K/2) cos lam,
+    # equal the 4x4 determinant at random complex lam, to 1e-13 of the
+    # product of its row norms (the scale of LU's rounding)
+    rng = np.random.default_rng(47)
+    for _ in range(100):
+        p = ModelParams(xi=rng.uniform(-1.0, 1.0), delta=rng.uniform(-5.0, 5.0), K=k,
+                        g=rng.uniform(0.5, 2.0))
+        e = rng.uniform(2.0 * p.delta - 6.0, 2.0 * p.delta + 6.0)
+        _, terms, (c3, b, c, d), det = channels._det_roots(e, bloch_matrices(p))
+        a = terms[0]
+        for lam in rng.uniform(-np.pi, np.pi, 4) + 1j * rng.uniform(-1.5, 1.5, 4):
+            m = bloch_matrix(p, lam) - e * np.eye(4)
+            want, scale = np.linalg.det(m), np.prod(np.linalg.norm(m, axis=1))
+            y = a * np.cos(lam)
+            for got in (c3 * (((y + b) * y + c) * y + d), det(y)[0]):
+                assert abs(got - want) <= 1e-13 * scale, (p, e, lam)
 
 
 @pytest.mark.parametrize("xi, delta", [(-0.5, -1.0), (-0.75, -1.5)])
