@@ -102,8 +102,13 @@ class _RingGeometry:
     is (xi, g, delta) @ coefficients.  ``step`` is the site shift T as a
     permutation of basis indices, and (first, length, orbit, power) are its
     orbits (_orbits).  ``embedding`` is ring_embedding's scatter index over
-    the (r, m) grid of pairs.  Every array is read-only: _ring_geometry
-    hands the same record to every caller.
+    the (r, m) grid of pairs.  (rep_row, rep_orbit, rep_col, rep_weight)
+    are the elements of H's pattern in the rows of the orbits' first
+    states: the row's orbit a, the column's orbit b, the column, and per
+    coupling the coefficient times sqrt(L_a/L_b), so that
+    (xi, g, delta) @ rep_weight are the weights momentum_blocks takes from
+    H's rows.  Every array is read-only: _ring_geometry hands the same
+    record to every caller.
     """
 
     basis: TwoExcitationBasis
@@ -116,6 +121,10 @@ class _RingGeometry:
     orbit: np.ndarray
     power: np.ndarray
     embedding: np.ndarray
+    rep_row: np.ndarray
+    rep_orbit: np.ndarray
+    rep_col: np.ndarray
+    rep_weight: np.ndarray
 
 
 def _hamiltonian_pattern(basis: TwoExcitationBasis):
@@ -184,13 +193,23 @@ def _hamiltonian_pattern(basis: TwoExcitationBasis):
 def _ring_geometry(N: int) -> _RingGeometry:
     """The read-only _RingGeometry of the N-site ring, built once per N.
 
-    build_hamiltonian, momentum_blocks and ring_embedding read it; the
-    RINGS_KEPT most recent ring sizes are kept
-    (_ring_geometry.cache_clear() empties the memo).
+    Each coupling's matrix H_c is checked to commute with T exactly
+    (_check_translation), so every H = xi H_xi + g H_g + delta H_delta
+    does: ring_sector fills its blocks from the representative rows here
+    with no [H, T] pass of its own.  build_hamiltonian, momentum_blocks,
+    ring_sector and ring_embedding read the record; the RINGS_KEPT most
+    recent ring sizes are kept (_ring_geometry.cache_clear() empties the
+    memo).
     """
     basis = TwoExcitationBasis(N)
     indptr, indices, coefficients = _hamiltonian_pattern(basis)
     step = basis.translate(np.arange(basis.dim))
+    for name, row in zip(("xi", "g", "delta"), coefficients):
+        _check_translation(sp.csr_matrix((row, indices, indptr), shape=(basis.dim,) * 2),
+                           step, f"H_{name}")
+    first, length, orbit, power = _orbits(basis, step)
+    rep_row, rep_orbit, rep_col, rep_weight = _first_rows(
+        first, length, orbit, indptr, indices, coefficients)
     r = np.arange(N)
     # (r, m) grid of the pair on sites m and m + r; r = 0 has no TLS pair
     m, other = np.broadcast_arrays(r, r[:, None] + r)
@@ -198,8 +217,9 @@ def _ring_geometry(N: int) -> _RingGeometry:
                                 basis.mix(other, m).ravel(),
                                 basis.tt(m[1:], other[1:]).ravel()])
     # every index array in scipy's index dtype, as the pattern's own
-    maps = (a.astype(indices.dtype) for a in (step, *_orbits(basis, step), embedding))
-    geometry = _RingGeometry(basis, indptr, indices, coefficients, *maps)
+    maps = (a.astype(indices.dtype) for a in (step, first, length, orbit, power, embedding,
+                                              rep_row, rep_orbit, rep_col))
+    geometry = _RingGeometry(basis, indptr, indices, coefficients, *maps, rep_weight)
     for field in dataclasses.fields(geometry)[1:]:     # every array
         getattr(geometry, field.name).flags.writeable = False
     return geometry
@@ -289,78 +309,103 @@ def _orbits(basis: TwoExcitationBasis, step: np.ndarray):
     return first, length, orbit, power
 
 
-def momentum_blocks(h: sp.spmatrix, N: int, only=None) -> list:
-    """Block-diagonalize the ring Hamiltonian over total momentum.
+def _first_rows(first, length, orbit, indptr, indices, data):
+    """The elements of a CSR matrix in the rows of the orbits' first states.
+
+    Returns, in CSR order, each element's row orbit a (row first[a]), its
+    column's orbit b, its column, and its data times sqrt(L_a/L_b); data
+    may carry leading axes, such as one row per coupling.
+    """
+    count = indptr[first + 1] - indptr[first]
+    a = np.repeat(np.arange(first.size), count)
+    # each element's position is its row's start plus its rank in the row
+    at = (indptr[first] - np.cumsum(count) + count)[a] + np.arange(a.size)
+    col = indices[at]
+    b = orbit[col]
+    return a, b, col, data[..., at] * np.sqrt(length[a] / length[b])
+
+
+def _check_translation(h: sp.spmatrix, step: np.ndarray, name: str = "H") -> None:
+    """Raise RuntimeError unless h commutes with the site shift T exactly.
+
+    T is the permutation ``step``, so relabelling h's indices through it
+    gives T h T^-1, and max|T h T^-1 - h| = max|hT - Th|.  A nonzero
+    commutator means the Hamiltonian was not built
+    translation-covariantly, which is an implementation bug, not a data
+    condition.
+    """
+    coo = h.tocoo()
+    moved = sp.csr_matrix((coo.data, (step[coo.row], step[coo.col])), shape=h.shape)
+    comm = moved - h.tocsr()
+    norm = abs(comm).max() if comm.nnz else 0.0
+    if norm > 1e-12:
+        raise RuntimeError(
+            f"{name} does not commute with translation: |[{name},T]| = {norm:.3g}"
+        )
+
+
+def _fill_sector(geo: _RingGeometry, n: int, a, b, col, weight) -> MomentumSector:
+    """Diagonalize sector n from elements of H in the orbits' first rows.
+
+    Element i sits in row first[a_i], column col_i of orbit b_i, and
+    carries weight_i = H[first[a_i], col_i] sqrt(L_a/L_b).  Sector n
+    (k = 2 pi n / N) keeps the orbits with e^{ik L} = 1, and its block is
+    block[a, b] = sum_i weight_i e^{-ik m_i} with col_i = T^{m_i} first[b],
+    filled by one bincount.  Row first[a] fills block[a, b] and row
+    first[b] fills block[b, a], so the exact Hermiticity check tests the
+    element algebra.  When 2n = 0 (mod N), k is 0 or pi, every phase is
+    +-1, and the projector, the block and its eigenvectors are real.
+    """
+    N = geo.basis.N
+    length, orbit, power = geo.length, geo.orbit, geo.power
+    k = 2.0 * math.pi * n / N
+    kept = (n * length) % N == 0
+    index = np.cumsum(kept) - 1
+    size = int(index[-1]) + 1
+    if (2 * n) % N == 0:
+        phase = 1.0 - 2.0 * ((2 * n // N * power) % 2)
+    else:
+        phase = np.exp(-1j * k * power)
+    inside = kept[orbit]
+    proj = sp.csr_matrix(
+        (phase[inside] / np.sqrt(length[orbit[inside]]), index[orbit[inside]],
+         np.concatenate(([0], np.cumsum(inside)))),
+        shape=(geo.basis.dim, size),
+    )
+    keep = kept[a] & kept[b]
+    cell = index[a[keep]] * size + index[b[keep]]
+    terms = weight[keep] * phase[col[keep]]
+    block = np.bincount(cell, terms.real, minlength=size * size)
+    if np.iscomplexobj(terms):
+        block = block + 1j * np.bincount(cell, terms.imag, minlength=size * size)
+    block = block.reshape(size, size)
+    herm = np.abs(block - block.conj().T).max()
+    if herm > 1e-13:
+        raise RuntimeError(
+            f"momentum block n={n} not Hermitian: defect {herm:.3g}"
+        )
+    vals, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
+    for arr in (vals, vecs, proj.data, proj.indices, proj.indptr):
+        arr.flags.writeable = False
+    return MomentumSector(N=N, n=n, momentum=k, eigenvalues=vals, eigenvectors=vecs,
+                          projector=proj)
+
+
+def momentum_blocks(h: sp.spmatrix, N: int) -> list:
+    """Block-diagonalize the ring Hamiltonian h over total momentum.
 
     The translation T is a permutation, the site shift ``step``; its
     orbits give the momentum basis directly, including the short orbits
     of antipodal pair states; both are read from the ring's _RingGeometry.
-    [H, T] is checked exactly, for every h passed in, by relabelling H's
-    indices through ``step``: max|T H T^-1 - H| = max|HT - TH|.  A
-    nonzero commutator means the Hamiltonian was not built
-    translation-covariantly, which is an implementation bug, not a data
-    condition.
-
-    Sector n (k = 2 pi n / N) keeps the orbits with e^{ik L} = 1.  Its
-    block is summed from the rows of H at the kept orbits' first states
-    r_a: block[a, b] = sqrt(L_a/L_b) sum_{c in orbit b} H[r_a, c]
-    e^{-ik m_c}, with c = T^{m_c} r_b.  Row r_a fills block[a, b] and row
-    r_b fills block[b, a], so the Hermiticity check still tests the
-    element algebra.  When 2n = 0 (mod N), k is 0 or pi, every phase is
-    +-1, and the projector, the block and its eigenvectors are real.
+    [h, T] is checked exactly for every h passed in (_check_translation),
+    and every sector is then filled by _fill_sector from h's rows at the
+    orbits' first states (_first_rows).
     """
     geo = _ring_geometry(N)
     h = h.tocsr()
-    step = geo.step
-    coo = h.tocoo()
-    moved = sp.csr_matrix((coo.data, (step[coo.row], step[coo.col])), shape=h.shape)
-    comm = moved - h
-    norm = abs(comm).max() if comm.nnz else 0.0
-    if norm > 1e-12:
-        raise RuntimeError(
-            f"Hamiltonian does not commute with translation: |[H,T]| = {norm:.3g}"
-        )
-    length, orbit, power = geo.length, geo.orbit, geo.power
-    reps = h[geo.first].tocoo()
-    a, b = reps.row, orbit[reps.col]
-    weight = reps.data * np.sqrt(length[a] / length[b])
-    wanted = range(N) if only is None else only
-    sectors = []
-    for n in wanted:
-        k = 2.0 * math.pi * n / N
-        kept = (n * length) % N == 0
-        col = np.cumsum(kept) - 1
-        size = int(col[-1]) + 1
-        if (2 * n) % N == 0:
-            phase = 1.0 - 2.0 * ((2 * n // N * power) % 2)
-        else:
-            phase = np.exp(-1j * k * power)
-        inside = kept[orbit]
-        proj = sp.csr_matrix(
-            (phase[inside] / np.sqrt(length[orbit[inside]]), col[orbit[inside]],
-             np.concatenate(([0], np.cumsum(inside)))),
-            shape=(geo.basis.dim, size),
-        )
-        keep = kept[a] & kept[b]
-        cell = col[a[keep]] * size + col[b[keep]]
-        terms = weight[keep] * phase[reps.col[keep]]
-        block = np.bincount(cell, terms.real, minlength=size * size)
-        if np.iscomplexobj(terms):
-            block = block + 1j * np.bincount(cell, terms.imag, minlength=size * size)
-        block = block.reshape(size, size)
-        herm = np.abs(block - block.conj().T).max()
-        if herm > 1e-13:
-            raise RuntimeError(
-                f"momentum block n={n} not Hermitian: defect {herm:.3g}"
-            )
-        vals, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
-        for arr in (vals, vecs, proj.data, proj.indices, proj.indptr):
-            arr.flags.writeable = False
-        sectors.append(MomentumSector(
-            N=N, n=n, momentum=k,
-            eigenvalues=vals, eigenvectors=vecs, projector=proj,
-        ))
-    return sectors
+    _check_translation(h, geo.step)
+    rows = _first_rows(geo.first, geo.length, geo.orbit, h.indptr, h.indices, h.data)
+    return [_fill_sector(geo, n, *rows) for n in range(N)]
 
 
 #: Diagonalized sectors ring_sector keeps: enough for the three ring sizes
@@ -387,13 +432,17 @@ def _sector_of(K: float, N: int) -> int:
 def ring_sector(params: ModelParams, N: int) -> MomentumSector:
     """The diagonalized sector of the N-site ring that holds momentum params.K.
 
-    The sector is n = _sector_of(K, N).  Builds H and diagonalizes that one
-    block, with the exact [H, T] and Hermiticity checks of momentum_blocks;
-    the SECTORS_KEPT most recent (params, N) are memoized
-    (ring_sector.cache_clear() empties the memo).
+    The sector is n = _sector_of(K, N).  H is linear in its couplings, so
+    its representative-row weights are (xi, g, delta) @ rep_weight of the
+    ring's _RingGeometry, whose couplings were each checked to commute with
+    T exactly; _fill_sector fills and diagonalizes that one block, with the
+    exact Hermiticity check.  No H is built.  The SECTORS_KEPT most recent
+    (params, N) are memoized (ring_sector.cache_clear() empties the memo).
     """
     n = _sector_of(params.K, N)
-    return momentum_blocks(build_hamiltonian(N, params), N, only=[n])[0]
+    geo = _ring_geometry(N)
+    weight = np.array([params.xi, params.g, params.delta]) @ geo.rep_weight
+    return _fill_sector(geo, n, geo.rep_row, geo.rep_orbit, geo.rep_col, weight)
 
 
 def ring_embedding(state: BoundState, N: int) -> np.ndarray:

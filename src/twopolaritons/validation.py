@@ -12,7 +12,7 @@ exploit that seam to inject faults and confirm the suite catches them.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -256,11 +256,13 @@ def _check_ed_construction(rng):
     # both orientations of every element are written independently, so H
     # must be exactly symmetric; T must be an exact permutation commuting
     # exactly with H, and the momentum sectors must rebuild the spectrum.
-    # Antipodal pairs, whose orbits are short, exist on the even ring only.
+    # Every sector ring_sector fills from the couplings, with no H, must be
+    # the one momentum_blocks takes from H's rows.  Antipodal pairs, whose
+    # orbits are short, exist on the even ring only.
     if TwoExcitationBasis(3).dim != 18:
         return False, "N=3 basis dimension is not 18"
     p = _draw_params(rng, k_zero=True)
-    comm, mismatch = 0.0, 0.0
+    comm, mismatch, coupled = 0.0, 0.0, 0.0
     for n, dim in ((7, 98), (8, 128)):
         h = build_hamiltonian(n, p)
         defect = (h - h.T)
@@ -279,9 +281,21 @@ def _check_ed_construction(rng):
         full = np.sort(np.linalg.eigvalsh(h.toarray()))
         split = np.sort(np.concatenate([s.eigenvalues for s in sectors]))
         mismatch = max(mismatch, np.abs(full - split).max())
-    ok = comm == 0.0 and mismatch < 1e-10
+        for s in sectors:
+            # the sector of K = -k_n is n
+            filled = ring_sector(replace(p, K=-s.momentum), n)
+            if (filled.n, filled.dim) != (s.n, s.dim):
+                return False, (f"ring_sector gave sector {filled.n} of dim {filled.dim} "
+                               f"for sector {s.n} of dim {s.dim} at N={n}")
+            pairs = zip(*((q.data, q.indices, q.indptr)
+                          for q in (filled.projector, s.projector)))
+            if not all(np.array_equal(x, y) for x, y in pairs):
+                return False, f"sector {s.n} projectors differ at N={n}"
+            coupled = max(coupled, np.abs(filled.eigenvalues - s.eigenvalues).max())
+    ok = comm == 0.0 and mismatch < 1e-10 and coupled < 1e-13
     return ok, (f"commutator {comm:.3g}, sector dims 98 at N=7 and 128 at "
-                f"N=8, sector-vs-full spectrum defect {mismatch:.3g}")
+                f"N=8, sector-vs-full spectrum defect {mismatch:.3g}, "
+                f"coupling-filled vs H-row sectors {coupled:.3g}")
 
 
 def _check_ed_jc_levels(rng):

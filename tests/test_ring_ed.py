@@ -101,6 +101,20 @@ def test_sector_decomposition_reproduces_full_spectrum(monkeypatch):
     assert not run_checks(["ed-construction"])[0].passed
 
 
+@pytest.mark.parametrize("fault", ["opposite sector", "hopping off by 1e-9"])
+def test_coupling_filled_sectors_match_momentum_blocks(monkeypatch, fault):
+    # sectors n and -n share a spectrum, so only the sector and its
+    # projector tell them apart; a relative hopping error of 1e-9 moves
+    # only the eigenvalues
+    def wrong(p, N):
+        if fault == "opposite sector":
+            return ring_ed.ring_sector(dataclasses.replace(p, K=-p.K), N)
+        return ring_ed.ring_sector(dataclasses.replace(p, xi=p.xi * (1.0 + 1e-9)), N)
+
+    monkeypatch.setattr(validation, "ring_sector", wrong)
+    assert not run_checks(["ed-construction"])[0].passed
+
+
 def test_sector_momenta_are_ring_momenta():
     n = 6
     sectors = momentum_blocks(build_hamiltonian(n, ModelParams(xi=-0.2)), n)
@@ -172,26 +186,32 @@ def test_ring_embedding_momentum_compatibility():
         ring_embedding(st, 24)
 
 
-def test_ring_embedding_builds_no_sector(monkeypatch):
+@pytest.fixture
+def filled(monkeypatch):
+    """Ring sizes of the sector blocks filled while the test runs."""
+    sizes, fill = [], ring_ed._fill_sector
+
+    def counting(geo, *rows):
+        sizes.append(geo.basis.N)
+        return fill(geo, *rows)
+
+    monkeypatch.setattr(ring_ed, "_fill_sector", counting)
+    return sizes
+
+
+def test_ring_embedding_builds_no_sector(filled):
     # the momentum check of the embedding needs only the K -> n map, not
-    # a diagonalized sector: a fresh ring size builds no Hamiltonian, and
+    # a diagonalized sector: a fresh ring size fills no sector block, and
     # a K that is no momentum of the ring raises before its geometry is built
-    built = []
-
-    def counting(N, params):
-        built.append(N)
-        return build_hamiltonian(N, params)
-
     ring_ed.ring_sector.cache_clear()
     ring_ed._ring_geometry.cache_clear()
-    monkeypatch.setattr(ring_ed, "build_hamiltonian", counting)
     p = ModelParams(xi=-0.2, delta=-2.0, K=2.0 * np.pi * 3 / 30)
     st = find_bound_states(p, band_structure(p).gaps[0])[0]
     with pytest.raises(ParameterError):
         ring_embedding(st, 31)
     assert ring_ed._ring_geometry.cache_info().misses == 0
     assert ring_embedding(st, 30).shape == (2 * 30 * 30,)
-    assert built == []
+    assert filled == []
 
 
 def explicit_winding_sum(st, N):
@@ -292,24 +312,71 @@ def test_band_edge_audit(monkeypatch):
     assert not run_checks(["ed-band-edges"])[0].passed
 
 
-def test_one_diagonalization_per_ring(monkeypatch):
+def test_one_diagonalization_per_ring(filled):
     # both states of one (params, N) and the audit at N = 48 share the
-    # memoized sectors: one Hamiltonian per ring size
-    built = []
-
-    def counting(N, params):
-        built.append(N)
-        return build_hamiltonian(N, params)
-
+    # memoized sectors: one sector block filled per ring size
     ring_ed.ring_sector.cache_clear()
-    monkeypatch.setattr(ring_ed, "build_hamiltonian", counting)
     p = ModelParams(xi=-0.2, delta=0.0)
     states = [st for gap in band_structure(p).gaps for st in find_bound_states(p, gap)]
     assert len(states) == 2
     for st in states:
         compare_bound_state(st, (24, 48))
     ring_ed.band_edge_check(p, 48)
-    assert built == [24, 48]
+    assert filled == [24, 48]
+
+
+def _tampered_sector(monkeypatch, tamper):
+    """ring_sector at N = 8 over a pattern whose coefficients tamper edits.
+
+    tamper(basis, rows, cols, coefficients) edits a copy of the pattern's
+    coefficient rows in place; both memos are cleared around the call.
+    """
+    pattern = ring_ed._hamiltonian_pattern
+
+    def tampered(basis):
+        indptr, indices, coefficients = pattern(basis)
+        coefficients = coefficients.copy()
+        rows = np.repeat(np.arange(basis.dim), np.diff(indptr))
+        tamper(basis, rows, indices, coefficients)
+        return indptr, indices, coefficients
+
+    monkeypatch.setattr(ring_ed, "_hamiltonian_pattern", tampered)
+    ring_ed._ring_geometry.cache_clear()
+    ring_ed.ring_sector.cache_clear()
+    try:
+        ring_ed.ring_sector(ModelParams(xi=-0.3, delta=0.4, g=1.2), 8)
+    finally:
+        ring_ed._ring_geometry.cache_clear()
+        ring_ed.ring_sector.cache_clear()
+
+
+def test_ring_sector_rejects_a_coupling_that_breaks_translation(monkeypatch):
+    # one hopping coefficient edited at a single element, in a row that no
+    # sector block reads: only the per-coupling [H_c, T] check can see it
+    def one_element(basis, rows, cols, coefficients):
+        first = ring_ed._orbits(basis, basis.translate(np.arange(basis.dim)))[0]
+        hops = np.flatnonzero((coefficients[ring_ed.XI] != 0.0) & ~np.isin(rows, first))
+        coefficients[ring_ed.XI, hops[0]] *= 1.5
+
+    with pytest.raises(RuntimeError, match=re.escape("|[H_xi,T]|")):
+        _tampered_sector(monkeypatch, one_element)
+
+
+def test_ring_sector_rejects_a_covariant_non_hermitian_coupling(monkeypatch):
+    # the photon hop of every photon-TLS pair in one direction, scaled over
+    # its whole orbit: each H_c still commutes with T, and only the
+    # Hermiticity check of the filled block can see it
+    def one_direction(basis, rows, cols, coefficients):
+        photon_tls = [np.divmod(i - basis.mix(0, 0), basis.N) for i in (rows, cols)]
+        (p_row, t_row), (p_col, t_col) = photon_tls
+        mix = (rows >= basis.mix(0, 0)) & (rows < basis.tt(0, 1)) \
+            & (cols >= basis.mix(0, 0)) & (cols < basis.tt(0, 1))
+        forward = mix & (t_row == t_col) & ((p_row - p_col) % basis.N == 1)
+        assert forward.sum() == basis.N * basis.N
+        coefficients[ring_ed.XI, forward] *= 1.5
+
+    with pytest.raises(RuntimeError, match="not Hermitian"):
+        _tampered_sector(monkeypatch, one_direction)
 
 
 def test_ring_sector_of_K():
