@@ -26,7 +26,6 @@ __all__ = [
     "TwoExcitationBasis",
     "build_hamiltonian",
     "translation_operator",
-    "momentum_blocks",
     "ring_sector",
     "ring_embedding",
     "compare_bound_state",
@@ -89,7 +88,7 @@ class TwoExcitationBasis:
 #: oracle run compares at, and one more.
 RINGS_KEPT = 4
 
-#: The couplings H is linear in, in the order of _RingGeometry.coefficients.
+#: The couplings H is linear in, in the order of _RingGeometry.rep_weight's rows.
 XI, G, DELTA = range(3)
 
 
@@ -97,26 +96,17 @@ XI, G, DELTA = range(3)
 class _RingGeometry:
     """Everything about the N-site ring that no parameter changes.
 
-    ``indptr``/``indices`` are the CSR pattern of H and ``coefficients``
-    its (xi, g, delta) coefficient rows over that pattern, so that H's data
-    is (xi, g, delta) @ coefficients.  ``step`` is the site shift T as a
-    permutation of basis indices, and (first, length, orbit, power) are its
-    orbits (_orbits).  ``embedding`` is ring_embedding's scatter index over
-    the (r, m) grid of pairs.  (rep_row, rep_orbit, rep_col, rep_weight)
-    are the elements of H's pattern in the rows of the orbits' first
-    states: the row's orbit a, the column's orbit b, the column, and per
-    coupling the coefficient times sqrt(L_a/L_b), so that
-    (xi, g, delta) @ rep_weight are the weights momentum_blocks takes from
-    H's rows.  Every array is read-only: _ring_geometry hands the same
-    record to every caller.
+    (length, orbit, power) are the orbits of the site shift T (_orbits).
+    ``embedding`` is ring_embedding's scatter index over the (r, m) grid of
+    pairs.  (rep_row, rep_orbit, rep_col, rep_weight) are H's elements in
+    the rows of the orbits' first states, in (row, col) order: the row's
+    orbit a, the column's orbit b, the column, and per coupling the value
+    times sqrt(L_a/L_b), so that (xi, g, delta) @ rep_weight are the
+    weights _fill_sector fills a sector block from.  Every array is
+    read-only: _ring_geometry hands the same record to every caller.
     """
 
     basis: TwoExcitationBasis
-    indptr: np.ndarray
-    indices: np.ndarray
-    coefficients: np.ndarray
-    step: np.ndarray
-    first: np.ndarray
     length: np.ndarray
     orbit: np.ndarray
     power: np.ndarray
@@ -127,27 +117,27 @@ class _RingGeometry:
     rep_weight: np.ndarray
 
 
-def _hamiltonian_pattern(basis: TwoExcitationBasis):
-    """CSR pattern of H and its coefficient row per coupling (xi, g, delta).
+def _hamiltonian_elements(basis: TwoExcitationBasis):
+    """Every generated element of H as (row, col, coupling, value) arrays.
 
-    Element conventions: photon energy is the zero of the rotating frame,
-    a TLS excitation costs delta, the vertical coupling is g with the
-    sqrt(2) enhancement on doubly occupied photon states, and photons hop
-    with amplitude xi between neighbors.  Each column's elements are
-    generated from that column's state, one family at a time, so both
-    orientations of every off-diagonal element are generated
-    independently and Hermiticity of every H built on them checks the
-    matrix-element algebra.
+    H = xi H_xi + g H_g + delta H_delta, and the element sits in
+    H_coupling (XI, G or DELTA) with that value.  Element conventions:
+    photon energy is the zero of the rotating frame, a TLS excitation
+    costs delta, the vertical coupling is g with the sqrt(2) enhancement on
+    doubly occupied photon states, and photons hop with amplitude xi
+    between neighbors.  Each column's elements are generated from that
+    column's state, one family at a time, so both orientations of every
+    off-diagonal element are generated independently and Hermiticity of
+    every H built on them checks the matrix-element algebra.
     """
     N = basis.N
-    rows, cols, coefs = [], [], []
+    rows, cols, couplings, values = [], [], [], []
 
     def put(r, c, coupling, v):
         rows.append(r)
         cols.append(c)
-        coef = np.zeros((3, np.size(c)))
-        coef[coupling] = v
-        coefs.append(coef)
+        couplings.append(np.full(np.size(c), coupling))
+        values.append(np.broadcast_to(v, np.shape(c)))
 
     m, n = basis.sites("pp")
     col = basis.pp(m, n)
@@ -178,15 +168,35 @@ def _hamiltonian_pattern(basis: TwoExcitationBasis):
     put(col, col, DELTA, 2.0)
     put(basis.mix(m, n), col, G, 1.0)
     put(basis.mix(n, m), col, G, 1.0)
+    return tuple(np.concatenate(part) for part in (rows, cols, couplings, values))
 
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    # one conversion per coupling over the same (row, col) list: each sums
-    # its duplicates onto one canonical pattern, explicit zeros kept
-    parts = [sp.csr_matrix((coef, (rows, cols)), shape=(basis.dim, basis.dim))
-             for coef in np.concatenate(coefs, axis=1)]
-    for part in parts:
-        part.sum_duplicates()
-    return parts[0].indptr, parts[0].indices, np.stack([part.data for part in parts])
+
+def _check_commutators(step, rows, cols, coupling, value) -> None:
+    """Raise RuntimeError unless every H_c commutes with the site shift T exactly.
+
+    T is the permutation ``step``, so relabelling each element's row and
+    column through it gives T H_c T^-1, and max|T H_c T^-1 - H_c| =
+    max|H_c T - T H_c|.  One sort of the (coupling, row, col) keys of both
+    sides, all three couplings at once, and one sum per key of the moved
+    values less the unmoved ones give every element of the three
+    commutators.  A nonzero commutator means the Hamiltonian was not built
+    translation-covariantly, which is an implementation bug, not a data
+    condition.
+    """
+    dim = step.size
+    keys = np.concatenate([(coupling * dim + rows) * dim + cols,
+                           (coupling * dim + step[rows]) * dim + step[cols]])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    comm = np.abs(np.add.reduceat(np.concatenate([-value, value])[order], starts))
+    of = keys[starts] // (dim * dim)
+    for c, name in enumerate(("xi", "g", "delta")):
+        norm = comm[of == c].max(initial=0.0)
+        if norm > 1e-12:
+            raise RuntimeError(
+                f"H_{name} does not commute with translation: |[H_{name},T]| = {norm:.3g}"
+            )
 
 
 @functools.lru_cache(maxsize=RINGS_KEPT)
@@ -194,32 +204,33 @@ def _ring_geometry(N: int) -> _RingGeometry:
     """The read-only _RingGeometry of the N-site ring, built once per N.
 
     Each coupling's matrix H_c is checked to commute with T exactly
-    (_check_translation), so every H = xi H_xi + g H_g + delta H_delta
-    does: ring_sector fills its blocks from the representative rows here
-    with no [H, T] pass of its own.  build_hamiltonian, momentum_blocks,
-    ring_sector and ring_embedding read the record; the RINGS_KEPT most
-    recent ring sizes are kept (_ring_geometry.cache_clear() empties the
-    memo).
+    (_check_commutators), so every H = xi H_xi + g H_g + delta H_delta
+    does: ring_sector fills its blocks from the representative elements
+    here with no [H, T] pass of its own.  Those are the elements whose row
+    is an orbit's first state (power 0).  ring_sector and ring_embedding
+    read the record; the RINGS_KEPT most recent ring sizes are kept
+    (_ring_geometry.cache_clear() empties the memo).
     """
     basis = TwoExcitationBasis(N)
-    indptr, indices, coefficients = _hamiltonian_pattern(basis)
+    rows, cols, coupling, value = _hamiltonian_elements(basis)
     step = basis.translate(np.arange(basis.dim))
-    for name, row in zip(("xi", "g", "delta"), coefficients):
-        _check_translation(sp.csr_matrix((row, indices, indptr), shape=(basis.dim,) * 2),
-                           step, f"H_{name}")
-    first, length, orbit, power = _orbits(basis, step)
-    rep_row, rep_orbit, rep_col, rep_weight = _first_rows(
-        first, length, orbit, indptr, indices, coefficients)
+    _check_commutators(step, rows, cols, coupling, value)
+    length, orbit, power = _orbits(basis, step)
+    rep = np.flatnonzero(power[rows] == 0)
+    rep = rep[np.lexsort((cols[rep], rows[rep]))]
+    rep_row, rep_col = orbit[rows[rep]], cols[rep]
+    rep_orbit = orbit[rep_col]
+    rep_weight = np.zeros((3, rep.size))
+    rep_weight[coupling[rep], np.arange(rep.size)] = \
+        value[rep] * np.sqrt(length[rep_row] / length[rep_orbit])
     r = np.arange(N)
     # (r, m) grid of the pair on sites m and m + r; r = 0 has no TLS pair
     m, other = np.broadcast_arrays(r, r[:, None] + r)
     embedding = np.concatenate([basis.pp(m, other).ravel(), basis.mix(m, other).ravel(),
                                 basis.mix(other, m).ravel(),
                                 basis.tt(m[1:], other[1:]).ravel()])
-    # every index array in scipy's index dtype, as the pattern's own
-    maps = (a.astype(indices.dtype) for a in (step, first, length, orbit, power, embedding,
-                                              rep_row, rep_orbit, rep_col))
-    geometry = _RingGeometry(basis, indptr, indices, coefficients, *maps, rep_weight)
+    geometry = _RingGeometry(basis, length, orbit, power, embedding,
+                             rep_row, rep_orbit, rep_col, rep_weight)
     for field in dataclasses.fields(geometry)[1:]:     # every array
         getattr(geometry, field.name).flags.writeable = False
     return geometry
@@ -228,15 +239,14 @@ def _ring_geometry(N: int) -> _RingGeometry:
 def build_hamiltonian(N: int, params: ModelParams) -> sp.csr_matrix:
     """Sparse two-excitation Hamiltonian of the ring (K plays no role here).
 
-    H is linear in (xi, g, delta): its data are those couplings times the
-    coefficient rows of the ring's cached pattern (_hamiltonian_pattern,
-    which states the element conventions).  The returned matrix owns its
-    arrays, pattern included, so editing it leaves the cache untouched.
+    The reference H of the oracle's own checks, assembled at call time from
+    _hamiltonian_elements (which states the element conventions); the
+    sectors ring_sector fills never build it.
     """
-    geo = _ring_geometry(N)
-    data = np.array([params.xi, params.g, params.delta]) @ geo.coefficients
-    return sp.csr_matrix((data, geo.indices.copy(), geo.indptr.copy()),
-                         shape=(geo.basis.dim, geo.basis.dim))
+    basis = TwoExcitationBasis(N)
+    rows, cols, coupling, value = _hamiltonian_elements(basis)
+    data = np.array([params.xi, params.g, params.delta])[coupling] * value
+    return sp.csr_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim))
 
 
 def translation_operator(N: int) -> sp.csr_matrix:
@@ -285,10 +295,10 @@ class MomentumSector:
 def _orbits(basis: TwoExcitationBasis, step: np.ndarray):
     """Translation orbits of the basis under the site shift ``step``.
 
-    Each orbit's lowest index is a state (0, d): d <= N/2 for the unordered
-    pairs, any d for photon-TLS products.  Taken in basis order they number
-    the orbits in the order a scan of the basis meets them.  Returns each
-    orbit's first state and length (N, or N/2 for an unordered pair at
+    Each orbit's lowest index, its first state, is a state (0, d): d <= N/2
+    for the unordered pairs, any d for photon-TLS products.  Taken in basis
+    order they number the orbits in the order a scan of the basis meets
+    them.  Returns each orbit's length (N, or N/2 for an unordered pair at
     antipodal separation), and for every basis state its orbit and the
     power j with state = T^j first[orbit].
     """
@@ -306,58 +316,24 @@ def _orbits(basis: TwoExcitationBasis, step: np.ndarray):
     orbit, power = np.empty(basis.dim, dtype=int), np.empty(basis.dim, dtype=int)
     orbit[powers[j, o]] = o
     power[powers[j, o]] = j
-    return first, length, orbit, power
+    return length, orbit, power
 
 
-def _first_rows(first, length, orbit, indptr, indices, data):
-    """The elements of a CSR matrix in the rows of the orbits' first states.
+def _fill_sector(geo: _RingGeometry, n: int, weight) -> MomentumSector:
+    """Diagonalize sector n from H's representative elements (_RingGeometry).
 
-    Returns, in CSR order, each element's row orbit a (row first[a]), its
-    column's orbit b, its column, and its data times sqrt(L_a/L_b); data
-    may carry leading axes, such as one row per coupling.
-    """
-    count = indptr[first + 1] - indptr[first]
-    a = np.repeat(np.arange(first.size), count)
-    # each element's position is its row's start plus its rank in the row
-    at = (indptr[first] - np.cumsum(count) + count)[a] + np.arange(a.size)
-    col = indices[at]
-    b = orbit[col]
-    return a, b, col, data[..., at] * np.sqrt(length[a] / length[b])
-
-
-def _check_translation(h: sp.spmatrix, step: np.ndarray, name: str = "H") -> None:
-    """Raise RuntimeError unless h commutes with the site shift T exactly.
-
-    T is the permutation ``step``, so relabelling h's indices through it
-    gives T h T^-1, and max|T h T^-1 - h| = max|hT - Th|.  A nonzero
-    commutator means the Hamiltonian was not built
-    translation-covariantly, which is an implementation bug, not a data
-    condition.
-    """
-    coo = h.tocoo()
-    moved = sp.csr_matrix((coo.data, (step[coo.row], step[coo.col])), shape=h.shape)
-    comm = moved - h.tocsr()
-    norm = abs(comm).max() if comm.nnz else 0.0
-    if norm > 1e-12:
-        raise RuntimeError(
-            f"{name} does not commute with translation: |[{name},T]| = {norm:.3g}"
-        )
-
-
-def _fill_sector(geo: _RingGeometry, n: int, a, b, col, weight) -> MomentumSector:
-    """Diagonalize sector n from elements of H in the orbits' first rows.
-
-    Element i sits in row first[a_i], column col_i of orbit b_i, and
-    carries weight_i = H[first[a_i], col_i] sqrt(L_a/L_b).  Sector n
-    (k = 2 pi n / N) keeps the orbits with e^{ik L} = 1, and its block is
-    block[a, b] = sum_i weight_i e^{-ik m_i} with col_i = T^{m_i} first[b],
-    filled by one bincount.  Row first[a] fills block[a, b] and row
-    first[b] fills block[b, a], so the exact Hermiticity check tests the
-    element algebra.  When 2n = 0 (mod N), k is 0 or pi, every phase is
-    +-1, and the projector, the block and its eigenvectors are real.
+    Element i sits in row first[a_i] (a_i = rep_row), column col_i of
+    orbit b_i, and carries weight_i = H[first[a_i], col_i] sqrt(L_a/L_b).
+    Sector n (k = 2 pi n / N) keeps the orbits with e^{ik L} = 1, and its
+    block is block[a, b] = sum_i weight_i e^{-ik m_i} with col_i = T^{m_i}
+    first[b], filled by one bincount.  Row first[a] fills block[a, b] and
+    row first[b] fills block[b, a], so the exact Hermiticity check tests
+    the element algebra.  When 2n = 0 (mod N), k is 0 or pi, every phase
+    is +-1, and the projector, the block and its eigenvectors are real.
     """
     N = geo.basis.N
     length, orbit, power = geo.length, geo.orbit, geo.power
+    a, b, col = geo.rep_row, geo.rep_orbit, geo.rep_col
     k = 2.0 * math.pi * n / N
     kept = (n * length) % N == 0
     index = np.cumsum(kept) - 1
@@ -391,23 +367,6 @@ def _fill_sector(geo: _RingGeometry, n: int, a, b, col, weight) -> MomentumSecto
                           projector=proj)
 
 
-def momentum_blocks(h: sp.spmatrix, N: int) -> list:
-    """Block-diagonalize the ring Hamiltonian h over total momentum.
-
-    The translation T is a permutation, the site shift ``step``; its
-    orbits give the momentum basis directly, including the short orbits
-    of antipodal pair states; both are read from the ring's _RingGeometry.
-    [h, T] is checked exactly for every h passed in (_check_translation),
-    and every sector is then filled by _fill_sector from h's rows at the
-    orbits' first states (_first_rows).
-    """
-    geo = _ring_geometry(N)
-    h = h.tocsr()
-    _check_translation(h, geo.step)
-    rows = _first_rows(geo.first, geo.length, geo.orbit, h.indptr, h.indices, h.data)
-    return [_fill_sector(geo, n, *rows) for n in range(N)]
-
-
 #: Diagonalized sectors ring_sector keeps: enough for the three ring sizes
 #: both states of one detuning are compared at, so those comparisons and
 #: the audit share one diagonalization per ring size.
@@ -432,17 +391,17 @@ def _sector_of(K: float, N: int) -> int:
 def ring_sector(params: ModelParams, N: int) -> MomentumSector:
     """The diagonalized sector of the N-site ring that holds momentum params.K.
 
-    The sector is n = _sector_of(K, N).  H is linear in its couplings, so
-    its representative-row weights are (xi, g, delta) @ rep_weight of the
-    ring's _RingGeometry, whose couplings were each checked to commute with
-    T exactly; _fill_sector fills and diagonalizes that one block, with the
-    exact Hermiticity check.  No H is built.  The SECTORS_KEPT most recent
-    (params, N) are memoized (ring_sector.cache_clear() empties the memo).
+    The ring's only sector fill.  The sector is n = _sector_of(K, N).  H is
+    linear in its couplings, so its representative-element weights are
+    (xi, g, delta) @ rep_weight of the ring's _RingGeometry, whose
+    couplings were each checked to commute with T exactly; _fill_sector
+    fills and diagonalizes that one block, with the exact Hermiticity
+    check.  No H is built.  The SECTORS_KEPT most recent (params, N) are
+    memoized (ring_sector.cache_clear() empties the memo).
     """
     n = _sector_of(params.K, N)
     geo = _ring_geometry(N)
-    weight = np.array([params.xi, params.g, params.delta]) @ geo.rep_weight
-    return _fill_sector(geo, n, geo.rep_row, geo.rep_orbit, geo.rep_col, weight)
+    return _fill_sector(geo, n, np.array([params.xi, params.g, params.delta]) @ geo.rep_weight)
 
 
 def ring_embedding(state: BoundState, N: int) -> np.ndarray:

@@ -27,7 +27,6 @@ from .ring_ed import (
     build_hamiltonian,
     compare_bound_state,
     jc_pair_levels,
-    momentum_blocks,
     ring_embedding,
     ring_sector,
     translation_operator,
@@ -255,14 +254,14 @@ def _check_bound_certificates(rng):
 def _check_ed_construction(rng):
     # both orientations of every element are written independently, so H
     # must be exactly symmetric; T must be an exact permutation commuting
-    # exactly with H, and the momentum sectors must rebuild the spectrum.
-    # Every sector ring_sector fills from the couplings, with no H, must be
-    # the one momentum_blocks takes from H's rows.  Antipodal pairs, whose
-    # orbits are short, exist on the even ring only.
+    # exactly with H.  The sectors ring_sector fills from the couplings, with
+    # no H, must be labelled n = 0..N-1, pool to the spectrum of the dense H,
+    # and each hold the eigenvalues of P^H H P from its own projector P.
+    # Antipodal pairs, whose orbits are short, exist on the even ring only.
     if TwoExcitationBasis(3).dim != 18:
         return False, "N=3 basis dimension is not 18"
     p = _draw_params(rng, k_zero=True)
-    comm, mismatch, coupled = 0.0, 0.0, 0.0
+    comm, mismatch, projected = 0.0, 0.0, 0.0
     for n, dim in ((7, 98), (8, 128)):
         h = build_hamiltonian(n, p)
         defect = (h - h.T)
@@ -275,27 +274,25 @@ def _check_ed_construction(rng):
         if not perm:
             return False, f"translation operator at N={n} is not a permutation"
         comm = max(comm, abs(h @ t1 - t1 @ h).max())
-        sectors = momentum_blocks(h, n)
+        # the sector of K = -2 pi j / N is j
+        sectors = [ring_sector(replace(p, K=-2.0 * np.pi * j / n), n) for j in range(n)]
+        labels = [s.n for s in sectors]
+        if labels != list(range(n)):
+            return False, f"ring_sector gave sectors {labels} at N={n}"
         if sum(s.dim for s in sectors) != dim:
             return False, f"sector dims {sum(s.dim for s in sectors)}/{dim} at N={n}"
-        full = np.sort(np.linalg.eigvalsh(h.toarray()))
+        dense = h.toarray()
+        full = np.linalg.eigvalsh(dense)
         split = np.sort(np.concatenate([s.eigenvalues for s in sectors]))
         mismatch = max(mismatch, np.abs(full - split).max())
         for s in sectors:
-            # the sector of K = -k_n is n
-            filled = ring_sector(replace(p, K=-s.momentum), n)
-            if (filled.n, filled.dim) != (s.n, s.dim):
-                return False, (f"ring_sector gave sector {filled.n} of dim {filled.dim} "
-                               f"for sector {s.n} of dim {s.dim} at N={n}")
-            pairs = zip(*((q.data, q.indices, q.indptr)
-                          for q in (filled.projector, s.projector)))
-            if not all(np.array_equal(x, y) for x, y in pairs):
-                return False, f"sector {s.n} projectors differ at N={n}"
-            coupled = max(coupled, np.abs(filled.eigenvalues - s.eigenvalues).max())
-    ok = comm == 0.0 and mismatch < 1e-10 and coupled < 1e-13
-    return ok, (f"commutator {comm:.3g}, sector dims 98 at N=7 and 128 at "
-                f"N=8, sector-vs-full spectrum defect {mismatch:.3g}, "
-                f"coupling-filled vs H-row sectors {coupled:.3g}")
+            proj = s.projector.toarray()
+            own = np.linalg.eigvalsh(proj.conj().T @ dense @ proj)
+            projected = max(projected, np.abs(own - s.eigenvalues).max())
+    ok = comm == 0.0 and mismatch < 1e-10 and projected < 1e-13
+    return ok, (f"commutator {comm:.3g}, sectors n = 0..N-1 of dims 98 at N=7 and "
+                f"128 at N=8, sector-vs-full spectrum defect {mismatch:.3g}, "
+                f"sector vs P^H H P eigenvalues {projected:.3g}")
 
 
 def _check_ed_jc_levels(rng):

@@ -23,8 +23,8 @@ from twopolaritons.ring_ed import (
     TwoExcitationBasis,
     build_hamiltonian,
     compare_bound_state,
-    momentum_blocks,
     ring_embedding,
+    ring_sector,
 )
 from twopolaritons.validation import run_checks
 
@@ -94,18 +94,30 @@ def test_translation_commutes_exactly(monkeypatch):
     assert not run_checks(["ed-construction"])[0].passed
 
 
+def all_sectors(N, params):
+    """Every sector of the N-site ring, n = 0..N-1, as ring_sector fills them."""
+    return [ring_sector(dataclasses.replace(params, K=-2.0 * np.pi * n / N), N)
+            for n in range(N)]
+
+
 def test_sector_decomposition_reproduces_full_spectrum(monkeypatch):
     # a lost momentum sector leaves the pooled spectrum short
-    monkeypatch.setattr(validation, "momentum_blocks",
-                        lambda h, N: ring_ed.momentum_blocks(h, N)[:-1])
+    def lost(p, N):
+        s = ring_ed.ring_sector(p, N)
+        if s.n < N - 1:
+            return s
+        return dataclasses.replace(s, eigenvalues=s.eigenvalues[:0],
+                                   eigenvectors=s.eigenvectors[:, :0])
+
+    monkeypatch.setattr(validation, "ring_sector", lost)
     assert not run_checks(["ed-construction"])[0].passed
 
 
 @pytest.mark.parametrize("fault", ["opposite sector", "hopping off by 1e-9"])
 def test_coupling_filled_sectors_match_momentum_blocks(monkeypatch, fault):
-    # sectors n and -n share a spectrum, so only the sector and its
-    # projector tell them apart; a relative hopping error of 1e-9 moves
-    # only the eigenvalues
+    # sectors n and -n share a spectrum, so only the sector labels tell them
+    # apart; a relative hopping error of 1e-9 moves only the eigenvalues,
+    # away from those of the dense H and of each sector's P^H H P
     def wrong(p, N):
         if fault == "opposite sector":
             return ring_ed.ring_sector(dataclasses.replace(p, K=-p.K), N)
@@ -116,58 +128,56 @@ def test_coupling_filled_sectors_match_momentum_blocks(monkeypatch, fault):
 
 
 def test_sector_momenta_are_ring_momenta():
-    n = 6
-    sectors = momentum_blocks(build_hamiltonian(n, ModelParams(xi=-0.2)), n)
-    assert len(sectors) == n
-    for s in sectors:
-        assert abs(s.momentum - 2.0 * np.pi * s.n / n) < 1e-15
+    for n_sites in range(3, 9):
+        sectors = all_sectors(n_sites, ModelParams(xi=-0.2))
+        assert [s.n for s in sectors] == list(range(n_sites))
+        for s in sectors:
+            assert abs(s.momentum - 2.0 * np.pi * s.n / n_sites) < 1e-15
 
 
-def test_momentum_blocks_reject_doctored_hamiltonian():
-    n = 6
-    h = build_hamiltonian(n, ModelParams(xi=-0.3)).tolil()
-    h[0, 5] += 0.1  # breaks translation covariance
-    h[5, 0] += 0.1
-    with pytest.raises(RuntimeError):
-        momentum_blocks(h.tocsr(), n)
-
-
-@pytest.mark.parametrize("n_sites", [6, 7, 8])
+@pytest.mark.parametrize("n_sites", range(3, 9))
 def test_sector_blocks_equal_projected_hamiltonian(n_sites):
-    # each block is summed from orbit-representative rows of H; it must
+    # each block is summed from orbit-representative elements of H; it must
     # equal P^H H P from the sector's own projector, short antipodal orbits
     # (even N) included, and P must have orthonormal columns
-    h = build_hamiltonian(n_sites, ModelParams(xi=-0.37, delta=0.41, g=1.3))
-    for s in momentum_blocks(h, n_sites):
+    p = ModelParams(xi=-0.37, delta=0.41, g=1.3)
+    h = build_hamiltonian(n_sites, p).toarray()
+    for s in all_sectors(n_sites, p):
         proj = s.projector.toarray()
         assert np.abs(proj.conj().T @ proj - np.eye(s.dim)).max() < 1e-13
         block = (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.conj().T
-        assert np.abs(block - proj.conj().T @ (h @ proj)).max() < 1e-13, s.n
+        assert np.abs(block - proj.conj().T @ h @ proj).max() < 1e-13, s.n
 
 
-@pytest.mark.parametrize("n_sites", [7, 8])
+@pytest.mark.parametrize("n_sites", range(3, 9))
 def test_sectors_are_real_where_the_phases_are(n_sites):
     # e^{-ikm} = +-1 when 2n = 0 (mod N): n = 0, and n = N/2 on even rings
-    h = build_hamiltonian(n_sites, ModelParams(xi=-0.2, delta=0.3))
-    for s in momentum_blocks(h, n_sites):
+    for s in all_sectors(n_sites, ModelParams(xi=-0.2, delta=0.3)):
         real = (2 * s.n) % n_sites == 0
         for array in (s.eigenvectors, s.projector.data):
             assert np.isrealobj(array) == real, (s.n, array.dtype)
 
 
 @pytest.mark.parametrize("kick", [0.1234567, 3e-12])
-def test_commutator_defect_is_the_exact_one(kick):
-    # the relabelled check reports max|HT - TH| of the doctored H, and a
-    # defect just above the 1e-12 bound is refused
+def test_commutator_defect_is_the_exact_one(monkeypatch, kick):
+    # one g element kicked: the record's check reports max|H_g T - T H_g| of
+    # the kicked H_g, and a defect just above the 1e-12 bound is refused
     n = 6
-    h = build_hamiltonian(n, ModelParams(xi=-0.3)).tolil()
-    h[0, 5] += kick
-    h[5, 0] += kick
-    h = h.tocsr()
-    t = ring_ed.translation_operator(n)
-    defect = abs(h @ t - t @ h).max()
-    with pytest.raises(RuntimeError, match=re.escape(f"|[H,T]| = {defect:.3g}")):
-        momentum_blocks(h, n)
+
+    def one_element(basis, rows, cols, coupling, value):
+        value[np.flatnonzero(coupling == ring_ed.G)[0]] += kick
+
+    basis = TwoExcitationBasis(n)
+    rows, cols, coupling, value = ring_ed._hamiltonian_elements(basis)
+    value = value.copy()
+    one_element(basis, rows, cols, coupling, value)
+    h_g = np.zeros((basis.dim, basis.dim))
+    np.add.at(h_g, (rows, cols), np.where(coupling == ring_ed.G, value, 0.0))
+    t = ring_ed.translation_operator(n).toarray()
+    defect = np.abs(h_g @ t - t @ h_g).max()
+    assert defect > 1e-12
+    with pytest.raises(RuntimeError, match=re.escape(f"|[H_g,T]| = {defect:.3g}")):
+        _tampered_sector(monkeypatch, one_element, n)
 
 
 def test_zero_hopping_matches_single_site_levels(monkeypatch):
@@ -325,38 +335,37 @@ def test_one_diagonalization_per_ring(filled):
     assert filled == [24, 48]
 
 
-def _tampered_sector(monkeypatch, tamper):
-    """ring_sector at N = 8 over a pattern whose coefficients tamper edits.
+def _tampered_sector(monkeypatch, tamper, N=8):
+    """ring_sector at N over an element list whose values tamper edits.
 
-    tamper(basis, rows, cols, coefficients) edits a copy of the pattern's
-    coefficient rows in place; both memos are cleared around the call.
+    tamper(basis, rows, cols, coupling, value) edits a copy of the element
+    values in place; both memos are cleared around the call.
     """
-    pattern = ring_ed._hamiltonian_pattern
+    elements = ring_ed._hamiltonian_elements
 
     def tampered(basis):
-        indptr, indices, coefficients = pattern(basis)
-        coefficients = coefficients.copy()
-        rows = np.repeat(np.arange(basis.dim), np.diff(indptr))
-        tamper(basis, rows, indices, coefficients)
-        return indptr, indices, coefficients
+        rows, cols, coupling, value = elements(basis)
+        value = value.copy()
+        tamper(basis, rows, cols, coupling, value)
+        return rows, cols, coupling, value
 
-    monkeypatch.setattr(ring_ed, "_hamiltonian_pattern", tampered)
+    monkeypatch.setattr(ring_ed, "_hamiltonian_elements", tampered)
     ring_ed._ring_geometry.cache_clear()
     ring_ed.ring_sector.cache_clear()
     try:
-        ring_ed.ring_sector(ModelParams(xi=-0.3, delta=0.4, g=1.2), 8)
+        ring_ed.ring_sector(ModelParams(xi=-0.3, delta=0.4, g=1.2), N)
     finally:
         ring_ed._ring_geometry.cache_clear()
         ring_ed.ring_sector.cache_clear()
 
 
 def test_ring_sector_rejects_a_coupling_that_breaks_translation(monkeypatch):
-    # one hopping coefficient edited at a single element, in a row that no
+    # one hopping value edited at a single element, in a row that no
     # sector block reads: only the per-coupling [H_c, T] check can see it
-    def one_element(basis, rows, cols, coefficients):
-        first = ring_ed._orbits(basis, basis.translate(np.arange(basis.dim)))[0]
-        hops = np.flatnonzero((coefficients[ring_ed.XI] != 0.0) & ~np.isin(rows, first))
-        coefficients[ring_ed.XI, hops[0]] *= 1.5
+    def one_element(basis, rows, cols, coupling, value):
+        power = ring_ed._orbits(basis, basis.translate(np.arange(basis.dim)))[-1]
+        hops = np.flatnonzero((coupling == ring_ed.XI) & (power[rows] != 0))
+        value[hops[0]] *= 1.5
 
     with pytest.raises(RuntimeError, match=re.escape("|[H_xi,T]|")):
         _tampered_sector(monkeypatch, one_element)
@@ -366,14 +375,15 @@ def test_ring_sector_rejects_a_covariant_non_hermitian_coupling(monkeypatch):
     # the photon hop of every photon-TLS pair in one direction, scaled over
     # its whole orbit: each H_c still commutes with T, and only the
     # Hermiticity check of the filled block can see it
-    def one_direction(basis, rows, cols, coefficients):
+    def one_direction(basis, rows, cols, coupling, value):
         photon_tls = [np.divmod(i - basis.mix(0, 0), basis.N) for i in (rows, cols)]
         (p_row, t_row), (p_col, t_col) = photon_tls
         mix = (rows >= basis.mix(0, 0)) & (rows < basis.tt(0, 1)) \
             & (cols >= basis.mix(0, 0)) & (cols < basis.tt(0, 1))
         forward = mix & (t_row == t_col) & ((p_row - p_col) % basis.N == 1)
         assert forward.sum() == basis.N * basis.N
-        coefficients[ring_ed.XI, forward] *= 1.5
+        assert (coupling[forward] == ring_ed.XI).all()
+        value[forward] *= 1.5
 
     with pytest.raises(RuntimeError, match="not Hermitian"):
         _tampered_sector(monkeypatch, one_direction)
@@ -443,37 +453,8 @@ def test_one_geometry_record_per_ring_size():
 
 
 def test_hamiltonian_leaks_nothing_through_the_shared_geometry():
-    # builds at other parameters, and in-place edits of a returned H (values,
-    # and scipy's own pattern rewrite in eliminate_zeros), leave the next H
-    # bit for bit the same; the cached arrays themselves cannot be written
-    n, p = 8, ModelParams(xi=-0.37, delta=0.41, g=1.3)
-
-    def arrays(h):
-        return [a.tobytes() for a in (h.data, h.indices, h.indptr)]
-
-    before = arrays(build_hamiltonian(n, p))
-    build_hamiltonian(n, ModelParams(xi=0.9, delta=-2.0, g=0.5))
-    h = build_hamiltonian(n, p)
-    h.data *= 3.0
-    h.indices[:] = 0
-    zeros = build_hamiltonian(n, ModelParams(xi=-0.2, delta=0.0))
-    zeros.eliminate_zeros()
-    assert zeros.nnz < h.nnz
-    assert arrays(build_hamiltonian(n, p)) == before
-    geometry = ring_ed._ring_geometry(n)
+    # every caller gets the same record, so none of its arrays can be written
+    geometry = ring_ed._ring_geometry(8)
     for field in dataclasses.fields(geometry)[1:]:
         with pytest.raises(ValueError):
             getattr(geometry, field.name)[0] = 0
-
-
-@pytest.mark.parametrize("n_sites", [7, 8])
-def test_hamiltonian_pattern_is_params_free(n_sites):
-    # zero detuning and zero hopping (the ed-jc-levels input) keep their
-    # zero elements explicit: the pattern is the same at every parameter set
-    hs = [build_hamiltonian(n_sites, p) for p in (
-        ModelParams(xi=-0.37, delta=0.41, g=1.3), ModelParams(xi=-0.2, delta=0.0),
-        ModelParams(xi=0.0, delta=0.6, g=1.1))]
-    for h in hs[1:]:
-        assert np.array_equal(h.indices, hs[0].indices)
-        assert np.array_equal(h.indptr, hs[0].indptr)
-    assert (hs[1].data == 0.0).any() and (hs[2].data == 0.0).any()
