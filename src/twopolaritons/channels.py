@@ -18,6 +18,7 @@ chain and around a ring as geometric series.
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
@@ -328,14 +329,24 @@ def _det_scale(mats, E, cos, sin) -> list:
     return scales
 
 
-def find_channel_roots(E: float, params: ModelParams) -> ChannelSet:
-    """The three outgoing channels at energy E, open first, as one ChannelSet.
+class _ClosedChannels(NamedTuple):
+    """A gap energy's closed channels: lam, z and the unit-norm, ungauged spinor columns
+    of _channel_roots; contact_elimination reads .z and .vectors as it reads a ChannelSet's."""
+
+    lam: np.ndarray             # (n,) complex
+    z: np.ndarray               # (n,) complex
+    vectors: np.ndarray         # (4, n)
+
+
+def _channel_roots(E: float, params: ModelParams) -> tuple:
+    """The root solve at E: (bloch_matrices record, open |lam| ascending, closed lam, spinors).
 
     Each root w = cos lam of det(M(lam) - E) is taken with the lam of its decaying
-    wave; at sin(K/2) = 0 the double root D1 = 0 has spinors (0, 0, 1, 0) and
-    (sqrt2 g, D3, 0, -sqrt2 g).  Degenerate parameters and band edges raise; each channel
-    satisfies the determinant condition to 1e-9 of the Hadamard scale of M(lam) - E
-    at its lam, which follows |cos lam| and |sin lam| as |z| -> 0."""
+    wave; a real lam, exact for a real root in [-1, 1], is an open channel.  Closed
+    channels have Re lam in (-pi/2, 3pi/2] and come ordered by (Im lam, Re lam); at
+    sin(K/2) = 0 the double root D1 = 0 has spinors (0, 0, 1, 0) and
+    (sqrt2 g, D3, 0, -sqrt2 g), elsewhere _closed_spinor gives each, as the columns of
+    one array.  Spinors are normalized, not gauged: cond(M_1) depends on the column norms."""
     if not math.isfinite(E):
         raise ParameterError(f"energy must be finite, got {E!r}")
     mats = bloch_matrices(params)
@@ -345,20 +356,22 @@ def find_channel_roots(E: float, params: ModelParams) -> ChannelSet:
     roots = [1j * cmath.acosh(y / a) for y in ys]       # Im lam >= 0
     if not all(map(cmath.isfinite, roots)):
         raise ConditioningError(f"channel momenta overflow at E = {E}: xi = {params.xi:.3g}")
-    opened = []     # a real lam, exact for a real root in [-1, 1], is an open channel
-    for lam_abs in sorted(abs(lam.real) for lam in roots if not lam.imag):
-        opened.append(_open_channel(lam_abs, E, params, {o[0] for o in opened}))
-    opened.sort(key=lambda o: (o[1], o[0]))
     closed = sorted(((lam + 2.0 * math.pi if lam.real <= -0.5 * math.pi else lam, j)
                      for j, lam in enumerate(roots) if lam.imag),
                     key=lambda c: (c[0].imag, c[0].real))
-    lam = np.array([lo for _, lo, _ in opened] + [lc for lc, _ in closed], dtype=complex)
-    vectors = [branch_vector(br, lo, params) for br, lo, _ in opened]
     pair = ((0.0, 0.0, 1.0, 0.0), (sg, d3, 0.0, -sg))
-    if closed:
-        vectors.append(phase_fix(np.array([pair[j] if k0 and j < 2 else _closed_spinor(
-            ys[j], lc, terms) for lc, j in closed], dtype=complex).T))
-    vectors = np.column_stack(vectors)
+    spinors = []
+    for lc, j in closed:
+        spinor = pair[j] if k0 and j < 2 else _closed_spinor(ys[j], lc, terms)
+        norm = math.hypot(*map(abs, spinor))
+        spinors.append([x / norm for x in spinor])
+    open_abs = sorted(abs(r.real) for r in roots if not r.imag)
+    vectors = np.array(spinors, dtype=complex).reshape(-1, 4).T
+    return mats, open_abs, [lc for lc, _ in closed], vectors
+
+
+def _check_determinant(E: float, mats, lam: np.ndarray) -> None:
+    """Refuse a channel whose |det(M(lam) - E)| exceeds 1e-9 of _det_scale at its lam."""
     cos, sin = np.cos(lam), np.sin(lam)
     vals = np.abs(np.linalg.det(mats.onsite - E * _EYE + np.multiply.outer(cos, mats.hop_cos)
                                 + np.multiply.outer(sin, mats.hop_sin)))
@@ -368,8 +381,49 @@ def find_channel_roots(E: float, params: ModelParams) -> ChannelSet:
                 f"channel root lam={lam[j]:.6g} fails the determinant "
                 f"condition: |det| = {val:.3g} vs scale {scale:.3g}"
             )
+
+
+def _closed_channels(E: float, params: ModelParams) -> _ClosedChannels:
+    """The three closed channels at a gap energy E, unit-norm and ungauged.
+
+    find_channel_roots' root solve, closed spinors and determinant certificate, with
+    no gauge and no ChannelSet; _channel_set gauges them into the record.  An energy
+    with a real root goes to find_channel_roots, which refuses it where it refuses any
+    energy; otherwise it lies inside a band and raises ParameterError."""
+    mats, opened, lam, vectors = _channel_roots(E, params)
+    if opened:
+        find_channel_roots(E, params)
+        raise ParameterError(f"E = {E} lies inside a band; bound states live in open gaps")
+    lam = np.array(lam, dtype=complex)
+    _check_determinant(E, mats, lam)
+    return _ClosedChannels(lam, np.exp(1j * lam), vectors)
+
+
+def _channel_set(lam, vectors, params: ModelParams, opened=()) -> ChannelSet:
+    """The ChannelSet of the ``opened`` (branch, lam, group velocity) channels, with their
+    branch spinors, and the closed ones of _channel_roots (lam, vectors) gauged by phase_fix."""
+    n = len(opened)
+    lam = np.array([lo for _, lo, _ in opened] + list(lam), dtype=complex)
+    branch = [branch_vector(br, lo, params) for br, lo, _ in opened]
     return ChannelSet(
-        lam=lam, z=np.exp(1j * lam), vectors=vectors, is_open=np.arange(3) < len(opened),
-        branch=tuple(br for br, _, _ in opened) + ("",) * len(closed),
-        group_velocity=np.array([v for _, _, v in opened] + [0.0] * len(closed)),
+        lam=lam, z=np.exp(1j * lam), vectors=np.column_stack(branch + [phase_fix(vectors)]),
+        is_open=np.arange(3) < n, branch=tuple(br for br, _, _ in opened) + ("",) * (3 - n),
+        group_velocity=np.array([v for _, _, v in opened] + [0.0] * (3 - n)),
     )
+
+
+def find_channel_roots(E: float, params: ModelParams) -> ChannelSet:
+    """The three outgoing channels at energy E, open first, as one ChannelSet.
+
+    The roots and closed spinors are _channel_roots'.  Degenerate parameters and band
+    edges raise; each channel satisfies the determinant condition to 1e-9 of the
+    Hadamard scale of M(lam) - E at its lam, which follows |cos lam| and |sin lam| as
+    |z| -> 0."""
+    mats, open_abs, lam, vectors = _channel_roots(E, params)
+    opened = []
+    for lam_abs in open_abs:
+        opened.append(_open_channel(lam_abs, E, params, {o[0] for o in opened}))
+    opened.sort(key=lambda o: (o[1], o[0]))
+    roots = _channel_set(lam, vectors, params, opened)
+    _check_determinant(E, mats, roots.lam)
+    return roots

@@ -19,7 +19,8 @@ import numpy as np
 from . import model
 from .bands import BRANCHES, band_structure, branch_energy, branch_vector, incident_state
 from .bound_states import find_bound_states, rayleigh_quotient
-from .channels import channel_expansion, contact_elimination, find_channel_roots
+from .channels import (TOL_EDGE_FACTOR, _closed_channels, channel_expansion,
+                       contact_elimination, find_channel_roots)
 from .model import ModelParams
 from .ring_ed import (
     TwoExcitationBasis,
@@ -251,6 +252,44 @@ def _check_bound_certificates(rng):
                 f"{worst_res:.3g}, Rayleigh drift {worst_ray:.3g}")
 
 
+def _check_gap_contact(rng):
+    """The gap search's bare closed channels give find_channel_roots' S and states.
+
+    At the inset ends and three random energies of every gap, S from the
+    unit-norm, ungauged closed channels the search solves for must equal S
+    from find_channel_roots' ChannelSet to 1e-13 of |S|: S does not depend
+    on the spinors' phases.  Each certified state's channels, gauged at E_b
+    from those closed channels, must be find_channel_roots(E_b): lam, z,
+    labels and is_open exactly, vectors to 1e-15.  Every third draw sits at
+    K = 0 and every third has |xi| < 1e-3.
+    """
+    worst_s = worst_v = 0.0
+    n_energies = n_states = 0
+    for i in range(60):
+        p = _draw_params(rng, k_zero=i % 3 == 0)
+        if i % 3 == 1:
+            p = replace(p, xi=1e-3 * p.xi)
+        for gap in band_structure(p).gaps:
+            lo, hi = gap.lo + TOL_EDGE_FACTOR * p.g, gap.hi - TOL_EDGE_FACTOR * p.g
+            for e in [lo, hi, *rng.uniform(lo, hi, 3)]:
+                s = contact_elimination(e, _closed_channels(e, p), p)[1][:2, :2]
+                ref = contact_elimination(e, find_channel_roots(e, p), p)[1][:2, :2]
+                worst_s = max(worst_s, float(np.abs(s - ref).max() / np.abs(ref).max()))
+                n_energies += 1
+            for st in find_bound_states(p, gap):
+                got, ref = st.roots, find_channel_roots(st.energy, p)
+                same = all(np.array_equal(getattr(got, f), getattr(ref, f))
+                           for f in ("lam", "z", "is_open")) and got.branch == ref.branch
+                if not same:
+                    return False, (f"state at E_b = {st.energy} has channels lam {got.lam}, "
+                                   f"find_channel_roots {ref.lam}, params={p}")
+                worst_v = max(worst_v, float(np.abs(got.vectors - ref.vectors).max()))
+                n_states += 1
+    ok = worst_s <= 1e-13 and worst_v <= 1e-15 and n_states > 0
+    return ok, (f"max |S - S_ref|/|S_ref| {worst_s:.3g} over {n_energies} gap energies, "
+                f"max spinor defect {worst_v:.3g} over {n_states} states, 60 draws")
+
+
 def _check_ed_construction(rng):
     # both orientations of every element are written independently, so H
     # must be exactly symmetric; T must be an exact permutation commuting
@@ -389,6 +428,7 @@ _CHECKS = (
     ("ed-bound-agreement", _check_ed_bound_agreement),
     ("ed-band-edges", _check_ed_band_edges),
     ("branch-edges", _check_branch_edges),
+    ("gap-contact", _check_gap_contact),
 )
 
 CHECK_NAMES = tuple(name for name, _ in _CHECKS)

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from twopolaritons import bound_states, sweeps, validation
+from twopolaritons import bound_states, channels, sweeps, validation
 from twopolaritons.bands import Gap, band_structure
 from twopolaritons.bound_states import find_bound_states, rayleigh_quotient
 from twopolaritons.channels import contact_elimination, find_channel_roots
@@ -184,6 +184,28 @@ def test_certificates(monkeypatch):
     assert not run_checks(["bound-certificates"])[0].passed
 
 
+def test_gap_contact(monkeypatch):
+    # the check must catch a closed momentum paired with another root's
+    # spinor in the search's channel solve (through S), and channels left
+    # ungauged at the accepted energy (through the state's spinors)
+    solve, gauge = channels._closed_channels, channels._channel_set
+
+    def mispaired(E, params):
+        closed = solve(E, params)
+        return closed._replace(vectors=closed.vectors[:, [2, 1, 0]])
+
+    def ungauged(lam, vectors, params):
+        return dataclasses.replace(gauge(lam, vectors, params), vectors=vectors)
+
+    for module, name, fault in ((validation, "_closed_channels", mispaired),
+                                (bound_states, "_channel_set", ungauged)):
+        with monkeypatch.context() as m:
+            m.setattr(module, name, fault)
+            (result,) = run_checks(["gap-contact"])
+        assert not result.passed
+        assert "raised" not in result.detail
+
+
 def assert_chain_sums(st):
     # stored weights and Rayleigh quotient against explicit site sums over
     # |l| <= 40/kappa; exchange double counting: l = 0 enters once, |l| > 0
@@ -222,15 +244,23 @@ def test_chain_sums_at_nonzero_momentum():
 
 
 def counted_search(monkeypatch, p, gap):
-    """find_bound_states(p, gap) and the energies of its root-finds, in order."""
+    """find_bound_states(p, gap) and the energies it solves for channels at, in order.
+
+    The search gauges the channels it solved for at each accepted energy, so
+    a call of find_channel_roots (a second root solve) fails the search.
+    """
     seen = []
-    roots = bound_states.find_channel_roots
+    closed = bound_states._closed_channels
 
     def counting(E, params):
         seen.append(float(E))
-        return roots(E, params)
+        return closed(E, params)
 
-    monkeypatch.setattr(bound_states, "find_channel_roots", counting)
+    def refused(E, params):
+        raise AssertionError(f"the gap search solved for the roots again at E = {E}")
+
+    monkeypatch.setattr(bound_states, "_closed_channels", counting)
+    monkeypatch.setattr(channels, "find_channel_roots", refused)
     states = find_bound_states(p, gap)
     monkeypatch.undo()
     return states, seen
@@ -242,7 +272,7 @@ def inset_ends(p, gap):
 
 
 def test_refinement_evaluates_each_energy_once(monkeypatch):
-    # every energy costs a root-find; the inertia count, Brent's iterations
+    # every energy costs a channel solve; the inertia count, Brent's iterations
     # and the certificate of the accepted energy must not repeat one.  Brent
     # starts from s = 0 and 1, which map to the inset gap ends exactly, so
     # its first two evaluations are the inertia count's, and it never
@@ -260,13 +290,13 @@ def test_refinement_evaluates_each_energy_once(monkeypatch):
 @pytest.mark.parametrize("K", [0.0, np.pi / 2])
 def test_root_finds_per_state(monkeypatch, K):
     # Brent in the Chebyshev gap variable, where the edge square root of
-    # S's eigenvalues is linear, takes 8 root-finds per state on these
+    # S's eigenvalues is linear, takes 8 channel solves per state on these
     # gaps (inertia ends and certificate included); Brent in E took 9.5
     p = ModelParams(xi=-0.2, delta=-2.0, K=K)
     counts = [counted_search(monkeypatch, p, gap) for gap in both_gaps(p).gaps]
     n_states = sum(len(states) for states, _ in counts)
     assert n_states == 2
-    assert sum(len(seen) for _, seen in counts) / n_states <= 8.5
+    assert 0 < sum(len(seen) for _, seen in counts) / n_states <= 8.5
 
 
 @pytest.mark.parametrize("xi, delta, index", [(-0.2, -4.0, 1), (-0.2, 5.0, 2)])
