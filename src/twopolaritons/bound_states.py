@@ -11,10 +11,9 @@ Every energy costs one solve for the bare closed channels (momenta and
 unit-norm spinors, with the channel-root certificate but no gauge and no
 ChannelSet) and one contact elimination on them; the inertia count and
 Brent read only S's two eigenvalues, in closed form for a 2x2 Hermitian
-matrix.  S does not depend on the scale of the channel spinors, so only
-the accepted energy gauges its cached channels into a ChannelSet, the
-one find_channel_roots returns there, and eliminates again on it for W,
-S and np.linalg.eigh.
+matrix.  S does not depend on the phases of the channel spinors, so only
+the accepted energy builds a ChannelSet, by find_channel_roots, and
+eliminates again on it for W, S and np.linalg.eigh.
 Brent runs in the Chebyshev gap variable s in [0, 1], E(s) = lo + (hi -
 lo)(1 - cos(pi s))/2, in which the sqrt(E - edge) onset of S's
 eigenvalues at a gap edge is linear.  A sign change where the eigenvalue
@@ -37,11 +36,11 @@ from .bands import Gap, phase_fix
 from .channels import (
     TOL_EDGE_FACTOR,
     ChannelState,
-    _channel_set,
     _closed_channels,
     certificate_window,
     contact_elimination,
     expansion_moment,
+    find_channel_roots,
 )
 from .errors import ConditioningError, ParameterError
 from .model import PARITY, ModelParams, bloch_matrices
@@ -131,7 +130,7 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
     closed-form eigenvalues of S (eigh runs only at the accepted energy, for
     the eigenvector) and kept if it passes the residual certificate; each
     energy costs one solve for its bare closed channels, and each accepted
-    energy one ChannelSet, gauged from them.  An empty list is a valid
+    energy one find_channel_roots call.  An empty list is a valid
     outcome.  A sign change where the eigenvalue stays above SIGMA_ACCEPT *
     max(|S|, g) is a pole of S (a surface state of the half chain) or an
     unresolved zero, and raises ConditioningError.  The search stays
@@ -147,16 +146,13 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
     lo, hi = gap.lo + tol_edge, gap.hi - tol_edge
 
     # each energy costs a channel solve; Brent returns an s it has evaluated,
-    # so the certificate reuses the closed channels at E(s).
+    # so the acceptance gate reuses the eigenvalues at E(s).
     # S(E) is the (p, d_+) block of the contact matrix C without incident
     # wave (its other rows vanish); W maps the contact spinor to l = 1.
     @functools.cache
-    def contact(E: float):
-        closed = _closed_channels(E, params)
-        return closed, _eigvalsh2(contact_elimination(E, closed, params)[1][:2, :2])
-
     def eigs(E: float):
-        return contact(E)[1]
+        closed = _closed_channels(E, params)
+        return _eigvalsh2(contact_elimination(E, closed, params)[1][:2, :2])
 
     n_lo = sum(e < 0.0 for e in eigs(lo))
     n_hi = sum(e < 0.0 for e in eigs(hi))
@@ -176,13 +172,13 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
     states = []
     for k in range(n_lo, n_hi):
         E_b = energy(brentq(lambda s: eigs(energy(s))[k], 0.0, 1.0, xtol=xtol_s))
-        closed, at = contact(E_b)
+        at = eigs(E_b)
         gate = SIGMA_ACCEPT * max(abs(at[0]), abs(at[1]), g)
         if not abs(at[k]) < gate:
             raise ConditioningError(f"eigenvalue {k} of S(E) changes sign at E = {E_b} "
                                     f"but |eig| = {abs(at[k]):.3g} is not below "
                                     f"{gate:.3g}: a pole of S or an unresolved zero")
-        roots = _channel_set(closed.lam, closed.vectors, params)
+        roots = find_channel_roots(E_b, params)
         w, c, _ = contact_elimination(E_b, roots, params)
         state = _certify(E_b, roots, w, c[:2, :2], params, gap)
         if state.residual_max < RESIDUAL_TOL * g:

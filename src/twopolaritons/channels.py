@@ -330,8 +330,8 @@ def _det_scale(mats, E, cos, sin) -> list:
 
 
 class _ClosedChannels(NamedTuple):
-    """A gap energy's closed channels: lam, z and the unit-norm, ungauged spinor columns
-    of _channel_roots; contact_elimination reads .z and .vectors as it reads a ChannelSet's."""
+    """A gap energy's closed channels: lam, z and the unit-norm, ungauged spinor columns;
+    contact_elimination reads .z and .vectors as it reads a ChannelSet's."""
 
     lam: np.ndarray             # (n,) complex
     z: np.ndarray               # (n,) complex
@@ -345,8 +345,7 @@ def _channel_roots(E: float, params: ModelParams) -> tuple:
     wave; a real lam, exact for a real root in [-1, 1], is an open channel.  Closed
     channels have Re lam in (-pi/2, 3pi/2] and come ordered by (Im lam, Re lam); at
     sin(K/2) = 0 the double root D1 = 0 has spinors (0, 0, 1, 0) and
-    (sqrt2 g, D3, 0, -sqrt2 g), elsewhere _closed_spinor gives each, as the columns of
-    one array.  Spinors are normalized, not gauged: cond(M_1) depends on the column norms."""
+    (sqrt2 g, D3, 0, -sqrt2 g), elsewhere _closed_spinor gives each, unnormalized."""
     if not math.isfinite(E):
         raise ParameterError(f"energy must be finite, got {E!r}")
     mats = bloch_matrices(params)
@@ -360,14 +359,9 @@ def _channel_roots(E: float, params: ModelParams) -> tuple:
                      for j, lam in enumerate(roots) if lam.imag),
                     key=lambda c: (c[0].imag, c[0].real))
     pair = ((0.0, 0.0, 1.0, 0.0), (sg, d3, 0.0, -sg))
-    spinors = []
-    for lc, j in closed:
-        spinor = pair[j] if k0 and j < 2 else _closed_spinor(ys[j], lc, terms)
-        norm = math.hypot(*map(abs, spinor))
-        spinors.append([x / norm for x in spinor])
+    spinors = [pair[j] if k0 and j < 2 else _closed_spinor(ys[j], lc, terms) for lc, j in closed]
     open_abs = sorted(abs(r.real) for r in roots if not r.imag)
-    vectors = np.array(spinors, dtype=complex).reshape(-1, 4).T
-    return mats, open_abs, [lc for lc, _ in closed], vectors
+    return mats, open_abs, [lc for lc, _ in closed], spinors
 
 
 def _check_determinant(E: float, mats, lam: np.ndarray) -> None:
@@ -387,43 +381,44 @@ def _closed_channels(E: float, params: ModelParams) -> _ClosedChannels:
     """The three closed channels at a gap energy E, unit-norm and ungauged.
 
     find_channel_roots' root solve, closed spinors and determinant certificate, with
-    no gauge and no ChannelSet; _channel_set gauges them into the record.  An energy
-    with a real root goes to find_channel_roots, which refuses it where it refuses any
-    energy; otherwise it lies inside a band and raises ParameterError."""
-    mats, opened, lam, vectors = _channel_roots(E, params)
+    no gauge and no ChannelSet.  The spinors are normalized, since cond(M_1) depends
+    on the column norms.  An energy with a real root goes to find_channel_roots, which
+    refuses it where it refuses any energy; otherwise it lies inside a band and raises
+    ParameterError."""
+    mats, opened, lam, spinors = _channel_roots(E, params)
     if opened:
         find_channel_roots(E, params)
         raise ParameterError(f"E = {E} lies inside a band; bound states live in open gaps")
+    unit = []
+    for spinor in spinors:
+        norm = math.hypot(*map(abs, spinor))
+        unit.append([x / norm for x in spinor])
     lam = np.array(lam, dtype=complex)
     _check_determinant(E, mats, lam)
-    return _ClosedChannels(lam, np.exp(1j * lam), vectors)
-
-
-def _channel_set(lam, vectors, params: ModelParams, opened=()) -> ChannelSet:
-    """The ChannelSet of the ``opened`` (branch, lam, group velocity) channels, with their
-    branch spinors, and the closed ones of _channel_roots (lam, vectors) gauged by phase_fix."""
-    n = len(opened)
-    lam = np.array([lo for _, lo, _ in opened] + list(lam), dtype=complex)
-    branch = [branch_vector(br, lo, params) for br, lo, _ in opened]
-    return ChannelSet(
-        lam=lam, z=np.exp(1j * lam), vectors=np.column_stack(branch + [phase_fix(vectors)]),
-        is_open=np.arange(3) < n, branch=tuple(br for br, _, _ in opened) + ("",) * (3 - n),
-        group_velocity=np.array([v for _, _, v in opened] + [0.0] * (3 - n)),
-    )
+    return _ClosedChannels(lam, np.exp(1j * lam), np.array(unit, dtype=complex).T)
 
 
 def find_channel_roots(E: float, params: ModelParams) -> ChannelSet:
     """The three outgoing channels at energy E, open first, as one ChannelSet.
 
-    The roots and closed spinors are _channel_roots'.  Degenerate parameters and band
+    The roots and closed spinors are _channel_roots'; open channels carry their branch
+    spinors and closed ones are gauged by phase_fix.  Degenerate parameters and band
     edges raise; each channel satisfies the determinant condition to 1e-9 of the
     Hadamard scale of M(lam) - E at its lam, which follows |cos lam| and |sin lam| as
     |z| -> 0."""
-    mats, open_abs, lam, vectors = _channel_roots(E, params)
+    mats, open_abs, closed, spinors = _channel_roots(E, params)
     opened = []
     for lam_abs in open_abs:
         opened.append(_open_channel(lam_abs, E, params, {o[0] for o in opened}))
     opened.sort(key=lambda o: (o[1], o[0]))
-    roots = _channel_set(lam, vectors, params, opened)
-    _check_determinant(E, mats, roots.lam)
-    return roots
+    lam = np.array([lo for _, lo, _ in opened] + closed, dtype=complex)
+    vectors = [branch_vector(br, lo, params) for br, lo, _ in opened]
+    if closed:
+        vectors.append(phase_fix(np.array(spinors, dtype=complex).T))
+    _check_determinant(E, mats, lam)
+    return ChannelSet(
+        lam=lam, z=np.exp(1j * lam), vectors=np.column_stack(vectors),
+        is_open=np.arange(3) < len(opened),
+        branch=tuple(br for br, _, _ in opened) + ("",) * len(closed),
+        group_velocity=np.array([v for _, _, v in opened] + [0.0] * len(closed)),
+    )

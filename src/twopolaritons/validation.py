@@ -258,9 +258,9 @@ def _check_gap_contact(rng):
     At the inset ends and three random energies of every gap, S from the
     unit-norm, ungauged closed channels the search solves for must equal S
     from find_channel_roots' ChannelSet to 1e-13 of |S|: S does not depend
-    on the spinors' phases.  Each certified state's channels, gauged at E_b
-    from those closed channels, must be find_channel_roots(E_b): lam, z,
-    labels and is_open exactly, vectors to 1e-15.  Every third draw sits at
+    on the spinors' phases.  Each certified state's channels must be
+    find_channel_roots(E_b)'s: lam, z, labels and is_open exactly, vectors
+    to 1e-15.  Every third draw sits at
     K = 0 and every third has |xi| < 1e-3.
     """
     worst_s = worst_v = 0.0

@@ -186,19 +186,21 @@ def test_certificates(monkeypatch):
 
 def test_gap_contact(monkeypatch):
     # the check must catch a closed momentum paired with another root's
-    # spinor in the search's channel solve (through S), and channels left
-    # ungauged at the accepted energy (through the state's spinors)
-    solve, gauge = channels._closed_channels, channels._channel_set
+    # spinor in the search's channel solve (through S), and an accepted
+    # energy's record built from the search's ungauged channels (through the
+    # state's spinors)
+    solve = channels._closed_channels
 
     def mispaired(E, params):
         closed = solve(E, params)
         return closed._replace(vectors=closed.vectors[:, [2, 1, 0]])
 
-    def ungauged(lam, vectors, params):
-        return dataclasses.replace(gauge(lam, vectors, params), vectors=vectors)
+    def ungauged(E, params):
+        return dataclasses.replace(find_channel_roots(E, params),
+                                   vectors=solve(E, params).vectors)
 
     for module, name, fault in ((validation, "_closed_channels", mispaired),
-                                (bound_states, "_channel_set", ungauged)):
+                                (bound_states, "find_channel_roots", ungauged)):
         with monkeypatch.context() as m:
             m.setattr(module, name, fault)
             (result,) = run_checks(["gap-contact"])
@@ -244,26 +246,24 @@ def test_chain_sums_at_nonzero_momentum():
 
 
 def counted_search(monkeypatch, p, gap):
-    """find_bound_states(p, gap) and the energies it solves for channels at, in order.
-
-    The search gauges the channels it solved for at each accepted energy, so
-    a call of find_channel_roots (a second root solve) fails the search.
-    """
-    seen = []
-    closed = bound_states._closed_channels
+    """find_bound_states(p, gap), the energies it solves for closed channels at
+    and those it calls find_channel_roots at, each in order."""
+    seen, rooted = [], []
+    closed, roots = bound_states._closed_channels, bound_states.find_channel_roots
 
     def counting(E, params):
         seen.append(float(E))
         return closed(E, params)
 
-    def refused(E, params):
-        raise AssertionError(f"the gap search solved for the roots again at E = {E}")
+    def counting_roots(E, params):
+        rooted.append(float(E))
+        return roots(E, params)
 
     monkeypatch.setattr(bound_states, "_closed_channels", counting)
-    monkeypatch.setattr(channels, "find_channel_roots", refused)
+    monkeypatch.setattr(bound_states, "find_channel_roots", counting_roots)
     states = find_bound_states(p, gap)
     monkeypatch.undo()
-    return states, seen
+    return states, seen, rooted
 
 
 def inset_ends(p, gap):
@@ -276,15 +276,18 @@ def test_refinement_evaluates_each_energy_once(monkeypatch):
     # and the certificate of the accepted energy must not repeat one.  Brent
     # starts from s = 0 and 1, which map to the inset gap ends exactly, so
     # its first two evaluations are the inertia count's, and it never
-    # leaves the gap
+    # leaves the gap.  Only the accepted energy, one Brent has evaluated,
+    # builds a ChannelSet
     p = ModelParams(xi=-0.2, delta=-2.0)
     for gap in both_gaps(p).gaps:
-        states, seen = counted_search(monkeypatch, p, gap)
+        states, seen, rooted = counted_search(monkeypatch, p, gap)
         assert len(states) == 1
         lo, hi = inset_ends(p, gap)
         assert seen[:2] == [lo, hi]
         assert all(lo <= E <= hi for E in seen)
         assert len(seen) == len(set(seen))
+        assert rooted == [states[0].energy]
+        assert rooted[0] in seen
 
 
 @pytest.mark.parametrize("K", [0.0, np.pi / 2])
@@ -294,9 +297,10 @@ def test_root_finds_per_state(monkeypatch, K):
     # gaps (inertia ends and certificate included); Brent in E took 9.5
     p = ModelParams(xi=-0.2, delta=-2.0, K=K)
     counts = [counted_search(monkeypatch, p, gap) for gap in both_gaps(p).gaps]
-    n_states = sum(len(states) for states, _ in counts)
+    n_states = sum(len(states) for states, _, _ in counts)
     assert n_states == 2
-    assert 0 < sum(len(seen) for _, seen in counts) / n_states <= 8.5
+    assert 0 < sum(len(seen) for _, seen, _ in counts) / n_states <= 8.5
+    assert sum(len(rooted) for _, _, rooted in counts) == n_states
 
 
 @pytest.mark.parametrize("xi, delta, index", [(-0.2, -4.0, 1), (-0.2, 5.0, 2)])
