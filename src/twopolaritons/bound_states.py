@@ -7,6 +7,8 @@ S(E) whose eigenvalues fall strictly across a gap.  A bound state is a zero
 of one eigenvalue, so the change in the number of negative eigenvalues (the
 inertia) between the inset gap ends counts the states, and Brent's method
 finds each; its contact spinor is the eigenvector of that eigenvalue.
+Brent's iteration is _brent, scipy.optimize.brentq's step for step, so
+the package does not import scipy.optimize.
 Every energy costs one solve for the bare closed channels (momenta and
 unit-norm spinors, with the channel-root certificate but no gauge and no
 ChannelSet) and one contact elimination on them; the inertia count and
@@ -17,8 +19,8 @@ eliminates again on it for W, S and np.linalg.eigh.
 Brent runs in the Chebyshev gap variable s in [0, 1], E(s) = lo + (hi -
 lo)(1 - cos(pi s))/2, in which the sqrt(E - edge) onset of S's
 eigenvalues at a gap edge is linear.  A sign change where the eigenvalue
-does not collapse is refused as a pole of S, and a state is accepted only
-when its wavefunction passes the site-equation residual test.  Norms,
+does not collapse is refused as a pole of S, and so is a state whose
+wavefunction fails the site-equation residual test.  Norms,
 composition weights and the Rayleigh quotient are closed-form geometric
 sums, exact for any decay rate.
 """
@@ -30,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bands import Gap, phase_fix
 from .channels import (
@@ -54,6 +55,9 @@ __all__ = [
 SIGMA_ACCEPT = 1e-8
 RESIDUAL_TOL = 1e-8
 L_RESIDUAL = 60
+#: Brent's relative tolerance and step budget, scipy.optimize.brentq's defaults.
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,65 @@ def _eigvalsh2(s) -> tuple:
     mean, half = 0.5 * (a.real + d.real), 0.5 * (a.real - d.real)
     r = math.hypot(half, abs(b))
     return mean - r, mean + r
+
+
+def _brent(f, a: float, b: float, xtol: float) -> float:
+    """A zero of f between a and b, where f changes sign, by Brent's zeroin.
+
+    scipy.optimize.brentq's iteration step for step (R. P. Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 4), with its default
+    relative tolerance and step budget: xcur is the best point, xblk
+    brackets the zero with it and xpre is the previous point.  A step is
+    the secant (interpolation, xpre == xblk) or inverse quadratic
+    (extrapolation) one if it is short enough, else bisection, and never
+    shorter than the tolerance delta.  An end where f vanishes is returned
+    at once.  A non-finite value of f, no sign change between the ends, or
+    no convergence in 100 steps raises ConditioningError.
+    """
+    def value(x):
+        fx = f(x)
+        if not math.isfinite(fx):
+            raise ConditioningError(f"Brent's function is {fx} at {x}")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ConditioningError(f"no sign change between f({a}) = {fpre} and f({b}) = {fcur}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise ConditioningError(f"Brent's method did not converge in {_BRENT_MAXITER} steps "
+                            f"(last point {xcur}, f = {fcur})")
 
 
 def _certify(E_b: float, roots, w, s, params: ModelParams, gap: Gap) -> BoundState:
@@ -126,15 +189,16 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
     """All certified bound states inside one open gap, sorted by energy.
 
     Each eigenvalue of S(E) that changes sign between the inset gap ends
-    holds one state, located by Brent's method in the gap variable s on the
-    closed-form eigenvalues of S (eigh runs only at the accepted energy, for
-    the eigenvector) and kept if it passes the residual certificate; each
-    energy costs one solve for its bare closed channels, and each accepted
-    energy one find_channel_roots call.  An empty list is a valid
-    outcome.  A sign change where the eigenvalue stays above SIGMA_ACCEPT *
-    max(|S|, g) is a pole of S (a surface state of the half chain) or an
-    unresolved zero, and raises ConditioningError.  The search stays
-    TOL_EDGE_FACTOR * g inside the gap edges.
+    holds one state, located by Brent's method (_brent) in the gap variable
+    s on the closed-form eigenvalues of S (eigh runs only at the accepted
+    energy, for the eigenvector); each energy costs one solve for its bare
+    closed channels, and each accepted energy one find_channel_roots call.
+    An empty list is a valid outcome.  A sign change where the eigenvalue
+    stays above SIGMA_ACCEPT * max(|S|, g) is a pole of S (a surface state
+    of the half chain) or an unresolved zero, and a state whose site
+    residual is not below RESIDUAL_TOL * g would leave the inventory short;
+    both raise ConditioningError.  The search stays TOL_EDGE_FACTOR * g
+    inside the gap edges.
     """
     g = params.g
     tol_edge = TOL_EDGE_FACTOR * g
@@ -171,7 +235,7 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
     xtol_s = 1e-13 / (0.5 * math.pi * span)
     states = []
     for k in range(n_lo, n_hi):
-        E_b = energy(brentq(lambda s: eigs(energy(s))[k], 0.0, 1.0, xtol=xtol_s))
+        E_b = energy(_brent(lambda s: eigs(energy(s))[k], 0.0, 1.0, xtol_s))
         at = eigs(E_b)
         gate = SIGMA_ACCEPT * max(abs(at[0]), abs(at[1]), g)
         if not abs(at[k]) < gate:
@@ -181,8 +245,11 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
         roots = find_channel_roots(E_b, params)
         w, c, _ = contact_elimination(E_b, roots, params)
         state = _certify(E_b, roots, w, c[:2, :2], params, gap)
-        if state.residual_max < RESIDUAL_TOL * g:
-            states.append(state)
+        bound = RESIDUAL_TOL * g
+        if not state.residual_max < bound:
+            raise ConditioningError(f"state at E_b = {E_b} has site residual "
+                                    f"{state.residual_max:.3g}, not below {bound:.3g}")
+        states.append(state)
     states.sort(key=lambda s: s.energy)
     return states
 

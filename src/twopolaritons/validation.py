@@ -234,8 +234,21 @@ def _check_scattering_free_chain(rng):
                 f"l = 1 residual of s = W x {worst_w:.3g} over 10 draws")
 
 
+def _contact_eigenvalues(e, p):
+    return np.linalg.eigvalsh(contact_elimination(e, find_channel_roots(e, p), p)[1][:2, :2])
+
+
 def _check_bound_certificates(rng):
-    worst_sig, worst_res, worst_ray = 0.0, 0.0, 0.0
+    """sigma_min, residual and Rayleigh quotient of six reference states, and their spectral flow.
+
+    S(E) is H - E on the contact slots with the sites l != 0 eliminated, so
+    at a zero its vanishing eigenvalue falls at the rate <psi|psi>/|b_0|^2,
+    the norm of the whole state over that of its contact spinor (first-order
+    perturbation theory on the eliminated problem).  For the normalized
+    state the central difference in E must be -1/|b_0|^2 to 1e-6, and
+    |b_0| <= 1; the difference step stays inside the gap.
+    """
+    worst_sig, worst_res, worst_ray, worst_flow, max_b0 = 0.0, 0.0, 0.0, 0.0, 0.0
     n_states = 0
     for xi, delta, k in ((-0.2, 0.0, 0.0), (-0.2, -2.0, 0.0), (-0.3, -1.0, 0.7)):
         p = ModelParams(xi=xi, delta=delta, K=k)
@@ -246,10 +259,19 @@ def _check_bound_certificates(rng):
                 worst_res = max(worst_res, st.residual_max)
                 worst_ray = max(worst_ray,
                                 abs(rayleigh_quotient(st) - st.energy))
+                e = st.energy
+                h = min(1e-6 * p.g, 0.5 * (e - gap.lo), 0.5 * (gap.hi - e))
+                j = int(np.argmin(np.abs(_contact_eigenvalues(e, p))))
+                slope = (_contact_eigenvalues(e + h, p)[j]
+                         - _contact_eigenvalues(e - h, p)[j]) / (2.0 * h)
+                b0_sq = float(np.sum(np.abs(st.contact_spinor) ** 2))
+                worst_flow = max(worst_flow, abs(slope * b0_sq + 1.0))
+                max_b0 = max(max_b0, np.sqrt(b0_sq))
     ok = n_states == 6 and worst_sig < 1e-8 and worst_res < 1e-8 \
-        and worst_ray < 1e-8
+        and worst_ray < 1e-8 and worst_flow <= 1e-6 and max_b0 <= 1.0
     return ok, (f"{n_states} states; max sigma {worst_sig:.3g}, residual "
-                f"{worst_res:.3g}, Rayleigh drift {worst_ray:.3g}")
+                f"{worst_res:.3g}, Rayleigh drift {worst_ray:.3g}, spectral flow "
+                f"|slope |b_0|^2 + 1| {worst_flow:.3g}, max |b_0| {max_b0:.3g}")
 
 
 def _check_gap_contact(rng):

@@ -6,9 +6,11 @@ requires the check to fail.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from twopolaritons import bound_states, channels, sweeps, validation
 from twopolaritons.bands import Gap, band_structure
@@ -45,6 +47,82 @@ DEEP = {
     1: (-0.5938823024605117, (0.979092, 0.020798, 0.000110)),
     2: (-10.447619143862972, (0.020457, 0.967867, 0.011676)),
 }
+
+
+# Functions and brackets for the Brent port; between them they take every
+# branch of the iteration.  The first cubic takes accepted secant
+# (interpolation) and inverse-quadratic (extrapolation) steps and a
+# tolerance-sized final step; the exponential, bracketed high end first,
+# rejects an interpolated step for bisection; the second cubic has steps
+# whose acceptance turns on the factor 2 and on the step before last, and
+# the quadratic one that turns on the - delta of the bound 3 |sbis| - delta;
+# the step function never lowers |f|, so every step bisects; the line's
+# first bisection lands on its zero; the last two vanish at an end.
+BRENT_CASES = {
+    "accepted-steps": (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    "rejected-step": (lambda x: math.exp(x) - 2.0, 4.0, -4.0),
+    "step-bound": (lambda x: x ** 3 - 0.5, -1.0, 2.0),
+    "bound-margin": (lambda x: (0.2 * x + 0.4) * x - 0.4, -1.0, 2.0),
+    "bisection": (lambda x: 1.0 if x > 0.3 else -1.0, -1.0, 2.0),
+    "zero-hit": (lambda x: x - 0.5, 0.0, 1.0),
+    "zero-at-a": (lambda x: x, 0.0, 1.0),
+    "zero-at-b": (lambda x: x - 1.0, 0.0, 1.0),
+}
+
+
+def evaluated(solver, f, a, b, xtol):
+    """What solver(f, a, b, xtol) returns or raises, and the points it evaluates."""
+    points = []
+
+    def logged(x):
+        points.append(x)
+        return f(x)
+
+    try:
+        return solver(logged, a, b, xtol), points
+    except Exception as exc:
+        return exc, points
+
+
+def scipy_brentq(f, a, b, xtol):
+    return brentq(f, a, b, xtol=xtol)
+
+
+@pytest.mark.parametrize("case", BRENT_CASES)
+def test_brent_matches_scipy_step_for_step(case):
+    # the same root and the same evaluated points, bit for bit, as the
+    # reference implementation, at a loose and the search's tight tolerance
+    f, a, b = BRENT_CASES[case]
+    for xtol in (1e-6, 1e-13):
+        root, points = evaluated(bound_states._brent, f, a, b, xtol)
+        ref, ref_points = evaluated(scipy_brentq, f, a, b, xtol)
+        assert isinstance(ref, float)
+        assert root == ref
+        assert points == ref_points
+        assert len(points) > 2 or f(root) == 0.0
+
+
+def test_brent_refuses_what_scipy_fails_on():
+    # 100 bisections cannot shrink [-1, 2] to 1e-300 about the step at 0:
+    # scipy raises RuntimeError after the same 102 evaluations; a NaN or an
+    # infinity, at an end or inside, is refused at once, and so are ends of
+    # one sign (ValueError in scipy)
+    def step(x):
+        return 1.0 if x > 0.0 else -1.0
+
+    exc, points = evaluated(bound_states._brent, step, -1.0, 2.0, 1e-300)
+    ref, ref_points = evaluated(scipy_brentq, step, -1.0, 2.0, 1e-300)
+    assert isinstance(exc, ConditioningError) and "100 steps" in str(exc)
+    assert isinstance(ref, RuntimeError)
+    assert points == ref_points and len(points) == 102
+    for bad in (math.nan, math.inf):
+        for f in (lambda x: bad if x > 1.5 else x - 1.0,
+                  lambda x: bad if 0.2 < x < 1.0 else x - 0.5):
+            exc, points = evaluated(bound_states._brent, f, 0.0, 2.0, 1e-13)
+            assert isinstance(exc, ConditioningError)
+            assert f(points[-1]) is bad and all(f(x) is not bad for x in points[:-1])
+    exc, points = evaluated(bound_states._brent, lambda x: x + 1.0, 0.0, 1.0, 1e-13)
+    assert isinstance(exc, ConditioningError) and points == [0.0, 1.0]
 
 
 def both_gaps(params):
@@ -182,6 +260,37 @@ def test_certificates(monkeypatch):
 
     monkeypatch.setattr(validation, "find_bound_states", shifted)
     assert not run_checks(["bound-certificates"])[0].passed
+
+
+def test_certificates_spectral_flow(monkeypatch):
+    # halving the expansion moments drops the mirror's factor 2 from the
+    # norm, so |b_0| comes out too large; the spectral-flow clause must see
+    # it without the Rayleigh quotient's help, and the check must not crash
+    moment = bound_states.expansion_moment
+    monkeypatch.setattr(bound_states, "expansion_moment",
+                        lambda *args: 0.5 * moment(*args))
+    for blind in (False, True):
+        if blind:
+            monkeypatch.setattr(validation, "rayleigh_quotient", lambda st: st.energy)
+        (result,) = run_checks(["bound-certificates"])
+        assert not result.passed
+        assert "raised" not in result.detail and "6 states" in result.detail
+
+
+def test_residual_failure_is_refused(monkeypatch):
+    # a state the inertia count found but whose wavefunction fails the
+    # site-residual certificate is refused, not dropped from the inventory
+    window = bound_states.certificate_window
+
+    def inflated(*args):
+        field, residual = window(*args)
+        return field, residual + 1e-6
+
+    p = ModelParams(xi=-0.2, delta=-2.0)
+    monkeypatch.setattr(bound_states, "certificate_window", inflated)
+    for gap in both_gaps(p).gaps:
+        with pytest.raises(ConditioningError, match="site residual .* not below 1e-08"):
+            find_bound_states(p, gap)
 
 
 def test_gap_contact(monkeypatch):

@@ -4,10 +4,15 @@ import csv
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twopolaritons
 from twopolaritons import cli, sweeps
 from twopolaritons.cli import main, parse_angle, parse_values
 from twopolaritons.model import ModelParams
@@ -304,3 +309,15 @@ def test_pi_syntax_reaches_metadata(tmp_path):
                 "--out", str(out)]) == 0
     meta, _, _ = read_csv(out)
     assert meta["K"] == "pi/2"
+
+
+def test_import_loads_no_scipy_optimize():
+    # Brent's iteration lives in the package; scipy.optimize would add about
+    # 19 MB and 0.2 s to every process, so a fresh import must not load it
+    src = str(Path(twopolaritons.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, twopolaritons, twopolaritons.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0
