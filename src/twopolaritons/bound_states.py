@@ -10,11 +10,13 @@ finds each; its contact spinor is the eigenvector of that eigenvalue.
 Brent's iteration is _brent, scipy.optimize.brentq's step for step, so
 the package does not import scipy.optimize.
 Every energy costs one solve for the bare closed channels (momenta and
-unit-norm spinors, with the channel-root certificate but no gauge and no
-ChannelSet) and one contact elimination on them; the inertia count and
-Brent read only S's two eigenvalues, in closed form for a 2x2 Hermitian
-matrix.  S does not depend on the phases of the channel spinors, so only
-the accepted energy builds a ChannelSet, by find_channel_roots, and
+unit-norm spinors, with no gauge and no ChannelSet) and one contact
+elimination on them; the inertia count and Brent read only S's two
+eigenvalues, in closed form for a 2x2 Hermitian matrix.  The channel-root
+determinant certificate runs once per search, in one batch over the roots
+of every energy it evaluated, before any state or error leaves it.  S
+does not depend on the phases of the channel spinors, so only the
+accepted energy builds a ChannelSet, by find_channel_roots, and
 eliminates again on it for W, S and np.linalg.eigh.
 Brent runs in the Chebyshev gap variable s in [0, 1], E(s) = lo + (hi -
 lo)(1 - cos(pi s))/2, in which the sqrt(E - edge) onset of S's
@@ -37,6 +39,7 @@ from .bands import Gap, phase_fix
 from .channels import (
     TOL_EDGE_FACTOR,
     ChannelState,
+    _check_determinant,
     _closed_channels,
     certificate_window,
     contact_elimination,
@@ -193,6 +196,10 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
     s on the closed-form eigenvalues of S (eigh runs only at the accepted
     energy, for the eigenvector); each energy costs one solve for its bare
     closed channels, and each accepted energy one find_channel_roots call.
+    One _check_determinant call certifies the roots of every searched energy
+    before any state is built, and on the way out of any error the search
+    raises: a failing root raises the ConditioningError its energy's own
+    check would, in place of the error.
     An empty list is a valid outcome.  A sign change where the eigenvalue
     stays above SIGMA_ACCEPT * max(|S|, g) is a pole of S (a surface state
     of the half chain) or an unresolved zero, and a state whose site
@@ -213,35 +220,49 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
     # so the acceptance gate reuses the eigenvalues at E(s).
     # S(E) is the (p, d_+) block of the contact matrix C without incident
     # wave (its other rows vanish); W maps the contact spinor to l = 1.
+    # Each solve's closed roots are kept for the one determinant check below.
+    energies, closed_lam = [], []
+
     @functools.cache
     def eigs(E: float):
         closed = _closed_channels(E, params)
+        energies.extend([E] * len(closed.lam))
+        closed_lam.extend(closed.lam.tolist())
         return _eigvalsh2(contact_elimination(E, closed, params)[1][:2, :2])
 
-    n_lo = sum(e < 0.0 for e in eigs(lo))
-    n_hi = sum(e < 0.0 for e in eigs(hi))
-    if n_hi < n_lo:
-        raise ConditioningError(f"S(E) has {n_lo} negative eigenvalues at {lo} but "
-                                f"{n_hi} at {hi}: a pole inside the gap spoils the count")
-    # E(s) anchors each half at its own end, so E(0) and E(1) are lo and hi
-    # exactly and reuse the inertia evaluations; |dE/ds| <= pi/2 (hi - lo)
-    # keeps the energy tolerance at 1e-13
-    span = hi - lo
+    accepted = []
+    try:
+        n_lo = sum(e < 0.0 for e in eigs(lo))
+        n_hi = sum(e < 0.0 for e in eigs(hi))
+        if n_hi < n_lo:
+            raise ConditioningError(f"S(E) has {n_lo} negative eigenvalues at {lo} but "
+                                    f"{n_hi} at {hi}: a pole inside the gap spoils the count")
+        # E(s) anchors each half at its own end, so E(0) and E(1) are lo and hi
+        # exactly and reuse the inertia evaluations; |dE/ds| <= pi/2 (hi - lo)
+        # keeps the energy tolerance at 1e-13
+        span = hi - lo
 
-    def energy(s: float) -> float:
-        c = math.cos(math.pi * s)
-        return lo + 0.5 * span * (1.0 - c) if s <= 0.5 else hi - 0.5 * span * (1.0 + c)
+        def energy(s: float) -> float:
+            c = math.cos(math.pi * s)
+            return lo + 0.5 * span * (1.0 - c) if s <= 0.5 else hi - 0.5 * span * (1.0 + c)
 
-    xtol_s = 1e-13 / (0.5 * math.pi * span)
+        xtol_s = 1e-13 / (0.5 * math.pi * span)
+        for k in range(n_lo, n_hi):
+            E_b = energy(_brent(lambda s: eigs(energy(s))[k], 0.0, 1.0, xtol_s))
+            at = eigs(E_b)
+            gate = SIGMA_ACCEPT * max(abs(at[0]), abs(at[1]), g)
+            if not abs(at[k]) < gate:
+                raise ConditioningError(f"eigenvalue {k} of S(E) changes sign at E = {E_b} "
+                                        f"but |eig| = {abs(at[k]):.3g} is not below "
+                                        f"{gate:.3g}: a pole of S or an unresolved zero")
+            accepted.append(E_b)
+    finally:
+        # every root the search solved for, in order: the first failing one
+        # raises, also in place of an error the search met after it
+        _check_determinant(np.array(energies)[:, None, None], bloch_matrices(params),
+                           np.array(closed_lam, dtype=complex))
     states = []
-    for k in range(n_lo, n_hi):
-        E_b = energy(_brent(lambda s: eigs(energy(s))[k], 0.0, 1.0, xtol_s))
-        at = eigs(E_b)
-        gate = SIGMA_ACCEPT * max(abs(at[0]), abs(at[1]), g)
-        if not abs(at[k]) < gate:
-            raise ConditioningError(f"eigenvalue {k} of S(E) changes sign at E = {E_b} "
-                                    f"but |eig| = {abs(at[k]):.3g} is not below "
-                                    f"{gate:.3g}: a pole of S or an unresolved zero")
+    for E_b in accepted:
         roots = find_channel_roots(E_b, params)
         w, c, _ = contact_elimination(E_b, roots, params)
         state = _certify(E_b, roots, w, c[:2, :2], params, gap)

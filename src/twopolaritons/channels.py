@@ -8,6 +8,13 @@ and t^2 = 4 xi^2 sin^2(K/2) (1 - w^2), w = cos lam: a real cubic in w whose
 three roots are the channels.  Open channels (real lam, positive group
 velocity) are outgoing waves; closed ones decay as |z|^l = e^{-Im(lam) l}.
 
+Each root must pass a determinant certificate (_check_determinant): one
+stacked np.linalg.det over any number of roots and energies.
+find_channel_roots runs it on its own three; the bound-state search solves
+bare closed channels (_closed_channels, unchecked) at many energies and
+certifies all of their roots in one batch before any state or error leaves
+the search.
+
 A ChannelState is a contact spinor plus sum_j s_j z_j^(l-1) F_j elsewhere;
 contact_elimination fixes the s_j from the contact spinor, channel_expansion
 evaluates them site by site (certificate_window over the window a solver
@@ -50,6 +57,9 @@ _EPS = np.finfo(float).eps
 
 #: LAPACK's divide-and-conquer SVD for the complex blocks _solve_regular inverts.
 (_GESDD,) = get_lapack_funcs(("gesdd",), (np.zeros((3, 3), dtype=complex),))
+
+#: |Im lam| beyond which e^|Im lam|, and with it cos lam or sin lam, overflows.
+_IM_LAM_MAX = math.log(np.finfo(float).max)
 
 #: The 4x4 identity, for A - E.
 _EYE = np.eye(4)
@@ -310,25 +320,6 @@ def _open_channel(lam_abs, E, params, taken):
     return min(kept)[2:]
 
 
-def _det_scale(mats, E, cos, sin) -> list:
-    """Hadamard-style scale of M(lam) - E at each lam, from cos lam and sin lam.
-
-    The product of row norms: those of A - E, closed-form in E from the
-    cached diagonal and off-diagonal row norms of A, plus those of hop_cos
-    and hop_sin weighted by max(1, |cos lam|) and max(1, |sin lam|) to
-    follow a closed decay.  Plain floats: three products of four rows.
-    """
-    rows = [math.hypot(d - E, o)
-            for d, o in zip(mats.onsite_diag.tolist(), mats.offdiag_norms.tolist())]
-    norms_cos, norms_sin = mats.hop_norms.tolist()
-    scales = []
-    for c, s in zip(cos.tolist(), sin.tolist()):
-        wc, ws = max(1.0, abs(c)), max(1.0, abs(s))
-        scales.append(math.prod(r + (wc * nc + ws * ns)
-                                for r, nc, ns in zip(rows, norms_cos, norms_sin)))
-    return scales
-
-
 class _ClosedChannels(NamedTuple):
     """A gap energy's closed channels: lam, z and the unit-norm, ungauged spinor columns;
     contact_elimination reads .z and .vectors as it reads a ChannelSet's."""
@@ -364,28 +355,53 @@ def _channel_roots(E: float, params: ModelParams) -> tuple:
     return mats, open_abs, [lc for lc, _ in closed], spinors
 
 
-def _check_determinant(E: float, mats, lam: np.ndarray) -> None:
-    """Refuse a channel whose |det(M(lam) - E)| exceeds 1e-9 of _det_scale at its lam."""
-    cos, sin = np.cos(lam), np.sin(lam)
-    vals = np.abs(np.linalg.det(mats.onsite - E * _EYE + np.multiply.outer(cos, mats.hop_cos)
-                                + np.multiply.outer(sin, mats.hop_sin)))
-    for j, (val, scale) in enumerate(zip(vals.tolist(), _det_scale(mats, E, cos, sin))):
-        if val > 1e-9 * scale:
+def _det_certificate(E, mats, lam: np.ndarray) -> tuple:
+    """|det(M(lam) - E)| and its Hadamard-style scale at each root lam, as two lists.
+
+    E is one energy, or one per root as an array of shape lam.shape + (1, 1);
+    one np.linalg.det runs on the stacked M(lam) - E.  The scale is the
+    product of row norms: those of A - E, plus those of hop_cos and hop_sin
+    weighted by max(1, |cos lam|) and max(1, |sin lam|) to follow a closed
+    decay.  cos lam and sin lam must be finite (_check_determinant screens).
+    """
+    trig = np.array((np.cos(lam), np.sin(lam)))
+    a_e = mats.onsite - E * _EYE
+    stack = (trig.T @ mats.hop_stack).reshape(lam.shape + (4, 4))
+    stack += a_e
+    weights = np.abs(trig.T)
+    rows = np.maximum(weights, 1.0, out=weights) @ mats.hop_norms
+    rows += np.hypot(a_e.diagonal(0, -2, -1), mats.offdiag_norms)
+    return np.abs(np.linalg.det(stack)).tolist(), rows.prod(axis=-1).tolist()
+
+
+def _check_determinant(E, mats, lam: np.ndarray) -> None:
+    """Refuse a root lam whose |det(M(lam) - E)| exceeds 1e-9 of its scale (_det_certificate).
+
+    The first failing root in lam's order raises ConditioningError.  A root
+    whose cos and sin are not finite (NaN, infinite or |Im lam| > _IM_LAM_MAX)
+    fails before numpy sees it, so it raises no floating-point warning; a NaN
+    or infinite |det| or scale fails too.
+    """
+    finite = [abs(x.real) < math.inf and abs(x.imag) <= _IM_LAM_MAX for x in lam.tolist()]
+    safe = lam if all(finite) else np.where(finite, lam, 0.0)
+    for j, (ok, val, scale) in enumerate(zip(finite, *_det_certificate(E, mats, safe))):
+        if not (ok and val <= 1e-9 * scale < math.inf):
             raise ConditioningError(
-                f"channel root lam={lam[j]:.6g} fails the determinant "
-                f"condition: |det| = {val:.3g} vs scale {scale:.3g}"
+                f"channel root lam={lam[j]:.6g} fails the determinant condition: "
+                + (f"|det| = {val:.3g} vs scale {scale:.3g}" if ok
+                   else "its cos and sin are not finite")
             )
 
 
 def _closed_channels(E: float, params: ModelParams) -> _ClosedChannels:
     """The three closed channels at a gap energy E, unit-norm and ungauged.
 
-    find_channel_roots' root solve, closed spinors and determinant certificate, with
-    no gauge and no ChannelSet.  The spinors are normalized, since cond(M_1) depends
-    on the column norms.  An energy with a real root goes to find_channel_roots, which
-    refuses it where it refuses any energy; otherwise it lies inside a band and raises
-    ParameterError."""
-    mats, opened, lam, spinors = _channel_roots(E, params)
+    find_channel_roots' root solve and closed spinors, with no gauge, no ChannelSet and
+    no determinant certificate: the caller runs _check_determinant on the returned lam.
+    The spinors are normalized, since cond(M_1) depends on the column norms.  An energy
+    with a real root goes to find_channel_roots, which refuses it where it refuses any
+    energy; otherwise it lies inside a band and raises ParameterError."""
+    _, opened, lam, spinors = _channel_roots(E, params)
     if opened:
         find_channel_roots(E, params)
         raise ParameterError(f"E = {E} lies inside a band; bound states live in open gaps")
@@ -394,7 +410,6 @@ def _closed_channels(E: float, params: ModelParams) -> _ClosedChannels:
         norm = math.hypot(*map(abs, spinor))
         unit.append([x / norm for x in spinor])
     lam = np.array(lam, dtype=complex)
-    _check_determinant(E, mats, lam)
     return _ClosedChannels(lam, np.exp(1j * lam), np.array(unit, dtype=complex).T)
 
 

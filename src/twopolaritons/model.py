@@ -98,8 +98,10 @@ class BlochMatrices:
     three, so a record rebuilt from edited blocks (dataclasses.replace) stays
     consistent; bloch_matrices shares one record, so its arrays are read-only.
     hp, hm and contact are the site equation's hp, hm and V; mirror_hop =
-    hp PARITY + hm couples b_0 to b_1 and b_-1 = PARITY b_1; onsite_diag,
-    offdiag_norms and hop_norms are the row norms of the determinant scale.
+    hp PARITY + hm couples b_0 to b_1 and b_-1 = PARITY b_1.  The channel-root
+    determinant check reads the rest: hop_stack holds hop_cos and hop_sin
+    flattened as rows, so (cos lam, sin lam) @ hop_stack is the hopping part
+    of M(lam), and offdiag_norms and hop_norms are the row norms of its scale.
     """
 
     onsite: np.ndarray
@@ -109,7 +111,7 @@ class BlochMatrices:
     hm: np.ndarray = dataclasses.field(init=False)
     mirror_hop: np.ndarray = dataclasses.field(init=False)
     contact: np.ndarray = dataclasses.field(init=False)
-    onsite_diag: np.ndarray = dataclasses.field(init=False)
+    hop_stack: np.ndarray = dataclasses.field(init=False)
     offdiag_norms: np.ndarray = dataclasses.field(init=False)
     hop_norms: np.ndarray = dataclasses.field(init=False)
 
@@ -120,10 +122,10 @@ class BlochMatrices:
         contact = np.zeros((4, 4))
         for i, j in ((MIX_SYM, TLS_PAIR), (TLS_PAIR, MIX_SYM)):
             contact[i, j] = -self.onsite[i, j]
-        diag = self.onsite.diagonal().copy()
         derived = dict(
-            hp=hp, hm=hm, mirror_hop=hp @ PARITY + hm, contact=contact, onsite_diag=diag,
-            offdiag_norms=np.linalg.norm(self.onsite - np.diag(diag), axis=1),
+            hp=hp, hm=hm, mirror_hop=hp @ PARITY + hm, contact=contact,
+            hop_stack=np.array([self.hop_cos.ravel(), self.hop_sin.ravel()], dtype=complex),
+            offdiag_norms=np.linalg.norm(self.onsite - np.diag(self.onsite.diagonal()), axis=1),
             hop_norms=np.linalg.norm([self.hop_cos, self.hop_sin], axis=2),
         )
         for name, array in derived.items():

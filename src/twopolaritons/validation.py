@@ -19,8 +19,8 @@ import numpy as np
 from . import model
 from .bands import BRANCHES, band_structure, branch_energy, branch_vector, incident_state
 from .bound_states import find_bound_states, rayleigh_quotient
-from .channels import (TOL_EDGE_FACTOR, _closed_channels, channel_expansion,
-                       contact_elimination, find_channel_roots)
+from .channels import (TOL_EDGE_FACTOR, _check_determinant, _closed_channels,
+                       channel_expansion, contact_elimination, find_channel_roots)
 from .model import ModelParams
 from .ring_ed import (
     TwoExcitationBasis,
@@ -282,22 +282,31 @@ def _check_gap_contact(rng):
     from find_channel_roots' ChannelSet to 1e-13 of |S|: S does not depend
     on the spinors' phases.  Each certified state's channels must be
     find_channel_roots(E_b)'s: lam, z, labels and is_open exactly, vectors
-    to 1e-15.  Every third draw sits at
+    to 1e-15.  _closed_channels runs no determinant check, so the roots of
+    the energies of each gap pass _check_determinant in one batch, as the
+    search's do.  Every third draw sits at
     K = 0 and every third has |xi| < 1e-3.
     """
     worst_s = worst_v = 0.0
-    n_energies = n_states = 0
+    n_energies = n_roots = n_states = 0
     for i in range(60):
         p = _draw_params(rng, k_zero=i % 3 == 0)
         if i % 3 == 1:
             p = replace(p, xi=1e-3 * p.xi)
         for gap in band_structure(p).gaps:
             lo, hi = gap.lo + TOL_EDGE_FACTOR * p.g, gap.hi - TOL_EDGE_FACTOR * p.g
+            energies, lam = [], []
             for e in [lo, hi, *rng.uniform(lo, hi, 3)]:
-                s = contact_elimination(e, _closed_channels(e, p), p)[1][:2, :2]
+                closed = _closed_channels(e, p)
+                energies.extend([e] * len(closed.lam))
+                lam.extend(closed.lam.tolist())
+                s = contact_elimination(e, closed, p)[1][:2, :2]
                 ref = contact_elimination(e, find_channel_roots(e, p), p)[1][:2, :2]
                 worst_s = max(worst_s, float(np.abs(s - ref).max() / np.abs(ref).max()))
                 n_energies += 1
+            _check_determinant(np.array(energies)[:, None, None], model.bloch_matrices(p),
+                               np.array(lam, dtype=complex))
+            n_roots += len(lam)
             for st in find_bound_states(p, gap):
                 got, ref = st.roots, find_channel_roots(st.energy, p)
                 same = all(np.array_equal(getattr(got, f), getattr(ref, f))
@@ -308,8 +317,9 @@ def _check_gap_contact(rng):
                 worst_v = max(worst_v, float(np.abs(got.vectors - ref.vectors).max()))
                 n_states += 1
     ok = worst_s <= 1e-13 and worst_v <= 1e-15 and n_states > 0
-    return ok, (f"max |S - S_ref|/|S_ref| {worst_s:.3g} over {n_energies} gap energies, "
-                f"max spinor defect {worst_v:.3g} over {n_states} states, 60 draws")
+    return ok, (f"max |S - S_ref|/|S_ref| {worst_s:.3g} over {n_energies} gap energies "
+                f"({n_roots} roots pass the determinant check), max spinor defect "
+                f"{worst_v:.3g} over {n_states} states, 60 draws")
 
 
 def _check_ed_construction(rng):

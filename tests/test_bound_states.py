@@ -17,7 +17,7 @@ from twopolaritons.bands import Gap, band_structure
 from twopolaritons.bound_states import find_bound_states, rayleigh_quotient
 from twopolaritons.channels import contact_elimination, find_channel_roots
 from twopolaritons.errors import ConditioningError, ParameterError, TwoPolaritonError
-from twopolaritons.model import PARITY, ModelParams
+from twopolaritons.model import PARITY, ModelParams, bloch_matrices
 from twopolaritons.sweeps import bound_sweep
 from twopolaritons.validation import run_checks
 
@@ -315,6 +315,15 @@ def test_gap_contact(monkeypatch):
             (result,) = run_checks(["gap-contact"])
         assert not result.passed
         assert "raised" not in result.detail
+    # a closed lam 1e-6 off leaves S and the spinors as they were, so only
+    # the check's own determinant batch can see it
+    with monkeypatch.context() as m:
+        m.setattr(validation, "_closed_channels",
+                  lambda E, params: solve(E, params)._replace(
+                      lam=solve(E, params).lam + [0.0, 1e-6, 0.0]))
+        (result,) = run_checks(["gap-contact"])
+    assert not result.passed
+    assert "fails the determinant condition" in result.detail
 
 
 def assert_chain_sums(st):
@@ -355,10 +364,12 @@ def test_chain_sums_at_nonzero_momentum():
 
 
 def counted_search(monkeypatch, p, gap):
-    """find_bound_states(p, gap), the energies it solves for closed channels at
-    and those it calls find_channel_roots at, each in order."""
-    seen, rooted = [], []
+    """find_bound_states(p, gap), the energies it solves for closed channels at,
+    those it calls find_channel_roots at, each in order, and the energy of
+    each root of each _check_determinant call, one list per call."""
+    seen, rooted, checked = [], [], []
     closed, roots = bound_states._closed_channels, bound_states.find_channel_roots
+    check = channels._check_determinant
 
     def counting(E, params):
         seen.append(float(E))
@@ -368,11 +379,17 @@ def counted_search(monkeypatch, p, gap):
         rooted.append(float(E))
         return roots(E, params)
 
+    def counting_check(E, mats, lam):
+        checked.append(np.broadcast_to(np.reshape(E, -1), lam.shape).tolist())
+        return check(E, mats, lam)
+
     monkeypatch.setattr(bound_states, "_closed_channels", counting)
     monkeypatch.setattr(bound_states, "find_channel_roots", counting_roots)
+    monkeypatch.setattr(bound_states, "_check_determinant", counting_check)
+    monkeypatch.setattr(channels, "_check_determinant", counting_check)
     states = find_bound_states(p, gap)
     monkeypatch.undo()
-    return states, seen, rooted
+    return states, seen, rooted, checked
 
 
 def inset_ends(p, gap):
@@ -386,10 +403,11 @@ def test_refinement_evaluates_each_energy_once(monkeypatch):
     # starts from s = 0 and 1, which map to the inset gap ends exactly, so
     # its first two evaluations are the inertia count's, and it never
     # leaves the gap.  Only the accepted energy, one Brent has evaluated,
-    # builds a ChannelSet
+    # builds a ChannelSet.  The determinant check runs once over the three
+    # roots of every searched energy, in order, and once in find_channel_roots
     p = ModelParams(xi=-0.2, delta=-2.0)
     for gap in both_gaps(p).gaps:
-        states, seen, rooted = counted_search(monkeypatch, p, gap)
+        states, seen, rooted, checked = counted_search(monkeypatch, p, gap)
         assert len(states) == 1
         lo, hi = inset_ends(p, gap)
         assert seen[:2] == [lo, hi]
@@ -397,6 +415,43 @@ def test_refinement_evaluates_each_energy_once(monkeypatch):
         assert len(seen) == len(set(seen))
         assert rooted == [states[0].energy]
         assert rooted[0] in seen
+        assert checked == [np.repeat(seen, 3).tolist()] + [[E] * 3 for E in rooted]
+
+
+def test_determinant_fault_at_interior_energy(monkeypatch):
+    # the search certifies its roots in one batch, yet a closed lam 1e-6 off
+    # at one interior Brent energy raises the ConditioningError of that
+    # energy's own check, naming its root.  So does a NaN root, although it
+    # also breaks the elimination there (gesdd refuses M_1) and so the search.
+    # Off K = 0, where no root is double, the shift fails the check
+    p = ModelParams(xi=-0.2, delta=-2.0, K=np.pi / 2)
+    gap = both_gaps(p).gaps[0]
+    states, seen, _, _ = counted_search(monkeypatch, p, gap)
+    target = seen[4]
+    assert target not in inset_ends(p, gap) and target != states[0].energy
+    solve, mats = bound_states._closed_channels, bloch_matrices(p)
+
+    def shifted(closed):
+        lam = closed.lam.copy()
+        lam[1] += 1e-6
+        return closed._replace(lam=lam)
+
+    def nan_root(closed):
+        lam = closed.lam.copy()
+        lam[1] = np.nan
+        return closed._replace(lam=lam, z=np.exp(1j * lam))
+
+    with pytest.raises(ConditioningError, match="on channel block M_1"):
+        contact_elimination(target, nan_root(solve(target, p)), p)
+    for fault in (shifted, nan_root):
+        with pytest.raises(ConditioningError, match="fails the determinant condition") as own:
+            channels._check_determinant(target, mats, fault(solve(target, p)).lam)
+        with monkeypatch.context() as m:
+            m.setattr(bound_states, "_closed_channels",
+                      lambda E, params: fault(solve(E, params)) if E == target else solve(E, params))
+            with pytest.raises(ConditioningError) as searched:
+                find_bound_states(p, gap)
+        assert str(searched.value) == str(own.value)
 
 
 @pytest.mark.parametrize("K", [0.0, np.pi / 2])
@@ -406,10 +461,10 @@ def test_root_finds_per_state(monkeypatch, K):
     # gaps (inertia ends and certificate included); Brent in E took 9.5
     p = ModelParams(xi=-0.2, delta=-2.0, K=K)
     counts = [counted_search(monkeypatch, p, gap) for gap in both_gaps(p).gaps]
-    n_states = sum(len(states) for states, _, _ in counts)
+    n_states = sum(len(states) for states, _, _, _ in counts)
     assert n_states == 2
-    assert 0 < sum(len(seen) for _, seen, _ in counts) / n_states <= 8.5
-    assert sum(len(rooted) for _, _, rooted in counts) == n_states
+    assert 0 < sum(len(seen) for _, seen, _, _ in counts) / n_states <= 8.5
+    assert sum(len(rooted) for _, _, rooted, _ in counts) == n_states
 
 
 @pytest.mark.parametrize("xi, delta, index", [(-0.2, -4.0, 1), (-0.2, 5.0, 2)])

@@ -7,6 +7,7 @@ kind each guards and require the check to fail.
 
 import dataclasses
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -17,7 +18,8 @@ import scipy.optimize
 from twopolaritons import channels, validation
 from twopolaritons.bands import band_structure, branch_energy
 from twopolaritons.channels import channel_expansion, expansion_moment, find_channel_roots
-from twopolaritons.errors import DegenerateParametersError, ParameterError, TwoPolaritonError
+from twopolaritons.errors import (ConditioningError, DegenerateParametersError, ParameterError,
+                                  TwoPolaritonError)
 from twopolaritons.model import PARITY, ModelParams, bloch_matrices, bloch_matrix
 from twopolaritons.scattering import solve_scattering
 from twopolaritons.validation import run_checks
@@ -438,7 +440,56 @@ def test_determinant_scale_matches_row_norms():
         hop_norms = np.linalg.norm([mats.hop_cos, mats.hop_sin], axis=2)
         want = np.prod(np.linalg.norm(mats.onsite - e * np.eye(4), axis=1)
                        + weights.T @ hop_norms, axis=1)
-        got = np.array(channels._det_scale(mats, e, cos, sin))
+        got = np.array(channels._det_certificate(e, mats, roots.lam)[1])
         assert (np.abs(got - want) <= 1e-14 * want).all()
     assert checked > 190
     assert 5e-5 < np.abs(roots.z).min() < 2e-4
+
+
+def test_batched_determinant_check_matches_per_energy():
+    # one call over the roots of several energies, E one per root, gives each
+    # root the |det| and, to 1e-14, the scale of the call at its own energy,
+    # and passes and fails the same roots; the batched refusal names the
+    # first failing root in order with the message of that energy's own call
+    p = ModelParams(xi=-0.3, delta=-1.0, K=0.7)
+    mats = bloch_matrices(p)
+    gap = band_structure(p).gaps[0]
+    energies = [-2.5, 0.1, 4.0, *np.linspace(gap.lo, gap.hi, 7)[1:-1]]
+    per_energy = []
+    for i, e in enumerate(energies):
+        lam = np.array(find_channel_roots(e, p).lam)
+        if i % 3 == 1:
+            lam[i % 2 + 1] += 1e-6      # a planted wrong root
+        per_energy.append((e, lam, channels._det_certificate(e, mats, lam)))
+    energy = np.repeat(energies, 3)[:, None, None]
+    lam = np.concatenate([lam for _, lam, _ in per_energy])
+    vals, scales = channels._det_certificate(energy, mats, lam)
+    want_vals = [v for _, _, (vs, _) in per_energy for v in vs]
+    want_scales = np.array([s for _, _, (_, ss) in per_energy for s in ss])
+    assert vals == want_vals
+    assert (np.abs(np.array(scales) - want_scales) <= 1e-14 * want_scales).all()
+    passed = [v <= 1e-9 * s for v, s in zip(vals, scales)]
+    assert passed == [v <= 1e-9 * s for v, s in zip(want_vals, want_scales)]
+    assert passed.count(False) == 3
+    with pytest.raises(ConditioningError, match="fails the determinant condition") as batched:
+        channels._check_determinant(energy, mats, lam)
+    e, lam_e, _ = per_energy[1]
+    with pytest.raises(ConditioningError) as single:
+        channels._check_determinant(e, mats, lam_e)
+    assert str(batched.value) == str(single.value)
+    keep = [i for i, ok in enumerate(passed) if ok]
+    channels._check_determinant(energy[keep], mats, lam[keep])
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.3 + np.nan * 1j, 1e300j])
+def test_determinant_check_refuses_non_finite_roots(bad):
+    # a NaN or overflowing root gives a NaN or infinite |det| or scale, which
+    # fails the certificate instead of comparing False and passing, and
+    # raises no floating-point warning on the way
+    p = ModelParams(xi=-0.3, delta=-1.0, K=0.7)
+    mats = bloch_matrices(p)
+    lam = np.array(find_channel_roots(-2.5, p).lam)
+    channels._check_determinant(-2.5, mats, lam)
+    lam[1] = bad
+    with pytest.raises(ConditioningError, match=re.escape(f"lam={lam[1]:.6g} fails the determinant")):
+        channels._check_determinant(-2.5, mats, lam)

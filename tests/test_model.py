@@ -92,8 +92,8 @@ def test_record_derives_everything_from_its_blocks():
                                 hop_sin=mats.hop_sin.copy())
     for name in names:
         assert np.array_equal(getattr(fresh, name), getattr(mats, name)), name
-    for block, derived in (("hop_sin", {"hp", "hm", "mirror_hop", "hop_norms"}),
-                           ("onsite", {"contact", "onsite_diag", "offdiag_norms"})):
+    for block, derived in (("hop_sin", {"hp", "hm", "mirror_hop", "hop_stack", "hop_norms"}),
+                           ("onsite", {"contact", "offdiag_norms"})):
         edited = dataclasses.replace(mats, **{block: 2.0 * getattr(mats, block)})
         changed = {name for name in names
                    if not np.array_equal(getattr(edited, name), getattr(mats, name))}
