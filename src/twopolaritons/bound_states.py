@@ -5,8 +5,9 @@ l != 0 through the three decaying channels leaves the l = 0 site equation
 on the contact slots (photon pair, symmetric mix): a 2x2 Hermitian matrix
 S(E) whose eigenvalues fall strictly across a gap.  A bound state is a zero
 of one eigenvalue, so the change in the number of negative eigenvalues (the
-inertia) between the inset gap ends counts the states, and Brent's method
-finds each; its contact spinor is the eigenvector of that eigenvalue.
+inertia) between the inset gap ends counts the states (_gap_inertia, the
+count the ring audit expects too), and Brent's method finds each; its
+contact spinor is the eigenvector of that eigenvalue.
 Brent's iteration is _brent, scipy.optimize.brentq's step for step, so
 the package does not import scipy.optimize.
 Every energy costs one solve for the bare closed channels (momenta and
@@ -29,6 +30,7 @@ sums, exact for any decay rate.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -188,12 +190,62 @@ def _certify(E_b: float, roots, w, s, params: ModelParams, gap: Gap) -> BoundSta
     )
 
 
+@contextlib.contextmanager
+def _gap_inertia(params: ModelParams, gap: Gap):
+    """Count one gap's states by the inertia of S(E): yields (lo, hi, eigs, signs).
+
+    lo and hi are the inset gap ends, TOL_EDGE_FACTOR * g inside the edges;
+    a gap narrower than twice that raises ParameterError.  eigs(E) is S's two
+    eigenvalues at E in closed form, memoized; each energy costs one solve
+    for its bare closed channels and one contact elimination on them, and
+    its roots are recorded.  signs = range(n_lo, n_hi) holds the eigenvalues
+    whose sign changes between the ends, one state each (find_bound_states
+    certifies each or raises), so len(signs) is the gap's bound-state count;
+    n_hi < n_lo is a pole of S and raises ConditioningError.  On leaving the
+    block, also by an error, one _check_determinant call certifies the roots
+    of every energy eigs evaluated, in order: the first failing root raises
+    the ConditioningError its energy's own check would, in place of any
+    error the block raised.
+    """
+    tol_edge = TOL_EDGE_FACTOR * params.g
+    if gap.hi - gap.lo <= 2.0 * tol_edge:
+        raise ParameterError(
+            f"gap [{gap.lo}, {gap.hi}] is narrower than twice the edge "
+            f"inset {tol_edge}"
+        )
+    lo, hi = gap.lo + tol_edge, gap.hi - tol_edge
+
+    # S(E) is the (p, d_+) block of the contact matrix C without incident
+    # wave (its other rows vanish); each solve's closed roots are kept for
+    # the one determinant check below
+    energies, closed_lam = [], []
+
+    @functools.cache
+    def eigs(E: float):
+        closed = _closed_channels(E, params)
+        energies.extend([E] * len(closed.lam))
+        closed_lam.extend(closed.lam.tolist())
+        return _eigvalsh2(contact_elimination(E, closed, params)[1][:2, :2])
+
+    try:
+        n_lo = sum(e < 0.0 for e in eigs(lo))
+        n_hi = sum(e < 0.0 for e in eigs(hi))
+        if n_hi < n_lo:
+            raise ConditioningError(f"S(E) has {n_lo} negative eigenvalues at {lo} but "
+                                    f"{n_hi} at {hi}: a pole inside the gap spoils the count")
+        yield lo, hi, eigs, range(n_lo, n_hi)
+    finally:
+        _check_determinant(np.array(energies)[:, None, None], bloch_matrices(params),
+                           np.array(closed_lam, dtype=complex))
+
+
 def find_bound_states(params: ModelParams, gap: Gap) -> list:
     """All certified bound states inside one open gap, sorted by energy.
 
-    Each eigenvalue of S(E) that changes sign between the inset gap ends
-    holds one state, located by Brent's method (_brent) in the gap variable
-    s on the closed-form eigenvalues of S (eigh runs only at the accepted
+    The search starts from the inertia count (_gap_inertia): each
+    eigenvalue of S(E) that changes sign between the inset gap ends holds
+    one state, located by Brent's method (_brent) in the gap variable s on
+    the closed-form eigenvalues of S (eigh runs only at the accepted
     energy, for the eigenvector); each energy costs one solve for its bare
     closed channels, and each accepted energy one find_channel_roots call.
     One _check_determinant call certifies the roots of every searched energy
@@ -208,38 +260,13 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
     inside the gap edges.
     """
     g = params.g
-    tol_edge = TOL_EDGE_FACTOR * g
-    if gap.hi - gap.lo <= 2.0 * tol_edge:
-        raise ParameterError(
-            f"gap [{gap.lo}, {gap.hi}] is narrower than twice the edge "
-            f"inset {tol_edge}"
-        )
-    lo, hi = gap.lo + tol_edge, gap.hi - tol_edge
-
-    # each energy costs a channel solve; Brent returns an s it has evaluated,
-    # so the acceptance gate reuses the eigenvalues at E(s).
-    # S(E) is the (p, d_+) block of the contact matrix C without incident
-    # wave (its other rows vanish); W maps the contact spinor to l = 1.
-    # Each solve's closed roots are kept for the one determinant check below.
-    energies, closed_lam = [], []
-
-    @functools.cache
-    def eigs(E: float):
-        closed = _closed_channels(E, params)
-        energies.extend([E] * len(closed.lam))
-        closed_lam.extend(closed.lam.tolist())
-        return _eigvalsh2(contact_elimination(E, closed, params)[1][:2, :2])
-
     accepted = []
-    try:
-        n_lo = sum(e < 0.0 for e in eigs(lo))
-        n_hi = sum(e < 0.0 for e in eigs(hi))
-        if n_hi < n_lo:
-            raise ConditioningError(f"S(E) has {n_lo} negative eigenvalues at {lo} but "
-                                    f"{n_hi} at {hi}: a pole inside the gap spoils the count")
-        # E(s) anchors each half at its own end, so E(0) and E(1) are lo and hi
-        # exactly and reuse the inertia evaluations; |dE/ds| <= pi/2 (hi - lo)
-        # keeps the energy tolerance at 1e-13
+    with _gap_inertia(params, gap) as (lo, hi, eigs, signs):
+        # Brent returns an s it has evaluated, so the acceptance gate reuses
+        # the eigenvalues at E(s).  E(s) anchors each half at its own end, so
+        # E(0) and E(1) are lo and hi exactly and reuse the inertia
+        # evaluations; |dE/ds| <= pi/2 (hi - lo) keeps the energy tolerance
+        # at 1e-13
         span = hi - lo
 
         def energy(s: float) -> float:
@@ -247,7 +274,7 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
             return lo + 0.5 * span * (1.0 - c) if s <= 0.5 else hi - 0.5 * span * (1.0 + c)
 
         xtol_s = 1e-13 / (0.5 * math.pi * span)
-        for k in range(n_lo, n_hi):
+        for k in signs:
             E_b = energy(_brent(lambda s: eigs(energy(s))[k], 0.0, 1.0, xtol_s))
             at = eigs(E_b)
             gate = SIGMA_ACCEPT * max(abs(at[0]), abs(at[1]), g)
@@ -256,11 +283,6 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
                                         f"but |eig| = {abs(at[k]):.3g} is not below "
                                         f"{gate:.3g}: a pole of S or an unresolved zero")
             accepted.append(E_b)
-    finally:
-        # every root the search solved for, in order: the first failing one
-        # raises, also in place of an error the search met after it
-        _check_determinant(np.array(energies)[:, None, None], bloch_matrices(params),
-                           np.array(closed_lam, dtype=complex))
     states = []
     for E_b in accepted:
         roots = find_channel_roots(E_b, params)

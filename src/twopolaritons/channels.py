@@ -9,7 +9,9 @@ three roots are the channels.  Open channels (real lam, positive group
 velocity) are outgoing waves; closed ones decay as |z|^l = e^{-Im(lam) l}.
 
 Each root must pass a determinant certificate (_check_determinant): one
-stacked np.linalg.det over any number of roots and energies.
+stacked np.linalg.det over any number of roots and energies, and at
+sin(K/2) = 0, where det vanishes quadratically at the double root D1 = 0,
+one of the factors D1 and D0 D3 - 4 g^2 must vanish too.
 find_channel_roots runs it on its own three; the bound-state search solves
 bare closed channels (_closed_channels, unchecked) at many energies and
 certifies all of their roots in one batch before any state or error leaves
@@ -225,6 +227,12 @@ def _solve_regular(m, rhs, what: str) -> np.ndarray:
     return (np.conj(vh.T) / s) @ (np.conj(u.T) @ rhs)
 
 
+def _double_root(mats) -> bool:
+    """Whether sin(K/2) vanishes to rounding, |s| <= eps |a| (see _det_roots): there
+    det(M(lam) - E) = D1^2 (D0 D3 - f), and D1 = 0 is a double root."""
+    return abs(mats.hop_sin[1, 2]) <= _EPS * abs(mats.hop_cos[1, 1])
+
+
 def _det_roots(E: float, mats) -> tuple:
     """Roots y = a cos lam of det(M(lam) - E) = c3 (y^3 + b y^2 + c y + d): (ys, terms, poly, det).
 
@@ -265,7 +273,7 @@ def _det_roots(E: float, mats) -> tuple:
     b, d = (q0 + 4.0 * e1 * d3 + sig * r0) / c3, (e1 * e1 * q0 - s2 * r0) / c3
     c = (2.0 * e1 * q0 + 2.0 * (e1 * e1 - s2) * d3) / c3
     out = ((a, s, e0, e1, d3, f, sg), (c3, b, c, d), det)
-    if abs(s) <= _EPS * abs(a):
+    if _double_root(mats):
         return ([-e1, -e1, 0.5 * (f / d3 - e0)], *out)
     x = -b / 3.0
     fx, dfx = ((x + b) * x + c) * x + d, (3.0 * x + 2.0 * b) * x + c
@@ -355,7 +363,7 @@ def _channel_roots(E: float, params: ModelParams) -> tuple:
     return mats, open_abs, [lc for lc, _ in closed], spinors
 
 
-def _det_certificate(E, mats, lam: np.ndarray) -> tuple:
+def _det_certificate(E, mats, lam: np.ndarray, factors: bool = False) -> tuple:
     """|det(M(lam) - E)| and its Hadamard-style scale at each root lam, as two lists.
 
     E is one energy, or one per root as an array of shape lam.shape + (1, 1);
@@ -363,6 +371,14 @@ def _det_certificate(E, mats, lam: np.ndarray) -> tuple:
     product of row norms: those of A - E, plus those of hop_cos and hop_sin
     weighted by max(1, |cos lam|) and max(1, |sin lam|) to follow a closed
     decay.  cos lam and sin lam must be finite (_check_determinant screens).
+
+    With ``factors``, a third list holds the smaller of |D1| and |D0 D3 - f|
+    against its own scale at each root, for sin(K/2) = 0 (_double_root):
+    there det = D1^2 (D0 D3 - f) vanishes quadratically at the double root
+    D1 = 0, so |det| bounds that root's error only to the square root of its
+    tolerance.  D0, D1 and D3 are the diagonal of M(lam) - E, and each
+    factor's scale is the product of the row scales above over the rows it
+    is built from: row 1 for D1, rows 0 and 3 for D0 D3 - f.
     """
     trig = np.array((np.cos(lam), np.sin(lam)))
     a_e = mats.onsite - E * _EYE
@@ -371,25 +387,40 @@ def _det_certificate(E, mats, lam: np.ndarray) -> tuple:
     weights = np.abs(trig.T)
     rows = np.maximum(weights, 1.0, out=weights) @ mats.hop_norms
     rows += np.hypot(a_e.diagonal(0, -2, -1), mats.offdiag_norms)
-    return np.abs(np.linalg.det(stack)).tolist(), rows.prod(axis=-1).tolist()
+    out = np.abs(np.linalg.det(stack)).tolist(), rows.prod(axis=-1).tolist()
+    if not factors:
+        return out
+    d0, d1, _, d3 = stack.diagonal(0, -2, -1).T
+    r0, r1, _, r3 = rows.T
+    f = 2.0 * mats.onsite[0, 1] ** 2
+    return (*out, np.minimum(np.abs(d1) / r1, np.abs(d0 * d3 - f) / (r0 * r3)).tolist())
 
 
 def _check_determinant(E, mats, lam: np.ndarray) -> None:
     """Refuse a root lam whose |det(M(lam) - E)| exceeds 1e-9 of its scale (_det_certificate).
 
-    The first failing root in lam's order raises ConditioningError.  A root
-    whose cos and sin are not finite (NaN, infinite or |Im lam| > _IM_LAM_MAX)
-    fails before numpy sees it, so it raises no floating-point warning; a NaN
-    or infinite |det| or scale fails too.
+    At sin(K/2) = 0 (_double_root) a root must also bring one factor of det
+    below 1e-9 of that factor's scale (_det_certificate), or an error in
+    a member of the double root D1 = 0 would pass.  The first failing root
+    in lam's order raises ConditioningError.  A root whose cos and sin are
+    not finite (NaN, infinite or |Im lam| > _IM_LAM_MAX) fails before numpy
+    sees it, so it raises no floating-point warning; a NaN or infinite
+    |det|, scale or factor ratio fails too.
     """
     finite = [abs(x.real) < math.inf and abs(x.imag) <= _IM_LAM_MAX for x in lam.tolist()]
     safe = lam if all(finite) else np.where(finite, lam, 0.0)
-    for j, (ok, val, scale) in enumerate(zip(finite, *_det_certificate(E, mats, safe))):
-        if not (ok and val <= 1e-9 * scale < math.inf):
+    double = _double_root(mats)
+    vals, scales, *factors = _det_certificate(E, mats, safe, factors=double)
+    factors = factors[0] if double else [0.0] * len(vals)
+    for j, (ok, val, scale, factor) in enumerate(zip(finite, vals, scales, factors)):
+        if not (ok and val <= 1e-9 * scale < math.inf and factor <= 1e-9):
             raise ConditioningError(
                 f"channel root lam={lam[j]:.6g} fails the determinant condition: "
-                + (f"|det| = {val:.3g} vs scale {scale:.3g}" if ok
-                   else "its cos and sin are not finite")
+                + ("its cos and sin are not finite" if not ok
+                   else f"|det| = {val:.3g} vs scale {scale:.3g}"
+                   if not val <= 1e-9 * scale < math.inf
+                   else f"neither D1 nor D0 D3 - 4 g^2 vanishes at sin(K/2) = 0 "
+                        f"(smaller factor {factor:.3g} of its scale)")
             )
 
 

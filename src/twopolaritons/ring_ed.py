@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bands import band_structure
-from .bound_states import BoundState, find_bound_states
+from .bound_states import BoundState, _gap_inertia
 from .errors import OracleMismatchError, ParameterError
 from .channels import expansion_winding
 from .model import PARITY, SQRT2, ModelParams
@@ -498,14 +498,19 @@ def band_edge_check(params: ModelParams, N: int) -> EdgeCheckReport:
 
     Finite-size effects push edge states out of the bands by O(1/N), so
     band membership carries a 5g/N margin; an eigenvalue must clear the
-    same margin inside a gap to count as a bound-state candidate.
+    same margin inside a gap to count as a bound-state candidate.  The
+    expected count is the inertia count of S(E) between each gap's inset
+    ends (bound_states._gap_inertia, with its determinant certificate), the
+    count find_bound_states starts from and returns that many states for;
+    no state is searched for here.
     """
     tol = 5.0 * params.g / N
     bands = band_structure(params)
     sector = ring_sector(params, N)
-    expected = sum(
-        len(find_bound_states(params, gap)) for gap in bands.gaps
-    )
+    expected = 0
+    for gap in bands.gaps:
+        with _gap_inertia(params, gap) as (*_, signs):
+            expected += len(signs)
     violations, in_gap = [], []
     band_counts = [0] * len(bands.bands)
     for e in sector.eigenvalues:

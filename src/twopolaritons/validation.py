@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model
 from .bands import BRANCHES, band_structure, branch_energy, branch_vector, incident_state
-from .bound_states import find_bound_states, rayleigh_quotient
+from .bound_states import _gap_inertia, find_bound_states, rayleigh_quotient
 from .channels import (TOL_EDGE_FACTOR, _check_determinant, _closed_channels,
                        channel_expansion, contact_elimination, find_channel_roots)
 from .model import ModelParams
@@ -284,11 +284,13 @@ def _check_gap_contact(rng):
     find_channel_roots(E_b)'s: lam, z, labels and is_open exactly, vectors
     to 1e-15.  _closed_channels runs no determinant check, so the roots of
     the energies of each gap pass _check_determinant in one batch, as the
-    search's do.  Every third draw sits at
-    K = 0 and every third has |xi| < 1e-3.
+    search's do.  The inertia count of each gap (_gap_inertia, which the
+    ring audit reads as its expected count) must equal the number of states
+    find_bound_states certifies there.  Every third draw sits at K = 0 and
+    every third has |xi| < 1e-3.
     """
     worst_s = worst_v = 0.0
-    n_energies = n_roots = n_states = 0
+    n_energies = n_roots = n_states = n_gaps = 0
     for i in range(60):
         p = _draw_params(rng, k_zero=i % 3 == 0)
         if i % 3 == 1:
@@ -307,7 +309,14 @@ def _check_gap_contact(rng):
             _check_determinant(np.array(energies)[:, None, None], model.bloch_matrices(p),
                                np.array(lam, dtype=complex))
             n_roots += len(lam)
-            for st in find_bound_states(p, gap):
+            with _gap_inertia(p, gap) as (*_, signs):
+                count = len(signs)
+            states = find_bound_states(p, gap)
+            if count != len(states):
+                return False, (f"inertia count {count} but {len(states)} certified states "
+                               f"in gap {gap.index}, params={p}")
+            n_gaps += 1
+            for st in states:
                 got, ref = st.roots, find_channel_roots(st.energy, p)
                 same = all(np.array_equal(getattr(got, f), getattr(ref, f))
                            for f in ("lam", "z", "is_open")) and got.branch == ref.branch
@@ -319,7 +328,8 @@ def _check_gap_contact(rng):
     ok = worst_s <= 1e-13 and worst_v <= 1e-15 and n_states > 0
     return ok, (f"max |S - S_ref|/|S_ref| {worst_s:.3g} over {n_energies} gap energies "
                 f"({n_roots} roots pass the determinant check), max spinor defect "
-                f"{worst_v:.3g} over {n_states} states, 60 draws")
+                f"{worst_v:.3g} over {n_states} states, inertia count equals the "
+                f"certified count in {n_gaps} gaps, 60 draws")
 
 
 def _check_ed_construction(rng):

@@ -1,7 +1,10 @@
 """Shared fixtures: each validation check runs once per test session."""
 
+import contextlib
+
 import pytest
 
+from twopolaritons import bound_states
 from twopolaritons.validation import run_checks
 
 
@@ -20,3 +23,18 @@ def check_result():
         return cache[name]
 
     return get
+
+
+@pytest.fixture
+def overcount():
+    """bound_states._gap_inertia with one sign change too many in its count.
+
+    A planted fault: a test patches it in where a check or the ring audit
+    reads the inertia count, and requires the count comparison to fail.
+    """
+    @contextlib.contextmanager
+    def plus_one(params, gap):
+        with bound_states._gap_inertia(params, gap) as (lo, hi, eigs, signs):
+            yield lo, hi, eigs, range(signs.start, signs.stop + 1)
+
+    return plus_one

@@ -293,7 +293,7 @@ def test_residual_failure_is_refused(monkeypatch):
             find_bound_states(p, gap)
 
 
-def test_gap_contact(monkeypatch):
+def test_gap_contact(monkeypatch, overcount):
     # the check must catch a closed momentum paired with another root's
     # spinor in the search's channel solve (through S), and an accepted
     # energy's record built from the search's ungauged channels (through the
@@ -324,6 +324,12 @@ def test_gap_contact(monkeypatch):
         (result,) = run_checks(["gap-contact"])
     assert not result.passed
     assert "fails the determinant condition" in result.detail
+    # an inertia count one above the certified count
+    with monkeypatch.context() as m:
+        m.setattr(validation, "_gap_inertia", overcount)
+        (result,) = run_checks(["gap-contact"])
+    assert not result.passed
+    assert result.detail.startswith("inertia count 2 but 1 certified states")
 
 
 def assert_chain_sums(st):
@@ -452,6 +458,49 @@ def test_determinant_fault_at_interior_energy(monkeypatch):
             with pytest.raises(ConditioningError) as searched:
                 find_bound_states(p, gap)
         assert str(searched.value) == str(own.value)
+
+
+def test_determinant_fault_at_double_root(monkeypatch):
+    # at K = 0, det(M(lam) - E) = D1^2 (D0 D3 - 4 g^2) vanishes quadratically
+    # at the double root D1 = 0: a 1e-6 shift of either of its members leaves
+    # |det| far inside its bound, and only the factor clause refuses it, at
+    # one interior Brent energy of the batched search (with that energy's own
+    # message) and in find_channel_roots
+    p = ModelParams(xi=-0.2, delta=-2.0, K=0.0)
+    gap = both_gaps(p).gaps[0]
+    states, seen, _, _ = counted_search(monkeypatch, p, gap)
+    target = seen[4]
+    assert target not in inset_ends(p, gap) and target != states[0].energy
+    solve, roots, mats = bound_states._closed_channels, channels._channel_roots, bloch_matrices(p)
+    lam = solve(target, p).lam
+    double = [j for j in range(3) if (lam == lam[j]).sum() == 2]
+    assert len(double) == 2
+    for j in double:
+        def shifted(closed):
+            moved = closed.lam.copy()
+            moved[j] += 1e-6
+            return closed._replace(lam=moved)
+
+        def shifted_roots(E, params):
+            found = roots(E, params)
+            closed = list(found[2])
+            closed[j] += 1e-6
+            return (*found[:2], closed, found[3])
+
+        vals, scales = channels._det_certificate(target, mats, shifted(solve(target, p)).lam)
+        assert vals[j] < 1e-3 * 1e-9 * scales[j]
+        with pytest.raises(ConditioningError, match="neither D1 nor D0 D3") as own:
+            channels._check_determinant(target, mats, shifted(solve(target, p)).lam)
+        with monkeypatch.context() as m:
+            m.setattr(bound_states, "_closed_channels",
+                      lambda E, params: shifted(solve(E, params)) if E == target else solve(E, params))
+            with pytest.raises(ConditioningError) as searched:
+                find_bound_states(p, gap)
+        assert str(searched.value) == str(own.value)
+        with monkeypatch.context() as m:
+            m.setattr(channels, "_channel_roots", shifted_roots)
+            with pytest.raises(ConditioningError, match="neither D1 nor D0 D3"):
+                find_channel_roots(target, p)
 
 
 @pytest.mark.parametrize("K", [0.0, np.pi / 2])

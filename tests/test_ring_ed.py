@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from twopolaritons import ring_ed, validation
+from twopolaritons import bound_states, ring_ed, validation
 from twopolaritons.bands import band_structure
 from twopolaritons.bound_states import find_bound_states
 from twopolaritons.errors import OracleMismatchError, ParameterError
@@ -425,6 +425,58 @@ def test_audit_counts_the_certified_states():
     for pt in bound_sweep(-0.2, deltas, K=0.0, jobs=1):
         report = ring_ed.band_edge_check(pt.params, 48)
         assert report.expected_bound_count == sum(map(len, pt.states)), pt.delta
+
+
+# Audit reports computed with the expected count taken as len(find_bound_states)
+# summed over the gaps; the inertia count must reproduce every field.
+AUDIT_REPORTS = {
+    (-0.2, 0.0, 0.0, 24): ((-1.3034485514728662, 1.3034485514728673), (12, 23, 12)),
+    (-0.2, -0.5, np.pi / 2, 48): ((-1.697244271418598, 1.0484932027115763), (24, 47, 24)),
+}
+
+
+def test_audit_searches_for_no_state(monkeypatch):
+    # the expected count is the inertia count; the audit runs no search
+    def refuse(params, gap):
+        raise AssertionError("the audit searched for bound states")
+
+    monkeypatch.setattr(bound_states, "find_bound_states", refuse)
+    monkeypatch.setattr(ring_ed, "find_bound_states", refuse, raising=False)
+    for (xi, delta, K, N), (in_gap, band_counts) in AUDIT_REPORTS.items():
+        rep = ring_ed.band_edge_check(ModelParams(xi=xi, delta=delta, K=K), N)
+        assert (rep.N, rep.violations, rep.expected_bound_count) == (N, (), 2)
+        assert rep.band_counts == band_counts
+        assert np.abs(np.array(rep.in_gap) - in_gap).max() <= 1e-12
+        assert rep.ok
+
+
+def inertia_mismatches(draws=45, seed=27):
+    """Gaps compared, and those where the audit's count (ring_ed._gap_inertia)
+    differs from len(find_bound_states), over seeded random draws: a third
+    at K = 0, a third with |xi| < 1e-3."""
+    rng = np.random.default_rng(seed)
+    compared, wrong = 0, []
+    for i in range(draws):
+        p = validation._draw_params(rng, k_zero=i % 3 == 0)
+        if i % 3 == 1:
+            p = dataclasses.replace(p, xi=1e-3 * p.xi)
+        for gap in band_structure(p).gaps:
+            with ring_ed._gap_inertia(p, gap) as (*_, signs):
+                count = len(signs)
+            compared += 1
+            if count != len(find_bound_states(p, gap)):
+                wrong.append((p, gap.index, count))
+    return compared, wrong
+
+
+def test_audit_count_is_the_certified_count(monkeypatch, overcount):
+    compared, wrong = inertia_mismatches()
+    assert compared > 60 and wrong == []
+    # one sign change too many: every gap disagrees, and ed-band-edges fails
+    monkeypatch.setattr(ring_ed, "_gap_inertia", overcount)
+    compared, wrong = inertia_mismatches(draws=6)
+    assert len(wrong) == compared > 0
+    assert not run_checks(["ed-band-edges"])[0].passed
 
 
 def test_cached_sector_is_read_only():
