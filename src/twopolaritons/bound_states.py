@@ -8,8 +8,8 @@ of one eigenvalue, so the change in the number of negative eigenvalues (the
 inertia) between the inset gap ends counts the states (_gap_inertia, the
 count the ring audit expects too), and Brent's method finds each; its
 contact spinor is the eigenvector of that eigenvalue.
-Brent's iteration is _brent, scipy.optimize.brentq's step for step, so
-the package does not import scipy.optimize.
+Brent's iteration is _brent, scipy.optimize.brentq's step for step, in
+the package, which imports no scipy.
 Every energy costs one solve for the bare closed channels (momenta and
 unit-norm spinors, with no gauge and no ChannelSet) and one contact
 elimination on them; the inertia count and Brent read only S's two

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .bands import BRANCHES, branch_energy, branch_energy_derivative, branch_vector, phase_fix
 from .errors import ConditioningError, DegenerateParametersError, ParameterError
@@ -56,9 +55,6 @@ TOL_EDGE_FACTOR = 1e-6
 _VELOCITY_FLOOR = 1e-10
 
 _EPS = np.finfo(float).eps
-
-#: LAPACK's divide-and-conquer SVD for the complex blocks _solve_regular inverts.
-(_GESDD,) = get_lapack_funcs(("gesdd",), (np.zeros((3, 3), dtype=complex),))
 
 #: |Im lam| beyond which e^|Im lam|, and with it cos lam or sin lam, overflows.
 _IM_LAM_MAX = math.log(np.finfo(float).max)
@@ -214,13 +210,14 @@ def _solve_regular(m, rhs, what: str) -> np.ndarray:
     """Solve m x = rhs by one SVD, refusing cond(m) >= 1/eps (an LU flags only zero pivots).
 
     The 2-norm condition number s[0] / s[-1] and the solve
-    Vh^H diag(1/s) U^H rhs share the factorization, one direct LAPACK gesdd
-    call on the complex matrix; an SVD that fails to converge raises
-    ConditioningError.  rhs is 1-D or 2-D.
+    Vh^H diag(1/s) U^H rhs share the factorization, np.linalg.svd (LAPACK
+    gesdd); an SVD that fails to converge raises ConditioningError.  rhs is
+    1-D or 2-D.
     """
-    u, s, vh, info = _GESDD(m)
-    if info != 0:
-        raise ConditioningError(f"LAPACK gesdd failed on {what} (info = {info})")
+    try:
+        u, s, vh = np.linalg.svd(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError(f"SVD failed on {what}: {exc}") from None
     if not s[0] < s[-1] / _EPS:
         cond = s[0] / s[-1] if s[-1] > 0.0 else np.inf
         raise ConditioningError(f"{what} is singular to working precision (cond {cond:.3g})")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bands import band_structure
 from .bound_states import BoundState, _gap_inertia
@@ -236,32 +235,40 @@ def _ring_geometry(N: int) -> _RingGeometry:
     return geometry
 
 
-def build_hamiltonian(N: int, params: ModelParams) -> sp.csr_matrix:
-    """Sparse two-excitation Hamiltonian of the ring (K plays no role here).
+def build_hamiltonian(N: int, params: ModelParams) -> np.ndarray:
+    """Dense two-excitation Hamiltonian of the ring (K plays no role here).
 
-    The reference H of the oracle's own checks, assembled at call time from
-    _hamiltonian_elements (which states the element conventions); the
-    sectors ring_sector fills never build it.
+    The reference H of the oracle's own checks, at N <= 8 (dim 2 N^2 <= 128),
+    assembled at call time from _hamiltonian_elements (which states the
+    element conventions), repeated elements summed; the sectors ring_sector
+    fills never build it.
     """
     basis = TwoExcitationBasis(N)
     rows, cols, coupling, value = _hamiltonian_elements(basis)
-    data = np.array([params.xi, params.g, params.delta])[coupling] * value
-    return sp.csr_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim))
+    h = np.zeros((basis.dim, basis.dim))
+    np.add.at(h, (rows, cols), np.array([params.xi, params.g, params.delta])[coupling] * value)
+    return h
 
 
-def translation_operator(N: int) -> sp.csr_matrix:
+def translation_operator(N: int) -> np.ndarray:
+    """The site shift T of the N-site ring as the permutation ``step``: T|i> = |step[i]>.
+
+    T psi is ``out[step] = psi``, and T^-1 H T is H[np.ix_(step, step)]; no
+    matrix is built, which at N = 48 would hold 4608^2 entries.
+    """
     basis = TwoExcitationBasis(N)
-    cols = np.arange(basis.dim)
-    return sp.csr_matrix((np.ones(basis.dim), (basis.translate(cols), cols)),
-                         shape=(basis.dim, basis.dim))
+    return basis.translate(np.arange(basis.dim))
 
 
 @dataclass(frozen=True)
 class MomentumSector:
     """One diagonalized total-momentum block of the N-site ring Hamiltonian.
 
-    Its arrays are read-only: ring_sector hands the same sector to every
-    caller.
+    The projector P (sector basis -> full basis) has at most one nonzero per row,
+    so it is kept as a gather: full-basis state i takes amplitude[i] times
+    sector component index[i], and states outside the sector have
+    amplitude 0 (to_full).  Its arrays are read-only: ring_sector hands the
+    same sector to every caller.
     """
 
     N: int
@@ -269,11 +276,30 @@ class MomentumSector:
     momentum: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray        # columns, in the sector basis
-    projector: sp.csr_matrix        # sector basis -> full basis
+    index: np.ndarray               # (dim_full,) sector component of each state
+    amplitude: np.ndarray           # (dim_full,) P's entry in that column, 0 outside
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
+
+    def to_full(self, vectors) -> np.ndarray:
+        """P @ vectors: sector-basis vector(s), 1-D or as columns, in the full basis.
+
+        A complex amplitude multiplies in real arithmetic, (ac - bd) + i(ad + bc),
+        since numpy's complex product may fuse its terms (FMA) on one CPU and
+        not on another: the vector is the same, bit for bit, on every host.
+        """
+        vectors = np.asarray(vectors)
+        amplitude = self.amplitude if vectors.ndim == 1 else self.amplitude[:, None]
+        picked = vectors[self.index]
+        if not np.iscomplexobj(amplitude):
+            return amplitude * picked
+        a, b = amplitude.real, amplitude.imag
+        out = np.empty(picked.shape, dtype=complex)
+        out.real = a * picked.real - b * picked.imag
+        out.imag = a * picked.imag + b * picked.real
+        return out
 
     def nearest_in_gap(self, state: BoundState):
         """The sector eigenpair paired with an analytic bound state.
@@ -289,7 +315,7 @@ class MomentumSector:
                 f"at N = {self.N}"
             )
         pick = inside[np.argmin(np.abs(self.eigenvalues[inside] - state.energy))]
-        return float(self.eigenvalues[pick]), self.projector @ self.eigenvectors[:, pick]
+        return float(self.eigenvalues[pick]), self.to_full(self.eigenvectors[:, pick])
 
 
 def _orbits(basis: TwoExcitationBasis, step: np.ndarray):
@@ -329,7 +355,9 @@ def _fill_sector(geo: _RingGeometry, n: int, weight) -> MomentumSector:
     first[b], filled by one bincount.  Row first[a] fills block[a, b] and
     row first[b] fills block[b, a], so the exact Hermiticity check tests
     the element algebra.  When 2n = 0 (mod N), k is 0 or pi, every phase
-    is +-1, and the projector, the block and its eigenvectors are real.
+    is +-1, and the projector's amplitudes, the block and its eigenvectors
+    are real.  Full-basis state i, in orbit o and T^j first[o], gets
+    amplitude e^{-ik j} / sqrt(L_o) in the column of o, or 0 if o is not kept.
     """
     N = geo.basis.N
     length, orbit, power = geo.length, geo.orbit, geo.power
@@ -343,11 +371,8 @@ def _fill_sector(geo: _RingGeometry, n: int, weight) -> MomentumSector:
     else:
         phase = np.exp(-1j * k * power)
     inside = kept[orbit]
-    proj = sp.csr_matrix(
-        (phase[inside] / np.sqrt(length[orbit[inside]]), index[orbit[inside]],
-         np.concatenate(([0], np.cumsum(inside)))),
-        shape=(geo.basis.dim, size),
-    )
+    amplitude = np.where(inside, phase / np.sqrt(length[orbit]), 0.0)
+    gather = np.where(inside, index[orbit], 0)
     keep = kept[a] & kept[b]
     cell = index[a[keep]] * size + index[b[keep]]
     terms = weight[keep] * phase[col[keep]]
@@ -361,10 +386,10 @@ def _fill_sector(geo: _RingGeometry, n: int, weight) -> MomentumSector:
             f"momentum block n={n} not Hermitian: defect {herm:.3g}"
         )
     vals, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
-    for arr in (vals, vecs, proj.data, proj.indices, proj.indptr):
+    for arr in (vals, vecs, gather, amplitude):
         arr.flags.writeable = False
     return MomentumSector(N=N, n=n, momentum=k, eigenvalues=vals, eigenvectors=vecs,
-                          projector=proj)
+                          index=gather, amplitude=amplitude)
 
 
 #: Diagonalized sectors ring_sector keeps: enough for the three ring sizes

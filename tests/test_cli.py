@@ -311,13 +311,14 @@ def test_pi_syntax_reaches_metadata(tmp_path):
     assert meta["K"] == "pi/2"
 
 
-def test_import_loads_no_scipy_optimize():
-    # Brent's iteration lives in the package; scipy.optimize would add about
-    # 19 MB and 0.2 s to every process, so a fresh import must not load it
+def test_import_loads_no_scipy():
+    # the package is numpy-only: scipy would load a second BLAS, about 28 MB
+    # and 0.3 s, into every process, so a fresh import loads no module of it
     src = str(Path(twopolaritons.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, twopolaritons, twopolaritons.cli; "
-            "sys.exit('scipy.optimize' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code], timeout=60,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert done.returncode == 0
+    code = ("import sys, twopolaritons, twopolaritons.cli, twopolaritons.validation; "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "print(*loaded); sys.exit(bool(loaded))")
+    done = subprocess.run([sys.executable, "-c", code], timeout=60, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stdout + done.stderr

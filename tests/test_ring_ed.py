@@ -12,6 +12,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from twopolaritons import bound_states, ring_ed, validation
 from twopolaritons.bands import band_structure
@@ -54,9 +55,9 @@ def test_hamiltonian_is_exactly_symmetric(monkeypatch):
     # both orientations of every element are written independently, so a
     # 1e-15 defect in one orientation must fail the exact symmetry check
     def one_sided(N, params):
-        h = build_hamiltonian(N, params).tolil()
+        h = build_hamiltonian(N, params)
         h[0, 1] += 1e-15
-        return h.tocsr()
+        return h
 
     monkeypatch.setattr(validation, "build_hamiltonian", one_sided)
     assert not run_checks(["ed-construction"])[0].passed
@@ -66,7 +67,7 @@ def test_hamiltonian_elements():
     n = 7
     p = ModelParams(xi=-0.2, delta=0.9, g=1.3)
     basis = TwoExcitationBasis(n)
-    h = build_hamiltonian(n, p).toarray()
+    h = build_hamiltonian(n, p)
     # double photon occupation couples to the same-site mixed state at
     # sqrt(2) g (bosonic enhancement)
     assert h[basis.mix(2, 2), basis.pp(2, 2)] == SQRT2 * p.g
@@ -87,11 +88,22 @@ def test_hamiltonian_elements():
 
 
 def test_translation_commutes_exactly(monkeypatch):
-    # twice the translation still commutes with H; only the exact
-    # permutation test tells it from T
-    monkeypatch.setattr(validation, "translation_operator",
-                        lambda N: 2.0 * ring_ed.translation_operator(N))
-    assert not run_checks(["ed-construction"])[0].passed
+    # T is the index map step, T|i> = |step[i]>: a map that sends two states
+    # to one is no permutation, and one that swaps the targets of two states
+    # is a permutation that does not commute with H; the exact tests refuse both
+    for fault in ("two states onto one", "two targets swapped"):
+        def wrong(N, fault=fault):
+            step = ring_ed.translation_operator(N).copy()
+            if fault == "two states onto one":
+                step[1] = step[0]
+            else:
+                step[[0, 1]] = step[[1, 0]]
+            return step
+
+        monkeypatch.setattr(validation, "translation_operator", wrong)
+        result = run_checks(["ed-construction"])[0]
+        assert not result.passed
+        assert ("not a permutation" in result.detail) == (fault == "two states onto one")
 
 
 def all_sectors(N, params):
@@ -141,9 +153,9 @@ def test_sector_blocks_equal_projected_hamiltonian(n_sites):
     # equal P^H H P from the sector's own projector, short antipodal orbits
     # (even N) included, and P must have orthonormal columns
     p = ModelParams(xi=-0.37, delta=0.41, g=1.3)
-    h = build_hamiltonian(n_sites, p).toarray()
+    h = build_hamiltonian(n_sites, p)
     for s in all_sectors(n_sites, p):
-        proj = s.projector.toarray()
+        proj = s.to_full(np.eye(s.dim))
         assert np.abs(proj.conj().T @ proj - np.eye(s.dim)).max() < 1e-13
         block = (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.conj().T
         assert np.abs(block - proj.conj().T @ h @ proj).max() < 1e-13, s.n
@@ -154,8 +166,40 @@ def test_sectors_are_real_where_the_phases_are(n_sites):
     # e^{-ikm} = +-1 when 2n = 0 (mod N): n = 0, and n = N/2 on even rings
     for s in all_sectors(n_sites, ModelParams(xi=-0.2, delta=0.3)):
         real = (2 * s.n) % n_sites == 0
-        for array in (s.eigenvectors, s.projector.data):
+        for array in (s.eigenvectors, s.amplitude):
             assert np.isrealobj(array) == real, (s.n, array.dtype)
+
+
+def sparse_projector(sector):
+    """The sector's projector as a scipy.sparse matrix, built from the orbits of
+    its ring's _RingGeometry: state T^j first[o] has e^{-ik j} / sqrt(L_o) in
+    the column of orbit o when sector n keeps o, with the phase +-1 exactly
+    where 2n = 0 (mod N)."""
+    geo = ring_ed._ring_geometry(sector.N)
+    n, N, power = sector.n, sector.N, geo.power
+    kept = (n * geo.length) % N == 0
+    if (2 * n) % N == 0:
+        phase = 1.0 - 2.0 * ((2 * n // N * power) % 2)
+    else:
+        phase = np.exp(-1j * sector.momentum * power)
+    inside = kept[geo.orbit]
+    rows = np.flatnonzero(inside)
+    cols = (np.cumsum(kept) - 1)[geo.orbit[rows]]
+    values = phase[rows] / np.sqrt(geo.length[geo.orbit[rows]])
+    return sp.csr_matrix((values, (rows, cols)), shape=(geo.basis.dim, sector.dim))
+
+
+@pytest.mark.parametrize("n_sites", [7, 8, 24])
+def test_gather_is_the_sparse_projector_bit_for_bit(n_sites):
+    # every sector's gather, applied to each sector basis vector and to the
+    # eigenvectors, gives exactly what the sparse projector P gives
+    for s in all_sectors(n_sites, ModelParams(xi=-0.37, delta=0.41, g=1.3)):
+        proj = sparse_projector(s)
+        dense = s.to_full(np.eye(s.dim))
+        assert dense.dtype == proj.dtype and np.array_equal(dense, proj.toarray()), s.n
+        assert np.array_equal(s.to_full(s.eigenvectors), proj @ s.eigenvectors), s.n
+        for j in (0, s.dim - 1):
+            assert np.array_equal(s.to_full(s.eigenvectors[:, j]), proj @ s.eigenvectors[:, j])
 
 
 @pytest.mark.parametrize("kick", [0.1234567, 3e-12])
@@ -173,7 +217,8 @@ def test_commutator_defect_is_the_exact_one(monkeypatch, kick):
     one_element(basis, rows, cols, coupling, value)
     h_g = np.zeros((basis.dim, basis.dim))
     np.add.at(h_g, (rows, cols), np.where(coupling == ring_ed.G, value, 0.0))
-    t = ring_ed.translation_operator(n).toarray()
+    t = np.zeros((basis.dim, basis.dim))
+    t[ring_ed.translation_operator(n), np.arange(basis.dim)] = 1.0
     defect = np.abs(h_g @ t - t @ h_g).max()
     assert defect > 1e-12
     with pytest.raises(RuntimeError, match=re.escape(f"|[H_g,T]| = {defect:.3g}")):
@@ -398,11 +443,15 @@ def test_ring_sector_of_K():
     basis, m = TwoExcitationBasis(N), np.arange(N)
     psi = np.zeros(basis.dim, dtype=complex)
     psi[basis.mix(m + 2, m)] = np.exp(1j * K * (m + 1.0))
-    t = ring_ed.translation_operator(N)
-    assert np.abs(t @ psi - np.exp(-1j * K) * psi).max() < 1e-14
-    proj = sector.projector
+    step = ring_ed.translation_operator(N)
+    moved = np.zeros_like(psi)
+    moved[step] = psi
+    assert np.abs(moved - np.exp(-1j * K) * psi).max() < 1e-14
+    proj = sector.to_full(np.eye(sector.dim))
     assert np.linalg.norm(proj @ (proj.conj().T @ psi) - psi) < 1e-13 * np.linalg.norm(psi)
-    assert abs(t @ proj - np.exp(1j * sector.momentum) * proj).max() < 1e-14
+    moved = np.zeros_like(proj)
+    moved[step] = proj
+    assert np.abs(moved - np.exp(1j * sector.momentum) * proj).max() < 1e-14
     assert (sector.N, sector.n) == (24, 21)
 
 
@@ -481,9 +530,9 @@ def test_audit_count_is_the_certified_count(monkeypatch, overcount):
 
 def test_cached_sector_is_read_only():
     sector = ring_ed.ring_sector(ModelParams(xi=-0.2), 12)
-    for array in (sector.eigenvalues, sector.eigenvectors, sector.projector.data):
+    for array in (sector.eigenvalues, sector.eigenvectors, sector.index, sector.amplitude):
         with pytest.raises(ValueError):
-            array[0] = 0.0
+            array[0] = 0
 
 
 def test_one_geometry_record_per_ring_size():

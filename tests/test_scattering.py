@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from twopolaritons import channels, model, scattering, sweeps, validation
+from twopolaritons import model, scattering, sweeps, validation
 from twopolaritons.bands import branch_energy
 from twopolaritons.channels import _solve_regular, contact_elimination, find_channel_roots
 from twopolaritons.errors import ConditioningError, DegenerateParametersError, ParameterError
@@ -141,16 +141,24 @@ def test_solve_regular_refuses_tiny_pivot(m):
 def test_svd_failure_is_a_conditioning_error(monkeypatch):
     # an SVD that does not converge is a typed refusal, not a LinAlgError,
     # in the M_1 solve of every energy and in the scattering contact solve
-    real = channels._GESDD
+    real = np.linalg.svd
 
-    def failing(*args, **kwargs):
-        return (*real(*args, **kwargs)[:-1], 1)
+    def failing(sizes):
+        def svd(m, *args, **kwargs):
+            if m.shape[-1] in sizes:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(m, *args, **kwargs)
+        return svd
 
-    monkeypatch.setattr(channels, "_GESDD", failing)
-    with pytest.raises(ConditioningError, match="gesdd failed on M .*info = 1"):
+    p = ModelParams(xi=-0.3, delta=0.7)
+    monkeypatch.setattr(np.linalg, "svd", failing((2, 3)))
+    with pytest.raises(ConditioningError, match="SVD failed on M: SVD did not converge"):
         _solve_regular(np.eye(2) + 0.5j, np.ones(2), "M")
-    with pytest.raises(ConditioningError, match="gesdd failed on channel block M_1"):
-        solve_scattering("AB", 1.1, ModelParams(xi=-0.3, delta=0.7))
+    with pytest.raises(ConditioningError, match="SVD failed on channel block M_1"):
+        solve_scattering("AB", 1.1, p)
+    monkeypatch.setattr(np.linalg, "svd", failing((2,)))
+    with pytest.raises(ConditioningError, match="SVD failed on contact matrix S at E = "):
+        solve_scattering("AB", 1.1, p)
 
 
 def test_wavefunction_exchange_parity():
