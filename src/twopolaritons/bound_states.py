@@ -18,7 +18,7 @@ determinant certificate runs once per search, in one batch over the roots
 of every energy it evaluated, before any state or error leaves it.  S
 does not depend on the phases of the channel spinors, so only the
 accepted energy builds a ChannelSet, by find_channel_roots, and
-eliminates again on it for W, S and np.linalg.eigh.
+eliminates again on it for W, S and np.linalg.eigh (_certify).
 Brent runs in the Chebyshev gap variable s in [0, 1], E(s) = lo + (hi -
 lo)(1 - cos(pi s))/2, in which the sqrt(E - edge) onset of S's
 eigenvalues at a gap edge is linear.  A sign change where the eigenvalue
@@ -39,7 +39,6 @@ import numpy as np
 
 from .bands import Gap, phase_fix
 from .channels import (
-    TOL_EDGE_FACTOR,
     ChannelState,
     _check_determinant,
     _closed_channels,
@@ -60,6 +59,9 @@ __all__ = [
 SIGMA_ACCEPT = 1e-8
 RESIDUAL_TOL = 1e-8
 L_RESIDUAL = 60
+#: The inertia count and the search stay TOL_EDGE_FACTOR * g inside the gap
+#: edges (_gap_inertia): at an edge a channel turns open, with no group velocity.
+TOL_EDGE_FACTOR = 1e-6
 #: Brent's relative tolerance and step budget, scipy.optimize.brentq's defaults.
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
 _BRENT_MAXITER = 100
@@ -155,15 +157,20 @@ def _brent(f, a: float, b: float, xtol: float) -> float:
                             f"(last point {xcur}, f = {fcur})")
 
 
-def _certify(E_b: float, roots, w, s, params: ModelParams, gap: Gap) -> BoundState:
-    """The normalized state at E_b from its channels, W and contact matrix S.
+def _certify(E_b: float, params: ModelParams, gap: Gap) -> BoundState:
+    """The certified, normalized state at an accepted energy E_b of ``gap``.
 
-    The contact spinor is the eigenvector of S(E_b) (np.linalg.eigh) whose
-    eigenvalue is smallest in magnitude, and the channel amplitudes follow
-    from it.  A second near-zero eigenvalue means the state is not unique
-    and is reported as an error rather than resolved by fiat.
+    find_channel_roots builds E_b's ChannelSet and contact_elimination its
+    W and contact matrix S.  The contact spinor is the eigenvector of S
+    (np.linalg.eigh) whose eigenvalue is smallest in magnitude, and the
+    channel amplitudes follow from it.  A second near-zero eigenvalue means
+    the state is not unique, and a site residual not below RESIDUAL_TOL * g
+    over |l| <= L_RESIDUAL would leave the inventory short: both raise
+    ConditioningError rather than being resolved by fiat.
     """
-    eigs, vecs = np.linalg.eigh(s)
+    roots = find_channel_roots(E_b, params)
+    w, c, _ = contact_elimination(E_b, roots, params)
+    eigs, vecs = np.linalg.eigh(c[:2, :2])
     mags = np.abs(eigs)
     k = int(np.argmin(mags))
     if mags[1 - k] < SIGMA_ACCEPT * max(mags.max(), params.g):
@@ -182,6 +189,10 @@ def _certify(E_b: float, roots, w, s, params: ModelParams, gap: Gap) -> BoundSta
     factor = 1.0 / math.sqrt(norm_sq)
     scaled, contact = scaled * factor, contact * factor
     _, residual = certificate_window(L_RESIDUAL, E_b, params, roots, scaled, contact)
+    bound = RESIDUAL_TOL * params.g
+    if not residual < bound:
+        raise ConditioningError(f"state at E_b = {E_b} has site residual "
+                                f"{residual:.3g}, not below {bound:.3g}")
     return BoundState(
         params=params, energy=E_b, roots=roots, scaled_amplitudes=scaled,
         contact_spinor=contact, residual_max=residual,
@@ -255,11 +266,10 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
     An empty list is a valid outcome.  A sign change where the eigenvalue
     stays above SIGMA_ACCEPT * max(|S|, g) is a pole of S (a surface state
     of the half chain) or an unresolved zero, and a state whose site
-    residual is not below RESIDUAL_TOL * g would leave the inventory short;
-    both raise ConditioningError.  The search stays TOL_EDGE_FACTOR * g
-    inside the gap edges.
+    residual is not below RESIDUAL_TOL * g (_certify) would leave the
+    inventory short; both raise ConditioningError.  The search stays
+    TOL_EDGE_FACTOR * g inside the gap edges.
     """
-    g = params.g
     accepted = []
     with _gap_inertia(params, gap) as (lo, hi, eigs, signs):
         # Brent returns an s it has evaluated, so the acceptance gate reuses
@@ -277,24 +287,14 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
         for k in signs:
             E_b = energy(_brent(lambda s: eigs(energy(s))[k], 0.0, 1.0, xtol_s))
             at = eigs(E_b)
-            gate = SIGMA_ACCEPT * max(abs(at[0]), abs(at[1]), g)
+            gate = SIGMA_ACCEPT * max(abs(at[0]), abs(at[1]), params.g)
             if not abs(at[k]) < gate:
                 raise ConditioningError(f"eigenvalue {k} of S(E) changes sign at E = {E_b} "
                                         f"but |eig| = {abs(at[k]):.3g} is not below "
                                         f"{gate:.3g}: a pole of S or an unresolved zero")
             accepted.append(E_b)
-    states = []
-    for E_b in accepted:
-        roots = find_channel_roots(E_b, params)
-        w, c, _ = contact_elimination(E_b, roots, params)
-        state = _certify(E_b, roots, w, c[:2, :2], params, gap)
-        bound = RESIDUAL_TOL * g
-        if not state.residual_max < bound:
-            raise ConditioningError(f"state at E_b = {E_b} has site residual "
-                                    f"{state.residual_max:.3g}, not below {bound:.3g}")
-        states.append(state)
-    states.sort(key=lambda s: s.energy)
-    return states
+    # certified only once the block has run its determinant check
+    return sorted((_certify(E_b, params, gap) for E_b in accepted), key=lambda s: s.energy)
 
 
 def rayleigh_quotient(state: BoundState) -> float:

@@ -36,7 +36,6 @@ from .errors import ConditioningError, DegenerateParametersError, ParameterError
 from .model import PARITY, ModelParams, bloch_matrices, site_residual
 
 __all__ = [
-    "TOL_EDGE_FACTOR",
     "ChannelSet",
     "ChannelState",
     "certificate_window",
@@ -47,11 +46,8 @@ __all__ = [
     "find_channel_roots",
 ]
 
-#: Energies closer than TOL_EDGE_FACTOR * g to a band edge are refused:
-#: the open/closed dichotomy breaks when the group velocity vanishes.
-TOL_EDGE_FACTOR = 1e-6
-
-#: Group velocities below this scale-relative floor mean a band edge.
+#: Group velocities below this scale-relative floor mean a band edge: the
+#: open/closed dichotomy breaks when the group velocity vanishes.
 _VELOCITY_FLOOR = 1e-10
 
 _EPS = np.finfo(float).eps
@@ -233,12 +229,14 @@ def _double_root(mats) -> bool:
 def _det_roots(E: float, mats) -> tuple:
     """Roots y = a cos lam of det(M(lam) - E) = c3 (y^3 + b y^2 + c y + d): (ys, terms, poly, det).
 
-    terms = (a, s, e0, e1, d3, f, sg): a = 2 xi cos(K/2), t = s sin lam, D0 = 2 y + e0,
-    D1 = y + e1, D3 = d3, f = 4 g^2, sg = sqrt2 g; det(y) is the cubic and its slope from
-    the factored form.  A vanishing a or D3 is refused.  At s = 0 to rounding the roots
-    are D1 = 0 twice and D0 D3 = f; otherwise Newton from Kahan's start ("To solve a real cubic
-    equation", 1986) finds a real root, and the other two, m +- h, solve G = det /
-    (c3 (y - root)) = (y - m)^2 - h^2, with m, h^2 from G, G' as accurate as det.
+    terms = (a, s, e0, e1, d3, f, sg, double): a = 2 xi cos(K/2), t = s sin lam,
+    D0 = 2 y + e0, D1 = y + e1, D3 = d3, f = 4 g^2, sg = sqrt2 g and double =
+    _double_root(mats); det(y) is the cubic and its slope from the factored form.  A
+    vanishing a or D3 is refused.  If double (s = 0 to rounding) the roots are D1 = 0
+    twice, ys[0] and ys[1], and D0 D3 = f; otherwise Newton from Kahan's start ("To
+    solve a real cubic equation", 1986) finds a real root, and the other two, m +- h,
+    solve G = det / (c3 (y - root)) = (y - m)^2 - h^2, with m, h^2 from G, G' as
+    accurate as det.
     """
     (a00, sg, _, _), (_, a11, _, _), _, (_, _, _, a33) = mats.onsite.tolist()
     a, s = mats.hop_cos[1, 1].item(), mats.hop_sin[1, 2].item()
@@ -269,8 +267,9 @@ def _det_roots(E: float, mats) -> tuple:
     q0, r0, c3 = e0 * d3 - f, e0 * d3, 2.0 * d3 * (1.0 + sig)
     b, d = (q0 + 4.0 * e1 * d3 + sig * r0) / c3, (e1 * e1 * q0 - s2 * r0) / c3
     c = (2.0 * e1 * q0 + 2.0 * (e1 * e1 - s2) * d3) / c3
-    out = ((a, s, e0, e1, d3, f, sg), (c3, b, c, d), det)
-    if _double_root(mats):
+    double = _double_root(mats)
+    out = ((a, s, e0, e1, d3, f, sg, double), (c3, b, c, d), det)
+    if double:
         return ([-e1, -e1, 0.5 * (f / d3 - e0)], *out)
     x = -b / 3.0
     fx, dfx = ((x + b) * x + c) * x + d, (3.0 * x + 2.0 * b) * x + c
@@ -292,7 +291,7 @@ def _det_roots(E: float, mats) -> tuple:
 def _closed_spinor(y, lam, terms) -> tuple:
     """(-sg d_+ / D0, d_+, d_-, -sg d_+ / D3) D0 D3 at a simple root y = a cos lam, (d_+, d_-)
     null in the larger row of [[D1 Q / (D0 D3), t], [t, D1]], Q = D0 D3 - f; D0 -> 0 at K = pi."""
-    _, s, e0, e1, d3, f, sg = terms
+    _, s, e0, e1, d3, f, sg, _ = terms
     u, d0 = y + e1, 2.0 * y + e0
     dd, t = d0 * d3, s * cmath.sin(lam)
     if abs(dd - f) >= abs(dd):
@@ -346,8 +345,7 @@ def _channel_roots(E: float, params: ModelParams) -> tuple:
         raise ParameterError(f"energy must be finite, got {E!r}")
     mats = bloch_matrices(params)
     ys, terms, _, _ = _det_roots(E, mats)
-    a, _, _, e1, d3, _, sg = terms
-    k0 = ys[0] == ys[1] == -e1      # the closed-form double root D1 = 0
+    a, _, _, _, d3, _, sg, double = terms
     roots = [1j * cmath.acosh(y / a) for y in ys]       # Im lam >= 0
     if not all(map(cmath.isfinite, roots)):
         raise ConditioningError(f"channel momenta overflow at E = {E}: xi = {params.xi:.3g}")
@@ -355,13 +353,14 @@ def _channel_roots(E: float, params: ModelParams) -> tuple:
                      for j, lam in enumerate(roots) if lam.imag),
                     key=lambda c: (c[0].imag, c[0].real))
     pair = ((0.0, 0.0, 1.0, 0.0), (sg, d3, 0.0, -sg))
-    spinors = [pair[j] if k0 and j < 2 else _closed_spinor(ys[j], lc, terms) for lc, j in closed]
+    spinors = [pair[j] if double and j < 2 else _closed_spinor(ys[j], lc, terms)
+               for lc, j in closed]
     open_abs = sorted(abs(r.real) for r in roots if not r.imag)
     return mats, open_abs, [lc for lc, _ in closed], spinors
 
 
-def _det_certificate(E, mats, lam: np.ndarray, factors: bool = False) -> tuple:
-    """|det(M(lam) - E)| and its Hadamard-style scale at each root lam, as two lists.
+def _det_certificate(E, mats, lam: np.ndarray) -> tuple:
+    """|det(M(lam) - E)|, its Hadamard-style scale and a factor ratio at each root lam.
 
     E is one energy, or one per root as an array of shape lam.shape + (1, 1);
     one np.linalg.det runs on the stacked M(lam) - E.  The scale is the
@@ -369,13 +368,13 @@ def _det_certificate(E, mats, lam: np.ndarray, factors: bool = False) -> tuple:
     weighted by max(1, |cos lam|) and max(1, |sin lam|) to follow a closed
     decay.  cos lam and sin lam must be finite (_check_determinant screens).
 
-    With ``factors``, a third list holds the smaller of |D1| and |D0 D3 - f|
-    against its own scale at each root, for sin(K/2) = 0 (_double_root):
+    The third list is 0 at each root unless sin(K/2) = 0 (_double_root):
     there det = D1^2 (D0 D3 - f) vanishes quadratically at the double root
     D1 = 0, so |det| bounds that root's error only to the square root of its
-    tolerance.  D0, D1 and D3 are the diagonal of M(lam) - E, and each
-    factor's scale is the product of the row scales above over the rows it
-    is built from: row 1 for D1, rows 0 and 3 for D0 D3 - f.
+    tolerance, and the list holds the smaller of |D1| and |D0 D3 - f|
+    against its own scale.  D0, D1 and D3 are the diagonal of M(lam) - E,
+    and each factor's scale is the product of the row scales above over the
+    rows it is built from: row 1 for D1, rows 0 and 3 for D0 D3 - f.
     """
     trig = np.array((np.cos(lam), np.sin(lam)))
     a_e = mats.onsite - E * _EYE
@@ -384,13 +383,13 @@ def _det_certificate(E, mats, lam: np.ndarray, factors: bool = False) -> tuple:
     weights = np.abs(trig.T)
     rows = np.maximum(weights, 1.0, out=weights) @ mats.hop_norms
     rows += np.hypot(a_e.diagonal(0, -2, -1), mats.offdiag_norms)
-    out = np.abs(np.linalg.det(stack)).tolist(), rows.prod(axis=-1).tolist()
-    if not factors:
-        return out
+    vals, scales = np.abs(np.linalg.det(stack)).tolist(), rows.prod(axis=-1).tolist()
+    if not _double_root(mats):
+        return vals, scales, [0.0] * len(vals)
     d0, d1, _, d3 = stack.diagonal(0, -2, -1).T
     r0, r1, _, r3 = rows.T
     f = 2.0 * mats.onsite[0, 1] ** 2
-    return (*out, np.minimum(np.abs(d1) / r1, np.abs(d0 * d3 - f) / (r0 * r3)).tolist())
+    return vals, scales, np.minimum(np.abs(d1) / r1, np.abs(d0 * d3 - f) / (r0 * r3)).tolist()
 
 
 def _check_determinant(E, mats, lam: np.ndarray) -> None:
@@ -406,9 +405,7 @@ def _check_determinant(E, mats, lam: np.ndarray) -> None:
     """
     finite = [abs(x.real) < math.inf and abs(x.imag) <= _IM_LAM_MAX for x in lam.tolist()]
     safe = lam if all(finite) else np.where(finite, lam, 0.0)
-    double = _double_root(mats)
-    vals, scales, *factors = _det_certificate(E, mats, safe, factors=double)
-    factors = factors[0] if double else [0.0] * len(vals)
+    vals, scales, factors = _det_certificate(E, mats, safe)
     for j, (ok, val, scale, factor) in enumerate(zip(finite, vals, scales, factors)):
         if not (ok and val <= 1e-9 * scale < math.inf and factor <= 1e-9):
             raise ConditioningError(

@@ -45,17 +45,19 @@ def parse_angle(text: str) -> float:
     m = _PI_FORM.match(s)
     if not m:
         raise ValueError(f"cannot parse angle {text!r}")
-    value = math.pi * float(m.group("coef") or 1.0)
-    if m.group("den"):
-        value /= float(m.group("den"))
+    den = float(m.group("den") or 1.0)
+    if den == 0.0:
+        raise ValueError(f"zero denominator in angle {text!r}")
+    value = math.pi * float(m.group("coef") or 1.0) / den
     return -value if m.group("sign") == "-" else value
 
 
 def parse_values(text: str, grid: int, angles: bool = False) -> np.ndarray:
     """Value list syntax: 'x', 'x,y,z', 'start:stop:step', 'start:stop'.
 
-    The two-field range takes its point count from the --grid flag; the
-    three-field range derives it from the step, endpoints included.
+    The two-field range takes its point count from the --grid flag, which
+    only --q has (--delta passes 0); the three-field range derives it from
+    the step, endpoints included.
     """
     convert = parse_angle if angles else float
     if ":" in text:
@@ -63,7 +65,8 @@ def parse_values(text: str, grid: int, angles: bool = False) -> np.ndarray:
         if len(parts) == 2:
             start, stop = parts
             if grid < 1:
-                raise ValueError("--grid must be a positive point count")
+                raise ValueError(f"two-field range {text!r} needs a positive --grid, which only "
+                                 "--q has; --delta takes x | x,y,... | start:stop:step")
             count = grid
         elif len(parts) == 3:
             start, stop, step = parts
@@ -328,6 +331,8 @@ def _resolve(parser, args) -> RunConfig:
             unknown = set(checks) - set(CHECK_NAMES)
             if unknown:
                 parser.error(f"unknown checks: {sorted(unknown)}")
+        if args.seed is not None and args.seed < 0:
+            parser.error(f"--seed must be a non-negative integer, got {args.seed}")
         return RunConfig(subcommand="validate", xi=0.0, K=0.0, deltas=None,
                          out=args.out, checks=checks, seed=args.seed)
     try:
@@ -362,31 +367,24 @@ _COMMANDS = {
     "validate": cmd_validate,
 }
 
-_VALUE_FLAGS = frozenset({
-    "--xi", "--K", "--delta", "--q", "--grid", "--jobs", "--out",
-    "--format", "--branch", "--N", "--checks", "--seed",
-})
-
 
 def _normalize_argv(argv) -> list:
     """Glue leading-dash values like '-10:10:0.05' onto their flag.
 
     argparse only special-cases bare negative numbers; ranges and comma
     lists that start with '-' need the '--flag=value' form, which this
-    rewrite supplies automatically.
+    rewrite supplies.  Every option but --help takes a value, so a
+    '--flag' written without '=' that is no prefix of --help takes a
+    following token that starts with a single '-'.
     """
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _VALUE_FLAGS and nxt is not None \
-                and nxt.startswith("-") and nxt not in _VALUE_FLAGS:
-            out.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and not "--help".startswith(flag) \
+                and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{flag}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 

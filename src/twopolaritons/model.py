@@ -138,8 +138,8 @@ class BlochMatrices:
 def bloch_matrices(params: ModelParams) -> BlochMatrices:
     """The read-only BlochMatrices of params, built once; the 8 most recent are kept.
 
-    The package's one per-parameter cache: every layer reads the blocks and
-    their derived data here (bloch_matrices.cache_clear() empties it).
+    Every layer reads the blocks and their derived data here; ring_sector
+    memoizes per (params, N) too (bloch_matrices.cache_clear() empties this).
     """
     g, xi, delta, k = params.g, params.xi, params.delta, params.K
     sg = SQRT2 * g

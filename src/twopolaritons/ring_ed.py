@@ -77,10 +77,10 @@ class TwoExcitationBasis:
         return (self._pairs + self.N * self.N + a * (self.N - 1)
                 - a * (a - 1) // 2 + (b - a - 1))
 
-    def translate(self, i):
-        """Index of state(s) i moved one site along the ring."""
+    def translate(self):
+        """The index of every state moved one site along the ring, in basis order."""
         moved = [getattr(self, kind)(*np.add(self.sites(kind), 1)) for kind in FAMILIES]
-        return np.concatenate(moved)[i]
+        return np.concatenate(moved)
 
 
 #: Ring sizes whose geometry _ring_geometry keeps: the three sizes one
@@ -95,7 +95,8 @@ XI, G, DELTA = range(3)
 class _RingGeometry:
     """Everything about the N-site ring that no parameter changes.
 
-    (length, orbit, power) are the orbits of the site shift T (_orbits).
+    ``step`` is the site shift T as a permutation (translation_operator), and
+    (length, orbit, power) are its orbits (_orbits).
     ``embedding`` is ring_embedding's scatter index over the (r, m) grid of
     pairs.  (rep_row, rep_orbit, rep_col, rep_weight) are H's elements in
     the rows of the orbits' first states, in (row, col) order: the row's
@@ -106,6 +107,7 @@ class _RingGeometry:
     """
 
     basis: TwoExcitationBasis
+    step: np.ndarray
     length: np.ndarray
     orbit: np.ndarray
     power: np.ndarray
@@ -212,7 +214,7 @@ def _ring_geometry(N: int) -> _RingGeometry:
     """
     basis = TwoExcitationBasis(N)
     rows, cols, coupling, value = _hamiltonian_elements(basis)
-    step = basis.translate(np.arange(basis.dim))
+    step = basis.translate()
     _check_commutators(step, rows, cols, coupling, value)
     length, orbit, power = _orbits(basis, step)
     rep = np.flatnonzero(power[rows] == 0)
@@ -228,7 +230,7 @@ def _ring_geometry(N: int) -> _RingGeometry:
     embedding = np.concatenate([basis.pp(m, other).ravel(), basis.mix(m, other).ravel(),
                                 basis.mix(other, m).ravel(),
                                 basis.tt(m[1:], other[1:]).ravel()])
-    geometry = _RingGeometry(basis, length, orbit, power, embedding,
+    geometry = _RingGeometry(basis, step, length, orbit, power, embedding,
                              rep_row, rep_orbit, rep_col, rep_weight)
     for field in dataclasses.fields(geometry)[1:]:     # every array
         getattr(geometry, field.name).flags.writeable = False
@@ -254,10 +256,10 @@ def translation_operator(N: int) -> np.ndarray:
     """The site shift T of the N-site ring as the permutation ``step``: T|i> = |step[i]>.
 
     T psi is ``out[step] = psi``, and T^-1 H T is H[np.ix_(step, step)]; no
-    matrix is built, which at N = 48 would hold 4608^2 entries.
+    matrix is built, which at N = 48 would hold 4608^2 entries.  The array
+    is the ring's _RingGeometry.step, read-only and shared by every caller.
     """
-    basis = TwoExcitationBasis(N)
-    return basis.translate(np.arange(basis.dim))
+    return _ring_geometry(N).step
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ import numpy as np
 from . import model
 from .bands import BRANCHES, band_structure, branch_energy, branch_vector, incident_state
 from .bound_states import _gap_inertia, find_bound_states, rayleigh_quotient
-from .channels import (TOL_EDGE_FACTOR, _check_determinant, _closed_channels,
-                       channel_expansion, contact_elimination, find_channel_roots)
+from .channels import (_check_determinant, _closed_channels, channel_expansion,
+                       contact_elimination, find_channel_roots)
 from .model import ModelParams
 from .ring_ed import (
     TwoExcitationBasis,
@@ -277,10 +277,10 @@ def _check_bound_certificates(rng):
 def _check_gap_contact(rng):
     """The gap search's bare closed channels give find_channel_roots' S and states.
 
-    At the inset ends and three random energies of every gap, S from the
-    unit-norm, ungauged closed channels the search solves for must equal S
-    from find_channel_roots' ChannelSet to 1e-13 of |S|: S does not depend
-    on the spinors' phases.  Each certified state's channels must be
+    At the inset ends _gap_inertia yields and three random energies of
+    every gap, S from the unit-norm, ungauged closed channels the search
+    solves for must equal S from find_channel_roots' ChannelSet to 1e-13 of
+    |S|: S does not depend on the spinors' phases.  Each certified state's channels must be
     find_channel_roots(E_b)'s: lam, z, labels and is_open exactly, vectors
     to 1e-15.  _closed_channels runs no determinant check, so the roots of
     the energies of each gap pass _check_determinant in one batch, as the
@@ -296,7 +296,8 @@ def _check_gap_contact(rng):
         if i % 3 == 1:
             p = replace(p, xi=1e-3 * p.xi)
         for gap in band_structure(p).gaps:
-            lo, hi = gap.lo + TOL_EDGE_FACTOR * p.g, gap.hi - TOL_EDGE_FACTOR * p.g
+            with _gap_inertia(p, gap) as (lo, hi, _, signs):
+                count = len(signs)
             energies, lam = [], []
             for e in [lo, hi, *rng.uniform(lo, hi, 3)]:
                 closed = _closed_channels(e, p)
@@ -309,8 +310,6 @@ def _check_gap_contact(rng):
             _check_determinant(np.array(energies)[:, None, None], model.bloch_matrices(p),
                                np.array(lam, dtype=complex))
             n_roots += len(lam)
-            with _gap_inertia(p, gap) as (*_, signs):
-                count = len(signs)
             states = find_bound_states(p, gap)
             if count != len(states):
                 return False, (f"inertia count {count} but {len(states)} certified states "

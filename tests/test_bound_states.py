@@ -487,7 +487,7 @@ def test_determinant_fault_at_double_root(monkeypatch):
             closed[j] += 1e-6
             return (*found[:2], closed, found[3])
 
-        vals, scales = channels._det_certificate(target, mats, shifted(solve(target, p)).lam)
+        vals, scales, _ = channels._det_certificate(target, mats, shifted(solve(target, p)).lam)
         assert vals[j] < 1e-3 * 1e-9 * scales[j]
         with pytest.raises(ConditioningError, match="neither D1 nor D0 D3") as own:
             channels._check_determinant(target, mats, shifted(solve(target, p)).lam)

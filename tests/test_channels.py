@@ -463,9 +463,9 @@ def test_batched_determinant_check_matches_per_energy():
         per_energy.append((e, lam, channels._det_certificate(e, mats, lam)))
     energy = np.repeat(energies, 3)[:, None, None]
     lam = np.concatenate([lam for _, lam, _ in per_energy])
-    vals, scales = channels._det_certificate(energy, mats, lam)
-    want_vals = [v for _, _, (vs, _) in per_energy for v in vs]
-    want_scales = np.array([s for _, _, (_, ss) in per_energy for s in ss])
+    vals, scales, _ = channels._det_certificate(energy, mats, lam)
+    want_vals = [v for _, _, (vs, _, _) in per_energy for v in vs]
+    want_scales = np.array([s for _, _, (_, ss, _) in per_energy for s in ss])
     assert vals == want_vals
     assert (np.abs(np.array(scales) - want_scales) <= 1e-14 * want_scales).all()
     passed = [v <= 1e-9 * s for v, s in zip(vals, scales)]

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, file formats, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import logging
@@ -77,6 +78,55 @@ def test_normalize_argv_glues_leading_dash_values():
     assert "--xi=-0.2" in fixed
     assert "--delta=-10:10:5" in fixed
     assert fixed[-2:] == ["--out", "x.csv"]
+    # every value-taking option of every subcommand, read from the parser,
+    # takes a leading-dash value; --help and a flag that has its value do not
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    flags = 0
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            for flag in action.option_strings:
+                if not flag.startswith("--"):
+                    continue
+                glued = cli._normalize_argv([name, flag, "-1:x", "--out", "y"])
+                if action.nargs == 0:
+                    assert glued == [name, flag, "-1:x", "--out", "y"]
+                else:
+                    assert glued == [name, f"{flag}=-1:x", "--out", "y"]
+                    flags += 1
+    assert flags == 4 * 6 + 3 + 1 + 3   # common six, scatter, oracle, validate
+    kept = ["--out=-a", "-b", "--he", "-c", "--", "-d"]
+    assert cli._normalize_argv(kept) == kept
+
+
+def test_zero_denominator_angle_exits_2(capsys):
+    # K = pi/0 or q = pi/0 is a usage error, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_angle("pi/0")
+    for argv in (["bands", "--xi", "-0.2", "--delta", "0", "--K", "pi/0"],
+                 ["scatter", "--xi", "-0.2", "--delta", "10", "--branch", "AB",
+                  "--q", "pi/0", "--grid", "20"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "zero denominator in angle 'pi/0'" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["validate", "--seed", "-1", "--checks", "bloch-hermiticity"])
+    assert exc.value.code == 2
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_two_field_delta_names_its_forms(capsys):
+    # bound has no --grid flag: the refusal names the forms --delta takes
+    with pytest.raises(SystemExit) as exc:
+        run(["bound", "--xi", "-0.2", "--delta", "-1:1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--delta takes x | x,y,... | start:stop:step" in err
+    assert "--grid must be" not in err
 
 
 def test_bands_csv_and_gap_sidecar(tmp_path):

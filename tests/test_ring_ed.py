@@ -106,6 +106,19 @@ def test_translation_commutes_exactly(monkeypatch):
         assert ("not a permutation" in result.detail) == (fault == "two states onto one")
 
 
+def test_translation_operator_is_the_geometry_permutation():
+    # T is the read-only step of the ring's geometry record: a second call
+    # hands back the same array and builds no second geometry
+    ring_ed._ring_geometry.cache_clear()
+    step = ring_ed.translation_operator(8)
+    assert ring_ed.translation_operator(8) is step
+    assert step is ring_ed._ring_geometry(8).step
+    assert ring_ed._ring_geometry.cache_info().misses == 1
+    assert not step.flags.writeable
+    basis = TwoExcitationBasis(8)
+    assert np.array_equal(step, basis.translate())
+
+
 def all_sectors(N, params):
     """Every sector of the N-site ring, n = 0..N-1, as ring_sector fills them."""
     return [ring_sector(dataclasses.replace(params, K=-2.0 * np.pi * n / N), N)
@@ -408,7 +421,7 @@ def test_ring_sector_rejects_a_coupling_that_breaks_translation(monkeypatch):
     # one hopping value edited at a single element, in a row that no
     # sector block reads: only the per-coupling [H_c, T] check can see it
     def one_element(basis, rows, cols, coupling, value):
-        power = ring_ed._orbits(basis, basis.translate(np.arange(basis.dim)))[-1]
+        power = ring_ed._orbits(basis, basis.translate())[-1]
         hops = np.flatnonzero((coupling == ring_ed.XI) & (power[rows] != 0))
         value[hops[0]] *= 1.5
 
