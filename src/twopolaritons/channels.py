@@ -163,18 +163,21 @@ def expansion_moment(roots, scaled, lag: int) -> np.ndarray:
     return f @ core @ np.conj(f.T)
 
 
-def expansion_winding(roots, scaled, N: int, theta: float) -> np.ndarray:
-    """sum_{k >= 0} e^{i theta l} beta_l over l = u + kN, for u = 1 .. N (rows).
+def expansion_winding(roots, scaled, N: int, thetas) -> list:
+    """sum_{k >= 0} e^{i theta l} beta_l over l = u + kN, for u = 1 .. N (rows), per theta.
 
     Wrapping the sites l >= 1 onto a ring of N sites collects each residue
     u as a geometric series in e^{i theta N} z_j^N, so row u - 1 is
     sum_j s_j e^{i theta u} z_j^(u-1) F_j / (1 - e^{i theta N} z_j^N):
     exact for any set of decaying channels, at a cost free of the decay.
+    Every theta shares the powers of z.
     """
     u = np.arange(1, N + 1)[:, None]
-    z = roots.z
-    fold = np.exp(1j * theta * u) * np.power(z, u - 1) / (1.0 - np.exp(1j * theta * N) * z**N)
-    return (np.asarray(scaled) * fold) @ roots.vectors.T
+    z, scaled = roots.z, np.asarray(scaled)
+    power, wrap = np.power(z, u - 1), z**N
+    folds = (np.exp(1j * theta * u) * power / (1.0 - np.exp(1j * theta * N) * wrap)
+             for theta in thetas)
+    return [(scaled * fold) @ roots.vectors.T for fold in folds]
 
 
 def contact_elimination(E, roots, params, incident=None):

@@ -320,10 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated subset of: " + ",".join(CHECK_NAMES))
     val.add_argument("--seed", type=int, default=None)
     val.add_argument("--out", default=None, help="JSON report path")
+    for command in sub.choices.values():
+        command.set_defaults(command_parser=command)     # reports the usage errors found later
     return parser
 
 
-def _resolve(parser, args) -> RunConfig:
+def _resolve(args) -> RunConfig:
+    """The RunConfig of parsed arguments; a bad value exits 2 with the subcommand's usage."""
+    parser = args.command_parser
     if args.subcommand == "validate":
         checks = None
         if args.checks:
@@ -347,6 +351,8 @@ def _resolve(parser, args) -> RunConfig:
         rings = tuple(int(n) for n in getattr(args, "N", "24,48").split(","))
         if any(n < 3 for n in rings):
             raise ValueError("ring sizes must be at least 3")
+        if args.jobs is not None and args.jobs < 1:
+            raise ValueError(f"--jobs must be a positive integer, got {args.jobs}")
     except ValueError as exc:
         parser.error(str(exc))
     raw = {"K": args.K, "delta": args.delta}
@@ -394,11 +400,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_normalize_argv(
         sys.argv[1:] if argv is None else list(argv)))
-    config = _resolve(parser, args)
+    config = _resolve(args)
     try:
         return _COMMANDS[config.subcommand](config)
     except ParameterError as exc:
-        parser.error(str(exc))       # exits 2: bad physics configuration
+        args.command_parser.error(str(exc))     # exits 2: bad physics configuration
     except TwoPolaritonError as exc:
         log.error("%s", exc)
         return 1

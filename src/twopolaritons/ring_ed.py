@@ -96,9 +96,11 @@ class _RingGeometry:
     """Everything about the N-site ring that no parameter changes.
 
     ``step`` is the site shift T as a permutation (translation_operator), and
-    (length, orbit, power) are its orbits (_orbits).
-    ``embedding`` is ring_embedding's scatter index over the (r, m) grid of
-    pairs.  (rep_row, rep_orbit, rep_col, rep_weight) are H's elements in
+    (length, orbit, power) are its orbits (_orbits).  Row j of (residue, site)
+    is each state's j-th preimage in the (r, m) grid of pairs on sites m and
+    m + r, which ring_embedding gathers: its residue-table entry and m, or
+    the table's zero slot for the second of a photon pair on one cavity.
+    (rep_row, rep_orbit, rep_col, rep_weight) are H's elements in
     the rows of the orbits' first states, in (row, col) order: the row's
     orbit a, the column's orbit b, the column, and per coupling the value
     times sqrt(L_a/L_b), so that (xi, g, delta) @ rep_weight are the
@@ -111,7 +113,8 @@ class _RingGeometry:
     length: np.ndarray
     orbit: np.ndarray
     power: np.ndarray
-    embedding: np.ndarray
+    residue: np.ndarray
+    site: np.ndarray
     rep_row: np.ndarray
     rep_orbit: np.ndarray
     rep_col: np.ndarray
@@ -227,10 +230,16 @@ def _ring_geometry(N: int) -> _RingGeometry:
     r = np.arange(N)
     # (r, m) grid of the pair on sites m and m + r; r = 0 has no TLS pair
     m, other = np.broadcast_arrays(r, r[:, None] + r)
-    embedding = np.concatenate([basis.pp(m, other).ravel(), basis.mix(m, other).ravel(),
-                                basis.mix(other, m).ravel(),
-                                basis.tt(m[1:], other[1:]).ravel()])
-    geometry = _RingGeometry(basis, step, length, orbit, power, embedding,
+    state = np.concatenate([basis.pp(m, other).ravel(), basis.mix(m, other).ravel(),
+                            basis.mix(other, m).ravel(), basis.tt(m[1:], other[1:]).ravel()])
+    # slot f N^2 + r N + m of family f reads table entry f N + r, and the
+    # last slot the zero slot 4N; each state's preimages in slot order
+    slot = np.append(np.delete(np.arange(4 * N * N), np.s_[3 * N * N:3 * N * N + N]), 4 * N * N)
+    order = np.append(np.argsort(state, kind="stable"), -1)
+    count = np.bincount(state)
+    first = np.cumsum(count) - count
+    pick = slot[order[np.stack([first, np.where(count == 2, first + 1, -1)])]]
+    geometry = _RingGeometry(basis, step, length, orbit, power, pick // N, pick % N,
                              rep_row, rep_orbit, rep_col, rep_weight)
     for field in dataclasses.fields(geometry)[1:]:     # every array
         getattr(geometry, field.name).flags.writeable = False
@@ -347,23 +356,24 @@ def _orbits(basis: TwoExcitationBasis, step: np.ndarray):
     return length, orbit, power
 
 
-def _fill_sector(geo: _RingGeometry, n: int, weight) -> MomentumSector:
-    """Diagonalize sector n from H's representative elements (_RingGeometry).
+@functools.lru_cache(maxsize=RINGS_KEPT)
+def _sector_layout(N: int, n: int) -> tuple:
+    """What sector n of the N-site ring is filled from, whatever the couplings.
 
-    Element i sits in row first[a_i] (a_i = rep_row), column col_i of
-    orbit b_i, and carries weight_i = H[first[a_i], col_i] sqrt(L_a/L_b).
-    Sector n (k = 2 pi n / N) keeps the orbits with e^{ik L} = 1, and its
-    block is block[a, b] = sum_i weight_i e^{-ik m_i} with col_i = T^{m_i}
-    first[b], filled by one bincount.  Row first[a] fills block[a, b] and
-    row first[b] fills block[b, a], so the exact Hermiticity check tests
-    the element algebra.  When 2n = 0 (mod N), k is 0 or pi, every phase
-    is +-1, and the projector's amplitudes, the block and its eigenvectors
-    are real.  Full-basis state i, in orbit o and T^j first[o], gets
-    amplitude e^{-ik j} / sqrt(L_o) in the column of o, or 0 if o is not kept.
+    Element i of _ring_geometry(N) sits in row first[a_i] (a_i = rep_row),
+    column col_i = T^{m_i} first[b_i], with weight_i = H[first[a_i], col_i]
+    sqrt(L_a/L_b).  Sector n (k = 2 pi n / N) keeps the orbits with
+    e^{ik L} = 1: its block[a, b] = sum_i weight_i e^{-ik m_i}, and its
+    projector gives state T^j first[o] amplitude e^{-ik j} / sqrt(L_o) in
+    the column of o (0 if o is not kept), all real when 2n = 0 (mod N).
+    Returns (k, size, index, amplitude, keep, cell, col_phase): the
+    projector's gather (shared by every MomentumSector of (N, n)), and the
+    elements inside the block, their cells row * size + col and e^{-ik m_i},
+    all read-only.  The RINGS_KEPT most recent (N, n) are kept
+    (_sector_layout.cache_clear() empties the memo).
     """
-    N = geo.basis.N
-    length, orbit, power = geo.length, geo.orbit, geo.power
-    a, b, col = geo.rep_row, geo.rep_orbit, geo.rep_col
+    geo = _ring_geometry(N)
+    length, orbit, power, a, b = geo.length, geo.orbit, geo.power, geo.rep_row, geo.rep_orbit
     k = 2.0 * math.pi * n / N
     kept = (n * length) % N == 0
     index = np.cumsum(kept) - 1
@@ -373,25 +383,36 @@ def _fill_sector(geo: _RingGeometry, n: int, weight) -> MomentumSector:
     else:
         phase = np.exp(-1j * k * power)
     inside = kept[orbit]
-    amplitude = np.where(inside, phase / np.sqrt(length[orbit]), 0.0)
-    gather = np.where(inside, index[orbit], 0)
     keep = kept[a] & kept[b]
-    cell = index[a[keep]] * size + index[b[keep]]
-    terms = weight[keep] * phase[col[keep]]
+    layout = (k, size, np.where(inside, index[orbit], 0),
+              np.where(inside, phase / np.sqrt(length[orbit]), 0.0), keep,
+              index[a[keep]] * size + index[b[keep]], phase[geo.rep_col[keep]])
+    for array in layout[2:]:
+        array.flags.writeable = False
+    return layout
+
+
+def _fill_sector(geo: _RingGeometry, n: int, weight) -> MomentumSector:
+    """Diagonalize sector n from the weights of H's representative elements.
+
+    One bincount over the cells of _sector_layout(N, n) fills the block.
+    Row first[a] fills block[a, b] and row first[b] fills block[b, a], so
+    the exact Hermiticity check tests the element algebra.
+    """
+    k, size, index, amplitude, keep, cell, col_phase = _sector_layout(geo.basis.N, n)
+    terms = weight[keep] * col_phase
     block = np.bincount(cell, terms.real, minlength=size * size)
     if np.iscomplexobj(terms):
         block = block + 1j * np.bincount(cell, terms.imag, minlength=size * size)
     block = block.reshape(size, size)
     herm = np.abs(block - block.conj().T).max()
     if herm > 1e-13:
-        raise RuntimeError(
-            f"momentum block n={n} not Hermitian: defect {herm:.3g}"
-        )
+        raise RuntimeError(f"momentum block n={n} not Hermitian: defect {herm:.3g}")
     vals, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
-    for arr in (vals, vecs, gather, amplitude):
+    for arr in (vals, vecs):
         arr.flags.writeable = False
-    return MomentumSector(N=N, n=n, momentum=k, eigenvalues=vals, eigenvectors=vecs,
-                          index=gather, amplitude=amplitude)
+    return MomentumSector(N=geo.basis.N, n=n, momentum=k, eigenvalues=vals, eigenvectors=vecs,
+                          index=index, amplitude=amplitude)
 
 
 #: Diagonalized sectors ring_sector keeps: enough for the three ring sizes
@@ -447,23 +468,22 @@ def ring_embedding(state: BoundState, N: int) -> np.ndarray:
     params = state.params
     _sector_of(params.K, N)
     geo = _ring_geometry(N)
-    right, left = (expansion_winding(state.roots, state.scaled_amplitudes, N, s * params.K / 2)
-                   for s in (1, -1))
+    right, left = expansion_winding(state.roots, state.scaled_amplitudes, N,
+                                    [s * params.K / 2 for s in (1, -1)])
     r = np.arange(N)
     fold = right[(r - 1) % N] + left[(-r - 1) % N] @ PARITY
     # l = 0: its photon pair shares a cavity; its d_+ reaches mix(m, m)
     # through both mixed terms below, whose sum supplies the sqrt(2)
     fold[0] += state.contact_spinor * np.array([SQRT2, 1.0, 1.0, 1.0])
-    p, d_sym, d_asy, t = fold.T[:, :, None]
-    com = np.exp(1j * params.K * r)
-    # one scatter-add over the four families of the ring's (r, m) grid
-    # (_ring_geometry); the photon on m + r and TLS on m hold
-    # d_r = d_+ + d_-, the reverse d_-r
-    value = np.concatenate([(com * p).ravel(), (com * (d_sym - d_asy) / SQRT2).ravel(),
-                            (com * (d_sym + d_asy) / SQRT2).ravel(), (com * t)[1:].ravel()])
-    dim = geo.basis.dim
-    return np.bincount(geo.embedding, value.real, minlength=dim) \
-        + 1j * np.bincount(geo.embedding, value.imag, minlength=dim)
+    p, d_sym, d_asy, t = fold.T
+    # the photon on m + r and TLS on m hold d_r = d_+ + d_-, the reverse d_-r
+    table = np.concatenate([p, d_sym - d_asy, d_sym + d_asy, t, [0.0]])
+    # each state's two preimages in the ring's (r, m) grid (_ring_geometry)
+    value = np.exp(1j * params.K * r)[geo.site] * table[geo.residue]
+    mixed = geo.basis.mix(0, 0)
+    value[:, mixed:mixed + N * N] /= SQRT2
+    # + 0.0: a zero sum takes the sign a scatter-add from 0 gives it
+    return value[0] + value[1] + 0.0
 
 
 @dataclass(frozen=True)
@@ -495,12 +515,8 @@ def compare_bound_state(analytic: BoundState, N_list) -> tuple:
         energy, vec_full = ring_sector(analytic.params, N).nearest_in_gap(analytic)
         psi = ring_embedding(analytic, N)
         ov = abs(np.vdot(vec_full, psi)) ** 2 / np.vdot(psi, psi).real
-        rows.append(OracleComparison(
-            N=int(N),
-            energy=energy,
-            error=float(abs(energy - analytic.energy)),
-            overlap=float(ov),
-        ))
+        rows.append(OracleComparison(N=int(N), energy=energy, overlap=float(ov),
+                                     error=float(abs(energy - analytic.energy))))
     return tuple(rows)
 
 
@@ -538,20 +554,19 @@ def band_edge_check(params: ModelParams, N: int) -> EdgeCheckReport:
     for gap in bands.gaps:
         with _gap_inertia(params, gap) as (*_, signs):
             expected += len(signs)
+    e = sector.eigenvalues
+    lo, hi = np.array([(band.lo - tol, band.hi + tol) for band in bands.bands]).T
+    near = (lo <= e[:, None]) & (e[:, None] <= hi)    # the first band that holds claims e
+    claimed = near.any(axis=1)
+    band_counts = np.bincount(near.argmax(axis=1)[claimed], minlength=len(bands.bands))
     violations, in_gap = [], []
-    band_counts = [0] * len(bands.bands)
-    for e in sector.eigenvalues:
-        for i, band in enumerate(bands.bands):
-            if band.lo - tol <= e <= band.hi + tol:
-                band_counts[i] += 1
-                break
-        else:
-            gap = bands.gap_at(e)
-            deep = gap is not None and gap.contains(e, margin=tol)
-            (in_gap if deep else violations).append(float(e))
+    for value in e[~claimed]:
+        gap = bands.gap_at(value)
+        deep = gap is not None and gap.contains(value, margin=tol)
+        (in_gap if deep else violations).append(float(value))
     return EdgeCheckReport(
         N=int(N), violations=tuple(violations), in_gap=tuple(in_gap),
-        expected_bound_count=int(expected), band_counts=tuple(band_counts),
+        expected_bound_count=int(expected), band_counts=tuple(band_counts.tolist()),
     )
 
 

@@ -7,7 +7,6 @@ makes sweep output deterministic for any job count.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -96,6 +95,7 @@ def _run(fn, items, jobs):
     if jobs == 1 or len(items) < 2:
         return [fn(it) for it in items]
     chunk = max(1, len(items) // (jobs * 4))
+    import multiprocessing      # here, not at import: most processes run one job
     with multiprocessing.Pool(processes=jobs) as pool:
         return pool.map(fn, items, chunksize=chunk)
 

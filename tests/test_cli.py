@@ -119,6 +119,30 @@ def test_negative_seed_exits_2(capsys):
     assert "--seed must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_nonpositive_jobs_exits_2(capsys, jobs):
+    # no sweep runs serially in place of a refused job count
+    for command in ("bands", "bound"):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--xi", "-0.2", "--delta", "0", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"--jobs must be a positive integer, got {jobs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--xi", "-0.2", "--delta", "-1:1"],                 # _resolve
+    ["validate", "--seed", "-1", "--checks", "bloch-hermiticity"],  # _resolve
+    ["bands", "--xi", "nan", "--delta", "0"],                      # ParameterError in main
+])
+def test_usage_errors_show_the_subcommand_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: twopol {argv[0]} "), err
+    assert f"twopol {argv[0]}: error: " in err
+
+
 def test_two_field_delta_names_its_forms(capsys):
     # bound has no --grid flag: the refusal names the forms --delta takes
     with pytest.raises(SystemExit) as exc:
@@ -363,11 +387,13 @@ def test_pi_syntax_reaches_metadata(tmp_path):
 
 def test_import_loads_no_scipy():
     # the package is numpy-only: scipy would load a second BLAS, about 28 MB
-    # and 0.3 s, into every process, so a fresh import loads no module of it
+    # and 0.3 s, into every process, so a fresh import loads no module of it;
+    # nor of multiprocessing, which only a sweep on several workers needs
     src = str(Path(twopolaritons.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, twopolaritons, twopolaritons.cli, twopolaritons.validation; "
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "loaded = sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'multiprocessing')); "
             "print(*loaded); sys.exit(bool(loaded))")
     done = subprocess.run([sys.executable, "-c", code], timeout=60, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})

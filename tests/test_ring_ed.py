@@ -9,6 +9,7 @@ fail.
 
 import dataclasses
 import re
+import types
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from twopolaritons import bound_states, ring_ed, validation
 from twopolaritons.bands import band_structure
 from twopolaritons.bound_states import find_bound_states
 from twopolaritons.errors import OracleMismatchError, ParameterError
-from twopolaritons.model import SQRT2, ModelParams
+from twopolaritons.channels import expansion_winding
+from twopolaritons.model import PARITY, SQRT2, ModelParams
 from twopolaritons.sweeps import bound_sweep
 from twopolaritons.ring_ed import (
     TwoExcitationBasis,
@@ -244,6 +246,105 @@ def test_zero_hopping_matches_single_site_levels(monkeypatch):
     monkeypatch.setattr(validation, "jc_pair_levels", lambda p, N: ring_ed.jc_pair_levels(
         dataclasses.replace(p, g=1.0), N))
     assert not run_checks(["ed-jc-levels"])[0].passed
+
+
+def test_sectors_of_one_ring_size_share_one_layout():
+    # two parameter sets in the complex sector n = 10 of the 12-site ring
+    # fill from the same read-only layout, built once
+    ring_ed.ring_sector.cache_clear()
+    ring_ed._sector_layout.cache_clear()
+    a = ring_sector(ModelParams(xi=-0.2, delta=0.3, K=np.pi / 3), 12)
+    b = ring_sector(ModelParams(xi=-0.5, delta=-1.0, g=1.2, K=np.pi / 3), 12)
+    info = ring_ed._sector_layout.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert a.n == b.n == 10 and np.iscomplexobj(a.amplitude)
+    assert a.index is b.index and a.amplitude is b.amplitude
+    assert not np.array_equal(a.eigenvalues, b.eigenvalues)
+    layout = ring_ed._sector_layout(12, 10)
+    assert layout[2] is a.index and layout[3] is a.amplitude
+    for array in layout[2:]:
+        assert isinstance(array, np.ndarray) and not array.flags.writeable
+
+
+def grid_scatter_embedding(st, N):
+    """ring_embedding as a scatter-add over the (r, m) grid of pairs on sites m and m + r.
+
+    Each side's winding is computed on its own, and every grid value is
+    summed into its state by bincount, starting from 0.
+    """
+    basis = TwoExcitationBasis(N)
+    K = st.params.K
+    right, left = (expansion_winding(st.roots, st.scaled_amplitudes, N, [s * K / 2])[0]
+                   for s in (1, -1))
+    r = np.arange(N)
+    fold = right[(r - 1) % N] + left[(-r - 1) % N] @ PARITY
+    fold[0] += st.contact_spinor * np.array([SQRT2, 1.0, 1.0, 1.0])
+    p, d_sym, d_asy, t = fold.T[:, :, None]
+    com = np.exp(1j * K * r)
+    m, other = np.broadcast_arrays(r, r[:, None] + r)
+    index = np.concatenate([basis.pp(m, other).ravel(), basis.mix(m, other).ravel(),
+                            basis.mix(other, m).ravel(), basis.tt(m[1:], other[1:]).ravel()])
+    value = np.concatenate([(com * p).ravel(), (com * (d_sym - d_asy) / SQRT2).ravel(),
+                            (com * (d_sym + d_asy) / SQRT2).ravel(), (com * t)[1:].ravel()])
+    return np.bincount(index, value.real, minlength=basis.dim) \
+        + 1j * np.bincount(index, value.imag, minlength=basis.dim)
+
+
+@pytest.mark.parametrize("K", [0.0, np.pi / 2, np.pi / 3])
+def test_ring_embedding_is_the_grid_scatter_add_bit_for_bit(K):
+    compared = 0
+    for xi, delta in ((-0.2, -0.5), (-0.3, 1.0), (-0.5, 3.0)):
+        p = ModelParams(xi=xi, delta=delta, K=K)
+        for gap in band_structure(p).gaps:
+            for st in find_bound_states(p, gap):
+                for N in (12, 24):
+                    psi = ring_embedding(st, N)
+                    assert psi.tobytes() == grid_scatter_embedding(st, N).tobytes(), (xi, delta, N)
+                    compared += 1
+    assert compared >= 8
+
+
+def audit_reference(params, N, eigenvalues):
+    """band_edge_check's attribution, one eigenvalue and one band at a time."""
+    tol = 5.0 * params.g / N
+    bands = band_structure(params)
+    violations, in_gap = [], []
+    band_counts = [0] * len(bands.bands)
+    for e in eigenvalues:
+        for i, band in enumerate(bands.bands):
+            if band.lo - tol <= e <= band.hi + tol:
+                band_counts[i] += 1
+                break
+        else:
+            gap = bands.gap_at(e)
+            deep = gap is not None and gap.contains(e, margin=tol)
+            (in_gap if deep else violations).append(float(e))
+    return tuple(violations), tuple(in_gap), tuple(band_counts)
+
+
+@pytest.mark.parametrize("N", [8, 48])
+def test_band_edge_audit_matches_the_per_eigenvalue_loop(monkeypatch, N):
+    # planted eigenvalues: each margin's ends and the floats just past them,
+    # band edges, gap centres, and beyond every band; at N = 8 the 5g/N
+    # margins of neighbouring bands overlap across both gaps
+    p = ModelParams(xi=-0.2, delta=0.0)
+    tol = 5.0 * p.g / N
+    bands = band_structure(p)
+    ends = [end for band in bands.bands for end in (band.lo - tol, band.hi + tol)]
+    planted = np.sort(np.concatenate([
+        ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+        [end for band in bands.bands for end in (band.lo, band.hi)],
+        [0.5 * (gap.lo + gap.hi) for gap in bands.gaps], [-10.0, 10.0]]))
+    monkeypatch.setattr(ring_ed, "ring_sector",
+                        lambda params, n: types.SimpleNamespace(eigenvalues=planted))
+    report = ring_ed.band_edge_check(p, N)
+    violations, in_gap, band_counts = audit_reference(p, N, planted)
+    assert (report.violations, report.in_gap, report.band_counts) == \
+        (violations, in_gap, band_counts)
+    assert sum(band_counts) + len(violations) + len(in_gap) == planted.size
+    overlap = [e for e in planted
+               if sum(b.lo - tol <= e <= b.hi + tol for b in bands.bands) == 2]
+    assert bool(overlap) == (N == 8) and bool(in_gap) == (N == 48)
 
 
 def test_ring_embedding_momentum_compatibility():
