@@ -5,20 +5,28 @@ l != 0 through the three decaying channels leaves the l = 0 site equation
 on the contact slots (photon pair, symmetric mix): a 2x2 Hermitian matrix
 S(E) whose eigenvalues fall strictly across a gap.  A bound state is a zero
 of one eigenvalue, so the change in the number of negative eigenvalues (the
-inertia) between the inset gap ends counts the states (_gap_inertia, the
+inertia) between the inset gap ends counts the states (_gap_counts, the
 count the ring audit expects too), and Brent's method finds each; its
 contact spinor is the eigenvector of that eigenvalue.
-Brent's iteration is _brent, scipy.optimize.brentq's step for step, in
-the package, which imports no scipy.
-Every energy costs one solve for the bare closed channels (momenta and
-unit-norm spinors, with no gauge and no ChannelSet) and one contact
-elimination on them; the inertia count and Brent read only S's two
-eigenvalues, in closed form for a 2x2 Hermitian matrix.  The channel-root
-determinant certificate runs once per search, in one batch over the roots
-of every energy it evaluated, before any state or error leaves it.  S
-does not depend on the phases of the channel spinors, so only the
-accepted energy builds a ChannelSet, by find_channel_roots, and
-eliminates again on it for W, S and np.linalg.eigh (_certify).
+Brent's iteration is _brent_steps, scipy.optimize.brentq's step for step,
+in the package, which imports no scipy.
+search_gaps searches all open gaps of one parameter set in lockstep, one
+lane per gap: one stacked evaluation of S at the inset ends of every gap,
+then one per round at the next energy of every live lane.  Every energy
+costs one solve for its bare closed channels (momenta and unit-norm
+spinors, with no gauge and no ChannelSet); one contact elimination runs
+over the round's stack, and the inertia count and Brent read only S's two
+eigenvalues, in closed form for a 2x2 Hermitian matrix, per lane.  Each
+lane computes, raises or skips exactly what a search of its gap alone
+does; find_bound_states is the one-lane case.  The lanes are the gaps of
+one parameter set: a sweep's detunings are still searched one after
+another (lanes across a sweep wait for ROADMAP item 5's sweep workload).
+The channel-root determinant certificate runs once per search,
+in one batch over the roots of every energy any lane evaluated, before any
+state or error leaves it.  S does not depend on the phases of the channel
+spinors, so only an accepted energy builds a ChannelSet, by
+find_channel_roots, and eliminates again on it for W, S and
+np.linalg.eigh (_certify).
 Brent runs in the Chebyshev gap variable s in [0, 1], E(s) = lo + (hi -
 lo)(1 - cos(pi s))/2, in which the sqrt(E - edge) onset of S's
 eigenvalues at a gap edge is linear.  A sign change where the eigenvalue
@@ -30,8 +38,6 @@ sums, exact for any decay rate.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +47,7 @@ from .bands import Gap, phase_fix
 from .channels import (
     ChannelState,
     _check_determinant,
+    _ClosedChannels,
     _closed_channels,
     certificate_window,
     contact_elimination,
@@ -54,13 +61,14 @@ __all__ = [
     "BoundState",
     "find_bound_states",
     "rayleigh_quotient",
+    "search_gaps",
 ]
 
 SIGMA_ACCEPT = 1e-8
 RESIDUAL_TOL = 1e-8
 L_RESIDUAL = 60
 #: The inertia count and the search stay TOL_EDGE_FACTOR * g inside the gap
-#: edges (_gap_inertia): at an edge a channel turns open, with no group velocity.
+#: edges (_Lane): at an edge a channel turns open, with no group velocity.
 TOL_EDGE_FACTOR = 1e-6
 #: Brent's relative tolerance and step budget, scipy.optimize.brentq's defaults.
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
@@ -86,20 +94,27 @@ class BoundState(ChannelState):
 
 
 def _eigvalsh2(s) -> tuple:
-    """Both eigenvalues of the 2x2 Hermitian s, ascending, in closed form.
+    """Both eigenvalues of the 2x2 Hermitian s (an array, or its rows as lists), ascending.
 
     Like np.linalg.eigh, reads the lower triangle and the real diagonal:
     (a + d)/2 -+ hypot((a - d)/2, |s[1, 0]|), within a few eps * ||s|| of
     eigh's and free of overflow and underflow in the off-diagonal term.
     """
-    (a, _), (b, d) = s.tolist()
+    (a, _), (b, d) = s
     mean, half = 0.5 * (a.real + d.real), 0.5 * (a.real - d.real)
     r = math.hypot(half, abs(b))
     return mean - r, mean + r
 
 
-def _brent(f, a: float, b: float, xtol: float) -> float:
-    """A zero of f between a and b, where f changes sign, by Brent's zeroin.
+def _finite(fx: float, x: float) -> float:
+    if not math.isfinite(fx):
+        raise ConditioningError(f"Brent's function is {fx} at {x}")
+    return fx
+
+
+def _brent_steps(a: float, b: float, xtol: float):
+    """Brent's zeroin between a and b as a generator: yields each point x, is
+    sent f(x), and returns the zero where f changes sign.
 
     scipy.optimize.brentq's iteration step for step (R. P. Brent, Algorithms
     for Minimization without Derivatives, 1973, ch. 4), with its default
@@ -109,16 +124,12 @@ def _brent(f, a: float, b: float, xtol: float) -> float:
     (extrapolation) one if it is short enough, else bisection, and never
     shorter than the tolerance delta.  An end where f vanishes is returned
     at once.  A non-finite value of f, no sign change between the ends, or
-    no convergence in 100 steps raises ConditioningError.
+    no convergence in 100 steps raises ConditioningError.  Being resumable,
+    it lets the lanes of search_gaps advance together.
     """
-    def value(x):
-        fx = f(x)
-        if not math.isfinite(fx):
-            raise ConditioningError(f"Brent's function is {fx} at {x}")
-        return fx
-
     xpre, xcur = a, b
-    fpre, fcur = value(xpre), value(xcur)
+    fpre = _finite((yield xpre), xpre)
+    fcur = _finite((yield xcur), xcur)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -152,9 +163,20 @@ def _brent(f, a: float, b: float, xtol: float) -> float:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        fcur = _finite((yield xcur), xcur)
     raise ConditioningError(f"Brent's method did not converge in {_BRENT_MAXITER} steps "
                             f"(last point {xcur}, f = {fcur})")
+
+
+def _brent(f, a: float, b: float, xtol: float) -> float:
+    """A zero of f between a and b, where f changes sign: _brent_steps driven by f."""
+    steps = _brent_steps(a, b, xtol)
+    x = next(steps)
+    try:
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 def _certify(E_b: float, params: ModelParams, gap: Gap) -> BoundState:
@@ -201,68 +223,212 @@ def _certify(E_b: float, params: ModelParams, gap: Gap) -> BoundState:
     )
 
 
-@contextlib.contextmanager
-def _gap_inertia(params: ModelParams, gap: Gap):
-    """Count one gap's states by the inertia of S(E): yields (lo, hi, eigs, signs).
+class _Lane:
+    """One gap's search: its inset ends, S's eigenvalues at every energy it
+    evaluated, those energies' closed roots (for the determinant check), the
+    sign changes between the ends, the accepted energies, and the error that
+    ended it, if one did.
 
-    lo and hi are the inset gap ends, TOL_EDGE_FACTOR * g inside the edges;
-    a gap narrower than twice that raises ParameterError.  eigs(E) is S's two
-    eigenvalues at E in closed form, memoized; each energy costs one solve
-    for its bare closed channels and one contact elimination on them, and
-    its roots are recorded.  signs = range(n_lo, n_hi) holds the eigenvalues
-    whose sign changes between the ends, one state each (find_bound_states
-    certifies each or raises), so len(signs) is the gap's bound-state count;
-    n_hi < n_lo is a pole of S and raises ConditioningError.  On leaving the
-    block, also by an error, one _check_determinant call certifies the roots
-    of every energy eigs evaluated, in order: the first failing root raises
-    the ConditioningError its energy's own check would, in place of any
-    error the block raised.
+    The ends lie TOL_EDGE_FACTOR * g inside the gap edges; a gap narrower
+    than twice that is refused with ParameterError before any evaluation.
+    Any exception the search meets is the lane's outcome, not its
+    neighbours': it is kept in error, stops the lane, and states() raises it.
     """
-    tol_edge = TOL_EDGE_FACTOR * params.g
-    if gap.hi - gap.lo <= 2.0 * tol_edge:
-        raise ParameterError(
-            f"gap [{gap.lo}, {gap.hi}] is narrower than twice the edge "
-            f"inset {tol_edge}"
-        )
-    lo, hi = gap.lo + tol_edge, gap.hi - tol_edge
 
-    # S(E) is the (p, d_+) block of the contact matrix C without incident
-    # wave (its other rows vanish); each solve's closed roots are kept for
-    # the one determinant check below
-    energies, closed_lam = [], []
+    def __init__(self, params: ModelParams, gap: Gap):
+        self.params, self.gap, self.error, self.signs = params, gap, None, range(0)
+        self.eigs, self.energies, self.lam, self.accepted = {}, [], [], []
+        tol_edge = TOL_EDGE_FACTOR * params.g
+        self.lo, self.hi = gap.lo + tol_edge, gap.hi - tol_edge
+        if gap.hi - gap.lo <= 2.0 * tol_edge:
+            self.error = ParameterError(f"gap [{gap.lo}, {gap.hi}] is narrower than twice "
+                                        f"the edge inset {tol_edge}")
 
-    @functools.cache
-    def eigs(E: float):
-        closed = _closed_channels(E, params)
-        energies.extend([E] * len(closed.lam))
-        closed_lam.extend(closed.lam.tolist())
-        return _eigvalsh2(contact_elimination(E, closed, params)[1][:2, :2])
+    def energy(self, s: float) -> float:
+        """E(s) = lo + (hi - lo)(1 - cos(pi s))/2, each half anchored at its own end,
+        so E(0) and E(1) are lo and hi exactly."""
+        span, c = self.hi - self.lo, math.cos(math.pi * s)
+        return self.lo + 0.5 * span * (1.0 - c) if s <= 0.5 else self.hi - 0.5 * span * (1.0 + c)
 
-    try:
-        n_lo = sum(e < 0.0 for e in eigs(lo))
-        n_hi = sum(e < 0.0 for e in eigs(hi))
-        if n_hi < n_lo:
-            raise ConditioningError(f"S(E) has {n_lo} negative eigenvalues at {lo} but "
-                                    f"{n_hi} at {hi}: a pole inside the gap spoils the count")
-        yield lo, hi, eigs, range(n_lo, n_hi)
-    finally:
-        _check_determinant(np.array(energies)[:, None, None], bloch_matrices(params),
-                           np.array(closed_lam, dtype=complex))
+    def search(self):
+        """Brent on each sign change in turn, in the gap variable s: a generator
+        that yields each energy whose eigenvalues it has not got (the caller puts
+        them in self.eigs) and leaves the accepted energies in self.accepted.
+
+        Brent returns an s it has evaluated, so the acceptance gate reuses the
+        eigenvalues at E(s); |dE/ds| <= pi/2 (hi - lo) keeps the energy
+        tolerance at 1e-13.  A sign change where the eigenvalue stays above
+        SIGMA_ACCEPT * max(|S|, g) raises ConditioningError.
+        """
+        energy, eigs = self.energy, self.eigs
+        xtol = 1e-13 / (0.5 * math.pi * (self.hi - self.lo))
+        for k in self.signs:
+            steps = _brent_steps(0.0, 1.0, xtol)
+            s = next(steps)
+            try:
+                while True:
+                    E = energy(s)
+                    if E not in eigs:
+                        yield E
+                    s = steps.send(eigs[E][k])
+            except StopIteration as stop:
+                E_b = energy(stop.value)
+            at = eigs[E_b]
+            gate = SIGMA_ACCEPT * max(abs(at[0]), abs(at[1]), self.params.g)
+            if not abs(at[k]) < gate:
+                raise ConditioningError(f"eigenvalue {k} of S(E) changes sign at E = {E_b} "
+                                        f"but |eig| = {abs(at[k]):.3g} is not below "
+                                        f"{gate:.3g}: a pole of S or an unresolved zero")
+            self.accepted.append(E_b)
+
+    def states(self) -> list:
+        """The gap's certified states, sorted by energy, or the error that ended its search."""
+        if self.error is not None:
+            raise self.error
+        return sorted((_certify(E_b, self.params, self.gap) for E_b in self.accepted),
+                      key=lambda s: s.energy)
+
+
+def _evaluate(params: ModelParams, wanted: list) -> None:
+    """S's two eigenvalues at each (lane, E) of wanted, into lane.eigs, by one stacked evaluation.
+
+    Each energy's bare closed channels are solved on their own
+    (_closed_channels) and recorded on its lane for the determinant check;
+    one contact_elimination runs over the stack (a lone energy's record is
+    its own stack), and _eigvalsh2 per lane.  If any energy is refused, each
+    is evaluated alone, in order, as a search of its gap alone meets it: a
+    lane's first refusal becomes its error, its roots are kept if its
+    channels were solved, and the lane's later energies are dropped.
+    """
+    if len(wanted) > 1:
+        try:
+            closed = [_closed_channels(E, params) for _, E in wanted]
+            s = contact_elimination(np.array([E for _, E in wanted])[:, None, None],
+                                    _ClosedChannels.stack(closed), params)[1]
+        except Exception:
+            for one in wanted:
+                if one[0].error is None:
+                    _evaluate(params, [one])
+            return
+        for (lane, E), one, c in zip(wanted, closed, s[:, :2, :2].tolist()):
+            lane.energies += [E] * len(one.lam)
+            lane.lam += one.lam.tolist()
+            lane.eigs[E] = _eigvalsh2(c)
+        return
+    for lane, E in wanted:
+        try:
+            closed = _closed_channels(E, params)
+            lane.energies += [E] * len(closed.lam)
+            lane.lam += closed.lam.tolist()
+            lane.eigs[E] = _eigvalsh2(contact_elimination(E, closed, params)[1][:2, :2].tolist())
+        except Exception as exc:
+            lane.error = exc
+
+
+def _counted_lanes(params: ModelParams, gaps) -> list:
+    """One lane per gap, with its inertia count from one stacked evaluation of every inset end.
+
+    signs = range(n_lo, n_hi) holds the eigenvalues of S whose sign changes
+    between the ends, one state each, so len(signs) is the gap's bound-state
+    count; n_hi < n_lo is a pole of S and ends the lane with ConditioningError.
+    """
+    lanes = [_Lane(params, gap) for gap in gaps]
+    _evaluate(params, [(lane, E) for lane in lanes if lane.error is None
+                       for E in (lane.lo, lane.hi)])
+    for lane in lanes:
+        if lane.error is None:
+            n_lo, n_hi = (sum(e < 0.0 for e in lane.eigs[E]) for E in (lane.lo, lane.hi))
+            if n_hi < n_lo:
+                lane.error = ConditioningError(
+                    f"S(E) has {n_lo} negative eigenvalues at {lane.lo} but {n_hi} at "
+                    f"{lane.hi}: a pole inside the gap spoils the count")
+            else:
+                lane.signs = range(n_lo, n_hi)
+    return lanes
+
+
+def _check_roots(params: ModelParams, lanes: list) -> None:
+    """Certify the roots of every energy the lanes evaluated, in one _check_determinant call.
+
+    The roots go lane after lane, each lane's in the order it evaluated
+    them.  If one fails, each lane is checked alone, and a lane with a
+    failing root takes the ConditioningError of its first one, in place of
+    its own outcome: what a search of its gap alone raises.
+    """
+    mats, checked = bloch_matrices(params), [lane for lane in lanes if lane.energies]
+    if len(checked) > 1:
+        energies = [E for lane in checked for E in lane.energies]
+        try:
+            _check_determinant(np.array(energies)[:, None, None], mats,
+                               np.array([x for lane in checked for x in lane.lam], dtype=complex))
+            return
+        except Exception:
+            pass
+    for lane in checked:
+        try:
+            _check_determinant(np.array(lane.energies)[:, None, None], mats,
+                               np.array(lane.lam, dtype=complex))
+        except Exception as exc:
+            lane.error = exc
+
+
+def _gap_counts(params: ModelParams, gaps) -> list:
+    """Each gap's bound-state count, the inertia count of S(E) between its inset ends.
+
+    One stacked evaluation of every end (_counted_lanes) and one determinant
+    check of their roots (_check_roots); the first failing gap, in gap
+    order, raises its error.  find_bound_states returns that many states.
+    """
+    lanes = _counted_lanes(params, gaps)
+    _check_roots(params, lanes)
+    for lane in lanes:
+        if lane.error is not None:
+            raise lane.error
+    return [len(lane.signs) for lane in lanes]
+
+
+def search_gaps(params: ModelParams, gaps) -> list:
+    """Search every gap of one parameter set in lockstep: one callable per gap, in order,
+    that returns the gap's certified states, sorted by energy, or raises its error.
+
+    One lane per gap.  The inertia count (_counted_lanes) evaluates every
+    inset end in one stack; then each round evaluates the next energy of
+    every live lane's Brent search (_Lane.search) in one stack (_evaluate),
+    and a lane whose evaluation or search fails stops there.  One
+    _check_determinant call (_check_roots) then certifies the roots of
+    every evaluated energy.  A callable certifies its states (_certify) when
+    called, so a caller that stops at one gap's error certifies no later
+    gap, and returns or raises exactly what find_bound_states does for its
+    gap alone.
+    """
+    lanes = _counted_lanes(params, gaps)
+    runs = [(lane, lane.search()) for lane in lanes if lane.error is None]
+    while runs:
+        wanted, live = [], []
+        for lane, run in runs:
+            try:
+                wanted.append((lane, next(run)))
+                live.append((lane, run))
+            except StopIteration:
+                pass
+            except Exception as exc:
+                lane.error = exc
+        _evaluate(params, wanted)
+        runs = [one for one in live if one[0].error is None]
+    _check_roots(params, lanes)
+    return [lane.states for lane in lanes]
 
 
 def find_bound_states(params: ModelParams, gap: Gap) -> list:
-    """All certified bound states inside one open gap, sorted by energy.
+    """All certified bound states inside one open gap, sorted by energy: the one-lane search_gaps.
 
-    The search starts from the inertia count (_gap_inertia): each
-    eigenvalue of S(E) that changes sign between the inset gap ends holds
-    one state, located by Brent's method (_brent) in the gap variable s on
-    the closed-form eigenvalues of S (eigh runs only at the accepted
-    energy, for the eigenvector); each energy costs one solve for its bare
-    closed channels, and each accepted energy one find_channel_roots call.
-    One _check_determinant call certifies the roots of every searched energy
-    before any state is built, and on the way out of any error the search
-    raises: a failing root raises the ConditioningError its energy's own
-    check would, in place of the error.
+    Each eigenvalue of S(E) that changes sign between the inset gap ends
+    holds one state, located by Brent's method in the gap variable s on the
+    closed-form eigenvalues of S (eigh runs only at the accepted energy, for
+    the eigenvector).  One _check_determinant call certifies the roots of
+    every searched energy before any state is built, and on the way out of
+    any error the search raises: a failing root raises the
+    ConditioningError its energy's own check would, in place of the error.
     An empty list is a valid outcome.  A sign change where the eigenvalue
     stays above SIGMA_ACCEPT * max(|S|, g) is a pole of S (a surface state
     of the half chain) or an unresolved zero, and a state whose site
@@ -270,31 +436,8 @@ def find_bound_states(params: ModelParams, gap: Gap) -> list:
     inventory short; both raise ConditioningError.  The search stays
     TOL_EDGE_FACTOR * g inside the gap edges.
     """
-    accepted = []
-    with _gap_inertia(params, gap) as (lo, hi, eigs, signs):
-        # Brent returns an s it has evaluated, so the acceptance gate reuses
-        # the eigenvalues at E(s).  E(s) anchors each half at its own end, so
-        # E(0) and E(1) are lo and hi exactly and reuse the inertia
-        # evaluations; |dE/ds| <= pi/2 (hi - lo) keeps the energy tolerance
-        # at 1e-13
-        span = hi - lo
-
-        def energy(s: float) -> float:
-            c = math.cos(math.pi * s)
-            return lo + 0.5 * span * (1.0 - c) if s <= 0.5 else hi - 0.5 * span * (1.0 + c)
-
-        xtol_s = 1e-13 / (0.5 * math.pi * span)
-        for k in signs:
-            E_b = energy(_brent(lambda s: eigs(energy(s))[k], 0.0, 1.0, xtol_s))
-            at = eigs(E_b)
-            gate = SIGMA_ACCEPT * max(abs(at[0]), abs(at[1]), params.g)
-            if not abs(at[k]) < gate:
-                raise ConditioningError(f"eigenvalue {k} of S(E) changes sign at E = {E_b} "
-                                        f"but |eig| = {abs(at[k]):.3g} is not below "
-                                        f"{gate:.3g}: a pole of S or an unresolved zero")
-            accepted.append(E_b)
-    # certified only once the block has run its determinant check
-    return sorted((_certify(E_b, params, gap) for E_b in accepted), key=lambda s: s.energy)
+    (found,) = search_gaps(params, (gap,))
+    return found()
 
 
 def rayleigh_quotient(state: BoundState) -> float:

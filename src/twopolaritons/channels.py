@@ -190,14 +190,18 @@ def contact_elimination(E, roots, params, incident=None):
     and M_1 stays regular as z -> 0).  The l = 0 equation then reads
     C b_0 = r with C = A + V - E + (hp PARITY + hm) Phi W and
     r = -(hp PARITY + hm)(inc_1 - Phi W inc_0).  ``incident`` holds the
-    free spinors (inc_0, inc_1); None, for a bound state, means zero.  An
-    M_1 singular to working precision raises ConditioningError.
+    free spinors (inc_0, inc_1) of one energy; None, for a bound state,
+    means zero.  E may also be a stack of energies shaped (n, 1, 1), with
+    roots their closed channels stacked by _ClosedChannels.stack: W and C
+    then stack too, each lane bit for bit what its energy alone gives.  An
+    M_1 singular to working precision raises ConditioningError quoting its
+    E, a stack's first such lane's.
     """
     mats = bloch_matrices(params)
     a_e = mats.onsite - E * _EYE
     phi = roots.vectors
-    m1 = (a_e @ phi + mats.hm @ phi * roots.z)[:3]
-    w = -_solve_regular(m1, mats.hp[:3], f"channel block M_1 at E = {E}")
+    m1 = (a_e @ phi + mats.hm @ phi * roots.z)[..., :3, :]
+    w = -_solve_regular(m1, mats.hp[:3], "channel block M_1 at E = {}", E)
     c = a_e + mats.contact + mats.mirror_hop @ phi @ w
     if incident is None:
         return w, c, np.zeros(4, dtype=complex)
@@ -205,22 +209,36 @@ def contact_elimination(E, roots, params, incident=None):
     return w, c, -mats.mirror_hop @ (inc1 - phi @ (w @ inc0))
 
 
-def _solve_regular(m, rhs, what: str) -> np.ndarray:
+def _solve_regular(m, rhs, what: str, E=None) -> np.ndarray:
     """Solve m x = rhs by one SVD, refusing cond(m) >= 1/eps (an LU flags only zero pivots).
 
     The 2-norm condition number s[0] / s[-1] and the solve
     Vh^H diag(1/s) U^H rhs share the factorization, np.linalg.svd (LAPACK
     gesdd); an SVD that fails to converge raises ConditioningError.  rhs is
-    1-D or 2-D.
+    1-D or 2-D.  m may be a stack of matrices on a leading axis, one per
+    energy of E, each solved as if alone.  what names m in a refusal; given
+    E, its {} takes the energy: the first refused lane's, or every energy
+    of a stack whose SVD failed.
     """
     try:
         u, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"SVD failed on {what}: {exc}") from None
-    if not s[0] < s[-1] / _EPS:
-        cond = s[0] / s[-1] if s[-1] > 0.0 else np.inf
-        raise ConditioningError(f"{what} is singular to working precision (cond {cond:.3g})")
-    return (np.conj(vh.T) / s) @ (np.conj(u.T) @ rhs)
+        raise ConditioningError(f"SVD failed on {_named(what, E)}: {exc}") from None
+    rows = s.tolist()
+    for lane, row in enumerate(rows if s.ndim > 1 else [rows]):
+        if not row[0] < row[-1] / _EPS:
+            cond = row[0] / row[-1] if row[-1] > 0.0 else math.inf
+            raise ConditioningError(f"{_named(what, E, lane)} is singular to working precision "
+                                    f"(cond {cond:.3g})")
+    return (np.conj(vh.swapaxes(-1, -2)) / s[..., None, :]) @ (np.conj(u.swapaxes(-1, -2)) @ rhs)
+
+
+def _named(what: str, E, lane=None) -> str:
+    """what with lane's energy of E in its {}, or every energy of a stack if no lane is named."""
+    if E is None:
+        return what
+    energies = np.ravel(E).tolist()
+    return what.format(energies if lane is None and len(energies) > 1 else energies[lane or 0])
 
 
 def _double_root(mats) -> bool:
@@ -334,6 +352,13 @@ class _ClosedChannels(NamedTuple):
     lam: np.ndarray             # (n,) complex
     z: np.ndarray               # (n,) complex
     vectors: np.ndarray         # (4, n)
+
+    @staticmethod
+    def stack(records) -> "_ClosedChannels":
+        """The records of several energies as one, on a leading axis; z is shaped
+        (n, 1, 3), so that it scales the spinor columns as one record's z does."""
+        lam, z, vectors = zip(*records)
+        return _ClosedChannels(np.array(lam), np.array(z)[:, None, :], np.array(vectors))
 
 
 def _channel_roots(E: float, params: ModelParams) -> tuple:

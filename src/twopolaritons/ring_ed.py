@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import band_structure
-from .bound_states import BoundState, _gap_inertia
+from .bound_states import BoundState, _gap_counts
 from .errors import OracleMismatchError, ParameterError
 from .channels import expansion_winding
 from .model import PARITY, SQRT2, ModelParams
@@ -543,17 +543,14 @@ def band_edge_check(params: ModelParams, N: int) -> EdgeCheckReport:
     band membership carries a 5g/N margin; an eigenvalue must clear the
     same margin inside a gap to count as a bound-state candidate.  The
     expected count is the inertia count of S(E) between each gap's inset
-    ends (bound_states._gap_inertia, with its determinant certificate), the
-    count find_bound_states starts from and returns that many states for;
-    no state is searched for here.
+    ends (bound_states._gap_counts: one stacked evaluation of every end, with
+    its determinant certificate), the count find_bound_states starts from and
+    returns that many states for; no state is searched for here.
     """
     tol = 5.0 * params.g / N
     bands = band_structure(params)
     sector = ring_sector(params, N)
-    expected = 0
-    for gap in bands.gaps:
-        with _gap_inertia(params, gap) as (*_, signs):
-            expected += len(signs)
+    expected = sum(_gap_counts(params, bands.gaps))
     e = sector.eigenvalues
     lo, hi = np.array([(band.lo - tol, band.hi + tol) for band in bands.bands]).T
     near = (lo <= e[:, None]) & (e[:, None] <= hi)    # the first band that holds claims e

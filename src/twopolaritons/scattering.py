@@ -102,7 +102,7 @@ def solve_scattering(branch: str, q: float, params: ModelParams) -> ScatteringSo
     incident = incident_state(branch, q, params, np.arange(-L_CHECK - 1, L_CHECK + 2))
     inc01 = incident[L_CHECK + 1:L_CHECK + 3]
     w, c, rhs = contact_elimination(E, roots, params, inc01)
-    b0 = _solve_regular(c[:2, :2], rhs[:2], f"contact matrix S at E = {E}")
+    b0 = _solve_regular(c[:2, :2], rhs[:2], "contact matrix S at E = {}", E)
     contact = np.array([b0[0], b0[1], 0.0, 0.0])
     scaled = w @ (contact - inc01[0])
     wav, residual = certificate_window(L_CHECK, E, params, roots, scaled, contact, incident)

@@ -2,7 +2,12 @@
 
 Workers recompute everything from plain parameter tuples, so scheduling
 never influences results; assembly preserves submission order, which
-makes sweep output deterministic for any job count.
+makes sweep output deterministic for any job count.  A bound sweep point
+searches all open gaps of its parameter set in lockstep, one lane per gap
+(bound_states.search_gaps), and resolves the lanes in gap order: a
+refused gap is skipped, any other error raises.  Lanes hold the gaps of
+one point only; the detunings of a sweep are points of their own (lanes
+across a sweep wait for ROADMAP item 5's sweep workload).
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import os
 from dataclasses import dataclass
 
 from .bands import band_structure
-from .bound_states import find_bound_states
+from .bound_states import search_gaps
 from .errors import DegenerateParametersError, ParameterError, TwoPolaritonError
 from .model import ModelParams
 from .scattering import solve_scattering
@@ -64,14 +69,15 @@ _GAP_REFUSALS = (ParameterError, DegenerateParametersError)
 
 def _bound_point(params) -> BoundSweepPoint:
     gaps, states, skipped = [], [], []
-    for gap in band_structure(params).gaps:
+    open_gaps = band_structure(params).gaps
+    for gap, found in zip(open_gaps, search_gaps(params, open_gaps)):
         try:
-            found = find_bound_states(params, gap)
+            certified = found()
         except _GAP_REFUSALS as exc:
             skipped.append((gap.index, str(exc)))
             continue
         gaps.append(gap)
-        states.append(tuple(found))
+        states.append(tuple(certified))
     return BoundSweepPoint(params=params, gaps=tuple(gaps),
                            states=tuple(states), skipped=tuple(skipped))
 

@@ -18,9 +18,11 @@ import numpy as np
 
 from . import model
 from .bands import BRANCHES, band_structure, branch_energy, branch_vector, incident_state
-from .bound_states import _gap_inertia, find_bound_states, rayleigh_quotient
-from .channels import (_check_determinant, _closed_channels, channel_expansion,
+from .bound_states import (TOL_EDGE_FACTOR, _gap_counts, find_bound_states, rayleigh_quotient,
+                           search_gaps)
+from .channels import (_check_determinant, _closed_channels, _ClosedChannels, channel_expansion,
                        contact_elimination, find_channel_roots)
+from .errors import TwoPolaritonError
 from .model import ModelParams
 from .ring_ed import (
     TwoExcitationBasis,
@@ -274,20 +276,32 @@ def _check_bound_certificates(rng):
                 f"|slope |b_0|^2 + 1| {worst_flow:.3g}, max |b_0| {max_b0:.3g}")
 
 
-def _check_gap_contact(rng):
-    """The gap search's bare closed channels give find_channel_roots' S and states.
+def _state_bits(state) -> tuple:
+    """A BoundState as a tuple equal to another's only if every field is equal bit for bit."""
+    r = state.roots
+    floats = np.array([state.energy, *state.weights, state.residual_max, state.sigma_min])
+    arrays = (floats, state.scaled_amplitudes, state.contact_spinor, r.lam, r.z, r.vectors,
+              r.is_open, r.group_velocity)
+    return (state.gap, r.branch, *(a.tobytes() for a in arrays))
 
-    At the inset ends _gap_inertia yields and three random energies of
-    every gap, S from the unit-norm, ungauged closed channels the search
-    solves for must equal S from find_channel_roots' ChannelSet to 1e-13 of
-    |S|: S does not depend on the spinors' phases.  Each certified state's channels must be
-    find_channel_roots(E_b)'s: lam, z, labels and is_open exactly, vectors
-    to 1e-15.  _closed_channels runs no determinant check, so the roots of
-    the energies of each gap pass _check_determinant in one batch, as the
-    search's do.  The inertia count of each gap (_gap_inertia, which the
-    ring audit reads as its expected count) must equal the number of states
-    find_bound_states certifies there.  Every third draw sits at K = 0 and
-    every third has |xi| < 1e-3.
+
+def _check_gap_contact(rng):
+    """The lane search's stacked S and lanes give find_channel_roots' S and the one-gap states.
+
+    At the inset ends and three random energies of every gap of a draw, S
+    from one stacked evaluation of the unit-norm, ungauged closed channels
+    the search solves for (_ClosedChannels.stack and one contact_elimination)
+    must equal S from each energy's find_channel_roots ChannelSet to 1e-13
+    of |S|: S does not depend on the spinors' phases.  _closed_channels runs
+    no determinant check, so the roots of the draw's energies pass
+    _check_determinant in one batch, as the search's do.  The inertia count
+    of each gap (_gap_counts, which the ring audit reads as its expected
+    count) must equal the number of states find_bound_states certifies
+    there, and the gap's lane of search_gaps over all the draw's gaps must
+    return exactly those states, bit for bit.  Each certified state's
+    channels must be find_channel_roots(E_b)'s: lam, z, labels and is_open
+    exactly, vectors to 1e-15.  Every third draw sits at K = 0 and every
+    third has |xi| < 1e-3.
     """
     worst_s = worst_v = 0.0
     n_energies = n_roots = n_states = n_gaps = 0
@@ -295,25 +309,36 @@ def _check_gap_contact(rng):
         p = _draw_params(rng, k_zero=i % 3 == 0)
         if i % 3 == 1:
             p = replace(p, xi=1e-3 * p.xi)
-        for gap in band_structure(p).gaps:
-            with _gap_inertia(p, gap) as (lo, hi, _, signs):
-                count = len(signs)
-            energies, lam = [], []
-            for e in [lo, hi, *rng.uniform(lo, hi, 3)]:
-                closed = _closed_channels(e, p)
-                energies.extend([e] * len(closed.lam))
-                lam.extend(closed.lam.tolist())
-                s = contact_elimination(e, closed, p)[1][:2, :2]
-                ref = contact_elimination(e, find_channel_roots(e, p), p)[1][:2, :2]
-                worst_s = max(worst_s, float(np.abs(s - ref).max() / np.abs(ref).max()))
-                n_energies += 1
-            _check_determinant(np.array(energies)[:, None, None], model.bloch_matrices(p),
-                               np.array(lam, dtype=complex))
-            n_roots += len(lam)
+        gaps, tol = band_structure(p).gaps, TOL_EDGE_FACTOR * p.g
+        energies = []
+        for gap in gaps:
+            lo, hi = gap.lo + tol, gap.hi - tol
+            energies += [lo, hi, *rng.uniform(lo, hi, 3).tolist()]
+        if not energies:
+            continue
+        closed = [_closed_channels(e, p) for e in energies]
+        stacked = contact_elimination(np.array(energies)[:, None, None],
+                                      _ClosedChannels.stack(closed), p)[1]
+        for e, s in zip(energies, stacked[:, :2, :2]):
+            ref = contact_elimination(e, find_channel_roots(e, p), p)[1][:2, :2]
+            worst_s = max(worst_s, float(np.abs(s - ref).max() / np.abs(ref).max()))
+        lam = np.concatenate([c.lam for c in closed])
+        at = np.repeat(energies, [len(c.lam) for c in closed])[:, None, None]
+        _check_determinant(at, model.bloch_matrices(p), lam)
+        n_energies += len(energies)
+        n_roots += len(lam)
+        for gap, count, lane in zip(gaps, _gap_counts(p, gaps), search_gaps(p, gaps)):
             states = find_bound_states(p, gap)
             if count != len(states):
                 return False, (f"inertia count {count} but {len(states)} certified states "
                                f"in gap {gap.index}, params={p}")
+            try:
+                same = list(map(_state_bits, lane())) == list(map(_state_bits, states))
+            except TwoPolaritonError as exc:
+                same = exc
+            if same is not True:
+                return False, (f"the lane search of gap {gap.index} gives other states than "
+                               f"find_bound_states ({same}), params={p}")
             n_gaps += 1
             for st in states:
                 got, ref = st.roots, find_channel_roots(st.energy, p)
@@ -325,10 +350,11 @@ def _check_gap_contact(rng):
                 worst_v = max(worst_v, float(np.abs(got.vectors - ref.vectors).max()))
                 n_states += 1
     ok = worst_s <= 1e-13 and worst_v <= 1e-15 and n_states > 0
-    return ok, (f"max |S - S_ref|/|S_ref| {worst_s:.3g} over {n_energies} gap energies "
-                f"({n_roots} roots pass the determinant check), max spinor defect "
-                f"{worst_v:.3g} over {n_states} states, inertia count equals the "
-                f"certified count in {n_gaps} gaps, 60 draws")
+    return ok, (f"max |S - S_ref|/|S_ref| {worst_s:.3g} over {n_energies} gap energies in one "
+                f"stack per draw ({n_roots} roots pass the determinant check), max spinor "
+                f"defect {worst_v:.3g} over {n_states} states, inertia count equals the "
+                f"certified count and the lane search the one-gap search in {n_gaps} gaps, "
+                f"60 draws")
 
 
 def _check_ed_construction(rng):

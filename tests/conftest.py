@@ -1,7 +1,5 @@
 """Shared fixtures: each validation check runs once per test session."""
 
-import contextlib
-
 import pytest
 
 from twopolaritons import bound_states
@@ -27,14 +25,12 @@ def check_result():
 
 @pytest.fixture
 def overcount():
-    """bound_states._gap_inertia with one sign change too many in its count.
+    """bound_states._gap_counts with one sign change too many in each gap's count.
 
     A planted fault: a test patches it in where a check or the ring audit
     reads the inertia count, and requires the count comparison to fail.
     """
-    @contextlib.contextmanager
-    def plus_one(params, gap):
-        with bound_states._gap_inertia(params, gap) as (lo, hi, eigs, signs):
-            yield lo, hi, eigs, range(signs.start, signs.stop + 1)
+    def plus_one(params, gaps):
+        return [count + 1 for count in bound_states._gap_counts(params, gaps)]
 
     return plus_one

@@ -6,6 +6,7 @@ requires the check to fail.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -326,7 +327,7 @@ def test_gap_contact(monkeypatch, overcount):
     assert "fails the determinant condition" in result.detail
     # an inertia count one above the certified count
     with monkeypatch.context() as m:
-        m.setattr(validation, "_gap_inertia", overcount)
+        m.setattr(validation, "_gap_counts", overcount)
         (result,) = run_checks(["gap-contact"])
     assert not result.passed
     assert result.detail.startswith("inertia count 2 but 1 certified states")
@@ -503,6 +504,149 @@ def test_determinant_fault_at_double_root(monkeypatch):
                 find_channel_roots(target, p)
 
 
+def bits(values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("xi, delta, K", [(-0.2, -2.0, 0.0), (-0.2, -2.0, np.pi / 2),
+                                          (-5e-4, -1.0, 0.7)])
+def test_stacked_evaluation_is_per_energy_bit_for_bit(xi, delta, K):
+    # the lockstep search eliminates the closed channels of a stack of
+    # energies, one lane per gap, in one contact_elimination: each lane's W,
+    # C and S eigenvalues must be its energy's alone, bit for bit, in stacks
+    # of 1, 2, 4 and 8 that mix both gaps (K = 0 has a double closed root)
+    p = ModelParams(xi=xi, delta=delta, K=K)
+    gaps = both_gaps(p).gaps
+    energies = [float(E) for pair in zip(*(np.linspace(*inset_ends(p, gap), 4) for gap in gaps))
+                for E in pair]
+    closed = [bound_states._closed_channels(E, p) for E in energies]
+    alone = [contact_elimination(E, c, p) for E, c in zip(energies, closed)]
+    for n in (1, 2, 4, 8):
+        w, c, _ = contact_elimination(np.array(energies[:n])[:, None, None],
+                                      channels._ClosedChannels.stack(closed[:n]), p)
+        assert [(x.tobytes(), y.tobytes()) for x, y in zip(w, c)] == [
+            (x.tobytes(), y.tobytes()) for x, y, _ in alone[:n]]
+        lanes = [bound_states._Lane(p, gaps[j % 2]) for j in range(n)]
+        bound_states._evaluate(p, list(zip(lanes, energies)))
+        assert [bits(lane.eigs[E]) for lane, E in zip(lanes, energies)] == [
+            bits(bound_states._eigvalsh2(y[:2, :2].tolist())) for _, y, _ in alone[:n]]
+
+
+def test_stacked_refusal_quotes_its_lanes_energy():
+    # M_1 singular in the third lane of a stack of four: the refusal names
+    # that lane's energy, as the elimination of that energy alone does
+    p = ModelParams(xi=-0.2, delta=-2.0, K=np.pi / 2)
+    energies = [float(E) for E in np.linspace(*inset_ends(p, both_gaps(p).gaps[0]), 4)]
+    closed = [bound_states._closed_channels(E, p) for E in energies]
+    vectors, z = closed[2].vectors.copy(), closed[2].z.copy()
+    vectors[:, 1], z[1] = vectors[:, 0], z[0]
+    closed[2] = closed[2]._replace(vectors=vectors, z=z)
+    with pytest.raises(ConditioningError) as alone:
+        contact_elimination(energies[2], closed[2], p)
+    with pytest.raises(ConditioningError) as stacked:
+        contact_elimination(np.array(energies)[:, None, None],
+                            channels._ClosedChannels.stack(closed), p)
+    assert f"channel block M_1 at E = {energies[2]} is singular" in str(alone.value)
+    assert str(stacked.value) == str(alone.value)
+
+
+def state_bits(states):
+    return [validation._state_bits(st) for st in states]
+
+
+@pytest.mark.parametrize("where", ["upper end", "Brent energy"])
+def test_lane_refusal_skips_its_gap_only(monkeypatch, where):
+    # a ParameterError from gap 1's channel solve, at its upper inset end (in
+    # the stack of both gaps' ends) or at an interior energy of its Brent
+    # search (in a round with gap 2's): the sweep skips gap 1 with that
+    # message, as a search of gap 1 alone refuses it, and gap 2, searched on,
+    # keeps the states of a search of gap 2 alone, bit for bit
+    p = ModelParams(xi=-0.2, delta=-2.0, K=np.pi / 2)
+    gap1, gap2 = both_gaps(p).gaps
+    with monkeypatch.context() as m:
+        _, seen, _, _ = counted_search(m, p, gap1)
+    want, (_, hi) = find_bound_states(p, gap2), inset_ends(p, gap1)
+    target = hi if where == "upper end" else seen[4]     # seen[:2] are the ends
+    solve = bound_states._closed_channels
+
+    def refused(E, params):
+        if E == target:
+            raise ParameterError(f"planted refusal at E = {E}")
+        return solve(E, params)
+
+    monkeypatch.setattr(bound_states, "_closed_channels", refused)
+    with pytest.raises(ParameterError, match="planted refusal"):
+        find_bound_states(p, gap1)
+    (pt,) = bound_sweep(p.xi, [p.delta], K=p.K, jobs=1)
+    assert pt.skipped == ((1, f"planted refusal at E = {target}"),)
+    assert pt.gaps == (gap2,) and state_bits(pt.states[0]) == state_bits(want)
+
+
+def test_each_lane_keeps_its_own_error(monkeypatch):
+    # a pole of S in gap 1 (S = 1 at its upper inset end, so its count of
+    # negative eigenvalues drops across the gap) and a closed root 1e-6 off
+    # at gap 2's lower inset end: the one determinant check of the point
+    # fails on gap 2's root, yet gap 1 keeps its pole error, which the sweep
+    # raises, as a search of gap 1 alone does; gap 2's lane raises its
+    # root's determinant error
+    p = ModelParams(xi=-0.2, delta=-2.0, K=np.pi / 2)
+    gap1, gap2 = both_gaps(p).gaps
+    hi1, lo2 = inset_ends(p, gap1)[1], inset_ends(p, gap2)[0]
+    eliminate, solve = bound_states.contact_elimination, bound_states._closed_channels
+
+    def pole(E, roots, params):
+        w, c, r = eliminate(E, roots, params)
+        c = c.copy()
+        c.reshape(-1, 4, 4)[np.ravel(E) == hi1, :2, :2] = np.eye(2)
+        return w, c, r
+
+    def shifted(E, params):
+        closed = solve(E, params)
+        return closed._replace(lam=closed.lam + [0.0, 1e-6, 0.0]) if E == lo2 else closed
+
+    monkeypatch.setattr(bound_states, "contact_elimination", pole)
+    monkeypatch.setattr(bound_states, "_closed_channels", shifted)
+    with pytest.raises(ConditioningError) as own:
+        find_bound_states(p, gap1)
+    assert "a pole inside the gap spoils the count" in str(own.value)
+    with pytest.raises(ConditioningError) as point:
+        bound_sweep(p.xi, [p.delta], K=p.K, jobs=1)
+    assert str(point.value) == str(own.value)
+    first, second = bound_states.search_gaps(p, (gap1, gap2))
+    with pytest.raises(ConditioningError, match="fails the determinant condition"):
+        second()
+    with pytest.raises(ConditioningError, match="a pole inside the gap"):
+        first()
+
+
+def test_determinant_fault_in_one_lane(monkeypatch):
+    # a closed root 1e-6 off at one interior Brent energy of gap 1, searched
+    # in lockstep with gap 2: the point raises that energy's own
+    # determinant error, naming its root, and gap 2's lane is untouched
+    p = ModelParams(xi=-0.2, delta=-2.0, K=np.pi / 2)
+    gap1, gap2 = both_gaps(p).gaps
+    states, seen, _, _ = counted_search(monkeypatch, p, gap1)
+    target, want = seen[4], find_bound_states(p, gap2)
+    assert target not in inset_ends(p, gap1) and target != states[0].energy
+    solve = bound_states._closed_channels
+
+    def shifted(closed):
+        lam = closed.lam.copy()
+        lam[1] += 1e-6
+        return closed._replace(lam=lam)
+
+    with pytest.raises(ConditioningError, match="fails the determinant condition") as own:
+        channels._check_determinant(target, bloch_matrices(p), shifted(solve(target, p)).lam)
+    monkeypatch.setattr(bound_states, "_closed_channels",
+                        lambda E, params: shifted(solve(E, params)) if E == target
+                        else solve(E, params))
+    with pytest.raises(ConditioningError) as point:
+        bound_sweep(p.xi, [p.delta], K=p.K, jobs=1)
+    assert str(point.value) == str(own.value)
+    first, second = bound_states.search_gaps(p, (gap1, gap2))
+    assert state_bits(second()) == state_bits(want)
+
+
 @pytest.mark.parametrize("K", [0.0, np.pi / 2])
 def test_root_finds_per_state(monkeypatch, K):
     # Brent in the Chebyshev gap variable, where the edge square root of
@@ -649,9 +793,10 @@ def test_bound_sweep_propagates_solver_failures(monkeypatch, error):
     # a failure inside a gap (a pole of S, a degenerate null space, any
     # error but a refusal of the point) is not a refusal: dropping the gap
     # would report a wrong inventory, so the sweep raises
-    def fail(params, gap):
+    def fail(gap):
         raise error(f"failed in gap {gap.index}")
 
-    monkeypatch.setattr(sweeps, "find_bound_states", fail)
+    monkeypatch.setattr(sweeps, "search_gaps",
+                        lambda params, gaps: [functools.partial(fail, gap) for gap in gaps])
     with pytest.raises(error, match="failed in gap 1"):
         bound_sweep(-0.2, [-2.0], jobs=1)

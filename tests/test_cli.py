@@ -220,7 +220,9 @@ def test_bound_emits_empty_rows_when_gaps_closed(tmp_path):
 
 
 def test_bound_note_for_open_gap_without_state(tmp_path, monkeypatch):
-    monkeypatch.setattr(sweeps, "find_bound_states", lambda params, gap: [])
+    # every gap's lane of the search finds no state
+    monkeypatch.setattr(sweeps, "search_gaps",
+                        lambda params, gaps: [lambda: [] for _ in gaps])
     out = tmp_path / "bound.json"
     assert run(["bound", "--xi", "-0.2", "--delta", "0", "--jobs", "1",
                 "--format", "json", "--out", str(out)]) == 0
@@ -296,10 +298,14 @@ def test_oracle_reports_skipped_gaps(tmp_path, caplog, monkeypatch):
 
 
 def test_output_deterministic_across_jobs(tmp_path):
+    # the bound sweeps search both gaps of each detuning in lockstep, at K = 0
+    # (double closed root) and off it
     for argv in (["scatter", "--xi", "-0.2", "--delta", "-1,1",
                   "--q", "0.4:2.8", "--grid", "6"],
                  ["oracle", "--xi", "-0.2", "--delta", "-0.5,0,0.5",
-                  "--N", "24,48"]):
+                  "--N", "24,48"],
+                 ["bound", "--xi", "-0.2", "--delta", "-2,0,2"],
+                 ["bound", "--xi", "-0.2", "--delta", "-2,0,2", "--K", "pi/2"]):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(argv + ["--jobs", "1", "--out", str(a)]) == 0
         assert run(argv + ["--jobs", "3", "--out", str(b)]) == 0

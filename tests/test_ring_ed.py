@@ -614,7 +614,7 @@ def test_audit_searches_for_no_state(monkeypatch):
 
 
 def inertia_mismatches(draws=45, seed=27):
-    """Gaps compared, and those where the audit's count (ring_ed._gap_inertia)
+    """Gaps compared, and those where the audit's count (ring_ed._gap_counts)
     differs from len(find_bound_states), over seeded random draws: a third
     at K = 0, a third with |xi| < 1e-3."""
     rng = np.random.default_rng(seed)
@@ -623,9 +623,8 @@ def inertia_mismatches(draws=45, seed=27):
         p = validation._draw_params(rng, k_zero=i % 3 == 0)
         if i % 3 == 1:
             p = dataclasses.replace(p, xi=1e-3 * p.xi)
-        for gap in band_structure(p).gaps:
-            with ring_ed._gap_inertia(p, gap) as (*_, signs):
-                count = len(signs)
+        gaps = band_structure(p).gaps
+        for gap, count in zip(gaps, ring_ed._gap_counts(p, gaps)):
             compared += 1
             if count != len(find_bound_states(p, gap)):
                 wrong.append((p, gap.index, count))
@@ -636,7 +635,7 @@ def test_audit_count_is_the_certified_count(monkeypatch, overcount):
     compared, wrong = inertia_mismatches()
     assert compared > 60 and wrong == []
     # one sign change too many: every gap disagrees, and ed-band-edges fails
-    monkeypatch.setattr(ring_ed, "_gap_inertia", overcount)
+    monkeypatch.setattr(ring_ed, "_gap_counts", overcount)
     compared, wrong = inertia_mismatches(draws=6)
     assert len(wrong) == compared > 0
     assert not run_checks(["ed-band-edges"])[0].passed
