@@ -23,10 +23,14 @@ one parameter set: a sweep's detunings are still searched one after
 another (lanes across a sweep wait for ROADMAP item 5's sweep workload).
 The channel-root determinant certificate runs once per search,
 in one batch over the roots of every energy any lane evaluated, before any
-state or error leaves it.  S does not depend on the phases of the channel
-spinors, so only an accepted energy builds a ChannelSet, by
-find_channel_roots, and eliminates again on it for W, S and
-np.linalg.eigh (_certify).
+state or error leaves it.  Each lane keeps a record of every energy it
+evaluated: the closed channels and the W and C of their elimination (a
+stacked round's slices, each bit for bit its energy's alone).  Brent
+accepts an energy it has evaluated, so an accepted energy's state is
+built from its record (_certify): phase_fix gauges the channels into the
+ChannelSet find_channel_roots would build, W follows the gauge, and C,
+like S, does not depend on it; np.linalg.eigh of that S gives the contact
+spinor.  No energy is solved twice.
 Brent runs in the Chebyshev gap variable s in [0, 1], E(s) = lo + (hi -
 lo)(1 - cos(pi s))/2, in which the sqrt(E - edge) onset of S's
 eigenvalues at a gap edge is linear.  A sign change where the eigenvalue
@@ -45,6 +49,7 @@ import numpy as np
 
 from .bands import Gap, phase_fix
 from .channels import (
+    ChannelSet,
     ChannelState,
     _check_determinant,
     _ClosedChannels,
@@ -52,7 +57,6 @@ from .channels import (
     certificate_window,
     contact_elimination,
     expansion_moment,
-    find_channel_roots,
 )
 from .errors import ConditioningError, ParameterError
 from .model import PARITY, ModelParams, bloch_matrices
@@ -179,19 +183,35 @@ def _brent(f, a: float, b: float, xtol: float) -> float:
         return stop.value
 
 
-def _certify(E_b: float, params: ModelParams, gap: Gap) -> BoundState:
+def _gauged(closed: _ClosedChannels, w: np.ndarray) -> tuple:
+    """A gap energy's ChannelSet, as find_channel_roots builds it, and W in its gauge.
+
+    phase_fix multiplies the search's unit-norm closed spinor j by a factor
+    f_j, so the amplitudes s = W b_0 on the gauged spinors divide by it: row
+    j of W.  Every channel is closed, with branch "" and group velocity 0.
+    """
+    old = closed.vectors
+    vectors = phase_fix(old)
+    f = (vectors * np.conj(old)).sum(axis=0) / (np.abs(old) ** 2).sum(axis=0)
+    n = len(closed.lam)
+    roots = ChannelSet(lam=closed.lam, z=closed.z, vectors=vectors, is_open=np.zeros(n, bool),
+                       branch=("",) * n, group_velocity=np.zeros(n))
+    return roots, w / f[:, None]
+
+
+def _certify(E_b: float, params: ModelParams, gap: Gap, roots, w, c) -> BoundState:
     """The certified, normalized state at an accepted energy E_b of ``gap``.
 
-    find_channel_roots builds E_b's ChannelSet and contact_elimination its
-    W and contact matrix S.  The contact spinor is the eigenvector of S
-    (np.linalg.eigh) whose eigenvalue is smallest in magnitude, and the
-    channel amplitudes follow from it.  A second near-zero eigenvalue means
-    the state is not unique, and a site residual not below RESIDUAL_TOL * g
-    over |l| <= L_RESIDUAL would leave the inventory short: both raise
+    roots is E_b's ChannelSet, and w and c the W and C of its contact
+    elimination (contact_elimination), in the gauge of roots; the search
+    passes those of its record of E_b (_gauged), so E_b is solved once.  The
+    contact spinor is the eigenvector of S = c[:2, :2] (np.linalg.eigh)
+    whose eigenvalue is smallest in magnitude, and the channel amplitudes
+    follow from it.  A second near-zero eigenvalue means the state is not
+    unique, and a site residual not below RESIDUAL_TOL * g over |l| <=
+    L_RESIDUAL would leave the inventory short: both raise
     ConditioningError rather than being resolved by fiat.
     """
-    roots = find_channel_roots(E_b, params)
-    w, c, _ = contact_elimination(E_b, roots, params)
     eigs, vecs = np.linalg.eigh(c[:2, :2])
     mags = np.abs(eigs)
     k = int(np.argmin(mags))
@@ -226,8 +246,9 @@ def _certify(E_b: float, params: ModelParams, gap: Gap) -> BoundState:
 class _Lane:
     """One gap's search: its inset ends, S's eigenvalues at every energy it
     evaluated, those energies' closed roots (for the determinant check), the
-    sign changes between the ends, the accepted energies, and the error that
-    ended it, if one did.
+    record of each such energy (its closed channels, W and C) unless records
+    is False, the sign changes between the ends, the accepted energies, and
+    the error that ended it, if one did.
 
     The ends lie TOL_EDGE_FACTOR * g inside the gap edges; a gap narrower
     than twice that is refused with ParameterError before any evaluation.
@@ -235,9 +256,10 @@ class _Lane:
     neighbours': it is kept in error, stops the lane, and states() raises it.
     """
 
-    def __init__(self, params: ModelParams, gap: Gap):
+    def __init__(self, params: ModelParams, gap: Gap, records: bool):
         self.params, self.gap, self.error, self.signs = params, gap, None, range(0)
         self.eigs, self.energies, self.lam, self.accepted = {}, [], [], []
+        self.records = {} if records else None
         tol_edge = TOL_EDGE_FACTOR * params.g
         self.lo, self.hi = gap.lo + tol_edge, gap.hi - tol_edge
         if gap.hi - gap.lo <= 2.0 * tol_edge:
@@ -282,57 +304,71 @@ class _Lane:
             self.accepted.append(E_b)
 
     def states(self) -> list:
-        """The gap's certified states, sorted by energy, or the error that ended its search."""
+        """The gap's certified states, sorted by energy, each from its energy's record
+        (_gauged, _certify), or the error that ended its search."""
         if self.error is not None:
             raise self.error
-        return sorted((_certify(E_b, self.params, self.gap) for E_b in self.accepted),
-                      key=lambda s: s.energy)
+        found = []
+        for E_b in self.accepted:
+            closed, w, c = self.records[E_b]
+            found.append(_certify(E_b, self.params, self.gap, *_gauged(closed, w), c))
+        return sorted(found, key=lambda s: s.energy)
 
 
 def _evaluate(params: ModelParams, wanted: list) -> None:
     """S's two eigenvalues at each (lane, E) of wanted, into lane.eigs, by one stacked evaluation.
 
     Each energy's bare closed channels are solved on their own
-    (_closed_channels) and recorded on its lane for the determinant check;
-    one contact_elimination runs over the stack (a lone energy's record is
-    its own stack), and _eigvalsh2 per lane.  If any energy is refused, each
-    is evaluated alone, in order, as a search of its gap alone meets it: a
-    lane's first refusal becomes its error, its roots are kept if its
-    channels were solved, and the lane's later energies are dropped.
+    (_closed_channels) and their roots kept on its lane for the determinant
+    check; one contact_elimination runs over the stack (a lone energy is
+    its own stack), and _eigvalsh2 per lane.  A lane that keeps records
+    gets each energy's (closed channels, W, C), a stack's slices.  If any
+    energy is refused, each is evaluated alone, in order, as a search of
+    its gap alone meets it: a lane's first refusal becomes its error, its
+    roots are kept if its channels were solved, and the lane's later
+    energies are dropped.
     """
     if len(wanted) > 1:
         try:
             closed = [_closed_channels(E, params) for _, E in wanted]
-            s = contact_elimination(np.array([E for _, E in wanted])[:, None, None],
-                                    _ClosedChannels.stack(closed), params)[1]
+            w, c, _ = contact_elimination(np.array([E for _, E in wanted])[:, None, None],
+                                          _ClosedChannels.stack(closed), params)
         except Exception:
             for one in wanted:
                 if one[0].error is None:
                     _evaluate(params, [one])
             return
-        for (lane, E), one, c in zip(wanted, closed, s[:, :2, :2].tolist()):
+        for i, ((lane, E), one, s) in enumerate(zip(wanted, closed, c[:, :2, :2].tolist())):
             lane.energies += [E] * len(one.lam)
             lane.lam += one.lam.tolist()
-            lane.eigs[E] = _eigvalsh2(c)
+            lane.eigs[E] = _eigvalsh2(s)
+            if lane.records is not None:
+                lane.records[E] = (one, w[i], c[i])
         return
     for lane, E in wanted:
         try:
             closed = _closed_channels(E, params)
             lane.energies += [E] * len(closed.lam)
             lane.lam += closed.lam.tolist()
-            lane.eigs[E] = _eigvalsh2(contact_elimination(E, closed, params)[1][:2, :2].tolist())
+            w, c, _ = contact_elimination(E, closed, params)
+            lane.eigs[E] = _eigvalsh2(c[:2, :2].tolist())
+            if lane.records is not None:
+                lane.records[E] = (closed, w, c)
         except Exception as exc:
             lane.error = exc
 
 
-def _counted_lanes(params: ModelParams, gaps) -> list:
+def _counted_lanes(params: ModelParams, gaps, records: bool) -> list:
     """One lane per gap, with its inertia count from one stacked evaluation of every inset end.
+
+    records says whether the lanes keep their energies' records, which only
+    a search that certifies states reads.
 
     signs = range(n_lo, n_hi) holds the eigenvalues of S whose sign changes
     between the ends, one state each, so len(signs) is the gap's bound-state
     count; n_hi < n_lo is a pole of S and ends the lane with ConditioningError.
     """
-    lanes = [_Lane(params, gap) for gap in gaps]
+    lanes = [_Lane(params, gap, records) for gap in gaps]
     _evaluate(params, [(lane, E) for lane in lanes if lane.error is None
                        for E in (lane.lo, lane.hi)])
     for lane in lanes:
@@ -378,8 +414,9 @@ def _gap_counts(params: ModelParams, gaps) -> list:
     One stacked evaluation of every end (_counted_lanes) and one determinant
     check of their roots (_check_roots); the first failing gap, in gap
     order, raises its error.  find_bound_states returns that many states.
+    The lanes keep no records: nothing is certified.
     """
-    lanes = _counted_lanes(params, gaps)
+    lanes = _counted_lanes(params, gaps, records=False)
     _check_roots(params, lanes)
     for lane in lanes:
         if lane.error is not None:
@@ -396,25 +433,26 @@ def search_gaps(params: ModelParams, gaps) -> list:
     every live lane's Brent search (_Lane.search) in one stack (_evaluate),
     and a lane whose evaluation or search fails stops there.  One
     _check_determinant call (_check_roots) then certifies the roots of
-    every evaluated energy.  A callable certifies its states (_certify) when
-    called, so a caller that stops at one gap's error certifies no later
-    gap, and returns or raises exactly what find_bound_states does for its
-    gap alone.
+    every evaluated energy, each accepted energy's among them.  A callable
+    certifies its states from its lane's records (_certify) when called, so
+    a caller that stops at one gap's error certifies no later gap, and
+    returns or raises exactly what find_bound_states does for its gap alone.
     """
-    lanes = _counted_lanes(params, gaps)
-    runs = [(lane, lane.search()) for lane in lanes if lane.error is None]
-    while runs:
-        wanted, live = [], []
-        for lane, run in runs:
+    lanes = _counted_lanes(params, gaps, records=True)
+    runs = {lane: lane.search() for lane in lanes if lane.error is None}
+    live = list(runs)
+    while live:
+        wanted = []
+        for lane in live:
             try:
-                wanted.append((lane, next(run)))
-                live.append((lane, run))
-            except StopIteration:
-                pass
+                E = next(runs[lane], None)
             except Exception as exc:
                 lane.error = exc
+                continue
+            if E is not None:
+                wanted.append((lane, E))
         _evaluate(params, wanted)
-        runs = [one for one in live if one[0].error is None]
+        live = [lane for lane, _ in wanted if lane.error is None]
     _check_roots(params, lanes)
     return [lane.states for lane in lanes]
 

@@ -15,7 +15,9 @@ one of the factors D1 and D0 D3 - 4 g^2 must vanish too.
 find_channel_roots runs it on its own three; the bound-state search solves
 bare closed channels (_closed_channels, unchecked) at many energies and
 certifies all of their roots in one batch before any state or error leaves
-the search.
+the search.  It builds each state's ChannelSet from the bare channels of
+its energy, gauged as find_channel_roots gauges them: find_channel_roots
+runs in a gap search only to refuse an energy inside a band.
 
 A ChannelState is a contact spinor plus sum_j s_j z_j^(l-1) F_j elsewhere;
 contact_elimination fixes the s_j from the contact spinor, channel_expansion
@@ -347,7 +349,9 @@ def _open_channel(lam_abs, E, params, taken):
 
 class _ClosedChannels(NamedTuple):
     """A gap energy's closed channels: lam, z and the unit-norm, ungauged spinor columns;
-    contact_elimination reads .z and .vectors as it reads a ChannelSet's."""
+    contact_elimination reads .z and .vectors as it reads a ChannelSet's.  The gap search
+    keeps one per evaluated energy and gauges an accepted energy's into its ChannelSet
+    (bound_states._gauged): the same lam and z, and phase_fix on these columns."""
 
     lam: np.ndarray             # (n,) complex
     z: np.ndarray               # (n,) complex

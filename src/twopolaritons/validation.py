@@ -18,8 +18,8 @@ import numpy as np
 
 from . import model
 from .bands import BRANCHES, band_structure, branch_energy, branch_vector, incident_state
-from .bound_states import (TOL_EDGE_FACTOR, _gap_counts, find_bound_states, rayleigh_quotient,
-                           search_gaps)
+from .bound_states import (TOL_EDGE_FACTOR, _certify, _gap_counts, find_bound_states,
+                           rayleigh_quotient, search_gaps)
 from .channels import (_check_determinant, _closed_channels, _ClosedChannels, channel_expansion,
                        contact_elimination, find_channel_roots)
 from .errors import TwoPolaritonError
@@ -286,7 +286,7 @@ def _state_bits(state) -> tuple:
 
 
 def _check_gap_contact(rng):
-    """The lane search's stacked S and lanes give find_channel_roots' S and the one-gap states.
+    """The lane search's stacked S, lanes and records give find_channel_roots' S and states.
 
     At the inset ends and three random energies of every gap of a draw, S
     from one stacked evaluation of the unit-norm, ungauged closed channels
@@ -298,12 +298,16 @@ def _check_gap_contact(rng):
     of each gap (_gap_counts, which the ring audit reads as its expected
     count) must equal the number of states find_bound_states certifies
     there, and the gap's lane of search_gaps over all the draw's gaps must
-    return exactly those states, bit for bit.  Each certified state's
-    channels must be find_channel_roots(E_b)'s: lam, z, labels and is_open
-    exactly, vectors to 1e-15.  Every third draw sits at K = 0 and every
-    third has |xi| < 1e-3.
+    return exactly those states, bit for bit.  A state is built from the
+    search's record of E_b, so it must equal a fresh solve of E_b: its
+    channels find_channel_roots(E_b)'s (lam, z, labels, is_open and group
+    velocities bit for bit, vectors to 1e-15), and its amplitudes, contact
+    spinor and weights those _certify builds from that ChannelSet's own
+    contact_elimination, to 1e-13 of their largest entry, with sigma_min to
+    1e-13 of |S(E_b)|.  Every third draw sits at K = 0 and every third has
+    |xi| < 1e-3.
     """
-    worst_s = worst_v = 0.0
+    worst_s = worst_v = worst_x = 0.0
     n_energies = n_roots = n_states = n_gaps = 0
     for i in range(60):
         p = _draw_params(rng, k_zero=i % 3 == 0)
@@ -342,17 +346,27 @@ def _check_gap_contact(rng):
             n_gaps += 1
             for st in states:
                 got, ref = st.roots, find_channel_roots(st.energy, p)
-                same = all(np.array_equal(getattr(got, f), getattr(ref, f))
-                           for f in ("lam", "z", "is_open")) and got.branch == ref.branch
+                pairs = [(getattr(got, f), getattr(ref, f))
+                         for f in ("lam", "z", "is_open", "group_velocity")]
+                same = got.branch == ref.branch and all(
+                    x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in pairs)
                 if not same:
                     return False, (f"state at E_b = {st.energy} has channels lam {got.lam}, "
                                    f"find_channel_roots {ref.lam}, params={p}")
                 worst_v = max(worst_v, float(np.abs(got.vectors - ref.vectors).max()))
+                w, c, _ = contact_elimination(st.energy, ref, p)
+                fresh = _certify(st.energy, p, gap, ref, w, c)
+                for field in ("scaled_amplitudes", "contact_spinor", "weights"):
+                    x, y = np.array(getattr(st, field)), np.array(getattr(fresh, field))
+                    worst_x = max(worst_x, float(np.abs(x - y).max() / np.abs(y).max()))
+                worst_x = max(worst_x, abs(st.sigma_min - fresh.sigma_min)
+                              / float(np.abs(c[:2, :2]).max()))
                 n_states += 1
-    ok = worst_s <= 1e-13 and worst_v <= 1e-15 and n_states > 0
+    ok = worst_s <= 1e-13 and worst_v <= 1e-15 and worst_x <= 1e-13 and n_states > 0
     return ok, (f"max |S - S_ref|/|S_ref| {worst_s:.3g} over {n_energies} gap energies in one "
                 f"stack per draw ({n_roots} roots pass the determinant check), max spinor "
-                f"defect {worst_v:.3g} over {n_states} states, inertia count equals the "
+                f"defect {worst_v:.3g} and max state drift from a fresh solve of E_b "
+                f"{worst_x:.3g} over {n_states} states, inertia count equals the "
                 f"certified count and the lane search the one-gap search in {n_gaps} gaps, "
                 f"60 draws")
 

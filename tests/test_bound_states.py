@@ -8,6 +8,7 @@ requires the check to fail.
 import dataclasses
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -296,26 +297,49 @@ def test_residual_failure_is_refused(monkeypatch):
 
 def test_gap_contact(monkeypatch, overcount):
     # the check must catch a closed momentum paired with another root's
-    # spinor in the search's channel solve (through S), and an accepted
-    # energy's record built from the search's ungauged channels (through the
-    # state's spinors)
-    solve = channels._closed_channels
+    # spinor in the search's channel solve (through S), a state built from
+    # its energy's record left ungauged (through the state's spinors), one
+    # whose W is 1e-11 off, far inside the site-residual bound (through its
+    # amplitudes against a fresh solve), and one whose gauged spinors keep W
+    # with its gauge factors dropped or applied the wrong way round (through
+    # the state's site residual)
+    solve, gauged = channels._closed_channels, bound_states._gauged
 
     def mispaired(E, params):
         closed = solve(E, params)
         return closed._replace(vectors=closed.vectors[:, [2, 1, 0]])
 
-    def ungauged(E, params):
-        return dataclasses.replace(find_channel_roots(E, params),
-                                   vectors=solve(E, params).vectors)
+    def ungauged(closed, w):
+        return dataclasses.replace(gauged(closed, w)[0], vectors=closed.vectors), w
+
+    def factors(closed):
+        vectors = gauged(closed, np.eye(3))[0].vectors
+        return (vectors * np.conj(closed.vectors)).sum(axis=0)
+
+    def skewed(closed, w):
+        roots, w = gauged(closed, w)
+        return roots, w * (1.0 + 1e-11)
+
+    def dropped(closed, w):
+        return gauged(closed, w)[0], w
+
+    def inverted(closed, w):
+        return gauged(closed, w)[0], w * factors(closed)[:, None]
 
     for module, name, fault in ((validation, "_closed_channels", mispaired),
-                                (bound_states, "find_channel_roots", ungauged)):
+                                (bound_states, "_gauged", ungauged),
+                                (bound_states, "_gauged", skewed)):
         with monkeypatch.context() as m:
             m.setattr(module, name, fault)
             (result,) = run_checks(["gap-contact"])
         assert not result.passed
         assert "raised" not in result.detail
+    for fault in (dropped, inverted):
+        with monkeypatch.context() as m:
+            m.setattr(bound_states, "_gauged", fault)
+            (result,) = run_checks(["gap-contact"])
+        assert not result.passed
+        assert "has site residual" in result.detail
     # a closed lam 1e-6 off leaves S and the spinors as they were, so only
     # the check's own determinant batch can see it
     with monkeypatch.context() as m:
@@ -370,13 +394,21 @@ def test_chain_sums_at_nonzero_momentum():
     assert_chain_sums(st)
 
 
-def counted_search(monkeypatch, p, gap):
-    """find_bound_states(p, gap), the energies it solves for closed channels at,
-    those it calls find_channel_roots at, each in order, and the energy of
-    each root of each _check_determinant call, one list per call."""
-    seen, rooted, checked = [], [], []
-    closed, roots = bound_states._closed_channels, bound_states.find_channel_roots
-    check = channels._check_determinant
+class Counted(NamedTuple):
+    states: list        # find_bound_states(p, gap)
+    seen: list          # energies of its closed-channel solves, in order
+    rooted: list        # energies of every root solve (channels._channel_roots)
+    eliminated: list    # energies of every contact_elimination, a stack's in order
+    checked: list       # energies of each _check_determinant call's roots, per call
+    inside: list        # (root solves, eliminations, checks) of each _certify call
+
+
+def counted_search(monkeypatch, p, gap) -> Counted:
+    """find_bound_states(p, gap) with the work it does, counted (Counted)."""
+    seen, rooted, eliminated, checked, inside = [], [], [], [], []
+    closed, roots = bound_states._closed_channels, channels._channel_roots
+    eliminate, check, certify = (bound_states.contact_elimination, channels._check_determinant,
+                                 bound_states._certify)
 
     def counting(E, params):
         seen.append(float(E))
@@ -386,17 +418,29 @@ def counted_search(monkeypatch, p, gap):
         rooted.append(float(E))
         return roots(E, params)
 
+    def counting_elimination(E, *args):
+        eliminated.extend(np.ravel(E).tolist())
+        return eliminate(E, *args)
+
     def counting_check(E, mats, lam):
         checked.append(np.broadcast_to(np.reshape(E, -1), lam.shape).tolist())
         return check(E, mats, lam)
 
+    def counting_certify(*args):
+        before = len(rooted), len(eliminated), len(checked)
+        state = certify(*args)
+        inside.append(tuple(len(x) - n for x, n in zip((rooted, eliminated, checked), before)))
+        return state
+
     monkeypatch.setattr(bound_states, "_closed_channels", counting)
-    monkeypatch.setattr(bound_states, "find_channel_roots", counting_roots)
+    monkeypatch.setattr(channels, "_channel_roots", counting_roots)
+    monkeypatch.setattr(bound_states, "contact_elimination", counting_elimination)
     monkeypatch.setattr(bound_states, "_check_determinant", counting_check)
     monkeypatch.setattr(channels, "_check_determinant", counting_check)
+    monkeypatch.setattr(bound_states, "_certify", counting_certify)
     states = find_bound_states(p, gap)
     monkeypatch.undo()
-    return states, seen, rooted, checked
+    return Counted(states, seen, rooted, eliminated, checked, inside)
 
 
 def inset_ends(p, gap):
@@ -405,37 +449,37 @@ def inset_ends(p, gap):
 
 
 def test_refinement_evaluates_each_energy_once(monkeypatch):
-    # every energy costs a channel solve; the inertia count, Brent's iterations
-    # and the certificate of the accepted energy must not repeat one.  Brent
-    # starts from s = 0 and 1, which map to the inset gap ends exactly, so
-    # its first two evaluations are the inertia count's, and it never
-    # leaves the gap.  Only the accepted energy, one Brent has evaluated,
-    # builds a ChannelSet.  The determinant check runs once over the three
-    # roots of every searched energy, in order, and once in find_channel_roots
+    # every energy costs one root solve and one contact elimination; the
+    # inertia count, Brent's iterations and the certificate of the accepted
+    # energy must not repeat one.  Brent starts from s = 0 and 1, which map
+    # to the inset gap ends exactly, so its first two evaluations are the
+    # inertia count's, and it never leaves the gap.  The accepted energy is
+    # one Brent has evaluated, and its state is built from that energy's
+    # record: _certify solves, eliminates and checks nothing.  The
+    # determinant check runs once, over the three roots of every searched
+    # energy, in order
     p = ModelParams(xi=-0.2, delta=-2.0)
     for gap in both_gaps(p).gaps:
-        states, seen, rooted, checked = counted_search(monkeypatch, p, gap)
-        assert len(states) == 1
+        run = counted_search(monkeypatch, p, gap)
+        seen = run.seen
+        assert len(run.states) == 1
         lo, hi = inset_ends(p, gap)
         assert seen[:2] == [lo, hi]
         assert all(lo <= E <= hi for E in seen)
         assert len(seen) == len(set(seen))
-        assert rooted == [states[0].energy]
-        assert rooted[0] in seen
-        assert checked == [np.repeat(seen, 3).tolist()] + [[E] * 3 for E in rooted]
+        assert run.states[0].energy in seen
+        assert run.rooted == seen
+        assert run.eliminated == seen
+        assert run.checked == [np.repeat(seen, 3).tolist()]
+        assert run.inside == [(0, 0, 0)]
 
 
-def test_determinant_fault_at_interior_energy(monkeypatch):
-    # the search certifies its roots in one batch, yet a closed lam 1e-6 off
-    # at one interior Brent energy raises the ConditioningError of that
-    # energy's own check, naming its root.  So does a NaN root, although it
-    # also breaks the elimination there (gesdd refuses M_1) and so the search.
-    # Off K = 0, where no root is double, the shift fails the check
-    p = ModelParams(xi=-0.2, delta=-2.0, K=np.pi / 2)
-    gap = both_gaps(p).gaps[0]
-    states, seen, _, _ = counted_search(monkeypatch, p, gap)
-    target = seen[4]
-    assert target not in inset_ends(p, gap) and target != states[0].energy
+def assert_own_determinant_error(monkeypatch, p, gap, target):
+    # a closed lam 1e-6 off, or NaN, at the energy target alone: the search
+    # raises the ConditioningError of target's own determinant check, naming
+    # its root.  A NaN root also breaks the elimination there (gesdd refuses
+    # M_1) and so the search.  Off K = 0, where no root is double, the shift
+    # fails the check
     solve, mats = bound_states._closed_channels, bloch_matrices(p)
 
     def shifted(closed):
@@ -461,6 +505,28 @@ def test_determinant_fault_at_interior_energy(monkeypatch):
         assert str(searched.value) == str(own.value)
 
 
+def test_determinant_fault_at_interior_energy(monkeypatch):
+    # the search certifies its roots in one batch, yet a wrong root at one
+    # interior Brent energy raises that energy's own determinant error
+    p = ModelParams(xi=-0.2, delta=-2.0, K=np.pi / 2)
+    gap = both_gaps(p).gaps[0]
+    run = counted_search(monkeypatch, p, gap)
+    target = run.seen[4]
+    assert target not in inset_ends(p, gap) and target != run.states[0].energy
+    assert_own_determinant_error(monkeypatch, p, gap, target)
+
+
+def test_determinant_fault_at_accepted_energy(monkeypatch):
+    # _certify runs no check of its own: the search's one batch covers the
+    # accepted energy, so a wrong root there alone raises its own error
+    p = ModelParams(xi=-0.2, delta=-2.0, K=np.pi / 2)
+    gap = both_gaps(p).gaps[0]
+    run = counted_search(monkeypatch, p, gap)
+    target = run.states[0].energy
+    assert target not in inset_ends(p, gap) and run.seen.count(target) == 1
+    assert_own_determinant_error(monkeypatch, p, gap, target)
+
+
 def test_determinant_fault_at_double_root(monkeypatch):
     # at K = 0, det(M(lam) - E) = D1^2 (D0 D3 - 4 g^2) vanishes quadratically
     # at the double root D1 = 0: a 1e-6 shift of either of its members leaves
@@ -469,9 +535,9 @@ def test_determinant_fault_at_double_root(monkeypatch):
     # message) and in find_channel_roots
     p = ModelParams(xi=-0.2, delta=-2.0, K=0.0)
     gap = both_gaps(p).gaps[0]
-    states, seen, _, _ = counted_search(monkeypatch, p, gap)
-    target = seen[4]
-    assert target not in inset_ends(p, gap) and target != states[0].energy
+    run = counted_search(monkeypatch, p, gap)
+    target = run.seen[4]
+    assert target not in inset_ends(p, gap) and target != run.states[0].energy
     solve, roots, mats = bound_states._closed_channels, channels._channel_roots, bloch_matrices(p)
     lam = solve(target, p).lam
     double = [j for j in range(3) if (lam == lam[j]).sum() == 2]
@@ -526,7 +592,7 @@ def test_stacked_evaluation_is_per_energy_bit_for_bit(xi, delta, K):
                                       channels._ClosedChannels.stack(closed[:n]), p)
         assert [(x.tobytes(), y.tobytes()) for x, y in zip(w, c)] == [
             (x.tobytes(), y.tobytes()) for x, y, _ in alone[:n]]
-        lanes = [bound_states._Lane(p, gaps[j % 2]) for j in range(n)]
+        lanes = [bound_states._Lane(p, gaps[j % 2], True) for j in range(n)]
         bound_states._evaluate(p, list(zip(lanes, energies)))
         assert [bits(lane.eigs[E]) for lane, E in zip(lanes, energies)] == [
             bits(bound_states._eigvalsh2(y[:2, :2].tolist())) for _, y, _ in alone[:n]]
@@ -564,7 +630,7 @@ def test_lane_refusal_skips_its_gap_only(monkeypatch, where):
     p = ModelParams(xi=-0.2, delta=-2.0, K=np.pi / 2)
     gap1, gap2 = both_gaps(p).gaps
     with monkeypatch.context() as m:
-        _, seen, _, _ = counted_search(m, p, gap1)
+        seen = counted_search(m, p, gap1).seen
     want, (_, hi) = find_bound_states(p, gap2), inset_ends(p, gap1)
     target = hi if where == "upper end" else seen[4]     # seen[:2] are the ends
     solve = bound_states._closed_channels
@@ -625,9 +691,9 @@ def test_determinant_fault_in_one_lane(monkeypatch):
     # determinant error, naming its root, and gap 2's lane is untouched
     p = ModelParams(xi=-0.2, delta=-2.0, K=np.pi / 2)
     gap1, gap2 = both_gaps(p).gaps
-    states, seen, _, _ = counted_search(monkeypatch, p, gap1)
-    target, want = seen[4], find_bound_states(p, gap2)
-    assert target not in inset_ends(p, gap1) and target != states[0].energy
+    run = counted_search(monkeypatch, p, gap1)
+    target, want = run.seen[4], find_bound_states(p, gap2)
+    assert target not in inset_ends(p, gap1) and target != run.states[0].energy
     solve = bound_states._closed_channels
 
     def shifted(closed):
@@ -650,14 +716,16 @@ def test_determinant_fault_in_one_lane(monkeypatch):
 @pytest.mark.parametrize("K", [0.0, np.pi / 2])
 def test_root_finds_per_state(monkeypatch, K):
     # Brent in the Chebyshev gap variable, where the edge square root of
-    # S's eigenvalues is linear, takes 8 channel solves per state on these
-    # gaps (inertia ends and certificate included); Brent in E took 9.5
+    # S's eigenvalues is linear, takes 7 + 9 root solves for the two states
+    # of these gaps at K = 0 and 8 + 9 at K = pi/2, inertia ends included;
+    # Brent in E took 9.5 per state.  Each is its energy's only solve: the
+    # states are certified from the search's records
+    solves = {0.0: [7, 9], np.pi / 2: [8, 9]}[K]
     p = ModelParams(xi=-0.2, delta=-2.0, K=K)
-    counts = [counted_search(monkeypatch, p, gap) for gap in both_gaps(p).gaps]
-    n_states = sum(len(states) for states, _, _, _ in counts)
-    assert n_states == 2
-    assert 0 < sum(len(seen) for _, seen, _, _ in counts) / n_states <= 8.5
-    assert sum(len(rooted) for _, _, rooted, _ in counts) == n_states
+    runs = [counted_search(monkeypatch, p, gap) for gap in both_gaps(p).gaps]
+    assert [len(run.states) for run in runs] == [1, 1]
+    assert [len(run.rooted) for run in runs] == solves
+    assert all(run.rooted == run.seen and run.inside == [(0, 0, 0)] for run in runs)
 
 
 @pytest.mark.parametrize("xi, delta, index", [(-0.2, -4.0, 1), (-0.2, 5.0, 2)])
