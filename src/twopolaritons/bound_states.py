@@ -27,10 +27,10 @@ state or error leaves it.  Each lane keeps a record of every energy it
 evaluated: the closed channels and the W and C of their elimination (a
 stacked round's slices, each bit for bit its energy's alone).  Brent
 accepts an energy it has evaluated, so an accepted energy's state is
-built from its record (_certify): phase_fix gauges the channels into the
-ChannelSet find_channel_roots would build, W follows the gauge, and C,
-like S, does not depend on it; np.linalg.eigh of that S gives the contact
-spinor.  No energy is solved twice.
+built from its record (_certify): _ClosedChannels.gauged turns the
+channels into the ChannelSet find_channel_roots would build and W into
+its gauge, and C, like S, does not depend on the gauge; np.linalg.eigh of
+that S gives the contact spinor.  No energy is solved twice.
 Brent runs in the Chebyshev gap variable s in [0, 1], E(s) = lo + (hi -
 lo)(1 - cos(pi s))/2, in which the sqrt(E - edge) onset of S's
 eigenvalues at a gap edge is linear.  A sign change where the eigenvalue
@@ -49,7 +49,6 @@ import numpy as np
 
 from .bands import Gap, phase_fix
 from .channels import (
-    ChannelSet,
     ChannelState,
     _check_determinant,
     _ClosedChannels,
@@ -183,31 +182,15 @@ def _brent(f, a: float, b: float, xtol: float) -> float:
         return stop.value
 
 
-def _gauged(closed: _ClosedChannels, w: np.ndarray) -> tuple:
-    """A gap energy's ChannelSet, as find_channel_roots builds it, and W in its gauge.
-
-    phase_fix multiplies the search's unit-norm closed spinor j by a factor
-    f_j, so the amplitudes s = W b_0 on the gauged spinors divide by it: row
-    j of W.  Every channel is closed, with branch "" and group velocity 0.
-    """
-    old = closed.vectors
-    vectors = phase_fix(old)
-    f = (vectors * np.conj(old)).sum(axis=0) / (np.abs(old) ** 2).sum(axis=0)
-    n = len(closed.lam)
-    roots = ChannelSet(lam=closed.lam, z=closed.z, vectors=vectors, is_open=np.zeros(n, bool),
-                       branch=("",) * n, group_velocity=np.zeros(n))
-    return roots, w / f[:, None]
-
-
 def _certify(E_b: float, params: ModelParams, gap: Gap, roots, w, c) -> BoundState:
     """The certified, normalized state at an accepted energy E_b of ``gap``.
 
     roots is E_b's ChannelSet, and w and c the W and C of its contact
     elimination (contact_elimination), in the gauge of roots; the search
-    passes those of its record of E_b (_gauged), so E_b is solved once.  The
-    contact spinor is the eigenvector of S = c[:2, :2] (np.linalg.eigh)
-    whose eigenvalue is smallest in magnitude, and the channel amplitudes
-    follow from it.  A second near-zero eigenvalue means the state is not
+    passes those of its record of E_b (_ClosedChannels.gauged), so E_b is
+    solved once.  The contact spinor is the eigenvector of S = c[:2, :2]
+    (np.linalg.eigh) whose eigenvalue is smallest in magnitude, and the
+    channel amplitudes follow from it.  A second near-zero eigenvalue means the state is not
     unique, and a site residual not below RESIDUAL_TOL * g over |l| <=
     L_RESIDUAL would leave the inventory short: both raise
     ConditioningError rather than being resolved by fiat.
@@ -246,9 +229,9 @@ def _certify(E_b: float, params: ModelParams, gap: Gap, roots, w, c) -> BoundSta
 class _Lane:
     """One gap's search: its inset ends, S's eigenvalues at every energy it
     evaluated, those energies' closed roots (for the determinant check), the
-    record of each such energy (its closed channels, W and C) unless records
-    is False, the sign changes between the ends, the accepted energies, and
-    the error that ended it, if one did.
+    record of each such energy (its closed channels, W and C), the sign
+    changes between the ends, the accepted energies, and the error that
+    ended it, if one did.
 
     The ends lie TOL_EDGE_FACTOR * g inside the gap edges; a gap narrower
     than twice that is refused with ParameterError before any evaluation.
@@ -256,10 +239,9 @@ class _Lane:
     neighbours': it is kept in error, stops the lane, and states() raises it.
     """
 
-    def __init__(self, params: ModelParams, gap: Gap, records: bool):
+    def __init__(self, params: ModelParams, gap: Gap):
         self.params, self.gap, self.error, self.signs = params, gap, None, range(0)
-        self.eigs, self.energies, self.lam, self.accepted = {}, [], [], []
-        self.records = {} if records else None
+        self.eigs, self.records, self.energies, self.lam, self.accepted = {}, {}, [], [], []
         tol_edge = TOL_EDGE_FACTOR * params.g
         self.lo, self.hi = gap.lo + tol_edge, gap.hi - tol_edge
         if gap.hi - gap.lo <= 2.0 * tol_edge:
@@ -305,13 +287,13 @@ class _Lane:
 
     def states(self) -> list:
         """The gap's certified states, sorted by energy, each from its energy's record
-        (_gauged, _certify), or the error that ended its search."""
+        (_ClosedChannels.gauged, _certify), or the error that ended its search."""
         if self.error is not None:
             raise self.error
         found = []
         for E_b in self.accepted:
             closed, w, c = self.records[E_b]
-            found.append(_certify(E_b, self.params, self.gap, *_gauged(closed, w), c))
+            found.append(_certify(E_b, self.params, self.gap, *closed.gauged(w), c))
         return sorted(found, key=lambda s: s.energy)
 
 
@@ -321,8 +303,8 @@ def _evaluate(params: ModelParams, wanted: list) -> None:
     Each energy's bare closed channels are solved on their own
     (_closed_channels) and their roots kept on its lane for the determinant
     check; one contact_elimination runs over the stack (a lone energy is
-    its own stack), and _eigvalsh2 per lane.  A lane that keeps records
-    gets each energy's (closed channels, W, C), a stack's slices.  If any
+    its own stack), and _eigvalsh2 per lane; each lane records each of its
+    energies' (closed channels, W, C), a stack's slices.  If any
     energy is refused, each is evaluated alone, in order, as a search of
     its gap alone meets it: a lane's first refusal becomes its error, its
     roots are kept if its channels were solved, and the lane's later
@@ -342,8 +324,7 @@ def _evaluate(params: ModelParams, wanted: list) -> None:
             lane.energies += [E] * len(one.lam)
             lane.lam += one.lam.tolist()
             lane.eigs[E] = _eigvalsh2(s)
-            if lane.records is not None:
-                lane.records[E] = (one, w[i], c[i])
+            lane.records[E] = (one, w[i], c[i])
         return
     for lane, E in wanted:
         try:
@@ -352,23 +333,19 @@ def _evaluate(params: ModelParams, wanted: list) -> None:
             lane.lam += closed.lam.tolist()
             w, c, _ = contact_elimination(E, closed, params)
             lane.eigs[E] = _eigvalsh2(c[:2, :2].tolist())
-            if lane.records is not None:
-                lane.records[E] = (closed, w, c)
+            lane.records[E] = (closed, w, c)
         except Exception as exc:
             lane.error = exc
 
 
-def _counted_lanes(params: ModelParams, gaps, records: bool) -> list:
+def _counted_lanes(params: ModelParams, gaps) -> list:
     """One lane per gap, with its inertia count from one stacked evaluation of every inset end.
-
-    records says whether the lanes keep their energies' records, which only
-    a search that certifies states reads.
 
     signs = range(n_lo, n_hi) holds the eigenvalues of S whose sign changes
     between the ends, one state each, so len(signs) is the gap's bound-state
     count; n_hi < n_lo is a pole of S and ends the lane with ConditioningError.
     """
-    lanes = [_Lane(params, gap, records) for gap in gaps]
+    lanes = [_Lane(params, gap) for gap in gaps]
     _evaluate(params, [(lane, E) for lane in lanes if lane.error is None
                        for E in (lane.lo, lane.hi)])
     for lane in lanes:
@@ -414,9 +391,8 @@ def _gap_counts(params: ModelParams, gaps) -> list:
     One stacked evaluation of every end (_counted_lanes) and one determinant
     check of their roots (_check_roots); the first failing gap, in gap
     order, raises its error.  find_bound_states returns that many states.
-    The lanes keep no records: nothing is certified.
     """
-    lanes = _counted_lanes(params, gaps, records=False)
+    lanes = _counted_lanes(params, gaps)
     _check_roots(params, lanes)
     for lane in lanes:
         if lane.error is not None:
@@ -438,7 +414,7 @@ def search_gaps(params: ModelParams, gaps) -> list:
     a caller that stops at one gap's error certifies no later gap, and
     returns or raises exactly what find_bound_states does for its gap alone.
     """
-    lanes = _counted_lanes(params, gaps, records=True)
+    lanes = _counted_lanes(params, gaps)
     runs = {lane: lane.search() for lane in lanes if lane.error is None}
     live = list(runs)
     while live:

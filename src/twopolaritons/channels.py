@@ -15,9 +15,10 @@ one of the factors D1 and D0 D3 - 4 g^2 must vanish too.
 find_channel_roots runs it on its own three; the bound-state search solves
 bare closed channels (_closed_channels, unchecked) at many energies and
 certifies all of their roots in one batch before any state or error leaves
-the search.  It builds each state's ChannelSet from the bare channels of
-its energy, gauged as find_channel_roots gauges them: find_channel_roots
-runs in a gap search only to refuse an energy inside a band.
+the search.  _channel_set is the one builder of a ChannelSet: find_channel_roots
+calls it, and _ClosedChannels.gauged turns the search's record of an accepted
+energy into that energy's ChannelSet through it, so find_channel_roots runs
+in a gap search only to refuse an energy inside a band.
 
 A ChannelState is a contact spinor plus sum_j s_j z_j^(l-1) F_j elsewhere;
 contact_elimination fixes the s_j from the contact spinor, channel_expansion
@@ -350,12 +351,25 @@ def _open_channel(lam_abs, E, params, taken):
 class _ClosedChannels(NamedTuple):
     """A gap energy's closed channels: lam, z and the unit-norm, ungauged spinor columns;
     contact_elimination reads .z and .vectors as it reads a ChannelSet's.  The gap search
-    keeps one per evaluated energy and gauges an accepted energy's into its ChannelSet
-    (bound_states._gauged): the same lam and z, and phase_fix on these columns."""
+    keeps one per evaluated energy, and gauged turns an accepted energy's into its
+    ChannelSet."""
 
     lam: np.ndarray             # (n,) complex
     z: np.ndarray               # (n,) complex
     vectors: np.ndarray         # (4, n)
+
+    def gauged(self, w: np.ndarray) -> tuple:
+        """This energy's ChannelSet, as find_channel_roots builds it (_channel_set), and W
+        of this record's contact elimination in its gauge.
+
+        phase_fix multiplies unit-norm spinor j by a factor f_j, so the amplitudes
+        s = W b_0 on the gauged spinors divide by it: row j of W.  C does not depend on
+        the gauge.
+        """
+        roots = _channel_set(self.lam, self.z, [], [], self.vectors)
+        old = self.vectors
+        f = (roots.vectors * np.conj(old)).sum(axis=0) / (np.abs(old) ** 2).sum(axis=0)
+        return roots, w / f[:, None]
 
     @staticmethod
     def stack(records) -> "_ClosedChannels":
@@ -470,27 +484,39 @@ def _closed_channels(E: float, params: ModelParams) -> _ClosedChannels:
     return _ClosedChannels(lam, np.exp(1j * lam), np.array(unit, dtype=complex).T)
 
 
+def _channel_set(lam, z, opened: list, open_vectors: list, closed_spinors) -> ChannelSet:
+    """One energy's channels as a ChannelSet: lam and z, open channels first.
+
+    opened holds each open channel's (branch, lam, group velocity) and open_vectors its
+    spinor; closed_spinors, the (4, n) columns of the closed channels, are gauged by
+    phase_fix, and a closed channel has branch "" and group velocity 0."""
+    n_closed = len(lam) - len(opened)
+    vectors = list(open_vectors)
+    if n_closed:
+        vectors.append(phase_fix(closed_spinors))
+    return ChannelSet(
+        lam=lam, z=z, vectors=np.column_stack(vectors),
+        is_open=np.arange(3) < len(opened),
+        branch=tuple(br for br, _, _ in opened) + ("",) * n_closed,
+        group_velocity=np.array([v for _, _, v in opened] + [0.0] * n_closed),
+    )
+
+
 def find_channel_roots(E: float, params: ModelParams) -> ChannelSet:
     """The three outgoing channels at energy E, open first, as one ChannelSet.
 
     The roots and closed spinors are _channel_roots'; open channels carry their branch
-    spinors and closed ones are gauged by phase_fix.  Degenerate parameters and band
-    edges raise; each channel satisfies the determinant condition to 1e-9 of the
-    Hadamard scale of M(lam) - E at its lam, which follows |cos lam| and |sin lam| as
-    |z| -> 0."""
+    spinors and closed ones are gauged by phase_fix (_channel_set).  Degenerate
+    parameters and band edges raise; each channel satisfies the determinant condition
+    to 1e-9 of the Hadamard scale of M(lam) - E at its lam, which follows |cos lam| and
+    |sin lam| as |z| -> 0."""
     mats, open_abs, closed, spinors = _channel_roots(E, params)
     opened = []
     for lam_abs in open_abs:
         opened.append(_open_channel(lam_abs, E, params, {o[0] for o in opened}))
     opened.sort(key=lambda o: (o[1], o[0]))
     lam = np.array([lo for _, lo, _ in opened] + closed, dtype=complex)
-    vectors = [branch_vector(br, lo, params) for br, lo, _ in opened]
-    if closed:
-        vectors.append(phase_fix(np.array(spinors, dtype=complex).T))
+    open_vectors = [branch_vector(br, lo, params) for br, lo, _ in opened]
     _check_determinant(E, mats, lam)
-    return ChannelSet(
-        lam=lam, z=np.exp(1j * lam), vectors=np.column_stack(vectors),
-        is_open=np.arange(3) < len(opened),
-        branch=tuple(br for br, _, _ in opened) + ("",) * len(closed),
-        group_velocity=np.array([v for _, _, v in opened] + [0.0] * len(closed)),
-    )
+    return _channel_set(lam, np.exp(1j * lam), opened, open_vectors,
+                        np.array(spinors, dtype=complex).T)

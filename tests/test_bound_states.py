@@ -303,7 +303,7 @@ def test_gap_contact(monkeypatch, overcount):
     # amplitudes against a fresh solve), and one whose gauged spinors keep W
     # with its gauge factors dropped or applied the wrong way round (through
     # the state's site residual)
-    solve, gauged = channels._closed_channels, bound_states._gauged
+    solve, gauged = channels._closed_channels, channels._ClosedChannels.gauged
 
     def mispaired(E, params):
         closed = solve(E, params)
@@ -327,8 +327,8 @@ def test_gap_contact(monkeypatch, overcount):
         return gauged(closed, w)[0], w * factors(closed)[:, None]
 
     for module, name, fault in ((validation, "_closed_channels", mispaired),
-                                (bound_states, "_gauged", ungauged),
-                                (bound_states, "_gauged", skewed)):
+                                (channels._ClosedChannels, "gauged", ungauged),
+                                (channels._ClosedChannels, "gauged", skewed)):
         with monkeypatch.context() as m:
             m.setattr(module, name, fault)
             (result,) = run_checks(["gap-contact"])
@@ -336,7 +336,7 @@ def test_gap_contact(monkeypatch, overcount):
         assert "raised" not in result.detail
     for fault in (dropped, inverted):
         with monkeypatch.context() as m:
-            m.setattr(bound_states, "_gauged", fault)
+            m.setattr(channels._ClosedChannels, "gauged", fault)
             (result,) = run_checks(["gap-contact"])
         assert not result.passed
         assert "has site residual" in result.detail
@@ -592,7 +592,7 @@ def test_stacked_evaluation_is_per_energy_bit_for_bit(xi, delta, K):
                                       channels._ClosedChannels.stack(closed[:n]), p)
         assert [(x.tobytes(), y.tobytes()) for x, y in zip(w, c)] == [
             (x.tobytes(), y.tobytes()) for x, y, _ in alone[:n]]
-        lanes = [bound_states._Lane(p, gaps[j % 2], True) for j in range(n)]
+        lanes = [bound_states._Lane(p, gaps[j % 2]) for j in range(n)]
         bound_states._evaluate(p, list(zip(lanes, energies)))
         assert [bits(lane.eigs[E]) for lane, E in zip(lanes, energies)] == [
             bits(bound_states._eigvalsh2(y[:2, :2].tolist())) for _, y, _ in alone[:n]]
