@@ -15,6 +15,12 @@ K/2 - q, so that E(uv, q) = eps_u(K/2 + q) + eps_v(K/2 - q) holds exactly.
 Swapping q -> -q therefore swaps the mixed labels: E(AB, q) = E(BA, -q).
 So BA spans exactly the energies of AB, and band_structure computes the
 edges of AA, AB and BB only, copying those of AB to BA.
+
+Where sin(K/2) vanishes (K = 0 or +-2 pi, or xi = 0) the Bloch matrix is
+A + cos(q) B with a semidefinite B, so each branch is monotone in cos q
+(Weyl's monotonicity theorem) and its edges are its values at q = 0 and
+q = pi, in closed form.  Elsewhere the edges come from a sampled scan of
+the zone and a polish of the stationary points it brackets.
 """
 
 import math
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError
-from .model import PARITY, SQRT2, ModelParams, bloch_matrix
+from .model import PARITY, SQRT2, ModelParams, bloch_matrices, bloch_matrix
 
 __all__ = [
     "BRANCHES",
@@ -48,6 +54,12 @@ N_SAMPLES = 256
 POLISH_XTOL, POLISH_STEPS = 1e-9, 50
 
 _SIGN = {"A": 1.0, "B": -1.0}
+
+#: The branches whose edges are computed (BA shares AB's), their dressed-mode
+#: signs, and the momenta of the closed-form edges.
+_EDGE_BRANCHES = ("AA", "AB", "BB")
+_EDGE_SIGNS = np.array([(_SIGN[label[0]], _SIGN[label[1]]) for label in _EDGE_BRANCHES])
+_ZONE_ENDS = np.array([0.0, np.pi])
 
 
 def _signs(branch: str):
@@ -217,27 +229,24 @@ class BandStructure:
         return None
 
 
-def band_structure(params: ModelParams) -> BandStructure:
-    """Branch ranges, merged bands, and the gaps between them.
+def _scanned_edges(params: ModelParams) -> tuple:
+    """Lowest and highest energies of AA, AB and BB (in that order), from a scan.
 
-    AA, AB and BB are sampled together at the midpoints of N_SAMPLES equal
+    The branches are sampled together at the midpoints of N_SAMPLES equal
     cells of the zone, so q = 0 and pi, stationary by symmetry, always fall
     strictly inside a bracket.  Each sign change of dE/dq between
     neighbouring samples (cyclically) brackets a stationary point; all are
     polished at once by Illinois regula-falsi steps on dE/dq.  An edge is
     the extreme over the samples and polished points, exact to rounding
-    since the energy error is quadratic in the q error.  BA takes the
-    edges of AB (see the module docstring).
+    since the energy error is quadratic in the q error.
     """
-    sampled = ("AA", "AB", "BB")
-    signs = np.array([_signs(label) for label in sampled])
     step = 2.0 * np.pi / N_SAMPLES
     qs = -np.pi + step * (np.arange(N_SAMPLES) + 0.5)
-    grid = (params, qs, signs[:, :1], signs[:, 1:])
+    grid = (params, qs, _EDGE_SIGNS[:, :1], _EDGE_SIGNS[:, 1:])
     ev, dv = _energy(*grid), _slope(*grid)
     dn = np.roll(dv, -1, axis=1)
     row, col = np.nonzero(((dv < 0.0) & (dn > 0.0)) | ((dv > 0.0) & (dn < 0.0)))
-    s1, s2 = signs[row, 0], signs[row, 1]
+    s1, s2 = _EDGE_SIGNS[row, 0], _EDGE_SIGNS[row, 1]
     a, fa = qs[col], dv[row, col]
     b, fb = a + step, dn[row, col]
     for _ in range(POLISH_STEPS):
@@ -258,7 +267,32 @@ def band_structure(params: ModelParams) -> BandStructure:
     polished = _energy(params, b, s1, s2)
     np.minimum.at(low, row, polished)
     np.maximum.at(high, row, polished)
-    edges = {label: (float(low[i]), float(high[i])) for i, label in enumerate(sampled)}
+    return low, high
+
+
+def band_structure(params: ModelParams) -> BandStructure:
+    """Branch ranges, merged bands, and the gaps between them.
+
+    Where sin(K/2) vanishes to rounding (BlochMatrices.double_root: K = 0
+    or +-2 pi, or xi = 0) the edges are in closed form.  There the Bloch
+    matrix is M(q) = A + cos(q) B, even in q, with B = hop_cos = 2 xi
+    cos(K/2) diag(2, 1, 1, 0) semidefinite, so by Weyl's monotonicity
+    theorem (Horn & Johnson, Matrix Analysis, Cor. 4.3.12) every branch
+    energy is monotone in cos q, and its edges are its values at q = 0 and
+    q = pi: one _energy call, no scan and no polish.  At every other K the
+    edges come from _scanned_edges.  BA takes the edges of AB (see the
+    module docstring), and _from_edges merges the edges into bands and gaps
+    on either path.
+    """
+    if bloch_matrices(params).double_root:
+        ends = _energy(params, _ZONE_ENDS, _EDGE_SIGNS[:, :1], _EDGE_SIGNS[:, 1:])
+        return _from_edges(params, ends.min(axis=1), ends.max(axis=1))
+    return _from_edges(params, *_scanned_edges(params))
+
+
+def _from_edges(params: ModelParams, low, high) -> BandStructure:
+    """The BandStructure whose AA, AB and BB span [low, high] (in that order)."""
+    edges = {label: (float(low[i]), float(high[i])) for i, label in enumerate(_EDGE_BRANCHES)}
     edges = {label: edges["AB" if label == "BA" else label] for label in BRANCHES}
 
     # AB and BA cover the same energy set (q -> -q maps one onto the other),

@@ -171,17 +171,6 @@ def _brent_steps(a: float, b: float, xtol: float):
                             f"(last point {xcur}, f = {fcur})")
 
 
-def _brent(f, a: float, b: float, xtol: float) -> float:
-    """A zero of f between a and b, where f changes sign: _brent_steps driven by f."""
-    steps = _brent_steps(a, b, xtol)
-    x = next(steps)
-    try:
-        while True:
-            x = steps.send(f(x))
-    except StopIteration as stop:
-        return stop.value
-
-
 def _certify(E_b: float, params: ModelParams, gap: Gap, roots, w, c) -> BoundState:
     """The certified, normalized state at an accepted energy E_b of ``gap``.
 

@@ -244,18 +244,12 @@ def _named(what: str, E, lane=None) -> str:
     return what.format(energies if lane is None and len(energies) > 1 else energies[lane or 0])
 
 
-def _double_root(mats) -> bool:
-    """Whether sin(K/2) vanishes to rounding, |s| <= eps |a| (see _det_roots): there
-    det(M(lam) - E) = D1^2 (D0 D3 - f), and D1 = 0 is a double root."""
-    return abs(mats.hop_sin[1, 2]) <= _EPS * abs(mats.hop_cos[1, 1])
-
-
 def _det_roots(E: float, mats) -> tuple:
     """Roots y = a cos lam of det(M(lam) - E) = c3 (y^3 + b y^2 + c y + d): (ys, terms, poly, det).
 
     terms = (a, s, e0, e1, d3, f, sg, double): a = 2 xi cos(K/2), t = s sin lam,
     D0 = 2 y + e0, D1 = y + e1, D3 = d3, f = 4 g^2, sg = sqrt2 g and double =
-    _double_root(mats); det(y) is the cubic and its slope from the factored form.  A
+    mats.double_root; det(y) is the cubic and its slope from the factored form.  A
     vanishing a or D3 is refused.  If double (s = 0 to rounding) the roots are D1 = 0
     twice, ys[0] and ys[1], and D0 D3 = f; otherwise Newton from Kahan's start ("To
     solve a real cubic equation", 1986) finds a real root, and the other two, m +- h,
@@ -291,7 +285,7 @@ def _det_roots(E: float, mats) -> tuple:
     q0, r0, c3 = e0 * d3 - f, e0 * d3, 2.0 * d3 * (1.0 + sig)
     b, d = (q0 + 4.0 * e1 * d3 + sig * r0) / c3, (e1 * e1 * q0 - s2 * r0) / c3
     c = (2.0 * e1 * q0 + 2.0 * (e1 * e1 - s2) * d3) / c3
-    double = _double_root(mats)
+    double = mats.double_root
     out = ((a, s, e0, e1, d3, f, sg, double), (c3, b, c, d), det)
     if double:
         return ([-e1, -e1, 0.5 * (f / d3 - e0)], *out)
@@ -414,7 +408,7 @@ def _det_certificate(E, mats, lam: np.ndarray) -> tuple:
     weighted by max(1, |cos lam|) and max(1, |sin lam|) to follow a closed
     decay.  cos lam and sin lam must be finite (_check_determinant screens).
 
-    The third list is 0 at each root unless sin(K/2) = 0 (_double_root):
+    The third list is 0 at each root unless sin(K/2) = 0 (mats.double_root):
     there det = D1^2 (D0 D3 - f) vanishes quadratically at the double root
     D1 = 0, so |det| bounds that root's error only to the square root of its
     tolerance, and the list holds the smaller of |D1| and |D0 D3 - f|
@@ -430,7 +424,7 @@ def _det_certificate(E, mats, lam: np.ndarray) -> tuple:
     rows = np.maximum(weights, 1.0, out=weights) @ mats.hop_norms
     rows += np.hypot(a_e.diagonal(0, -2, -1), mats.offdiag_norms)
     vals, scales = np.abs(np.linalg.det(stack)).tolist(), rows.prod(axis=-1).tolist()
-    if not _double_root(mats):
+    if not mats.double_root:
         return vals, scales, [0.0] * len(vals)
     d0, d1, _, d3 = stack.diagonal(0, -2, -1).T
     r0, r1, _, r3 = rows.T
@@ -441,7 +435,7 @@ def _det_certificate(E, mats, lam: np.ndarray) -> tuple:
 def _check_determinant(E, mats, lam: np.ndarray) -> None:
     """Refuse a root lam whose |det(M(lam) - E)| exceeds 1e-9 of its scale (_det_certificate).
 
-    At sin(K/2) = 0 (_double_root) a root must also bring one factor of det
+    At sin(K/2) = 0 (mats.double_root) a root must also bring one factor of det
     below 1e-9 of that factor's scale (_det_certificate), or an error in
     a member of the double root D1 = 0 would pass.  The first failing root
     in lam's order raises ConditioningError.  A root whose cos and sin are

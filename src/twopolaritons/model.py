@@ -42,7 +42,14 @@ __all__ = [
 ]
 
 SQRT2 = float(np.sqrt(2.0))
+_EPS = np.finfo(float).eps
 TWO_PI = 2.0 * np.pi
+
+#: Largest |xi|, |delta| and g accepted.  The dressed levels square |xi| and
+#: |delta|, and the channel-root certificate multiplies four row scales that
+#: grow like g^2 at a closed channel: they overflow from about 1e77 in |xi| or
+#: |delta| and 1e44 in g.  Below 1e30 every product stays finite.
+SCALE_MAX = 1e30
 
 # Spinor component order, fixed project-wide.
 PHOTON_PAIR, MIX_SYM, MIX_ASYM, TLS_PAIR = 0, 1, 2, 3
@@ -82,6 +89,10 @@ class ModelParams:
                 raise ParameterError(f"{name} must be finite, got {value!r}")
         if self.g <= 0.0:
             raise ParameterError(f"coupling g must be positive, got {self.g!r}")
+        for name in ("xi", "delta", "g"):
+            value = getattr(self, name)
+            if abs(value) > SCALE_MAX:
+                raise ParameterError(f"|{name}| must not exceed {SCALE_MAX:g}, got {value!r}")
         folded = (self.K + TWO_PI) % (2.0 * TWO_PI) - TWO_PI
         object.__setattr__(self, "K", float(folded))
         object.__setattr__(self, "xi", float(self.xi))
@@ -102,6 +113,11 @@ class BlochMatrices:
     determinant check reads the rest: hop_stack holds hop_cos and hop_sin
     flattened as rows, so (cos lam, sin lam) @ hop_stack is the hopping part
     of M(lam), and offdiag_norms and hop_norms are the row norms of its scale.
+    double_root is the package's one test of sin(K/2) = 0 to rounding, |s| <=
+    eps |a| for the hop_sin entry s = -2 xi sin(K/2) and the hop_cos entry
+    a = 2 xi cos(K/2) of the mixed slots: there M(q) = onsite + cos(q) hop_cos
+    is even in q, the channel determinant has the double root D1 = 0, and
+    band_structure takes the band edges in closed form.
     """
 
     onsite: np.ndarray
@@ -114,6 +130,7 @@ class BlochMatrices:
     hop_stack: np.ndarray = dataclasses.field(init=False)
     offdiag_norms: np.ndarray = dataclasses.field(init=False)
     hop_norms: np.ndarray = dataclasses.field(init=False)
+    double_root: bool = dataclasses.field(init=False)
 
     def __post_init__(self):
         hp = 0.5 * (self.hop_cos + 1j * self.hop_sin)
@@ -132,6 +149,8 @@ class BlochMatrices:
             object.__setattr__(self, name, array)
         for array in (self.onsite, self.hop_cos, self.hop_sin, *derived.values()):
             array.flags.writeable = False
+        object.__setattr__(self, "double_root", bool(
+            abs(self.hop_sin[MIX_SYM, MIX_ASYM]) <= _EPS * abs(self.hop_cos[MIX_SYM, MIX_SYM])))
 
 
 @functools.lru_cache(maxsize=8)

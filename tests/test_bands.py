@@ -19,7 +19,7 @@ from twopolaritons.bands import (
     incident_state,
 )
 from twopolaritons.errors import ConditioningError
-from twopolaritons.model import PARITY, ModelParams
+from twopolaritons.model import PARITY, ModelParams, bloch_matrices
 from twopolaritons.validation import run_checks
 
 RNG = np.random.default_rng(23)
@@ -144,6 +144,60 @@ def test_unsettled_edge_polish_raises(monkeypatch):
     monkeypatch.setattr(bands, "POLISH_STEPS", 1)
     with pytest.raises(ConditioningError, match="did not settle"):
         band_structure(ModelParams(xi=-0.3, delta=0.5, K=0.7))
+
+
+def edge_bits(bs):
+    """Every float of a BandStructure, bit for bit, with the band and gap labels."""
+    return ([[float(x).hex() for x in bs.branch_edges[br]] for br in BRANCHES],
+            [(b.labels, b.lo.hex(), b.hi.hex()) for b in bs.bands],
+            [(g.index, g.lo.hex(), g.hi.hex(), g.below, g.above) for g in bs.gaps])
+
+
+# sin(K/2) = 0 to rounding: K = 0, +-2 pi (folded to -2 pi) and 1e-300 on a
+# (xi, delta) grid that reaches merged bands (|xi| >= 0.75), and xi = 0 at
+# random K; g = 1 and g = 0.4
+DOUBLE_ROOT_PARAMS = [
+    ModelParams(xi=xi, delta=delta, K=k, g=g)
+    for k in (0.0, 2.0 * np.pi, -2.0 * np.pi, 1e-300)
+    for xi in (-3.0, -1.5, -0.75, -0.5, -0.2, 0.3, 0.9)
+    for delta in np.linspace(-6.0, 6.0, 25)
+    for g in (1.0, 0.4)
+] + [ModelParams(xi=0.0, delta=delta, K=k)
+     for delta, k in zip(RNG.uniform(-5.0, 5.0, 20), RNG.uniform(-2.0 * np.pi, 2.0 * np.pi, 20))]
+
+
+def test_closed_form_edges_equal_the_scan(monkeypatch):
+    # where sin(K/2) vanishes every branch is monotone in cos q, so the edges
+    # at q = 0 and pi are the scan's and polish's, bit for bit; band_structure
+    # takes them there without scanning
+    scanned = [bands._from_edges(p, *bands._scanned_edges(p)) for p in DOUBLE_ROOT_PARAMS]
+    monkeypatch.setattr(bands, "_scanned_edges", None)
+    merged = 0
+    for p, scan in zip(DOUBLE_ROOT_PARAMS, scanned):
+        assert bloch_matrices(p).double_root, p
+        bs = band_structure(p)
+        assert edge_bits(bs) == edge_bits(scan), p
+        merged += len(bs.gaps) < 2
+    assert merged > 100
+
+
+def test_scan_runs_off_the_double_root(monkeypatch):
+    # the smallest K whose sin(K/2) exceeds rounding, and a generic K, keep the scan
+    calls = []
+    scan = bands._scanned_edges
+    monkeypatch.setattr(bands, "_scanned_edges", lambda p: calls.append(p) or scan(p))
+    for k in (1e-15, 0.7):
+        p = ModelParams(xi=-0.2, delta=0.5, K=k)
+        assert not bloch_matrices(p).double_root
+        band_structure(p)
+    assert len(calls) == 2
+
+
+def test_branch_edges_check_covers_the_closed_form(monkeypatch):
+    # the check's K = 0 draws catch a closed-form edge taken at q = pi - 1e-3
+    monkeypatch.setattr(bands, "_ZONE_ENDS", np.array([0.0, np.pi - 1e-3]))
+    result = run_checks(["branch-edges"])[0]
+    assert not result.passed and "100 at K = 0" in result.detail
 
 
 def test_bands_merge_at_strong_hopping():

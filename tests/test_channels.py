@@ -221,9 +221,12 @@ def test_non_finite_energy_is_refused(energy):
 
 def test_cached_record_is_read_only():
     # the per-parameter record is shared by every caller: each of its
-    # fields is a read-only array
+    # fields is a read-only array, but the flag double_root, a plain bool
     mats = bloch_matrices(ModelParams(xi=-0.3, delta=0.8, K=0.9))
+    assert mats.double_root is False
     for field in dataclasses.fields(mats):
+        if field.name == "double_root":
+            continue
         array = getattr(mats, field.name)
         assert isinstance(array, np.ndarray), field.name
         with pytest.raises(ValueError, match="read-only"):

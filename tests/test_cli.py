@@ -16,7 +16,8 @@ import pytest
 import twopolaritons
 from twopolaritons import cli, sweeps
 from twopolaritons.cli import main, parse_angle, parse_values
-from twopolaritons.model import ModelParams
+from twopolaritons.bands import band_structure
+from twopolaritons.model import SCALE_MAX, ModelParams
 from twopolaritons.sweeps import BoundSweepPoint
 
 
@@ -127,6 +128,38 @@ def test_nonpositive_jobs_exits_2(capsys, jobs):
             run([command, "--xi", "-0.2", "--delta", "0", "--jobs", jobs])
         assert exc.value.code == 2
         assert f"--jobs must be a positive integer, got {jobs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("K", [0.0, 1.0])
+def test_solvers_run_at_the_parameter_scale_bound(K):
+    # at |xi|, |delta| or g = SCALE_MAX bands, bound and scatter end in
+    # results or typed skips, with no floating-point warning (pytest makes
+    # every warning an error)
+    for params in (ModelParams(xi=-0.2, delta=SCALE_MAX, K=K),
+                   ModelParams(xi=-SCALE_MAX, delta=0.3, K=K),
+                   ModelParams(xi=SCALE_MAX, delta=-SCALE_MAX, K=K),
+                   ModelParams(xi=-0.2, delta=0.5, K=K, g=SCALE_MAX)):
+        bs = band_structure(params)
+        assert np.isfinite(list(bs.branch_edges.values())).all()
+        sweeps._bound_point(params)
+        for branch in ("AB", "AA", "BB"):
+            sweeps._scatter_point((params, branch, 1.0))
+
+
+def test_parameter_scale_bound_exits_2(capsys):
+    # one ulp above SCALE_MAX is a usage error, not inf/nan edges or a warning
+    above = repr(float(np.nextafter(SCALE_MAX, np.inf)))
+    assert run(["bands", "--xi", "-0.2", "--delta", repr(SCALE_MAX), "--format", "json"]) == 0
+    capsys.readouterr()
+    for command, name, xi, delta in (("bands", "delta", "-0.2", above),
+                                     ("bound", "xi", "-" + above, "0"),
+                                     ("scatter", "delta", "-0.2", "-" + above)):
+        argv = [command, "--xi", xi, "--delta", delta, "--jobs", "1"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + (["--q", "1"] if command == "scatter" else []))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"twopol {command}: error: |{name}| must not exceed 1e+30" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -45,6 +45,32 @@ def test_params_validation():
         ModelParams(xi=0.1, delta=np.inf)
 
 
+def test_params_scale_bound():
+    # |xi|, |delta| and g up to SCALE_MAX are accepted, one ulp above refused
+    top, above = model.SCALE_MAX, np.nextafter(model.SCALE_MAX, np.inf)
+    for name, sign in (("xi", 1.0), ("xi", -1.0), ("delta", 1.0), ("delta", -1.0), ("g", 1.0)):
+        kwargs = {"xi": 0.1, name: sign * top}
+        assert getattr(ModelParams(**kwargs), name) == sign * top
+        kwargs[name] = sign * above
+        with pytest.raises(ParameterError, match=f"[|]{name}[|] must not exceed 1e[+]30"):
+            ModelParams(**kwargs)
+
+
+def test_double_root_record_field():
+    # sin(K/2) = 0 to rounding at K = 0 and +-2 pi, and at xi = 0 for any K;
+    # a record rebuilt from an edited hop_sin derives it afresh
+    for k in (0.0, 2.0 * np.pi, -2.0 * np.pi, 1e-300, -1e-17):
+        assert bloch_matrices(ModelParams(xi=-0.3, K=k)).double_root
+    assert bloch_matrices(ModelParams(xi=0.0, K=1.3)).double_root
+    for k in (1e-15, 0.9, np.pi, -3.0):
+        assert not bloch_matrices(ModelParams(xi=-0.3, K=k)).double_root
+    mats = bloch_matrices(ModelParams(xi=-0.3, delta=0.8))
+    bump = np.zeros((4, 4))
+    bump[1, 2] = bump[2, 1] = 1e-3
+    edited = dataclasses.replace(mats, hop_sin=mats.hop_sin + bump)
+    assert mats.double_root and not edited.double_root
+
+
 def test_params_momentum_folding():
     p = ModelParams(xi=-0.2, K=5.0 * np.pi)
     assert -2.0 * np.pi <= p.K < 2.0 * np.pi
