@@ -38,6 +38,7 @@ __all__ = [
     "dressed_energy",
     "branch_energy",
     "branch_energy_derivative",
+    "branch_dispersion",
     "branch_vector",
     "incident_state",
     "band_structure",
@@ -98,15 +99,22 @@ def _energy(params: ModelParams, q, s1, s2):
     return dressed_energy(s1, d0, l1, params.g) + dressed_energy(s2, d0, l2, params.g)
 
 
-def _slope(params: ModelParams, q, s1, s2):
-    """dE/dq of the branch with dressed-mode signs s1, s2 (as in _energy)."""
+def _slope_terms(params: ModelParams, q, levels) -> tuple:
+    """(dd0, w1, w2) at q, levels = effective_levels(params, q): the branch with
+    dressed-mode signs s1, s2 has dE/dq = dd0 + 0.5 (s1 w1 + s2 w2)."""
     g, half_k = params.g, 0.5 * params.K
-    d0, l1, l2 = effective_levels(params, q)
+    d0, l1, l2 = levels
     dd0 = -2.0 * params.xi * np.sin(q) * np.cos(half_k)
     dshift = 2.0 * params.xi * np.cos(q) * np.sin(half_k)
     u1, u2 = d0 - l1, d0 - l2
-    return dd0 + 0.5 * (s1 * u1 * (dd0 - dshift) / np.sqrt(u1 * u1 + 4.0 * g * g)
-                        + s2 * u2 * (dd0 + dshift) / np.sqrt(u2 * u2 + 4.0 * g * g))
+    return (dd0, u1 * (dd0 - dshift) / np.sqrt(u1 * u1 + 4.0 * g * g),
+            u2 * (dd0 + dshift) / np.sqrt(u2 * u2 + 4.0 * g * g))
+
+
+def _slope(params: ModelParams, q, s1, s2):
+    """dE/dq of the branch with dressed-mode signs s1, s2 (as in _energy)."""
+    dd0, w1, w2 = _slope_terms(params, q, effective_levels(params, q))
+    return dd0 + 0.5 * (s1 * w1 + s2 * w2)
 
 
 def branch_energy(branch: str, q, params: ModelParams):
@@ -117,6 +125,19 @@ def branch_energy(branch: str, q, params: ModelParams):
 def branch_energy_derivative(branch: str, q, params: ModelParams):
     """dE/dq of a branch, from the closed-form chain rule."""
     return _slope(params, q, *_signs(branch))
+
+
+def branch_dispersion(q: float, params: ModelParams) -> dict:
+    """(energy, dE/dq) of each branch at one real momentum q, by label, as floats: each
+    dressed level and slope term once, summed as _energy and _slope sum them (a sign of
+    +-1 scales exactly), so branch_energy's and branch_energy_derivative's bit for bit."""
+    d0, l1, l2 = levels = effective_levels(params, q)
+    g = params.g
+    a1, b1 = float(dressed_energy(1.0, d0, l1, g)), float(dressed_energy(-1.0, d0, l1, g))
+    a2, b2 = float(dressed_energy(1.0, d0, l2, g)), float(dressed_energy(-1.0, d0, l2, g))
+    dd0, w1, w2 = map(float, _slope_terms(params, q, levels))
+    return {"AA": (a1 + a2, dd0 + 0.5 * (w1 + w2)), "AB": (a1 + b2, dd0 + 0.5 * (w1 - w2)),
+            "BA": (b1 + a2, dd0 + 0.5 * (-w1 + w2)), "BB": (b1 + b2, dd0 + 0.5 * (-w1 - w2))}
 
 
 def _factor(sign, x, g):
@@ -176,7 +197,7 @@ def branch_vector(branch: str, q: float, params: ModelParams) -> np.ndarray:
             e1 * e2,
         ]
     ))
-    energy = branch_energy(branch, q, params)
+    energy = dressed_energy(s1, d0, l1, g) + dressed_energy(s2, d0, l2, g)
     m = bloch_matrix(params, q)
     if np.linalg.norm(m @ f - energy * f) > 1e-10 * (np.linalg.norm(m) + abs(energy)):
         raise ConditioningError(f"no clean eigenvector for branch {branch} at q={q!r}")

@@ -223,7 +223,9 @@ class _Lane:
     ended it, if one did.
 
     The ends lie TOL_EDGE_FACTOR * g inside the gap edges; a gap narrower
-    than twice that is refused with ParameterError before any evaluation.
+    than twice that, or one whose edge does not move by it in floating
+    point (|E| above about 1e10 at g = 1), is refused with ParameterError
+    before any evaluation.
     Any exception the search meets is the lane's outcome, not its
     neighbours': it is kept in error, stops the lane, and states() raises it.
     """
@@ -236,6 +238,9 @@ class _Lane:
         if gap.hi - gap.lo <= 2.0 * tol_edge:
             self.error = ParameterError(f"gap [{gap.lo}, {gap.hi}] is narrower than twice "
                                         f"the edge inset {tol_edge}")
+        elif self.lo == gap.lo or self.hi == gap.hi:
+            self.error = ParameterError(f"the edge inset {tol_edge} of gap [{gap.lo}, {gap.hi}] "
+                                        f"is lost to rounding at this energy scale")
 
     def energy(self, s: float) -> float:
         """E(s) = lo + (hi - lo)(1 - cos(pi s))/2, each half anchored at its own end,

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bands import BRANCHES, branch_energy, branch_energy_derivative, branch_vector, phase_fix
+from .bands import branch_dispersion, branch_vector, phase_fix
 from .errors import ConditioningError, DegenerateParametersError, ParameterError
 from .model import PARITY, ModelParams, bloch_matrices, site_residual
 
@@ -320,17 +320,17 @@ def _closed_spinor(y, lam, terms) -> tuple:
 def _open_channel(lam_abs, E, params, taken):
     """The outgoing wave of an open root at +-lam_abs: (branch, lam, group velocity).
 
-    The closest match to E of a branch not ``taken`` by another root wins: AB and BA
-    both match the double root at K = 0, and both roots next to it."""
+    Each sign of lam evaluates the dressed levels once (branch_dispersion).  The closest
+    match to E of a branch not ``taken`` by another root wins: AB and BA both match the
+    double root at K = 0, and both roots next to it."""
     tol = 1e-8 * max(1.0, abs(E))
     floor = _VELOCITY_FLOOR * (params.g + abs(params.xi))
     kept = []
     for lam in (lam_abs, -lam_abs):
-        for br in BRANCHES:
-            miss = abs(branch_energy(br, lam, params) - E)
+        for br, (energy, v) in branch_dispersion(lam, params).items():
+            miss = abs(energy - E)
             if miss > tol:
                 continue
-            v = float(branch_energy_derivative(br, lam, params))
             if abs(v) <= floor:
                 raise ConditioningError(
                     f"open channel {br} has vanishing group velocity at lam={lam:.6g}")

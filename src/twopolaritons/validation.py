@@ -112,6 +112,11 @@ def _dressed_level(kind, k, p):
     return hi if kind == "A" else lo
 
 
+def _level_sum(br, q, p):
+    """Energy of branch br at q from _dressed_level: eps_u(K/2 + q) + eps_v(K/2 - q)."""
+    return _dressed_level(br[0], 0.5 * p.K + q, p) + _dressed_level(br[1], 0.5 * p.K - q, p)
+
+
 def _check_branch_symmetries(rng):
     # E(uv, q) = eps_u(K/2 + q) + eps_v(K/2 - q): q -> -q swaps AB and BA
     # and leaves AA and BB alone, and the four branches sum to the trace
@@ -124,9 +129,7 @@ def _check_branch_symmetries(rng):
             worst_swap = max(worst_swap,
                              abs(energy[br] - branch_energy(mirror, -q, p)))
         for br in BRANCHES:
-            split = _dressed_level(br[0], 0.5 * p.K + q, p) \
-                + _dressed_level(br[1], 0.5 * p.K - q, p)
-            worst_sum = max(worst_sum, abs(energy[br] - split))
+            worst_sum = max(worst_sum, abs(energy[br] - _level_sum(br, q, p)))
         expect = 4.0 * p.delta + 8.0 * p.xi * np.cos(0.5 * p.K) * np.cos(q)
         worst_trace = max(worst_trace, abs(sum(energy.values()) - expect))
     ok = worst_swap < 1e-12 and worst_sum < 1e-12 and worst_trace < 1e-12
@@ -137,11 +140,18 @@ def _check_branch_symmetries(rng):
 
 def _check_channel_roots(rng):
     # every draw must give three certified channels: a refusal fails the
-    # check (run_checks reports what was raised), none is skipped
+    # check (run_checks reports what was raised), none is skipped.  The
+    # N_DRAWS draws at random K are followed by 100 at K = pi/2.  Each open
+    # channel's label and lam must give back E from this module's own
+    # dressed levels (_level_sum) to 1e-10 max(1, |E|), and its group
+    # velocity must be positive and match a central difference of that sum
     worst_det, worst_res, worst_back = 0.0, 0.0, 0.0
-    sigma = np.inf
-    for _ in range(N_DRAWS):
+    worst_e, worst_v, slowest, n_open = 0.0, 0.0, np.inf, 0
+    sigma, h = np.inf, 1e-5     # h: the central difference's step in lam
+    for i in range(N_DRAWS + 100):
         p = _draw_params(rng)
+        if i >= N_DRAWS:
+            p = replace(p, K=np.pi / 2)
         e = rng.uniform(2.0 * p.delta - 6.0, 2.0 * p.delta + 6.0)
         roots = find_channel_roots(e, p)
         if roots.z.shape != (3,):
@@ -158,12 +168,21 @@ def _check_channel_roots(rng):
         back = res[closed] / np.linalg.norm(m[closed], axis=(1, 2))
         worst_back = max(worst_back, float(np.max(back, initial=0.0)))
         sigma = min(sigma, np.linalg.svd(roots.vectors, compute_uv=False)[-1])
+        for br, lam, v in zip(roots.open_branches, roots.lam[~closed].real,
+                              roots.group_velocity[~closed].tolist()):
+            worst_e = max(worst_e, abs(_level_sum(br, lam, p) - e) / max(1.0, abs(e)))
+            slope = (_level_sum(br, lam + h, p) - _level_sum(br, lam - h, p)) / (2.0 * h)
+            worst_v, slowest = max(worst_v, abs(slope - v)), min(slowest, v)
+            n_open += 1
     ok = worst_det < 1e-8 and worst_res < 1e-8 and worst_back < 1e-12 \
-        and sigma > 1e-3
+        and sigma > 1e-3 and worst_e <= 1e-10 and worst_v <= 1e-6 and slowest > 0.0 \
+        and n_open > 0
     return ok, (f"max |det|/row-norm scale {worst_det:.3g}, root residual "
                 f"{worst_res:.3g}, closed-root backward error "
-                f"{worst_back:.3g}, min spinor sigma {sigma:.3g} over "
-                f"{N_DRAWS} draws")
+                f"{worst_back:.3g}, min spinor sigma {sigma:.3g}; open channels: "
+                f"max |E(label, lam) - E| {worst_e:.3g} of max(1, |E|), max "
+                f"group-velocity defect {worst_v:.3g}, min velocity {slowest:.3g} "
+                f"over {n_open} channels; {N_DRAWS} draws and 100 at K = pi/2")
 
 
 def _check_scattering_unitarity(rng):

@@ -106,6 +106,22 @@ def test_branch_energy_derivative_matches_finite_difference():
             assert abs(branch_energy_derivative(branch, q, p) - num) < 1e-6
 
 
+def test_branch_dispersion_is_branch_energy_and_derivative():
+    # one evaluation of the dressed levels per momentum gives each branch's
+    # energy and slope bit for bit as the per-branch calls do, at the zone
+    # centre and edge, at K = 0, +-2 pi, 1e-9 and pi/2 and at random K
+    rng = np.random.default_rng(34)
+    for i in range(600):
+        k = (0.0, 2.0 * np.pi, -2.0 * np.pi, 1e-9, np.pi / 2, rng.uniform(-7.0, 7.0))[i % 6]
+        p = ModelParams(xi=rng.uniform(-1.0, 1.0), delta=rng.uniform(-5.0, 5.0), K=k)
+        q = (0.0, np.pi, -np.pi, rng.uniform(-np.pi, np.pi))[i // 6 % 4]
+        got = bands.branch_dispersion(q, p)
+        assert list(got) == list(BRANCHES)
+        for branch, (energy, slope) in got.items():
+            assert energy.hex() == float(branch_energy(branch, q, p)).hex()
+            assert slope.hex() == float(branch_energy_derivative(branch, q, p)).hex()
+
+
 def test_band_edges_frozen():
     bs = band_structure(ModelParams(xi=-0.2))
     for label, (lo, hi) in EDGES_DELTA0.items():

@@ -867,6 +867,21 @@ def test_bound_sweep_skips_zone_boundary():
     assert ok.note == "" and len(ok.gaps) == 2
 
 
+@pytest.mark.parametrize("delta", [1e11, 1e15, -1e11, -1e15])
+def test_bound_sweep_skips_gaps_whose_edge_inset_is_lost(delta):
+    # from |E| of about 1e10 on, gap.lo + 1e-6 g rounds to gap.lo (or the
+    # hi end likewise): each gap is skipped with a reason naming the lost
+    # inset, not "lies inside a band" or "admits 0 outgoing waves"
+    (pt,) = bound_sweep(-0.2, [delta], jobs=1)
+    assert pt.gaps == () and [index for index, _ in pt.skipped] == [1, 2]
+    for _, reason in pt.skipped:
+        assert reason.startswith("the edge inset 1e-06 of gap [")
+        assert reason.endswith("is lost to rounding at this energy scale")
+    # where the inset survives, both gaps are searched as before
+    (ok,) = bound_sweep(-0.2, [math.copysign(1e8, delta)], jobs=1)
+    assert ok.note == "" and len(ok.gaps) == 2
+
+
 @pytest.mark.parametrize("error", [ConditioningError, TwoPolaritonError])
 def test_bound_sweep_propagates_solver_failures(monkeypatch, error):
     # a failure inside a gap (a pole of S, a degenerate null space, any

@@ -16,7 +16,7 @@ import scipy.linalg
 import scipy.optimize
 
 from twopolaritons import channels, validation
-from twopolaritons.bands import band_structure, branch_energy
+from twopolaritons.bands import BRANCHES, band_structure, branch_energy, branch_energy_derivative
 from twopolaritons.channels import channel_expansion, expansion_moment, find_channel_roots
 from twopolaritons.errors import (ConditioningError, DegenerateParametersError, ParameterError,
                                   TwoPolaritonError)
@@ -92,6 +92,26 @@ def test_roots_satisfy_determinant(monkeypatch):
 
     monkeypatch.setattr(validation, "find_channel_roots", nudged)
     assert not run_checks(["channel-roots"])[0].passed
+
+
+@pytest.mark.parametrize("fault", ["velocity", "reversed AA", "label"])
+def test_open_channel_labels_and_velocities(monkeypatch, fault):
+    # the open-channel clause of channel-roots: a group velocity 1e-5
+    # relative off, or an AA wave sent back at -lam with its velocity (its
+    # energy and spinor still match E), passes every other clause; every AB
+    # labelled BA off K = 0 gives back the wrong energy
+    def faulty(lam_abs, e, p, taken):
+        br, lam, v = open_channel(lam_abs, e, p, taken)
+        if fault == "velocity":
+            return br, lam, v * (1.0 + 1e-5)
+        if fault == "reversed AA":
+            return (br, -lam, v) if br == "AA" else (br, lam, v)
+        return ("BA" if br == "AB" and p.K else br), lam, v
+
+    open_channel = channels._open_channel
+    monkeypatch.setattr(channels, "_open_channel", faulty)
+    result = run_checks(["channel-roots"])[0]
+    assert not result.passed and "open channels" in result.detail
 
 
 def test_always_three_channels(monkeypatch):
@@ -179,6 +199,87 @@ def test_group_velocity_sign():
     expect = [branch_energy_derivative(br, lam.real, p)
               for br, lam in zip(channels.open_branches, channels.lam[op])]
     assert np.abs(channels.group_velocity[op] - np.abs(expect)).max(initial=0.0) < 1e-8
+
+
+def eight_call_open_channel(lam_abs, E, params, taken):
+    """The open-channel labeller as it was before it shared one evaluation of the
+    dressed levels per sign of lam: a branch_energy call for each of the four branches
+    at +lam_abs and at -lam_abs, and branch_energy_derivative for each match."""
+    tol = 1e-8 * max(1.0, abs(E))
+    floor = channels._VELOCITY_FLOOR * (params.g + abs(params.xi))
+    kept = []
+    for lam in (lam_abs, -lam_abs):
+        for br in BRANCHES:
+            miss = abs(branch_energy(br, lam, params) - E)
+            if miss > tol:
+                continue
+            v = float(branch_energy_derivative(br, lam, params))
+            if abs(v) <= floor:
+                raise ConditioningError(
+                    f"open channel {br} has vanishing group velocity at lam={lam:.6g}")
+            if v > 0.0:
+                kept.append((br in taken, miss, br, lam, v))
+    if not kept:
+        raise DegenerateParametersError(
+            f"open root at |lam|={lam_abs:.6g} admits 0 outgoing waves, expected 1")
+    return min(kept)[2:]
+
+
+def labelled(labeller, lam_abs, E, params, taken):
+    """(branch, lam, v) with the floats as hex, so -0.0 and 0.0 differ, or the
+    refusal's type and message."""
+    try:
+        br, lam, v = labeller(lam_abs, E, params, taken)
+    except TwoPolaritonError as exc:
+        return type(exc), str(exc)
+    return br, float(lam).hex(), float(v).hex()
+
+
+def test_open_channel_matches_eight_call_labeller():
+    # _open_channel must return what the eight-call labeller returns, bit for
+    # bit, and refuse what it refuses with the same error and message.  Roots
+    # of random energies (and of energies within 1e-9 of a band edge, where
+    # |v| nears the floor) are labelled in find_channel_roots' order, each
+    # root's taken set built from the earlier ones; at K = 0, +-2 pi and 1e-9
+    # AB and BA tie at the double root and the taken set decides.  Crafted
+    # roots at lam = 0 and pi (v = 0 for AA and BB) and energies off every
+    # branch reach both refusals.
+    rng = np.random.default_rng(34)
+    kinds = {"draws": 0, "tie": 0, ConditioningError: 0, DegenerateParametersError: 0}
+    for i in range(3600):
+        k = (0.0, 2.0 * np.pi, -2.0 * np.pi, 1e-9, np.pi / 2,
+             rng.uniform(-2.0 * np.pi, 2.0 * np.pi))[i % 6]
+        p = ModelParams(xi=rng.uniform(-1.0, 1.0), delta=rng.uniform(-5.0, 5.0), K=k)
+        if i // 6 % 3 == 2:
+            lam_abs = (0.0, np.pi, rng.uniform(0.0, np.pi))[rng.integers(3)]
+            e = float(branch_energy(BRANCHES[rng.integers(4)], lam_abs, p))
+            e += (0.0, 1e-12, -1e-9, 1e-6)[rng.integers(4)] * max(1.0, abs(e))
+            taken = {br for br in BRANCHES if rng.random() < 0.3}
+            found = [(lam_abs, taken)]
+        else:
+            if i // 6 % 3 == 1:
+                bands = band_structure(p).bands
+                band = bands[rng.integers(len(bands))]
+                e = (band.lo, band.hi)[rng.integers(2)] + rng.uniform(-1e-9, 1e-9)
+            else:
+                e = rng.uniform(2.0 * p.delta - 6.0, 2.0 * p.delta + 6.0)
+            try:
+                _, open_abs, _, _ = channels._channel_roots(e, p)
+            except TwoPolaritonError:
+                continue
+            found = [(lam_abs, None) for lam_abs in open_abs]
+        kinds["draws"] += bool(found)
+        earlier = set()
+        for lam_abs, taken in found:
+            taken = set(earlier) if taken is None else taken
+            expect = labelled(eight_call_open_channel, lam_abs, e, p, taken)
+            assert labelled(channels._open_channel, lam_abs, e, p, taken) == expect, (p, e)
+            if isinstance(expect[0], type):
+                kinds[expect[0]] += 1
+                break
+            kinds["tie"] += expect[0] == "BA" and "AB" in taken
+            earlier.add(expect[0])
+    assert kinds["draws"] >= 2000 and min(kinds.values()) > 0, kinds
 
 
 def test_scale_invariance():
